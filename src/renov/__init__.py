@@ -20,7 +20,7 @@ from .features import (ChannelReducer, FeatureFamily, concat_global_local, extra
                        reduce_channels)
 from .geometry import (FeatureGrid, PointCloud, Pointmap, WarpedPlane, aggregate_pointmaps,
                        project_points, rasterize, subsample_points, token_anchors,
-                       token_feature_cloud, warp_features)
+                       token_feature_cloud)
 from .metrics import MetricReport, psnr, ssim
 from .probe import (ProbeDecoder, TrainConfig, eval_probe, patchify, pixel_hole_mask,
                     probe_backward, probe_forward, probe_loss, train_probe, unpatchify)

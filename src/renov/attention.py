@@ -64,7 +64,7 @@ def aggregated_attention(inp: AttentionBlockInput, return_weights: bool = False)
     """softmax(q K^T / sqrt(d)) V over [target, refs] tokens.
 
     Returns the (T_t, d_v) output, or (output, weights) when the attention
-    map is requested for inspection or export.
+    map is requested for inspection.
     """
     k, v = inp.stacked()
     for name, arr in (("q", inp.q), ("k", k), ("v", v)):
@@ -77,22 +77,6 @@ def aggregated_attention(inp: AttentionBlockInput, return_weights: bool = False)
     if return_weights:
         return out, weights
     return out
-
-
-def export_attention_weights(out_dir, weights: np.ndarray) -> None:
-    """Write an attention map as an RNVT tensor plus a grayscale PGM grid."""
-    from pathlib import Path
-
-    from . import rnvt
-
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2:
-        raise InputError(f"attention weights must be 2-D, got {weights.shape}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rnvt.write_tensor(out / "attention.rnvt", weights)
-    peak = weights.max()
-    rnvt.write_pgm(out / "attention.pgm", weights / peak if peak > 0 else weights)
 
 
 @dataclass(frozen=True)

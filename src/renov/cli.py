@@ -24,9 +24,10 @@ from .encoding import (FourierConfig, build_reference_condition, build_target_co
 from .errors import InputError, NumericalError
 from .features import ChannelReducer, FeatureFamily, concat_global_local, extract_features, reduce_channels
 from .geometry import token_anchors
-from .pipeline import (ProbeProtocol, SceneData, condition_grids, feature_warp,
-                       reduced_grids, rgb_warp, unified_grids)
-from .probe import TrainConfig, eval_probe, train_probe
+from .pipeline import (ProbeProtocol, SceneData, condition_grids, eval_scene_probe, feature_warp,
+                       reduced_grids, rgb_warp, robustness_scene_run, train_scene_probe,
+                       unified_grids)
+from .probe import TrainConfig
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
 
 
@@ -74,6 +75,22 @@ def _check_view_index(data: SceneData, idx: int, flag: str) -> None:
         raise InputError(f"{flag} index {idx} out of range for bundle with {len(data.views)} views")
 
 
+def _refs_and_target(args, data: SceneData) -> tuple[int, ...]:
+    """Parse --refs and check it and --target against the bundle's views."""
+    refs = _parse_refs(args.refs)
+    if not refs:
+        raise InputError("--refs must name at least one reference view")
+    for r in refs:
+        _check_view_index(data, r, "--refs")
+    _check_view_index(data, args.target, "--target")
+    return refs
+
+
+def _check_remove(frac: float) -> None:
+    if not 0.0 <= frac < 1.0:
+        raise InputError(f"--remove must be in [0, 1), got {frac}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -115,14 +132,8 @@ def cmd_features(args) -> dict:
 def cmd_warp(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
-    refs = _parse_refs(args.refs)
-    if not refs:
-        raise InputError("--refs must name at least one reference view")
-    for r in refs:
-        _check_view_index(data, r, "--refs")
-    _check_view_index(data, args.target, "--target")
-    if not 0.0 <= args.remove < 1.0:
-        raise InputError(f"--remove must be in [0, 1), got {args.remove}")
+    refs = _refs_and_target(args, data)
+    _check_remove(args.remove)
     if args.payload == "rgb":
         plane = rgb_warp(data, refs, args.target, args.remove, seed)
     else:
@@ -148,12 +159,7 @@ def cmd_warp(args) -> dict:
 def cmd_condition(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
-    refs = _parse_refs(args.refs)
-    if not refs:
-        raise InputError("--refs must name at least one reference view")
-    for r in refs:
-        _check_view_index(data, r, "--refs")
-    _check_view_index(data, args.target, "--target")
+    refs = _refs_and_target(args, data)
     family = _family_from(args, seed)
     grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed)
     geo_cfg = FourierConfig(num_freqs=args.geo_freqs)
@@ -214,13 +220,12 @@ def cmd_analyze(args) -> dict:
                "pck": rep.pck_at_tau, "tau": rep.tau_tokens, "num_queries": rep.num_queries}
     if out:
         rnvt.write_json(out / f"{args.metric}.json", rep.to_dict())
-        with open(out / f"{args.metric}.csv.tmp", "w") as f:
-            f.write("query_i,query_j,pred_i,pred_j,truth_i,truth_j,hit\n")
-            for r in rep.per_query:
-                truth = r.truth_cell if r.truth_cell is not None else ("", "")
-                f.write(f"{r.query_cell[0]},{r.query_cell[1]},{r.predicted_cell[0]},"
-                        f"{r.predicted_cell[1]},{truth[0]},{truth[1]},{int(r.hit)}\n")
-        os.replace(out / f"{args.metric}.csv.tmp", out / f"{args.metric}.csv")
+        lines = ["query_i,query_j,pred_i,pred_j,truth_i,truth_j,hit\n"]
+        for r in rep.per_query:
+            truth = r.truth_cell if r.truth_cell is not None else ("", "")
+            lines.append(f"{r.query_cell[0]},{r.query_cell[1]},{r.predicted_cell[0]},"
+                         f"{r.predicted_cell[1]},{truth[0]},{truth[1]},{int(r.hit)}\n")
+        rnvt.write_text(out / f"{args.metric}.csv", "".join(lines))
         if args.save_maps:
             for k, rec in enumerate(rep.per_query[:args.save_maps]):
                 sim = cosine_similarity_map(ga.tokens[rec.query_cell], gb)
@@ -233,13 +238,10 @@ def _probe_cfg(args, seed: int) -> TrainConfig:
                        seed=seed, attn_enabled=args.attn, c_red=args.c_red, hidden=args.hidden)
 
 
-def _probe_protocol(data: SceneData, robustness: bool = False) -> ProbeProtocol:
-    proto = ProbeProtocol.robustness() if robustness else ProbeProtocol.fixed_target()
-    needed = 1 + max(max(max(r) for r, _, _ in proto.train_pairs),
-                     max(max(r) for r, _ in proto.eval_cases), ProbeProtocol.TARGET)
-    if len(data.views) < needed:
-        raise InputError(f"--scene bundle has {len(data.views)} views; the probe protocol needs {needed}")
-    return proto
+def _check_protocol_views(data: SceneData, proto: ProbeProtocol) -> None:
+    if len(data.views) < proto.views_needed:
+        raise InputError(f"--scene bundle has {len(data.views)} views; "
+                         f"the probe protocol needs {proto.views_needed}")
 
 
 def cmd_probe(args) -> dict:
@@ -247,36 +249,27 @@ def cmd_probe(args) -> dict:
     data = _load_scene_data(args.scene, args.patch)
     family = _family_from(args, seed)
     cfg = _probe_cfg(args, seed)
-    proto = _probe_protocol(data)
+    proto = ProbeProtocol.fixed_target()
+    _check_protocol_views(data, proto)
     grids = unified_grids(data, family)
 
     if args.mode == "train":
-        dataset = []
-        for k, (refs, tgt, frac) in enumerate(proto.train_pairs):
-            plane = feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k)
-            dataset.append((plane, data.views[tgt].rgb))
-        decoder, curve = train_probe(dataset, cfg)
+        decoder, curve = train_scene_probe(data, grids, proto, cfg)
         out = Path(args.ckpt)
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed})
-        with open(out / "loss.csv.tmp", "w") as f:
-            f.write("step,loss\n")
-            for i, v in enumerate(curve):
-                f.write(f"{i},{v}\n")
-        os.replace(out / "loss.csv.tmp", out / "loss.csv")
+        rnvt.write_text(out / "loss.csv",
+                        "step,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(curve)))
         return {"command": "probe", "mode": "train", "ckpt": str(out),
                 "family": args.family, "steps": cfg.steps,
                 "n_params": decoder.n_params, "final_loss": curve[-1]}
 
-    decoder = bundle.load_decoder(Path(args.ckpt))
+    _check_remove(args.remove)
     cases = proto.eval_cases if args.views == 0 else tuple(
         c for c in proto.eval_cases if len(c[0]) == args.views)
     if not cases:
         raise InputError(f"--views {args.views} selects no evaluation case")
-    samples = []
-    for refs, tgt in cases:
-        plane = feature_warp(data, grids, refs, tgt, args.remove, remove_seed=seed)
-        samples.append((plane, data.views[tgt].rgb, len(refs)))
-    report = eval_probe(decoder, samples)
+    decoder = bundle.load_decoder(Path(args.ckpt))
+    report = eval_scene_probe(decoder, data, grids, cases, args.remove, seed)
     if args.out:
         rnvt.write_json(Path(args.out), report)
     return {"command": "probe", "mode": "eval", "family": args.family,
@@ -287,32 +280,12 @@ def cmd_probe(args) -> dict:
 def cmd_robustness(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
-    family = _family_from(args, seed)
-    cfg = _probe_cfg(args, seed)
-    proto = _probe_protocol(data, robustness=True)
-    grids = unified_grids(data, family)
-    dataset = []
-    for k, (refs, tgt, frac) in enumerate(proto.train_pairs):
-        plane = feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k)
-        dataset.append((plane, data.views[tgt].rgb))
-    decoder, _ = train_probe(dataset, cfg)
-
-    def eval_at(frac: float) -> float:
-        samples = []
-        for refs, tgt in proto.eval_cases:
-            plane = feature_warp(data, grids, refs, tgt, frac, remove_seed=seed)
-            samples.append((plane, data.views[tgt].rgb, len(refs)))
-        return eval_probe(decoder, samples)["mean_psnr"]
-
-    baseline = eval_at(0.0)
-    removal = {}
+    _check_protocol_views(data, ProbeProtocol.robustness())
     for frac in args.remove:
-        if not 0.0 <= frac < 1.0:
-            raise InputError(f"--remove fractions must be in [0, 1), got {frac}")
-        p = eval_at(frac)
-        removal[str(frac)] = {"psnr": p, "delta_db": p - baseline}
+        _check_remove(frac)
     summary = {"command": "robustness", "family": args.family,
-               "baseline_psnr": baseline, "removal": removal}
+               **robustness_scene_run(data, _family_from(args, seed), _probe_cfg(args, seed),
+                                      tuple(args.remove), seed)}
     if args.out:
         rnvt.write_json(Path(args.out), summary)
     return summary

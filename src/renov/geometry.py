@@ -260,24 +260,6 @@ def token_feature_cloud(grids: list[FeatureGrid], pointmaps: list[Pointmap]) -> 
     return aggregate_pointmaps(anchor_maps, payloads)
 
 
-def warp_features(
-    grids: list[FeatureGrid],
-    pointmaps: list[Pointmap],
-    cameras_src: list[CameraPose],
-    camera_tgt: CameraPose,
-) -> WarpedPlane:
-    """Anchor each token to its patch-center 3D point and rasterize into the target.
-
-    Output resolution is (w/P, h/P) of the target camera with intrinsics
-    divided by P.
-    """
-    if len(cameras_src) != len(grids):
-        raise InputError("cameras_src length does not match grids")
-    cloud = token_feature_cloud(grids, pointmaps)
-    cam_tok = camera_tgt.scaled(grids[0].patch_size)
-    return rasterize(cloud, cam_tok, (cam_tok.width, cam_tok.height))
-
-
 def subsample_points(cloud: PointCloud, keep_fraction: float, seed: int) -> PointCloud:
     """Uniformly keep ceil(keep_fraction * M) points without replacement.
 

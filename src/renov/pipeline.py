@@ -23,7 +23,7 @@ from .features import ChannelReducer, FeatureFamily, concat_global_local, extrac
 from .geometry import (FeatureGrid, WarpedPlane, aggregate_pointmaps, rasterize,
                        subsample_points, token_anchors, token_feature_cloud)
 from .metrics import psnr, ssim
-from .probe import TrainConfig, eval_probe, train_probe
+from .probe import ProbeDecoder, TrainConfig, eval_probe, train_probe
 from .scene import RenderedView, SceneSpec, SyntheticScene, generate_scene, make_camera_arc, render_view
 
 
@@ -50,17 +50,12 @@ class SceneData:
     patch: int
 
 
-def render_scene_data(seed: int, cfg: SuiteConfig, threads: int = 0) -> SceneData:
+def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
     scene = generate_scene(seed, SceneSpec(n_quads=cfg.n_quads, palette_size=cfg.palette_size,
                                            shading=cfg.shading))
     cams = make_camera_arc(scene, cfg.n_views, cfg.radius, cfg.fov_deg,
                            (cfg.res, cfg.res), cfg.span_deg)
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            views = list(pool.map(lambda c: render_view(scene, c), cams))
-    else:
-        views = [render_view(scene, c) for c in cams]
+    views = [render_view(scene, c) for c in cams]
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
     return SceneData(scene, views, transform, cfg.patch)
 
@@ -191,6 +186,33 @@ class ProbeProtocol:
         evals = (((3, 7, 9, 11, 13), target),)
         return cls(tuple((r, target, f) for r, f in refs_fracs), evals)
 
+    @property
+    def views_needed(self) -> int:
+        """Arc length the protocol reads: one past the largest view index of any pair."""
+        pairs = [(refs, tgt) for refs, tgt, _ in self.train_pairs] + list(self.eval_cases)
+        return 1 + max(max(*refs, tgt) for refs, tgt in pairs)
+
+
+def train_scene_probe(data: SceneData, grids: list[FeatureGrid], proto: ProbeProtocol,
+                      cfg: TrainConfig) -> tuple[ProbeDecoder, list[float]]:
+    """Train a probe on the protocol's training warps, each pair thinned with its own seed."""
+    dataset = []
+    for k, (refs, tgt, frac) in enumerate(proto.train_pairs):
+        plane = feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k)
+        dataset.append((plane, data.views[tgt].rgb))
+    return train_probe(dataset, cfg)
+
+
+def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, grids: list[FeatureGrid],
+                     cases: tuple[tuple[tuple[int, ...], int], ...], remove_frac: float,
+                     remove_seed: int) -> dict:
+    """eval_probe report over (refs, target) cases, each cloud thinned by remove_frac."""
+    samples = []
+    for refs, tgt in cases:
+        plane = feature_warp(data, grids, refs, tgt, remove_frac, remove_seed=remove_seed)
+        samples.append((plane, data.views[tgt].rgb, len(refs)))
+    return eval_probe(decoder, samples)
+
 
 def probe_scene_run(
     data: SceneData,
@@ -202,16 +224,8 @@ def probe_scene_run(
 ):
     """Train a per-scene probe on warped tokens and evaluate held-out cases."""
     grids = unified_grids(data, family)
-    dataset = []
-    for k, (refs, tgt, frac) in enumerate(proto.train_pairs):
-        plane = feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k)
-        dataset.append((plane, data.views[tgt].rgb))
-    decoder, curve = train_probe(dataset, cfg)
-    samples = []
-    for refs, tgt in proto.eval_cases:
-        plane = feature_warp(data, grids, refs, tgt, eval_remove, remove_seed=remove_seed)
-        samples.append((plane, data.views[tgt].rgb, len(refs)))
-    report = eval_probe(decoder, samples)
+    decoder, curve = train_scene_probe(data, grids, proto, cfg)
+    report = eval_scene_probe(decoder, data, grids, proto.eval_cases, eval_remove, remove_seed)
     return decoder, curve, report
 
 
@@ -239,6 +253,27 @@ def family_suite_psnr(
     }
 
 
+def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfig,
+                         remove_fracs: tuple[float, ...], remove_seed: int) -> dict:
+    """One scene's robustness probe: PSNR at each removal fraction versus no removal.
+
+    remove_seed seeds the evaluation-time thinning; training pairs keep their own seeds.
+    """
+    proto = ProbeProtocol.robustness()
+    grids = unified_grids(data, family)
+    decoder, _ = train_scene_probe(data, grids, proto, cfg)
+
+    def psnr_at(frac: float) -> float:
+        return eval_scene_probe(decoder, data, grids, proto.eval_cases, frac, remove_seed)["mean_psnr"]
+
+    return _removal_summary(psnr_at(0.0), {str(f): psnr_at(f) for f in remove_fracs})
+
+
+def _removal_summary(baseline: float, psnrs: dict[str, float]) -> dict:
+    return {"baseline_psnr": baseline,
+            "removal": {k: {"psnr": p, "delta_db": p - baseline} for k, p in psnrs.items()}}
+
+
 def robustness_run(
     seeds: list[int],
     family: FeatureFamily,
@@ -246,28 +281,9 @@ def robustness_run(
     suite: SuiteConfig,
     remove_fracs: tuple[float, ...] = (0.3, 0.5),
 ) -> dict:
-    """Probe PSNR with degraded clouds versus the no-removal baseline."""
-    proto = ProbeProtocol.robustness()
-    results: dict[str, list[float]] = {"0.0": []}
-    for f in remove_fracs:
-        results[str(f)] = []
-    for seed in seeds:
-        data = render_scene_data(seed, suite)
-        grids = unified_grids(data, family)
-        dataset = []
-        for k, (refs, tgt, frac) in enumerate(proto.train_pairs):
-            plane = feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k)
-            dataset.append((plane, data.views[tgt].rgb))
-        decoder, _ = train_probe(dataset, cfg)
-        for frac_key, frac in [("0.0", 0.0)] + [(str(f), f) for f in remove_fracs]:
-            samples = []
-            for refs, tgt in proto.eval_cases:
-                plane = feature_warp(data, grids, refs, tgt, frac, remove_seed=seed)
-                samples.append((plane, data.views[tgt].rgb, len(refs)))
-            results[frac_key].append(eval_probe(decoder, samples)["mean_psnr"])
-    baseline = float(np.mean(results["0.0"]))
-    out = {"baseline_psnr": baseline, "removal": {}}
-    for f in remove_fracs:
-        mean_f = float(np.mean(results[str(f)]))
-        out["removal"][str(f)] = {"psnr": mean_f, "delta_db": mean_f - baseline}
-    return out
+    """Probe PSNR with degraded clouds versus the no-removal baseline, averaged over scenes."""
+    per_scene = [robustness_scene_run(render_scene_data(seed, suite), family, cfg, remove_fracs, seed)
+                 for seed in seeds]
+    baseline = float(np.mean([r["baseline_psnr"] for r in per_scene]))
+    return _removal_summary(baseline, {
+        str(f): float(np.mean([r["removal"][str(f)]["psnr"] for r in per_scene])) for f in remove_fracs})

@@ -304,8 +304,9 @@ def eval_probe(decoder: ProbeDecoder, samples: list[tuple[WarpedPlane, np.ndarra
         hole = pixel_hole_mask(warped, decoder.patch_size)
         vis_psnr = _region_psnr(pred, target, ~hole)
         hole_psnr = _region_psnr(pred, target, hole)
+        whole = MetricReport(psnr(pred, target), ssim(pred, target), "all")
         reports = {
-            "all": MetricReport(psnr(pred, target), ssim(pred, target), "all"),
+            "all": whole,
             "visible": None if vis_psnr is None else MetricReport(vis_psnr, None, "visible"),
             "hole": None if hole_psnr is None else MetricReport(hole_psnr, None, "hole"),
         }
@@ -313,8 +314,8 @@ def eval_probe(decoder: ProbeDecoder, samples: list[tuple[WarpedPlane, np.ndarra
             "n_views": int(n_views),
             "hole_fraction": warped.hole_fraction,
             "metrics": {k: (v.to_dict() if v else None) for k, v in reports.items()},
-            "_psnr_all": psnr(pred, target),
-            "_ssim_all": ssim(pred, target),
+            "_psnr_all": whole.psnr_db,
+            "_ssim_all": whole.ssim,
         })
     by_views: dict[int, list[dict]] = {}
     for s in per_sample:

@@ -18,6 +18,7 @@ the final name.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -71,14 +72,19 @@ def decode_tensor(blob: bytes) -> np.ndarray:
         raise InputError(f"unsupported RNVT version {version}")
     if code not in _CODE_DTYPES:
         raise InputError(f"unknown dtype code {code}")
+    if len(blob) < 12 + 8 * ndim:
+        raise InputError(f"RNVT blob shorter than its {ndim} header dims")
     dims = struct.unpack_from(f"<{ndim}Q", blob, 12)
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+    count = math.prod(dims)  # Python ints: a huge declared shape cannot wrap to a small count
     expected = 12 + 8 * ndim + dtype.itemsize * count
     if len(blob) != expected:
         raise InputError(f"RNVT length {len(blob)} != declared {expected}")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=12 + 8 * ndim)
-    return data.reshape(dims).copy()
+    try:
+        return data.reshape(dims).copy()
+    except ValueError as e:  # more dims than numpy supports, or a dim past its limit
+        raise InputError(f"RNVT shape {dims} is not representable: {e}") from e
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
@@ -94,6 +100,11 @@ def write_json(path, obj) -> None:
     """Deterministic JSON (sorted keys, fixed separators), written atomically."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     _atomic_write_bytes(path, blob + b"\n")
+
+
+def write_text(path, text: str) -> None:
+    """UTF-8 text, written atomically."""
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def read_json(path):

@@ -15,7 +15,8 @@ from renov import rnvt
 from renov.attention import AttentionBlockInput, aggregated_attention, attention_backward
 from renov.cli import main as cli_main
 from renov.features import FeatureFamily, extract_features
-from renov.geometry import PointCloud, project_points, rasterize, token_anchors, warp_features
+from renov.geometry import (PointCloud, project_points, rasterize, token_anchors,
+                            token_feature_cloud)
 from renov.metrics import psnr, ssim
 from renov.pipeline import (ProbeProtocol, SuiteConfig, probe_scene_run, render_scene_data,
                             robustness_run, warped_image_metrics)
@@ -81,7 +82,9 @@ def test_criterion_2_identity_warp():
         data = render_scene_data(seed, SUITE)
         for view in (data.views[0], data.views[8]):
             grid = extract_features(view, FeatureFamily("appearance"), data.patch)
-            plane = warp_features([grid], [view.pointmap], [view.camera], view.camera)
+            cam_tok = view.camera.scaled(data.patch)
+            plane = rasterize(token_feature_cloud([grid], [view.pointmap]), cam_tok,
+                              (cam_tok.width, cam_tok.height))
             _, avalid = token_anchors(view.pointmap, data.patch)
             avalid = avalid & grid.valid
             stay = (~plane.mask) & np.isclose(plane.payload, grid.tokens).all(axis=2) & avalid

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from renov import rnvt
+from renov import cli, pipeline, rnvt
 from renov.cli import main
+from renov.features import FeatureFamily
+from renov.probe import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +145,44 @@ def test_probe_train_eval_cycle(small_bundle, capsys, tmp_path):
     assert code == 0
     report = rnvt.read_json(tmp_path / "eval.json")
     assert set(report["by_view_count"]) == {"1", "2", "3"}
+
+
+def test_cli_probe_and_robustness_match_library(small_bundle, capsys, tmp_path):
+    """The CLI runs the library's protocol: equal PSNRs on the same loaded scene."""
+    ck, flags = tmp_path / "ck", ["--scene", str(small_bundle), "--steps", "20", "--attn"]
+    assert run_cli(capsys, "--seed", "5", "probe", "train", "--ckpt", str(ck), *flags)[0] == 0
+    code, out, _ = run_cli(capsys, "--seed", "5", "probe", "eval", "--ckpt", str(ck), *flags)
+    assert code == 0
+    code, _, _ = run_cli(capsys, "--seed", "5", "robustness", "--out", str(tmp_path / "r.json"),
+                         *flags)
+    assert code == 0
+
+    data = cli._load_scene_data(small_bundle, 8)
+    family = FeatureFamily("mixed", seed=5)
+    cfg = TrainConfig(steps=20, batch=4, seed=5, attn_enabled=True, c_red=32, hidden=128)
+    _, _, report = pipeline.probe_scene_run(data, family, cfg, pipeline.ProbeProtocol.fixed_target())
+    assert json.loads(out)["mean_psnr"] == report["mean_psnr"]
+    robust = pipeline.robustness_scene_run(data, family, cfg, (0.3, 0.5), remove_seed=5)
+    cli_robust = rnvt.read_json(tmp_path / "r.json")
+    assert {k: cli_robust[k] for k in robust} == robust
+
+
+def test_robustness_checks_remove_before_training(small_bundle, capsys, monkeypatch):
+    def no_training(*args):
+        raise AssertionError("train_probe called before --remove was checked")
+
+    monkeypatch.setattr(pipeline, "train_probe", no_training)
+    code, _, err = run_cli(capsys, "robustness", "--scene", str(small_bundle),
+                           "--remove", "0.3", "1.5", "--steps", "5")
+    assert code == 2
+    assert "--remove" in err
+
+
+def test_probe_eval_rejects_full_removal(small_bundle, capsys, tmp_path):
+    code, _, err = run_cli(capsys, "probe", "eval", "--scene", str(small_bundle),
+                           "--ckpt", str(tmp_path / "ck"), "--remove", "1.0")
+    assert code == 2
+    assert "--remove" in err
 
 
 def test_probe_needs_enough_views(tmp_path, capsys):

@@ -9,7 +9,7 @@ from renov.camera import CameraPose, look_at
 from renov.errors import InputError
 from renov.geometry import (FeatureGrid, PointCloud, Pointmap, aggregate_pointmaps,
                             project_points, rasterize, subsample_points, token_anchors,
-                            warp_features)
+                            token_feature_cloud)
 
 # ---------------------------------------------------------------------------
 # independent oracles (scalar / per-pixel scans, written before the tests)
@@ -248,12 +248,19 @@ def test_token_anchor_resolution_check():
         token_anchors(pm, 4)
 
 
+def warp_tokens(grids, pointmaps, camera_tgt):
+    """Token cloud rasterized at token resolution: intrinsics divided by P."""
+    cloud = token_feature_cloud(grids, pointmaps)
+    cam_tok = camera_tgt.scaled(grids[0].patch_size)
+    return rasterize(cloud, cam_tok, (cam_tok.width, cam_tok.height))
+
+
 def test_warp_features_identity(scene_data):
     """A view's own grid warped to its own camera: every valid token stays put."""
     from renov.features import FeatureFamily, extract_features
     view = scene_data.views[2]
     grid = extract_features(view, FeatureFamily("appearance"), scene_data.patch)
-    plane = warp_features([grid], [view.pointmap], [view.camera], view.camera)
+    plane = warp_tokens([grid], [view.pointmap], view.camera)
     anchors, avalid = token_anchors(view.pointmap, scene_data.patch)
     n_valid = int((avalid & grid.valid).sum())
     stayed = (~plane.mask) & np.isclose(plane.payload, grid.tokens).all(axis=2)
@@ -264,7 +271,7 @@ def test_warp_features_all_invalid():
     grid = FeatureGrid(np.zeros((2, 2, 3)), 4, np.zeros((2, 2), dtype=bool))
     pm = Pointmap(np.zeros((8, 8, 3)), np.zeros((8, 8), dtype=bool))
     cam = look_at((0, 0, -4.0), (0, 0, 0.0), 60.0, 8, 8)
-    plane = warp_features([grid], [pm], [cam], cam)
+    plane = warp_tokens([grid], [pm], cam)
     assert plane.mask.all()
 
 
@@ -273,10 +280,9 @@ def test_warp_union_of_sources_covers_more(scene_data):
     fam = FeatureFamily("appearance")
     grids = [extract_features(v, fam, scene_data.patch) for v in scene_data.views]
     tgt = scene_data.views[5].camera
-    one = warp_features([grids[0]], [scene_data.views[0].pointmap], [scene_data.views[0].camera], tgt)
-    two = warp_features([grids[0], grids[2]],
-                        [scene_data.views[0].pointmap, scene_data.views[2].pointmap],
-                        [scene_data.views[0].camera, scene_data.views[2].camera], tgt)
+    one = warp_tokens([grids[0]], [scene_data.views[0].pointmap], tgt)
+    two = warp_tokens([grids[0], grids[2]],
+                      [scene_data.views[0].pointmap, scene_data.views[2].pointmap], tgt)
     assert two.mask.sum() <= one.mask.sum()
     # covered cells of the union include every cell the single view covered
     assert not np.any(~one.mask & two.mask)
@@ -287,7 +293,7 @@ def test_warp_features_resolution_mismatch():
     pm = Pointmap(np.zeros((8, 8, 3)), np.ones((8, 8), dtype=bool))
     cam = look_at((0, 0, -4.0), (0, 0, 0.0), 60.0, 8, 8)
     with pytest.raises(InputError):
-        warp_features([grid], [pm], [cam], cam)
+        warp_tokens([grid], [pm], cam)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,36 @@ def test_rejects_bad_magic_and_truncation():
         rnvt.decode_tensor(blob[:-1])
 
 
+def test_rejects_overflowing_and_cut_dims():
+    header = b"RNVT" + (1).to_bytes(4, "little") + bytes([2, 2, 0, 0])
+    # 2**32 * 2**32 wraps to 0 in int64, which would match an empty data section
+    with pytest.raises(InputError):
+        rnvt.decode_tensor(header + (2**32).to_bytes(8, "little") * 2)
+    with pytest.raises(InputError):
+        rnvt.decode_tensor(header + (3).to_bytes(8, "little")[:5])
+
+
+def _damaged_blobs():
+    """Well-formed headers with arbitrary code, ndim, dims and body, then cut or not."""
+    header = st.builds(
+        lambda code, dims: (b"RNVT" + (1).to_bytes(4, "little") + bytes([code, len(dims), 0, 0])
+                            + b"".join(d.to_bytes(8, "little") for d in dims)),
+        st.integers(0, 5),
+        st.lists(st.sampled_from([0, 1, 2, 3, 2**32, 2**63, 2**64 - 1]), max_size=70))
+    whole = st.builds(lambda h, body: h + body, header, st.binary(max_size=64))
+    return st.one_of(st.binary(max_size=64), whole,
+                     st.builds(lambda b, cut: b[:cut], whole, st.integers(0, 600)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_blobs())
+def test_decode_fuzz_only_input_error(blob):
+    try:
+        rnvt.decode_tensor(blob)
+    except InputError:
+        pass
+
+
 def test_rejects_unsupported_dtype():
     with pytest.raises(InputError):
         rnvt.encode_tensor(np.zeros(2, dtype=np.int32))
