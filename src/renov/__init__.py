@@ -13,8 +13,8 @@ from .analysis import (CorrespondenceReport, cosine_similarity_map, dominant_lab
 from .attention import AttentionBlockInput, AttentionGrads, aggregated_attention, attention_backward
 from .camera import CameraPose, intrinsics_from_fov, look_at
 from .encoding import (ConditionLayout, ConditionPlane, FourierConfig, NormalizationTransform,
-                       build_reference_condition, build_target_condition, denormalize_coords,
-                       fourier_encode, normalize_coords)
+                       build_reference_condition, build_target_condition, fourier_encode,
+                       normalize_coords)
 from .errors import InputError, NumericalError, StateError
 from .features import (ChannelReducer, FeatureFamily, concat_global_local, extract_features,
                        reduce_channels)

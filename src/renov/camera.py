@@ -118,11 +118,11 @@ def intrinsics_from_fov(fov_deg: float, width: int, height: int) -> tuple[float,
     return fx, fx, width / 2.0, height / 2.0
 
 
-def look_at(eye, target, fov_deg: float, width: int, height: int, up=(0.0, 1.0, 0.0)) -> CameraPose:
-    """Camera at `eye` with optical axis through `target`, world `up` mapped to image up."""
+def look_at(eye, target, fov_deg: float, width: int, height: int) -> CameraPose:
+    """Camera at `eye` with optical axis through `target`, world +y mapped to image up."""
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    up = np.asarray(up, dtype=np.float64)
+    up = np.array([0.0, 1.0, 0.0])
     forward = target - eye
     norm = np.linalg.norm(forward)
     if norm < 1e-12:
@@ -132,7 +132,7 @@ def look_at(eye, target, fov_deg: float, width: int, height: int, up=(0.0, 1.0, 
     y = -up - np.dot(-up, z) * z
     ynorm = np.linalg.norm(y)
     if ynorm < 1e-12:
-        raise InputError("look_at viewing direction is parallel to up")
+        raise InputError("look_at viewing direction is parallel to world +y")
     y = y / ynorm
     x = np.cross(y, z)
     m = np.eye(4)

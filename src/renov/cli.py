@@ -25,8 +25,8 @@ from .errors import InputError, NumericalError
 from .features import ChannelReducer, FeatureFamily, concat_global_local, extract_features, reduce_channels
 from .geometry import token_anchors
 from .pipeline import (ProbeProtocol, SceneData, condition_grids, eval_scene_probe, feature_warp,
-                       reduced_grids, rgb_warp, robustness_scene_run, train_scene_probe,
-                       unified_grids)
+                       reduced_grids, rgb_warp, robustness_scene_run, scene_family,
+                       train_scene_probe, unified_grids)
 from .probe import TrainConfig
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
 
@@ -119,7 +119,8 @@ def cmd_features(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
     family = _family_from(args, seed)
-    local = [extract_features(v, family, args.patch, data.transform) for v in data.views]
+    fam = scene_family(family, data.scene.seed)  # the per-scene features the probe sees
+    local = [extract_features(v, fam, args.patch, data.transform) for v in data.views]
     unified = [concat_global_local(g) for g in local]
     reducer = ChannelReducer.create(unified[0].channels, args.c_red, args.reducer_seed)
     reduced = [reduce_channels(g, reducer) for g in unified]
@@ -190,7 +191,7 @@ def cmd_condition(args) -> dict:
 def cmd_analyze(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
-    family = _family_from(args, seed)
+    family = scene_family(_family_from(args, seed), data.scene.seed)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -301,11 +302,15 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--freqs", type=int, default=4, help="oracle embedding depth")
     p.add_argument("--channels", type=int, default=24, help="random family width")
     p.add_argument("--patch", type=int, default=8)
-    p.add_argument("--c-red", dest="c_red", type=int, default=32)
+
+
+def _add_reducer_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--c-red", dest="c_red", type=int, default=32, help="fixed reducer width")
     p.add_argument("--reducer-seed", dest="reducer_seed", type=int, default=77)
 
 
 def _add_probe_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--c-red", dest="c_red", type=int, default=32, help="learned reducer width")
     p.add_argument("--steps", type=int, default=1500)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch", type=int, default=4)
@@ -336,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--out", default=None)
     _add_family_flags(p)
+    _add_reducer_flags(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("warp", help="z-buffer warp of rgb or features into a target view")
@@ -346,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remove", type=float, default=0.0)
     p.add_argument("--out", required=True)
     _add_family_flags(p)
+    _add_reducer_flags(p)
     p.set_defaults(func=cmd_warp)
 
     p = sub.add_parser("condition", help="assemble reference and warped-target conditions")
@@ -356,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geo-freqs", dest="geo_freqs", type=int, default=6)
     p.add_argument("--feat-freqs", dest="feat_freqs", type=int, default=2)
     _add_family_flags(p)
+    _add_reducer_flags(p)
     p.set_defaults(func=cmd_condition)
 
     p = sub.add_parser("analyze", help="correspondence and self-similarity reports")

@@ -1,7 +1,7 @@
 """Fourier positional embedding and condition-plane assembly.
 
-The embedding expands every input channel into [x?, sin(b^0 pi x),
-cos(b^0 pi x), ..., sin(b^(L-1) pi x), cos(b^(L-1) pi x)], channel blocks
+The embedding expands every input channel into [x, sin(2^0 pi x),
+cos(2^0 pi x), ..., sin(2^(L-1) pi x), cos(2^(L-1) pi x)], channel blocks
 kept contiguous.  Inputs are expected in [-1, 1]; out-of-range values are
 accepted but counted into a log warning since the high frequencies alias.
 
@@ -23,12 +23,12 @@ from .geometry import FeatureGrid, WarpedPlane
 
 log = logging.getLogger(__name__)
 
+MIN_HALF_EXTENT = 1e-6  # floor on a normalization half-extent, so flat boxes stay invertible
+
 
 @dataclass(frozen=True)
 class FourierConfig:
     num_freqs: int = 6
-    include_raw: bool = True
-    base: float = 2.0
 
     def __post_init__(self):
         if self.num_freqs < 1:
@@ -36,7 +36,7 @@ class FourierConfig:
 
     @property
     def width_per_channel(self) -> int:
-        return 2 * self.num_freqs + (1 if self.include_raw else 0)
+        return 2 * self.num_freqs + 1
 
 
 def fourier_encode(x: np.ndarray, cfg: FourierConfig) -> np.ndarray:
@@ -47,11 +47,10 @@ def fourier_encode(x: np.ndarray, cfg: FourierConfig) -> np.ndarray:
     n_out = np.count_nonzero(np.abs(x) > 1.0 + 1e-9)
     if n_out:
         log.warning("fourier_encode: %d of %d values outside [-1, 1]", n_out, x.size)
-    freqs = np.pi * cfg.base ** np.arange(cfg.num_freqs, dtype=np.float64)
+    freqs = np.pi * 2.0 ** np.arange(cfg.num_freqs, dtype=np.float64)
     ang = x[..., None] * freqs  # (..., C, L)
     sc = np.stack([np.sin(ang), np.cos(ang)], axis=-1).reshape(*ang.shape[:-1], 2 * cfg.num_freqs)
-    if cfg.include_raw:
-        sc = np.concatenate([x[..., None], sc], axis=-1)
+    sc = np.concatenate([x[..., None], sc], axis=-1)
     return sc.reshape(*x.shape[:-1], x.shape[-1] * cfg.width_per_channel)
 
 
@@ -71,10 +70,10 @@ class NormalizationTransform:
         object.__setattr__(self, "half_extent", half)
 
     @classmethod
-    def from_aabb(cls, aabb_min, aabb_max, min_half: float = 1e-6) -> "NormalizationTransform":
+    def from_aabb(cls, aabb_min, aabb_max) -> "NormalizationTransform":
         lo = np.asarray(aabb_min, dtype=np.float64)
         hi = np.asarray(aabb_max, dtype=np.float64)
-        return cls((lo + hi) / 2.0, np.maximum((hi - lo) / 2.0, min_half))
+        return cls((lo + hi) / 2.0, np.maximum((hi - lo) / 2.0, MIN_HALF_EXTENT))
 
     def to_dict(self) -> dict:
         return {"center": [float(v) for v in self.center],
@@ -94,13 +93,6 @@ def normalize_coords(coords: np.ndarray, t: NormalizationTransform, valid: np.nd
     if valid is not None:
         out = np.where(np.asarray(valid, dtype=bool)[..., None], out, 0.0)
     return out
-
-
-def denormalize_coords(coords: np.ndarray, t: NormalizationTransform) -> np.ndarray:
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[-1] != 3:
-        raise InputError(f"coords must have 3 channels, got shape {coords.shape}")
-    return coords * t.half_extent + t.center
 
 
 @dataclass(frozen=True)
@@ -183,7 +175,6 @@ def build_target_condition(
     warped: WarpedPlane,
     geo_cfg: FourierConfig,
     feat_cfg: FourierConfig,
-    n_coord_channels: int = 3,
 ) -> ConditionPlane:
     """Warped-target condition: [geo, feat, mask].
 
@@ -192,13 +183,11 @@ def build_target_condition(
     Hole cells carry all-zero payload by construction, so their geo/feat
     groups are the embedding of zeros; the mask channel is 1 exactly there.
     """
-    if n_coord_channels != 3:
-        raise InputError("coordinate group must have 3 channels")
-    if warped.payload.shape[2] < n_coord_channels:
+    if warped.payload.shape[2] < 3:
         raise InputError(
             f"warped payload has {warped.payload.shape[2]} channels, missing coordinate channels")
-    coords = warped.payload[..., :n_coord_channels]
-    feats = warped.payload[..., n_coord_channels:]
+    coords = warped.payload[..., :3]
+    feats = warped.payload[..., 3:]
     geo = fourier_encode(coords, geo_cfg)
     emb = fourier_encode(feats, feat_cfg)
     mask = warped.mask.astype(np.float64)[..., None]

@@ -64,12 +64,6 @@ class FeatureFamily:
         return {"kind": self.kind, "sigma": self.sigma, "num_freqs": self.num_freqs,
                 "channels": self.channels, "seed": self.seed}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureFamily":
-        return cls(kind=d["kind"], sigma=float(d.get("sigma", 0.0)),
-                   num_freqs=int(d.get("num_freqs", 4)), channels=int(d.get("channels", 24)),
-                   seed=int(d.get("seed", 0)))
-
 
 def _view_seed(camera: CameraPose, family_seed: int) -> int:
     """Stable per-view seed derived from camera parameters."""
@@ -123,8 +117,7 @@ def extract_features(
         # half-scale so the lowest base-2 frequency (period 2) stays aperiodic
         # over the whole scene: opposite box faces must not alias
         norm = 0.5 * normalize_coords(coords, transform, valid)
-        cfg = FourierConfig(num_freqs=family.num_freqs, include_raw=True, base=2.0)
-        tokens = fourier_encode(norm, cfg)
+        tokens = fourier_encode(norm, FourierConfig(num_freqs=family.num_freqs))
         if family.sigma > 0:
             rng = np.random.default_rng(_view_seed(view.camera, family.seed))
             tokens = tokens + family.sigma * rng.standard_normal(tokens.shape)

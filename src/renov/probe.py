@@ -25,9 +25,6 @@ from .metrics import MetricReport, psnr, ssim
 class TrainConfig:
     steps: int = 500
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch: int = 4
     seed: int = 0
     attn_enabled: bool = False
@@ -43,6 +40,8 @@ class TrainConfig:
             raise InputError("batch must be >= 1")
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 ATTN_PARAMS = ("attn_wq", "attn_wk", "attn_wv")
 
 
@@ -155,39 +154,15 @@ def probe_forward(decoder: ProbeDecoder, warped: WarpedPlane, want_cache: bool =
 class LossCache:
     pred: np.ndarray
     target: np.ndarray
-    diagnostics: dict
 
 
-def probe_loss(
-    pred: np.ndarray,
-    target: np.ndarray,
-    visibility_weighting: str = "off",
-    pixel_hole_mask: np.ndarray | None = None,
-) -> tuple[float, LossCache]:
-    """Mean squared error over all pixels and channels.
-
-    With visibility_weighting="on" the visible-region and hole-region MSE are
-    reported as diagnostics (the loss itself stays unweighted); this requires
-    the pixel-level hole mask.
-    """
+def probe_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, LossCache]:
+    """Mean squared error over all pixels and channels."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise InputError(f"prediction shape {pred.shape} != target {target.shape}")
-    err = (pred - target) ** 2
-    loss = float(err.mean())
-    diagnostics = {}
-    if visibility_weighting == "on":
-        if pixel_hole_mask is None:
-            raise InputError("visibility_weighting needs the pixel-level hole mask")
-        hole = np.asarray(pixel_hole_mask, dtype=bool)
-        if hole.shape != pred.shape[:2]:
-            raise InputError("hole mask resolution mismatch")
-        diagnostics["hole_mse"] = float(err[hole].mean()) if hole.any() else None
-        diagnostics["visible_mse"] = float(err[~hole].mean()) if (~hole).any() else None
-    elif visibility_weighting != "off":
-        raise InputError(f"visibility_weighting must be 'off' or 'on', got '{visibility_weighting}'")
-    return loss, LossCache(pred, target, diagnostics)
+    return float(((pred - target) ** 2).mean()), LossCache(pred, target)
 
 
 def probe_backward(decoder: ProbeDecoder, fwd: ForwardCache, loss: LossCache) -> dict[str, np.ndarray]:
@@ -249,6 +224,7 @@ def train_probe(
 
     m_state = {n: np.zeros_like(decoder.params[n]) for n in decoder.param_names}
     v_state = {n: np.zeros_like(decoder.params[n]) for n in decoder.param_names}
+    b1, b2 = ADAM_BETAS
     curve: list[float] = []
     for step in range(cfg.steps):
         total = {n: np.zeros_like(decoder.params[n]) for n in decoder.param_names}
@@ -270,11 +246,11 @@ def train_probe(
         t = step + 1
         for name in decoder.param_names:
             g = total[name] / cfg.batch
-            m_state[name] = cfg.beta1 * m_state[name] + (1 - cfg.beta1) * g
-            v_state[name] = cfg.beta2 * v_state[name] + (1 - cfg.beta2) * g**2
-            m_hat = m_state[name] / (1 - cfg.beta1**t)
-            v_hat = v_state[name] / (1 - cfg.beta2**t)
-            decoder.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m_state[name] = b1 * m_state[name] + (1 - b1) * g
+            v_state[name] = b2 * v_state[name] + (1 - b2) * g**2
+            m_hat = m_state[name] / (1 - b1**t)
+            v_hat = v_state[name] / (1 - b2**t)
+            decoder.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         decoder.bump_version()
     return decoder, curve
 

@@ -1,4 +1,4 @@
-"""RNVT tensor container and small image/point-cloud writers.
+"""RNVT tensor container and small image writers.
 
 Layout (little-endian throughout):
 
@@ -11,8 +11,10 @@ Layout (little-endian throughout):
     data    row-major
 
 Total length = 12 + 8*ndim + itemsize*prod(dims).  All writers go through a
-temp file + rename so a killed process never leaves a truncated file under
-the final name.
+temp file of their own + rename so a killed process never leaves a truncated
+file under the final name, and concurrent writers of one path never share a
+temp file.  Readers raise InputError naming the path for a missing,
+unreadable or damaged file.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import os
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +44,24 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 def _atomic_write_bytes(path, blob: bytes) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(blob)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror or e}") from e
 
 
 def encode_tensor(arr: np.ndarray) -> bytes:
@@ -92,8 +107,11 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return decode_tensor(f.read())
+    blob = _read_bytes(path)
+    try:
+        return decode_tensor(blob)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from e
 
 
 def write_json(path, obj) -> None:
@@ -108,8 +126,11 @@ def write_text(path, text: str) -> None:
 
 
 def read_json(path):
-    with open(path, "rb") as f:
-        return json.loads(f.read().decode("utf-8"))
+    blob = _read_bytes(path)
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InputError(f"{path} is not valid UTF-8 JSON: {e}") from e
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -132,23 +153,3 @@ def write_pgm(path, image: np.ndarray) -> None:
         img = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = img.shape
     _atomic_write_bytes(path, b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())
-
-
-def write_ply(path, points: np.ndarray, payload: np.ndarray | None = None) -> None:
-    """Binary little-endian PLY with float32 x,y,z plus optional payload channels."""
-    pts = np.asarray(points, dtype=np.float32)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InputError(f"PLY wants Mx3 points, got {pts.shape}")
-    cols = [pts]
-    names = ["x", "y", "z"]
-    if payload is not None:
-        pay = np.asarray(payload, dtype=np.float32)
-        if pay.shape[0] != pts.shape[0]:
-            raise InputError("payload row count does not match points")
-        cols.append(pay.reshape(pts.shape[0], -1))
-        names += [f"c{i}" for i in range(cols[1].shape[1])]
-    body = np.concatenate(cols, axis=1).astype("<f4").tobytes()
-    header = ["ply", "format binary_little_endian 1.0", f"element vertex {pts.shape[0]}"]
-    header += [f"property float {n}" for n in names]
-    header.append("end_header")
-    _atomic_write_bytes(path, ("\n".join(header) + "\n").encode("ascii") + body)

@@ -1,12 +1,16 @@
+import argparse
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from renov import cli, pipeline, rnvt
+from renov import bundle, cli, pipeline, rnvt
+from renov.analysis import lds_score
 from renov.cli import main
 from renov.features import FeatureFamily
+from renov.geometry import FeatureGrid
 from renov.probe import TrainConfig
 
 
@@ -165,6 +169,88 @@ def test_cli_probe_and_robustness_match_library(small_bundle, capsys, tmp_path):
     robust = pipeline.robustness_scene_run(data, family, cfg, (0.3, 0.5), remove_seed=5)
     cli_robust = rnvt.read_json(tmp_path / "r.json")
     assert {k: cli_robust[k] for k in robust} == robust
+
+
+def test_features_and_analyze_use_per_scene_features(small_bundle, capsys, tmp_path):
+    """`features` and `analyze` see the same per-scene features the probe trains on."""
+    out = tmp_path / "feat"
+    assert run_cli(capsys, "--seed", "5", "features", "--scene", str(small_bundle),
+                   "--family", "random", "--out", str(out))[0] == 0
+    code, summary, _ = run_cli(capsys, "--seed", "5", "analyze", "lds", "--scene",
+                               str(small_bundle), "--family", "random", "--view-a", "3")
+    assert code == 0
+
+    family = FeatureFamily("random", seed=5)
+    grids = pipeline.unified_grids(cli._load_scene_data(small_bundle, 8), family)
+    manifest, local, _ = bundle.load_feature_set(out)
+    assert manifest["family"] == family.to_dict()
+    assert len(local) == len(grids)
+    for saved, unified in zip(local, grids):
+        np.testing.assert_array_equal(saved.tokens, unified.tokens[..., saved.channels:])
+    local_3 = FeatureGrid(grids[3].tokens[..., family.channels:], 8, grids[3].valid)
+    assert json.loads(summary)["score"] == lds_score(local_3, 1, 4)
+
+
+def test_damaged_inputs_exit_2(small_bundle, capsys, tmp_path):
+    no_depth, bad_doc = tmp_path / "no_depth", tmp_path / "bad_doc"
+    shutil.copytree(small_bundle, no_depth)
+    (no_depth / "views" / "view_002" / "depth.rnvt").unlink()
+    shutil.copytree(small_bundle, bad_doc)
+    (bad_doc / "scene.json").write_text("{nope")
+    cases = [
+        (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],
+         "manifest.json"),
+        (["warp", "--scene", str(no_depth), "--refs", "0", "--target", "1",
+          "--out", str(tmp_path / "w")], "depth.rnvt"),
+        (["warp", "--scene", str(bad_doc), "--refs", "0", "--target", "1",
+          "--out", str(tmp_path / "w")], "scene.json"),
+    ]
+    for argv, name in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("input error:") and name in err
+
+
+def test_every_cli_flag_is_read(small_bundle, tmp_path):
+    """Each flag a subcommand accepts is read by some run of that subcommand."""
+    reads = set()
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    s, d = str(small_bundle), tmp_path
+    runs = {
+        "scene-gen": [["scene-gen", "--out", str(d / "sg"), "--views", "2", "--res", "16x16"]],
+        "features": [["features", "--scene", s, "--out", str(d / "f")]],
+        "warp": [["warp", "--scene", s, "--refs", "0", "--target", "1", "--payload", payload,
+                  "--out", str(d / f"w_{payload}")] for payload in ("rgb", "features")],
+        "condition": [["condition", "--scene", s, "--refs", "0", "--target", "1",
+                       "--out", str(d / "c")]],
+        "analyze": [["analyze", metric, "--scene", s, "--out", str(d / metric)]
+                    for metric in ("corr", "semcorr", "lds")],
+        "probe": [["probe", mode, "--scene", s, "--ckpt", str(d / "ck"), "--steps", "2"]
+                  for mode in ("train", "eval")],
+        "robustness": [["robustness", "--scene", s, "--steps", "2"]],
+    }
+    ap = cli.build_parser()
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(runs) == set(subparsers.choices)
+    global_dests = {a.dest for a in ap._actions if a.option_strings and a.dest != "help"}
+    for command, argvs in runs.items():
+        read = set()
+        for argv in argvs:
+            args = ap.parse_args(["--seed", "1", "--threads", "1", *argv],
+                                 namespace=RecordingNamespace())
+            reads.clear()
+            args.func(args)
+            read |= reads
+        dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+        dests |= global_dests - ({"threads"} if command != "scene-gen" else set())
+        assert dests <= read, f"{command} never reads {sorted(dests - read)}"
 
 
 def test_robustness_checks_remove_before_training(small_bundle, capsys, monkeypatch):

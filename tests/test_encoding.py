@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renov.encoding import (ConditionLayout, FourierConfig, NormalizationTransform,
-                            build_reference_condition, build_target_condition,
-                            denormalize_coords, fourier_encode, normalize_coords)
+                            build_reference_condition, build_target_condition, fourier_encode,
+                            normalize_coords)
 from renov.errors import InputError
 from renov.geometry import FeatureGrid, WarpedPlane
 
@@ -24,10 +24,8 @@ def test_fourier_one_input():
 
 def test_fourier_width_arithmetic():
     x = np.zeros((4, 4, 3))
-    out = fourier_encode(x, FourierConfig(num_freqs=6, include_raw=True))
+    out = fourier_encode(x, FourierConfig(num_freqs=6))
     assert out.shape == (4, 4, 39)
-    out = fourier_encode(x, FourierConfig(num_freqs=6, include_raw=False))
-    assert out.shape == (4, 4, 36)
 
 
 def test_fourier_channel_blocks_contiguous():
@@ -43,10 +41,10 @@ def test_fourier_channel_blocks_contiguous():
 
 def test_fourier_base_controls_frequencies():
     x = np.array([0.25])
-    out = fourier_encode(x, FourierConfig(num_freqs=2, include_raw=False, base=3.0))
+    out = fourier_encode(x, FourierConfig(num_freqs=2))
     np.testing.assert_allclose(
-        out, [np.sin(np.pi * 0.25), np.cos(np.pi * 0.25),
-              np.sin(3 * np.pi * 0.25), np.cos(3 * np.pi * 0.25)], atol=1e-14)
+        out, [0.25, np.sin(np.pi * 0.25), np.cos(np.pi * 0.25),
+              np.sin(2 * np.pi * 0.25), np.cos(2 * np.pi * 0.25)], atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -91,7 +89,7 @@ def test_normalize_roundtrip():
     rng = np.random.default_rng(0)
     t = NormalizationTransform(rng.uniform(-1, 1, 3), rng.uniform(0.5, 3.0, 3))
     x = rng.uniform(-5, 5, (10, 3))
-    np.testing.assert_allclose(denormalize_coords(normalize_coords(x, t), t), x, atol=1e-9)
+    np.testing.assert_allclose(normalize_coords(x, t) * t.half_extent + t.center, x, atol=1e-9)
 
 
 def test_normalize_invalid_passthrough_zero():

@@ -123,9 +123,43 @@ def test_no_partial_file_on_crash(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         rnvt.write_tensor(path, np.zeros(4, dtype=np.float32))
     assert not path.exists()
+    assert not list(tmp_path.glob("*.tmp"))  # the failed write removed its temp file
     monkeypatch.setattr(os, "replace", real_replace)
     rnvt.write_tensor(path, np.zeros(4, dtype=np.float32))
     assert path.exists()
+
+
+def test_interleaved_writers_use_own_temp_files(tmp_path, monkeypatch):
+    """A second write to the same path between the first's fsync and rename."""
+    path = tmp_path / "doc.json"
+    real_fsync = os.fsync
+    calls = []
+
+    def fsync_with_nested_write(fd):
+        calls.append(fd)
+        if len(calls) == 1:
+            rnvt.write_json(path, {"writer": "inner"})
+        real_fsync(fd)
+
+    monkeypatch.setattr(rnvt.os, "fsync", fsync_with_nested_write)
+    rnvt.write_json(path, {"writer": "outer"})
+    assert len(calls) == 2
+    assert path.read_bytes() == b'{"writer":"outer"}\n'
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_readers_name_the_damaged_file(tmp_path):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{nope")
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b'{"a": "\xff"}')
+    cut = tmp_path / "cut.rnvt"
+    cut.write_bytes(rnvt.encode_tensor(np.zeros(3))[:-1])
+    for read, path in [(rnvt.read_json, tmp_path / "missing.json"), (rnvt.read_json, bad_json),
+                       (rnvt.read_json, not_utf8), (rnvt.read_tensor, tmp_path / "missing.rnvt"),
+                       (rnvt.read_tensor, tmp_path), (rnvt.read_tensor, cut)]:
+        with pytest.raises(InputError, match=path.name):
+            read(path)
 
 
 def test_ppm_bytes(tmp_path):
@@ -142,18 +176,6 @@ def test_pgm_bytes(tmp_path):
     rnvt.write_pgm(tmp_path / "g.pgm", np.array([[0.0, 1.0]]))
     blob = (tmp_path / "g.pgm").read_bytes()
     assert blob == b"P5\n2 1\n255\n" + bytes([0, 255])
-
-
-def test_ply_export(tmp_path):
-    pts = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
-    pay = np.array([[0.5], [0.25]])
-    rnvt.write_ply(tmp_path / "c.ply", pts, pay)
-    blob = (tmp_path / "c.ply").read_bytes()
-    header, body = blob.split(b"end_header\n", 1)
-    assert b"element vertex 2" in header
-    assert b"property float c0" in header
-    vals = np.frombuffer(body, dtype="<f4").reshape(2, 4)
-    np.testing.assert_allclose(vals, [[0, 1, 2, 0.5], [3, 4, 5, 0.25]])
 
 
 def test_json_deterministic(tmp_path):
