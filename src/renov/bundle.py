@@ -24,11 +24,38 @@ from .encoding import NormalizationTransform
 from .errors import InputError
 from .features import ChannelReducer, FeatureFamily
 from .geometry import FeatureGrid, Pointmap
-from .probe import ProbeDecoder
+from .probe import ATTN_PARAMS, ProbeDecoder
 from .scene import RenderedView, SceneSpec, SyntheticScene
 
 SCENE_FORMAT = "renov-scene"
 SCENE_VERSION = 1
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _positive(value) -> int:
+    if _int(value) < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _field(path: Path, doc, name: str, parse):
+    """parse(doc[name]); a missing or mistyped field is an InputError naming the file and field."""
+    try:
+        return parse(doc[name])
+    except (KeyError, TypeError, ValueError) as e:  # InputError is a ValueError
+        raise InputError(f"{path}: field '{name}' is missing or malformed "
+                         f"({type(e).__name__}: {e})") from e
 
 
 def view_dir(bundle: Path, index: int) -> Path:
@@ -72,17 +99,25 @@ def save_scene_bundle(
 
 def load_scene_bundle(bundle: Path) -> tuple[dict, list[RenderedView]]:
     bundle = Path(bundle)
-    doc = rnvt.read_json(bundle / "scene.json")
-    if doc.get("format") != SCENE_FORMAT:
+    path = bundle / "scene.json"
+    doc = rnvt.read_json(path)
+    if not isinstance(doc, dict) or doc.get("format") != SCENE_FORMAT:
         raise InputError(f"{bundle} is not a scene bundle (field 'format')")
+    _field(path, doc, "seed", _int)
+    _field(path, doc, "spec", SceneSpec.from_dict)
+    _field(path, doc, "normalization", NormalizationTransform.from_dict)
     views = []
-    for i in range(int(doc["n_views"])):
+    for i in range(_field(path, doc, "n_views", _positive)):
         vdir = view_dir(bundle, i)
         rgb = rnvt.read_tensor(vdir / "rgb.rnvt").astype(np.float64)
         depth = rnvt.read_tensor(vdir / "depth.rnvt")
         coords = rnvt.read_tensor(vdir / "pointmap.rnvt")
         labels = rnvt.read_tensor(vdir / "labels.rnvt")
-        camera = CameraPose.from_dict(rnvt.read_json(vdir / "camera.json"))
+        camera_doc = rnvt.read_json(vdir / "camera.json")
+        try:
+            camera = CameraPose.from_dict(camera_doc)
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"{vdir / 'camera.json'}: {e}") from e
         views.append(RenderedView(
             rgb=rgb,
             depth=depth,
@@ -134,9 +169,9 @@ def save_feature_set(
 def load_feature_set(path: Path) -> tuple[dict, list[FeatureGrid], list[FeatureGrid] | None]:
     path = Path(path)
     manifest = rnvt.read_json(path / "manifest.json")
-    p = int(manifest["patch_size"])
+    p = _field(path / "manifest.json", manifest, "patch_size", _positive)
     local, reduced = [], []
-    for i in range(int(manifest["n_views"])):
+    for i in range(_field(path / "manifest.json", manifest, "n_views", _positive)):
         tokens = rnvt.read_tensor(path / f"local_{i:03d}.rnvt")
         valid = rnvt.read_tensor(path / f"valid_{i:03d}.rnvt").astype(bool)
         local.append(FeatureGrid(tokens, p, valid))
@@ -168,15 +203,32 @@ def save_decoder(out: Path, decoder: ProbeDecoder, extra: dict | None = None) ->
         rnvt.write_tensor(out / f"{name}.rnvt", decoder.params[name].astype(np.float64))
 
 
-def load_decoder(path: Path) -> ProbeDecoder:
+def _param_shapes(patch_size: int, c_in: int, c_red: int, hidden: int, attn_enabled: bool
+                  ) -> dict[str, tuple[int, ...]]:
+    """Shape of each decoder parameter, in ProbeDecoder.param_names order."""
+    out_dim = patch_size * patch_size * 3
+    shapes = {"mask_token": (c_red,), "reducer_w": (c_in, c_red), "reducer_b": (c_red,)}
+    if attn_enabled:
+        shapes.update({name: (c_red, c_red) for name in ATTN_PARAMS})
+    shapes.update({"mlp_w1": (c_red, hidden), "mlp_b1": (hidden,),
+                   "mlp_w2": (hidden, out_dim), "mlp_b2": (out_dim,)})
+    return shapes
+
+
+def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:
+    """The checkpoint's manifest and decoder; every parameter must have the manifest's shape."""
     path = Path(path)
-    manifest = rnvt.read_json(path / "manifest.json")
-    params = {name: rnvt.read_tensor(path / f"{name}.rnvt") for name in manifest["params"]}
-    return ProbeDecoder(
-        patch_size=int(manifest["patch_size"]),
-        c_in=int(manifest["c_in"]),
-        c_red=int(manifest["c_red"]),
-        hidden=int(manifest["hidden"]),
-        attn_enabled=bool(manifest["attn_enabled"]),
-        params=params,
-    )
+    mpath = path / "manifest.json"
+    manifest = rnvt.read_json(mpath)
+    dims = {name: _field(mpath, manifest, name, _positive)
+            for name in ("patch_size", "c_in", "c_red", "hidden")}
+    attn = _field(mpath, manifest, "attn_enabled", _bool)
+    if not isinstance(manifest.get("extra", {}), dict):
+        raise InputError(f"{mpath}: field 'extra' must be an object")
+    params = {}
+    for name, shape in _param_shapes(**dims, attn_enabled=attn).items():
+        params[name] = rnvt.read_tensor(path / f"{name}.rnvt")
+        if params[name].shape != shape:
+            raise InputError(f"{path / f'{name}.rnvt'} has shape {params[name].shape}, "
+                             f"the manifest implies {shape}")
+    return manifest, ProbeDecoder(**dims, attn_enabled=attn, params=params)

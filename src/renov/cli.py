@@ -24,8 +24,8 @@ from .encoding import (FourierConfig, build_reference_condition, build_target_co
 from .errors import InputError, NumericalError
 from .features import ChannelReducer, FeatureFamily, concat_global_local, extract_features, reduce_channels
 from .geometry import token_anchors
-from .pipeline import (ProbeProtocol, SceneData, condition_grids, eval_scene_probe, feature_warp,
-                       reduced_grids, rgb_warp, robustness_scene_run, scene_family,
+from .pipeline import (ProbeProtocol, SceneData, available_cpus, condition_grids, eval_scene_probe,
+                       feature_warp, reduced_grids, rgb_warp, robustness_scene_run, scene_family,
                        train_scene_probe, unified_grids)
 from .probe import TrainConfig
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
@@ -100,7 +100,7 @@ def cmd_scene_gen(args) -> dict:
     spec = SceneSpec(n_quads=args.quads, palette_size=args.palette, shading=args.shading)
     scene = generate_scene(seed, spec)
     cams = make_camera_arc(scene, args.views, args.radius, args.fov, (w, h), args.span)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    threads = args.threads if args.threads > 0 else available_cpus()
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -249,12 +249,12 @@ def cmd_probe(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
     family = _family_from(args, seed)
-    cfg = _probe_cfg(args, seed)
     proto = ProbeProtocol.fixed_target()
     _check_protocol_views(data, proto)
     grids = unified_grids(data, family)
 
     if args.mode == "train":
+        cfg = _probe_cfg(args, seed)
         decoder, curve = train_scene_probe(data, grids, proto, cfg)
         out = Path(args.ckpt)
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed})
@@ -269,7 +269,12 @@ def cmd_probe(args) -> dict:
         c for c in proto.eval_cases if len(c[0]) == args.views)
     if not cases:
         raise InputError(f"--views {args.views} selects no evaluation case")
-    decoder = bundle.load_decoder(Path(args.ckpt))
+    manifest, decoder = bundle.load_decoder(Path(args.ckpt))
+    trained_on = manifest.get("extra", {}).get("family")
+    if trained_on != family.to_dict():
+        raise InputError(f"--ckpt {args.ckpt} was trained on family "
+                         f"{json.dumps(trained_on, sort_keys=True)}, but the family flags give "
+                         f"{json.dumps(family.to_dict(), sort_keys=True)}")
     report = eval_scene_probe(decoder, data, grids, cases, args.remove, seed)
     if args.out:
         rnvt.write_json(Path(args.out), report)

@@ -18,7 +18,7 @@ from renov.features import FeatureFamily, extract_features
 from renov.geometry import (PointCloud, project_points, rasterize, token_anchors,
                             token_feature_cloud)
 from renov.metrics import psnr, ssim
-from renov.pipeline import (ProbeProtocol, SuiteConfig, probe_scene_run, render_scene_data,
+from renov.pipeline import (ProbeProtocol, SuiteConfig, family_suite_psnr, render_scene_data,
                             robustness_run, warped_image_metrics)
 from renov.probe import ProbeDecoder, TrainConfig, probe_backward, probe_forward, probe_loss
 
@@ -182,15 +182,11 @@ def test_criterion_4_probe_gradient_check():
             f"max relative error {worst:.2e} <= 1e-4 with and without attention, {elapsed:.0f}s < 300s")
 
 
-def test_criterion_5_feature_ordering(suite20):
+def test_criterion_5_feature_ordering():
     t0 = time.monotonic()
-    proto = ProbeProtocol.fixed_target()
     means = {}
     for kind in ("mixed", "appearance", "random"):
-        fam = FeatureFamily(kind)
-        scores = [probe_scene_run(data, fam, PROBE_CFG, proto)[2]["mean_psnr"]
-                  for data in suite20]
-        means[kind] = float(np.mean(scores))
+        means[kind] = family_suite_psnr(SUITE_SEEDS, FeatureFamily(kind), PROBE_CFG, SUITE)["mean_psnr"]
     gap_ma = means["mixed"] - means["appearance"]
     gap_ar = means["appearance"] - means["random"]
     elapsed = time.monotonic() - t0

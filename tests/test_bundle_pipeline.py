@@ -52,7 +52,8 @@ def test_decoder_checkpoint_roundtrip(tmp_path):
     cfg = TrainConfig(seed=3, attn_enabled=True, hidden=16, c_red=8)
     dec = ProbeDecoder.init(4, 10, cfg)
     bundle.save_decoder(tmp_path / "ck", dec, extra={"note": 1})
-    back = bundle.load_decoder(tmp_path / "ck")
+    manifest, back = bundle.load_decoder(tmp_path / "ck")
+    assert manifest["extra"] == {"note": 1}
     assert back.patch_size == 4 and back.c_in == 10 and back.attn_enabled
     for name in dec.param_names:
         np.testing.assert_array_equal(back.params[name], dec.params[name])

@@ -38,6 +38,15 @@ def small_bundle(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def small_ckpt(small_bundle, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt") / "ck"
+    code = main(["--seed", "1", "probe", "train", "--scene", str(small_bundle), "--ckpt", str(out),
+                 "--family", "mixed", "--steps", "2"])
+    assert code == 0
+    return out
+
+
 def test_scene_gen_deterministic(tmp_path, capsys):
     code1, out1, _ = run_cli(capsys, "--seed", "4", "scene-gen", "--out", str(tmp_path / "a"),
                              "--views", "4", "--res", "24x24")
@@ -191,12 +200,25 @@ def test_features_and_analyze_use_per_scene_features(small_bundle, capsys, tmp_p
     assert json.loads(summary)["score"] == lds_score(local_3, 1, 4)
 
 
-def test_damaged_inputs_exit_2(small_bundle, capsys, tmp_path):
+def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     no_depth, bad_doc = tmp_path / "no_depth", tmp_path / "bad_doc"
     shutil.copytree(small_bundle, no_depth)
     (no_depth / "views" / "view_002" / "depth.rnvt").unlink()
     shutil.copytree(small_bundle, bad_doc)
     (bad_doc / "scene.json").write_text("{nope")
+    no_count = tmp_path / "no_count"
+    shutil.copytree(small_bundle, no_count)
+    doc = rnvt.read_json(no_count / "scene.json")
+    del doc["n_views"]
+    rnvt.write_json(no_count / "scene.json", doc)
+    no_hidden, bad_w2 = tmp_path / "no_hidden", tmp_path / "bad_w2"
+    shutil.copytree(small_ckpt, no_hidden)
+    manifest = rnvt.read_json(no_hidden / "manifest.json")
+    del manifest["hidden"]
+    rnvt.write_json(no_hidden / "manifest.json", manifest)
+    shutil.copytree(small_ckpt, bad_w2)
+    rnvt.write_tensor(bad_w2 / "mlp_w2.rnvt", np.zeros((3, 5)))
+    evaluate = ["--seed", "1", "probe", "eval", "--scene", str(small_bundle), "--ckpt"]
     cases = [
         (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],
          "manifest.json"),
@@ -204,6 +226,10 @@ def test_damaged_inputs_exit_2(small_bundle, capsys, tmp_path):
           "--out", str(tmp_path / "w")], "depth.rnvt"),
         (["warp", "--scene", str(bad_doc), "--refs", "0", "--target", "1",
           "--out", str(tmp_path / "w")], "scene.json"),
+        (["warp", "--scene", str(no_count), "--refs", "0", "--target", "1",
+          "--out", str(tmp_path / "w")], "scene.json: field 'n_views'"),
+        (evaluate + [str(no_hidden)], "manifest.json: field 'hidden'"),
+        (evaluate + [str(bad_w2)], "mlp_w2.rnvt has shape (3, 5)"),
     ]
     for argv, name in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -211,6 +237,16 @@ def test_damaged_inputs_exit_2(small_bundle, capsys, tmp_path):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error:") and name in err
+
+
+def test_probe_eval_checks_checkpoint_family(small_bundle, small_ckpt, capsys):
+    evaluate = ["--seed", "1", "probe", "eval", "--scene", str(small_bundle),
+                "--ckpt", str(small_ckpt), "--family", "mixed"]
+    assert run_cli(capsys, *evaluate)[0] == 0
+    code, out, err = run_cli(capsys, *evaluate, "--sigma", "0.7")
+    assert code == 2
+    assert out == ""
+    assert '"sigma": 0.0' in err and '"sigma": 0.7' in err
 
 
 def test_every_cli_flag_is_read(small_bundle, tmp_path):
