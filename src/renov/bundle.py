@@ -21,7 +21,7 @@ import numpy as np
 from . import rnvt
 from .camera import CameraPose
 from .encoding import NormalizationTransform
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .features import ChannelReducer, FeatureFamily
 from .geometry import FeatureGrid, Pointmap
 from .probe import ATTN_PARAMS, ProbeDecoder
@@ -116,7 +116,7 @@ def load_scene_bundle(bundle: Path) -> tuple[dict, list[RenderedView]]:
         camera_doc = rnvt.read_json(vdir / "camera.json")
         try:
             camera = CameraPose.from_dict(camera_doc)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, NumericalError) as e:  # a damaged file, not a bad run
             raise InputError(f"{vdir / 'camera.json'}: {e}") from e
         views.append(RenderedView(
             rgb=rgb,

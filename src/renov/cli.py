@@ -270,6 +270,9 @@ def cmd_probe(args) -> dict:
     if not cases:
         raise InputError(f"--views {args.views} selects no evaluation case")
     manifest, decoder = bundle.load_decoder(Path(args.ckpt))
+    if decoder.patch_size != args.patch:
+        raise InputError(f"--patch {args.patch} does not match the patch_size "
+                         f"{decoder.patch_size} of --ckpt {args.ckpt}")
     trained_on = manifest.get("extra", {}).get("family")
     if trained_on != family.to_dict():
         raise InputError(f"--ckpt {args.ckpt} was trained on family "

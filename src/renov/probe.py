@@ -112,41 +112,112 @@ def unpatchify(tokens: np.ndarray, ht: int, wt: int, patch_size: int) -> np.ndar
             .reshape(ht * p, wt * p, 3))
 
 
+class _Workspace:
+    """Forward and backward buffers for one token grid shape.
+
+    The training step keeps one per grid shape and reuses it for every
+    sample; probe_forward makes a fresh one per call, so its cache stays valid.
+    """
+
+    def __init__(self, ht: int, wt: int, decoder: ProbeDecoder):
+        t, c, h, p = ht * wt, decoder.c_red, decoder.hidden, decoder.patch_size
+        out_dim = p * p * 3
+        self.r, self.d_m = np.empty((t, c)), np.empty((t, c))
+        self.a1, self.d_a1, self.tanh_grad = np.empty((t, h)), np.empty((t, h)), np.empty((t, h))
+        self.out, self.d_out = np.empty((t, out_dim)), np.empty((t, out_dim))
+        self.m = self.r  # the MLP input: r, plus the attention output when attention is on
+        if decoder.attn_enabled:
+            self.q, self.k, self.v = np.empty((t, c)), np.empty((t, c)), np.empty((t, c))
+            self.m, self.d_r, self.proj = np.empty((t, c)), np.empty((t, c)), np.empty((t, c))
+        self.attn_in: AttentionBlockInput | None = None
+        # pixel-order views for the training loss: d_out and out as (Ht, P, Wt, P, 3) blocks
+        self.residual_blocks = self.d_out.reshape(ht, wt, p, p, 3).transpose(0, 2, 1, 3, 4)
+        self.sq_err = self.out.reshape(ht * p, wt * p, 3)
+        self.sq_err_blocks = self.out.reshape(ht, p, wt, p, 3)
+
+
+def _tokens(decoder: ProbeDecoder, warped: WarpedPlane) -> tuple[np.ndarray, np.ndarray]:
+    """A plane's (tokens, c_in) matrix and the flat indices of its hole cells."""
+    c_in = warped.payload.shape[2]
+    if c_in != decoder.c_in:
+        raise InputError(f"warped features have {c_in} channels, reducer expects {decoder.c_in}")
+    return warped.payload.reshape(-1, c_in), np.flatnonzero(warped.mask)
+
+
+def _forward(decoder: ProbeDecoder, x: np.ndarray, holes: np.ndarray, ws: _Workspace) -> None:
+    """Decoder forward pass of one plane into ws; the patches land in ws.out."""
+    p = decoder.params
+    r = np.matmul(x, p["reducer_w"], out=ws.r)
+    r += p["reducer_b"]
+    r[holes] = p["mask_token"]
+    if decoder.attn_enabled:
+        ws.attn_in = AttentionBlockInput(
+            np.matmul(r, p["attn_wq"], out=ws.q),
+            (np.matmul(r, p["attn_wk"], out=ws.k), np.matmul(r, p["attn_wv"], out=ws.v)))
+        np.add(r, aggregated_attention(ws.attn_in), out=ws.m)
+    a1 = np.matmul(ws.m, p["mlp_w1"], out=ws.a1)
+    a1 += p["mlp_b1"]
+    np.tanh(a1, out=a1)
+    out = np.matmul(a1, p["mlp_w2"], out=ws.out)
+    out += p["mlp_b2"]
+
+
+def _backward(decoder: ProbeDecoder, x: np.ndarray, holes: np.ndarray, ws: _Workspace,
+              grads: dict[str, np.ndarray]) -> None:
+    """Exact parameter gradients of the MSE, written into grads' arrays.
+
+    ws holds the forward pass of one plane, and ws.d_out its residual
+    out - target in token layout; ws.d_out is turned into dL/d_out in place.
+    """
+    p = decoder.params
+    d_out = ws.d_out
+    d_out *= 2.0
+    d_out /= d_out.size
+    np.matmul(ws.a1.T, d_out, out=grads["mlp_w2"])
+    np.add.reduce(d_out, axis=0, out=grads["mlp_b2"])
+    d_h1 = np.matmul(d_out, p["mlp_w2"].T, out=ws.d_a1)
+    tanh_grad = np.square(ws.a1, out=ws.tanh_grad)
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    d_h1 *= tanh_grad
+    np.matmul(ws.m.T, d_h1, out=grads["mlp_w1"])
+    np.add.reduce(d_h1, axis=0, out=grads["mlp_b1"])
+    d_m = np.matmul(d_h1, p["mlp_w1"].T, out=ws.d_m)
+
+    d_r = d_m
+    if decoder.attn_enabled:
+        ag = attention_backward(ws.attn_in, d_m)  # residual: d_m flows to both r and attn
+        d_k, d_v = ag.target_kv
+        d_r = np.add(d_m, np.matmul(ag.q, p["attn_wq"].T, out=ws.d_r), out=ws.d_r)
+        d_r += np.matmul(d_k, p["attn_wk"].T, out=ws.proj)
+        d_r += np.matmul(d_v, p["attn_wv"].T, out=ws.proj)
+        np.matmul(ws.r.T, ag.q, out=grads["attn_wq"])
+        np.matmul(ws.r.T, d_k, out=grads["attn_wk"])
+        np.matmul(ws.r.T, d_v, out=grads["attn_wv"])
+
+    np.add.reduce(d_r[holes], axis=0, out=grads["mask_token"])
+    d_r[holes] = 0.0  # reducer sees no gradient from substituted cells
+    np.matmul(x.T, d_r, out=grads["reducer_w"])
+    np.add.reduce(d_r, axis=0, out=grads["reducer_b"])
+
+
 @dataclass
 class ForwardCache:
     version: int
     x: np.ndarray
-    masked: np.ndarray
-    r: np.ndarray
-    attn_in: AttentionBlockInput | None
-    m: np.ndarray
-    a1: np.ndarray
+    holes: np.ndarray
+    workspace: _Workspace
     pred: np.ndarray
-    grid_shape: tuple[int, int]
 
 
 def probe_forward(decoder: ProbeDecoder, warped: WarpedPlane, want_cache: bool = False):
     """Decode a token-resolution warped plane into an RGB image."""
-    ht, wt, c_in = warped.payload.shape
-    if c_in != decoder.c_in:
-        raise InputError(f"warped features have {c_in} channels, reducer expects {decoder.c_in}")
-    p = decoder.params
-    x = warped.payload.reshape(-1, c_in)
-    masked = warped.mask.reshape(-1)
-    r = x @ p["reducer_w"] + p["reducer_b"]
-    r[masked] = p["mask_token"]
-    attn_in = None
-    if decoder.attn_enabled:
-        attn_in = AttentionBlockInput(
-            r @ p["attn_wq"], (r @ p["attn_wk"], r @ p["attn_wv"]))
-        m = r + aggregated_attention(attn_in)
-    else:
-        m = r
-    a1 = np.tanh(m @ p["mlp_w1"] + p["mlp_b1"])
-    out = a1 @ p["mlp_w2"] + p["mlp_b2"]
-    pred = unpatchify(out, ht, wt, decoder.patch_size)
+    x, holes = _tokens(decoder, warped)
+    ht, wt = warped.payload.shape[:2]
+    ws = _Workspace(ht, wt, decoder)
+    _forward(decoder, x, holes, ws)
+    pred = unpatchify(ws.out, ht, wt, decoder.patch_size)
     if want_cache:
-        return pred, ForwardCache(decoder.version, x, masked, r, attn_in, m, a1, pred, (ht, wt))
+        return pred, ForwardCache(decoder.version, x, holes, ws, pred)
     return pred
 
 
@@ -171,35 +242,54 @@ def probe_backward(decoder: ProbeDecoder, fwd: ForwardCache, loss: LossCache) ->
         raise StateError("forward cache is stale: decoder parameters changed since the forward pass")
     if loss.pred is not fwd.pred:
         raise StateError("loss cache does not belong to this forward cache")
-    p = decoder.params
-    d_pred = 2.0 * (fwd.pred - loss.target) / fwd.pred.size
-    d_out = patchify(d_pred, decoder.patch_size)
-    grads: dict[str, np.ndarray] = {}
-
-    grads["mlp_w2"] = fwd.a1.T @ d_out
-    grads["mlp_b2"] = d_out.sum(axis=0)
-    d_a1 = d_out @ p["mlp_w2"].T
-    d_h1 = d_a1 * (1.0 - fwd.a1**2)
-    grads["mlp_w1"] = fwd.m.T @ d_h1
-    grads["mlp_b1"] = d_h1.sum(axis=0)
-    d_m = d_h1 @ p["mlp_w1"].T
-
-    if decoder.attn_enabled:
-        ag = attention_backward(fwd.attn_in, d_m)  # residual: d_m flows to both r and attn
-        d_k, d_v = ag.target_kv
-        d_r = d_m + ag.q @ p["attn_wq"].T + d_k @ p["attn_wk"].T + d_v @ p["attn_wv"].T
-        grads["attn_wq"] = fwd.r.T @ ag.q
-        grads["attn_wk"] = fwd.r.T @ d_k
-        grads["attn_wv"] = fwd.r.T @ d_v
-    else:
-        d_r = d_m
-
-    grads["mask_token"] = d_r[fwd.masked].sum(axis=0) if fwd.masked.any() else np.zeros(decoder.c_red)
-    d_r0 = d_r.copy()
-    d_r0[fwd.masked] = 0.0  # reducer sees no gradient from substituted cells
-    grads["reducer_w"] = fwd.x.T @ d_r0
-    grads["reducer_b"] = d_r0.sum(axis=0)
+    ws = fwd.workspace
+    np.subtract(ws.out, patchify(loss.target, decoder.patch_size), out=ws.d_out)
+    grads = {n: np.empty_like(decoder.params[n]) for n in decoder.param_names}
+    _backward(decoder, fwd.x, fwd.holes, ws, grads)
     return grads
+
+
+@dataclass
+class _Sample:
+    """One training pair, prepared once, with the buffers its step writes into."""
+    x: np.ndarray
+    holes: np.ndarray
+    target: np.ndarray  # token layout
+    workspace: _Workspace
+
+
+def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Consecutive views of a flat vector, one per named shape."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = int(np.prod(shape))
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+def _prepare(decoder: ProbeDecoder, dataset: list[tuple[WarpedPlane, np.ndarray]], n_used: int
+             ) -> list[_Sample]:
+    """The first n_used training pairs as _Samples; planes of one grid shape share a workspace.
+
+    Each distinct target array is patchified once.  The caller's arrays are
+    only read: x may be a view of a payload, and only buffers made here are written.
+    """
+    p = decoder.patch_size
+    workspaces: dict[tuple[int, int], _Workspace] = {}
+    targets: dict[int, np.ndarray] = {}
+    samples = []
+    for warped, target in dataset[:n_used]:
+        x, holes = _tokens(decoder, warped)
+        ht, wt = warped.payload.shape[:2]
+        if np.shape(target) != (ht * p, wt * p, 3):
+            raise InputError(f"prediction shape {(ht * p, wt * p, 3)} != target {np.shape(target)}")
+        if (ht, wt) not in workspaces:
+            workspaces[ht, wt] = _Workspace(ht, wt, decoder)
+        if id(target) not in targets:  # the dataset keeps every target alive: no id is reused
+            targets[id(target)] = patchify(np.asarray(target, dtype=np.float64), p)
+        samples.append(_Sample(x, holes, targets[id(target)], workspaces[ht, wt]))
+    return samples
 
 
 def train_probe(
@@ -210,6 +300,14 @@ def train_probe(
 
     Batches walk the dataset in fixed order; the step loss (and gradient) is
     the mean over the batch.  Deterministic in cfg.seed.
+
+    The parameters, the summed gradient and the Adam moments are each one
+    flat vector (decoder.params holds views of the parameter vector), and a
+    step writes its products into buffers made once per call (only the
+    attention functions allocate their own).  Every floating-point operation
+    is the one of the per-parameter loop over probe_forward, probe_loss and
+    probe_backward with textbook Adam, in the same order, so the parameters
+    and the loss curve are bit-identical to that loop's.
     """
     if not dataset:
         raise InputError("train_probe needs a nonempty dataset")
@@ -221,36 +319,51 @@ def train_probe(
     if target0.shape[1] // wt != patch:
         raise InputError("non-square patches are not supported")
     decoder = ProbeDecoder.init(patch, warped0.payload.shape[2], cfg)
+    samples = _prepare(decoder, dataset, min(len(dataset), cfg.steps * cfg.batch))
 
-    m_state = {n: np.zeros_like(decoder.params[n]) for n in decoder.param_names}
-    v_state = {n: np.zeros_like(decoder.params[n]) for n in decoder.param_names}
+    shapes = {n: decoder.params[n].shape for n in decoder.param_names}
+    theta = np.concatenate([decoder.params[n].ravel() for n in decoder.param_names])
+    decoder.params = _flat_views(theta, shapes)
+    grad, m_state, v_state, tmp = (np.zeros_like(theta) for _ in range(4))
+    sample_grads = _flat_views(tmp, shapes)
     b1, b2 = ADAM_BETAS
     curve: list[float] = []
     for step in range(cfg.steps):
-        total = {n: np.zeros_like(decoder.params[n]) for n in decoder.param_names}
+        grad.fill(0.0)
         step_loss = 0.0
         # divergence surfaces as a non-finite loss below; suppress the
         # intermediate overflow warnings on that path
         with np.errstate(over="ignore", invalid="ignore"):
             for b in range(cfg.batch):
-                warped, target = dataset[(step * cfg.batch + b) % len(dataset)]
-                pred, fwd = probe_forward(decoder, warped, want_cache=True)
-                loss, lcache = probe_loss(pred, target)
-                step_loss += loss
-                for name, g in probe_backward(decoder, fwd, lcache).items():
-                    total[name] += g
+                s = samples[(step * cfg.batch + b) % len(samples)]
+                ws = s.workspace
+                _forward(decoder, s.x, s.holes, ws)
+                np.subtract(ws.out, s.target, out=ws.d_out)
+                # the patches are spent: out takes the squared residual in pixel
+                # order, the order in which probe_loss sums it
+                np.square(ws.residual_blocks, out=ws.sq_err_blocks)
+                step_loss += float(ws.sq_err.mean())
+                _backward(decoder, s.x, s.holes, ws, sample_grads)
+                grad += tmp
         step_loss /= cfg.batch
         if not np.isfinite(step_loss):
             raise NumericalError(f"training diverged: non-finite loss at step {step}")
         curve.append(step_loss)
         t = step + 1
-        for name in decoder.param_names:
-            g = total[name] / cfg.batch
-            m_state[name] = b1 * m_state[name] + (1 - b1) * g
-            v_state[name] = b2 * v_state[name] + (1 - b2) * g**2
-            m_hat = m_state[name] / (1 - b1**t)
-            v_hat = v_state[name] / (1 - b2**t)
-            decoder.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        grad /= cfg.batch
+        m_state *= b1
+        m_state += np.multiply(grad, 1 - b1, out=tmp)
+        v_state *= b2
+        np.square(grad, out=tmp)
+        tmp *= 1 - b2
+        v_state += tmp
+        m_hat = np.divide(m_state, 1 - b1**t, out=tmp)
+        denom = np.divide(v_state, 1 - b2**t, out=grad)  # the gradient is spent
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        m_hat *= cfg.learning_rate
+        m_hat /= denom
+        theta -= m_hat
         decoder.bump_version()
     return decoder, curve
 

@@ -218,6 +218,11 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     rnvt.write_json(no_hidden / "manifest.json", manifest)
     shutil.copytree(small_ckpt, bad_w2)
     rnvt.write_tensor(bad_w2 / "mlp_w2.rnvt", np.zeros((3, 5)))
+    bad_cam = tmp_path / "bad_cam"
+    shutil.copytree(small_bundle, bad_cam)
+    cam = rnvt.read_json(bad_cam / "views" / "view_003" / "camera.json")
+    cam["extrinsic"][0] = 2.0  # no longer a rotation: a NumericalError inside CameraPose
+    rnvt.write_json(bad_cam / "views" / "view_003" / "camera.json", cam)
     evaluate = ["--seed", "1", "probe", "eval", "--scene", str(small_bundle), "--ckpt"]
     cases = [
         (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],
@@ -230,6 +235,8 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
           "--out", str(tmp_path / "w")], "scene.json: field 'n_views'"),
         (evaluate + [str(no_hidden)], "manifest.json: field 'hidden'"),
         (evaluate + [str(bad_w2)], "mlp_w2.rnvt has shape (3, 5)"),
+        (["warp", "--scene", str(bad_cam), "--refs", "0", "--target", "1",
+          "--out", str(tmp_path / "w")], os.path.join("views", "view_003", "camera.json")),
     ]
     for argv, name in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -247,6 +254,18 @@ def test_probe_eval_checks_checkpoint_family(small_bundle, small_ckpt, capsys):
     assert code == 2
     assert out == ""
     assert '"sigma": 0.0' in err and '"sigma": 0.7' in err
+
+
+def test_probe_eval_checks_checkpoint_patch(small_bundle, small_ckpt, capsys, monkeypatch):
+    def no_decoding(*args):
+        raise AssertionError("the decoder ran")
+
+    monkeypatch.setattr(cli, "eval_scene_probe", no_decoding)
+    code, out, err = run_cli(capsys, "--seed", "1", "probe", "eval", "--scene", str(small_bundle),
+                             "--ckpt", str(small_ckpt), "--patch", "4")  # trained at --patch 8
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "--patch 4" in err and "patch_size 8" in err
 
 
 def test_every_cli_flag_is_read(small_bundle, tmp_path):
@@ -331,8 +350,8 @@ def test_exit_code_2_on_bad_refs_syntax(small_bundle, capsys, tmp_path):
     assert "--refs" in err
 
 
-def test_exit_code_3_on_degenerate_camera(small_bundle, capsys, tmp_path, monkeypatch):
-    # corrupt one stored camera: reflection has determinant -1
+def test_exit_code_2_on_degenerate_camera(small_bundle, capsys, tmp_path):
+    # corrupt one stored camera: reflection has determinant -1; a damaged file is bad input
     cam_path = small_bundle / "views" / "view_000" / "camera.json"
     doc = rnvt.read_json(cam_path)
     ext = np.asarray(doc["extrinsic"]).reshape(4, 4)
@@ -344,8 +363,18 @@ def test_exit_code_3_on_degenerate_camera(small_bundle, capsys, tmp_path, monkey
     rnvt.write_json(tmp_scene / "views" / "view_000" / "camera.json", broken)
     code, _, err = run_cli(capsys, "warp", "--scene", str(tmp_scene), "--refs", "0",
                            "--target", "1", "--payload", "rgb", "--out", str(tmp_path / "w"))
+    assert code == 2
+    assert err.startswith("input error:")
+    assert os.path.join("views", "view_000", "camera.json") in err
+
+
+def test_exit_code_3_on_diverging_training(small_bundle, capsys, tmp_path):
+    code, out, err = run_cli(capsys, "--seed", "1", "probe", "train", "--scene", str(small_bundle),
+                             "--ckpt", str(tmp_path / "ck"), "--steps", "20", "--lr", "1e200")
     assert code == 3
-    assert "numerical error" in err
+    assert out == ""
+    assert err.startswith("numerical error:") and "non-finite loss at step" in err
+    assert not (tmp_path / "ck").exists()
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from renov import bundle
 from renov.errors import InputError, NumericalError, StateError
 from renov.geometry import WarpedPlane
-from renov.probe import (ProbeDecoder, TrainConfig, eval_probe, patchify, pixel_hole_mask,
-                         probe_backward, probe_forward, probe_loss, train_probe, unpatchify)
+from renov.probe import (ADAM_BETAS, ADAM_EPS, ProbeDecoder, TrainConfig, eval_probe, patchify,
+                         pixel_hole_mask, probe_backward, probe_forward, probe_loss, train_probe,
+                         unpatchify)
 
 # ---------------------------------------------------------------------------
 # helpers / oracles
@@ -265,6 +267,126 @@ def test_training_divergence_reported():
 def test_training_empty_dataset():
     with pytest.raises(InputError):
         train_probe([], TrainConfig())
+
+
+def reference_train(dataset, cfg):
+    """The per-parameter training loop train_probe must reproduce bit for bit.
+
+    probe_forward -> probe_loss -> probe_backward per sample, gradients summed
+    into fresh zero arrays, then textbook Adam on each parameter array.
+    """
+    warped0, target0 = dataset[0]
+    patch = target0.shape[0] // warped0.payload.shape[0]
+    decoder = ProbeDecoder.init(patch, warped0.payload.shape[2], cfg)
+    names = decoder.param_names
+    m_state = {n: np.zeros_like(decoder.params[n]) for n in names}
+    v_state = {n: np.zeros_like(decoder.params[n]) for n in names}
+    b1, b2 = ADAM_BETAS
+    curve = []
+    for step in range(cfg.steps):
+        total = {n: np.zeros_like(decoder.params[n]) for n in names}
+        step_loss = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(cfg.batch):
+                warped, target = dataset[(step * cfg.batch + b) % len(dataset)]
+                pred, fwd = probe_forward(decoder, warped, want_cache=True)
+                loss, lcache = probe_loss(pred, target)
+                step_loss += loss
+                for name, g in probe_backward(decoder, fwd, lcache).items():
+                    total[name] += g
+        step_loss /= cfg.batch
+        if not np.isfinite(step_loss):
+            raise NumericalError(f"training diverged: non-finite loss at step {step}")
+        curve.append(step_loss)
+        t = step + 1
+        for name in names:
+            g = total[name] / cfg.batch
+            m_state[name] = b1 * m_state[name] + (1 - b1) * g
+            v_state[name] = b2 * v_state[name] + (1 - b2) * g**2
+            m_hat = m_state[name] / (1 - b1**t)
+            v_hat = v_state[name] / (1 - b2**t)
+            decoder.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        decoder.bump_version()
+    return decoder, curve
+
+
+def _reference_dataset(rng, n=15, patch=4, c=6):
+    """n pairs: holes in all planes but one, a 2x4 grid among 4x4 ones, shared and float32 targets."""
+    shared = rng.uniform(0, 1, (4 * patch, 4 * patch, 3))
+    data = []
+    for i in range(n):
+        ht, wt = (2, 4) if i == 5 else (4, 4)
+        plane = make_plane(rng, ht, wt, c, hole_prob=0.0 if i == 3 else 0.3)
+        if ht == 4 and i % 3:
+            target = shared
+        else:
+            target = rng.uniform(0, 1, (ht * patch, wt * patch, 3))
+            if i in (0, 6):
+                target = target.astype(np.float32)
+        data.append((plane, target))
+    assert not data[3][0].mask.any() and data[0][0].mask.any()
+    return data
+
+
+@pytest.mark.parametrize("attn", [False, True])
+@pytest.mark.parametrize("batch,steps", [(4, 12), (1, 20)])
+def test_train_probe_matches_reference_loop(attn, batch, steps):
+    data = _reference_dataset(np.random.default_rng(40))
+    cfg = TrainConfig(steps=steps, learning_rate=3e-2, batch=batch, seed=3, attn_enabled=attn,
+                      hidden=8, c_red=5)
+    ref, ref_curve = reference_train(data, cfg)
+    dec, curve = train_probe(data, cfg)
+    assert dec.param_names == ref.param_names
+    for name in ref.param_names:
+        assert np.array_equal(dec.params[name], ref.params[name]), name
+    assert curve == ref_curve
+    assert all(type(v) is float for v in curve)
+
+
+@pytest.mark.parametrize("attn", [False, True])
+def test_train_probe_diverges_where_reference_does(attn):
+    data = _reference_dataset(np.random.default_rng(41))
+    cfg = TrainConfig(steps=50, learning_rate=1e200, batch=2, seed=0, attn_enabled=attn,
+                      hidden=8, c_red=5)
+    with pytest.raises(NumericalError) as ref_err:
+        reference_train(data, cfg)
+    with pytest.raises(NumericalError) as err:
+        train_probe(data, cfg)
+    assert str(err.value) == str(ref_err.value)
+
+
+@pytest.mark.parametrize("attn", [False, True])
+def test_train_probe_leaves_inputs_unchanged(attn):
+    data = _reference_dataset(np.random.default_rng(42))
+    before = [(w.payload.copy(), w.mask.copy(), t.copy()) for w, t in data]
+    train_probe(data, TrainConfig(steps=10, batch=4, seed=1, attn_enabled=attn,
+                                  hidden=8, c_red=5))
+    for (w, t), (payload, mask, target) in zip(data, before):
+        assert np.array_equal(w.payload, payload)
+        assert np.array_equal(w.mask, mask)
+        assert np.array_equal(t, target)
+
+
+def test_trained_decoder_checkpoint_roundtrip(tmp_path):
+    data = _reference_dataset(np.random.default_rng(43))
+    dec, _ = train_probe(data, TrainConfig(steps=5, batch=4, seed=2, attn_enabled=True,
+                                           hidden=8, c_red=5))
+    copy = ProbeDecoder(dec.patch_size, dec.c_in, dec.c_red, dec.hidden, dec.attn_enabled,
+                        {n: dec.params[n].copy() for n in dec.param_names})
+    bundle.save_decoder(tmp_path / "views", dec)
+    bundle.save_decoder(tmp_path / "copies", copy)
+    for name in dec.param_names:
+        assert ((tmp_path / "views" / f"{name}.rnvt").read_bytes()
+                == (tmp_path / "copies" / f"{name}.rnvt").read_bytes())
+    _, back = bundle.load_decoder(tmp_path / "views")
+    for name in dec.param_names:
+        assert np.array_equal(back.params[name], dec.params[name])
+        assert not np.shares_memory(back.params[name], dec.params[name])
+    back.params["mlp_w1"][:] = 0.0
+    for name in dec.param_names:
+        if name != "mlp_w1":
+            assert np.array_equal(back.params[name], dec.params[name])
+    assert np.array_equal(dec.params["mlp_w1"], copy.params["mlp_w1"])
 
 
 # ---------------------------------------------------------------------------
