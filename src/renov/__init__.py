@@ -15,7 +15,7 @@ from .camera import CameraPose, intrinsics_from_fov, look_at
 from .encoding import (ConditionLayout, ConditionPlane, FourierConfig, NormalizationTransform,
                        build_reference_condition, build_target_condition, fourier_encode,
                        normalize_coords)
-from .errors import InputError, NumericalError, StateError
+from .errors import InputError, NumericalError
 from .features import (ChannelReducer, FeatureFamily, concat_global_local, extract_features,
                        reduce_channels)
 from .geometry import (FeatureGrid, PointCloud, Pointmap, WarpedPlane, aggregate_pointmaps,
@@ -23,7 +23,7 @@ from .geometry import (FeatureGrid, PointCloud, Pointmap, WarpedPlane, aggregate
                        token_feature_cloud)
 from .metrics import MetricReport, psnr, ssim
 from .probe import (ProbeDecoder, TrainConfig, eval_probe, patchify, pixel_hole_mask,
-                    probe_backward, probe_forward, probe_loss, train_probe, unpatchify)
+                    probe_backward, probe_forward, train_probe, unpatchify)
 from .scene import (Quad, RenderedView, SceneSpec, SyntheticScene, TextureSpec, generate_scene,
                     make_camera_arc, render_view)
 

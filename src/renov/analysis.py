@@ -87,6 +87,8 @@ def geometric_correspondence_score(
     seed: int = 0,
 ) -> CorrespondenceReport:
     """PCK@tau of feature matching from A into B, gated to visible queries."""
+    if num_queries < 1:
+        raise InputError(f"num_queries must be >= 1, got {num_queries}")
     p = grid_a.patch_size
     if grid_b.patch_size != p:
         raise InputError("grids must share one patch size")
@@ -148,6 +150,8 @@ def semantic_correspondence_score(
     seed: int = 0,
 ) -> CorrespondenceReport:
     """Label-agreement PCK: a hit is an argmax cell whose dominant label matches the query's."""
+    if num_queries < 1:
+        raise InputError(f"num_queries must be >= 1, got {num_queries}")
     p = grid_a.patch_size
     if grid_b.patch_size != p:
         raise InputError("grids must share one patch size")

@@ -9,7 +9,10 @@ A scene bundle is a directory with deterministic, atomically written files:
     views/view_NNN/labels.rnvt    i64 HxW instance ids (-1 = background)
     views/view_NNN/camera.json
 
-Pointmap validity is recovered from depth > 0 on load.
+Pointmap validity is recovered from depth > 0 on load.  load_scene_bundle
+checks every view against this layout (dtype, the shape its camera.json
+gives, finite values, rgb in [0,1], depth >= 0); a violation is an
+InputError naming the file.
 """
 
 from __future__ import annotations
@@ -97,6 +100,23 @@ def save_scene_bundle(
         rnvt.write_json(vdir / "camera.json", view.camera.to_dict())
 
 
+def _view_tensor(vdir: Path, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """A view tensor with the dtype save_scene_bundle writes and the shape camera.json implies."""
+    path = vdir / f"{name}.rnvt"
+    arr = rnvt.read_tensor(path)
+    if arr.dtype != dtype:
+        raise InputError(f"{path} holds {arr.dtype}, expected {np.dtype(dtype)}")
+    if arr.shape != shape:
+        raise InputError(f"{path} has shape {arr.shape}, but {vdir / 'camera.json'} is "
+                         f"{shape[1]}x{shape[0]}")
+    return arr
+
+
+def _check_values(vdir: Path, name: str, ok: np.ndarray, rule: str) -> None:
+    if not np.all(ok):
+        raise InputError(f"{vdir / name}.rnvt has values that are not {rule}")
+
+
 def load_scene_bundle(bundle: Path) -> tuple[dict, list[RenderedView]]:
     bundle = Path(bundle)
     path = bundle / "scene.json"
@@ -109,17 +129,21 @@ def load_scene_bundle(bundle: Path) -> tuple[dict, list[RenderedView]]:
     views = []
     for i in range(_field(path, doc, "n_views", _positive)):
         vdir = view_dir(bundle, i)
-        rgb = rnvt.read_tensor(vdir / "rgb.rnvt").astype(np.float64)
-        depth = rnvt.read_tensor(vdir / "depth.rnvt")
-        coords = rnvt.read_tensor(vdir / "pointmap.rnvt")
-        labels = rnvt.read_tensor(vdir / "labels.rnvt")
         camera_doc = rnvt.read_json(vdir / "camera.json")
         try:
             camera = CameraPose.from_dict(camera_doc)
         except (KeyError, TypeError, ValueError, NumericalError) as e:  # a damaged file, not a bad run
             raise InputError(f"{vdir / 'camera.json'}: {e}") from e
+        h, w = camera.height, camera.width
+        rgb = _view_tensor(vdir, "rgb", np.float32, (h, w, 3))
+        _check_values(vdir, "rgb", (rgb >= 0) & (rgb <= 1), "in [0, 1]")
+        depth = _view_tensor(vdir, "depth", np.float64, (h, w))
+        _check_values(vdir, "depth", np.isfinite(depth) & (depth >= 0), "finite and >= 0")
+        coords = _view_tensor(vdir, "pointmap", np.float64, (h, w, 3))
+        _check_values(vdir, "pointmap", np.isfinite(coords), "finite")
+        labels = _view_tensor(vdir, "labels", np.int64, (h, w))
         views.append(RenderedView(
-            rgb=rgb,
+            rgb=rgb.astype(np.float64),
             depth=depth,
             pointmap=Pointmap(coords, depth > 0),
             labels=labels,
@@ -130,10 +154,6 @@ def load_scene_bundle(bundle: Path) -> tuple[dict, list[RenderedView]]:
 
 def bundle_transform(doc: dict) -> NormalizationTransform:
     return NormalizationTransform.from_dict(doc["normalization"])
-
-
-def bundle_spec(doc: dict) -> SceneSpec:
-    return SceneSpec.from_dict(doc["spec"])
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,7 @@ def _family_from(args, seed: int) -> FeatureFamily:
 
 def _load_scene_data(path, patch: int) -> SceneData:
     doc, views = bundle.load_scene_bundle(Path(path))
-    spec = bundle.bundle_spec(doc)
-    scene = generate_scene(int(doc["seed"]), spec)
-    return SceneData(scene, views, bundle.bundle_transform(doc), patch)
+    return SceneData(doc["seed"], views, bundle.bundle_transform(doc), patch)
 
 
 def _check_view_index(data: SceneData, idx: int, flag: str) -> None:
@@ -119,7 +117,7 @@ def cmd_features(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
     family = _family_from(args, seed)
-    fam = scene_family(family, data.scene.seed)  # the per-scene features the probe sees
+    fam = scene_family(family, data.seed)  # the per-scene features the probe sees
     local = [extract_features(v, fam, args.patch, data.transform) for v in data.views]
     unified = [concat_global_local(g) for g in local]
     reducer = ChannelReducer.create(unified[0].channels, args.c_red, args.reducer_seed)
@@ -191,7 +189,7 @@ def cmd_condition(args) -> dict:
 def cmd_analyze(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
-    family = scene_family(_family_from(args, seed), data.scene.seed)
+    family = scene_family(_family_from(args, seed), data.seed)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)

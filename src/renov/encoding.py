@@ -97,7 +97,7 @@ def normalize_coords(coords: np.ndarray, t: NormalizationTransform, valid: np.nd
 
 @dataclass(frozen=True)
 class ConditionLayout:
-    """Ordered named channel groups with offsets; round-trips through JSON."""
+    """Ordered named channel groups with offsets; to_json writes them out."""
 
     groups: tuple[tuple[str, int, int], ...]  # (name, offset, width)
 
@@ -122,10 +122,6 @@ class ConditionLayout:
 
     def to_json(self) -> dict:
         return {"groups": [{"name": n, "offset": o, "width": w} for n, o, w in self.groups]}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ConditionLayout":
-        return cls(tuple((g["name"], int(g["offset"]), int(g["width"])) for g in d["groups"]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,3 @@ class InputError(ValueError):
 
 class NumericalError(ArithmeticError):
     """Non-finite values, divergence, or numerically degenerate inputs."""
-
-
-class StateError(RuntimeError):
-    """Stale or inconsistent cached state (e.g. backward after a parameter update)."""

@@ -31,7 +31,6 @@ from .geometry import FeatureGrid, token_anchors
 from .scene import RenderedView
 
 FAMILY_KINDS = ("oracle_geom", "appearance", "random", "mixed")
-APPEARANCE_CHANNELS = 18  # 3 mean + 3 variance + 3x4 gradient bins
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,6 @@ class FeatureFamily:
             raise InputError("sigma must be non-negative")
         if self.channels < 1:
             raise InputError("random channel count must be >= 1")
-
-    @property
-    def channel_count(self) -> int:
-        oracle = 3 * (2 * self.num_freqs + 1)
-        return {
-            "oracle_geom": oracle,
-            "appearance": APPEARANCE_CHANNELS,
-            "random": self.channels,
-            "mixed": oracle + APPEARANCE_CHANNELS,
-        }[self.kind]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "sigma": self.sigma, "num_freqs": self.num_freqs,
@@ -173,17 +162,14 @@ class ChannelReducer:
 
     @classmethod
     def create(cls, c_in: int, c_red: int, seed: int) -> "ChannelReducer":
+        if c_red < 1:
+            raise InputError(f"c_red must be >= 1, got {c_red}")
         if c_red > c_in:
             raise InputError(f"cannot orthonormalize {c_red} rows of dimension {c_in}")
         rng = np.random.default_rng(seed)
         gauss = rng.standard_normal((c_in, c_red))
         q, _ = np.linalg.qr(gauss)  # orthonormal columns
         return cls(q.T, seed)
-
-    @classmethod
-    def identity(cls, c: int) -> "ChannelReducer":
-        """Test hook: C_red = C_in passthrough."""
-        return cls(np.eye(c), seed=-1)
 
 
 def reduce_channels(grid: FeatureGrid, reducer: ChannelReducer) -> FeatureGrid:

@@ -31,7 +31,7 @@ from .geometry import (FeatureGrid, WarpedPlane, aggregate_pointmaps, rasterize,
                        subsample_points, token_anchors, token_feature_cloud)
 from .metrics import psnr, ssim
 from .probe import ProbeDecoder, TrainConfig, eval_probe, train_probe
-from .scene import RenderedView, SceneSpec, SyntheticScene, generate_scene, make_camera_arc, render_view
+from .scene import RenderedView, SceneSpec, generate_scene, make_camera_arc, render_view
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,14 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class SceneData:
-    scene: SyntheticScene
+    seed: int  # the scene seed: per-scene feature families mix it in
     views: list[RenderedView]
     transform: NormalizationTransform
     patch: int
+
+    def __post_init__(self):
+        if self.patch < 1:
+            raise InputError(f"patch size must be >= 1, got {self.patch}")
 
 
 def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
@@ -64,7 +68,7 @@ def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
                            (cfg.res, cfg.res), cfg.span_deg)
     views = [render_view(scene, c) for c in cams]
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
-    return SceneData(scene, views, transform, cfg.patch)
+    return SceneData(seed, views, transform, cfg.patch)
 
 
 def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
@@ -74,7 +78,7 @@ def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
 
 def unified_grids(data: SceneData, family: FeatureFamily) -> list[FeatureGrid]:
     """T_n per view: local tokens stacked with the pooled global token."""
-    fam = scene_family(family, data.scene.seed)
+    fam = scene_family(family, data.seed)
     return [concat_global_local(extract_features(v, fam, data.patch, data.transform))
             for v in data.views]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionBlockInput, aggregated_attention, attention_backward
-from .errors import InputError, NumericalError, StateError
+from .errors import InputError, NumericalError
 from .geometry import WarpedPlane
 from .metrics import MetricReport, psnr, ssim
 
@@ -38,6 +38,10 @@ class TrainConfig:
             raise InputError("learning_rate must be >= 0")
         if self.batch < 1:
             raise InputError("batch must be >= 1")
+        if self.c_red < 1:
+            raise InputError(f"c_red must be >= 1, got {self.c_red}")
+        if self.hidden < 1:
+            raise InputError(f"hidden must be >= 1, got {self.hidden}")
 
 
 ADAM_BETAS = (0.9, 0.999)
@@ -53,7 +57,6 @@ class ProbeDecoder:
     hidden: int
     attn_enabled: bool
     params: dict[str, np.ndarray]
-    version: int = 0
 
     @classmethod
     def init(cls, patch_size: int, c_in: int, cfg: TrainConfig) -> "ProbeDecoder":
@@ -87,9 +90,6 @@ class ProbeDecoder:
     def n_params(self) -> int:
         return sum(self.params[n].size for n in self.param_names)
 
-    def bump_version(self) -> None:
-        self.version += 1
-
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     """HxWx3 image -> (Ht*Wt, P*P*3) row-major token patches."""
@@ -116,7 +116,7 @@ class _Workspace:
     """Forward and backward buffers for one token grid shape.
 
     The training step keeps one per grid shape and reuses it for every
-    sample; probe_forward makes a fresh one per call, so its cache stays valid.
+    sample; probe_forward and probe_backward make a fresh one per call.
     """
 
     def __init__(self, ht: int, wt: int, decoder: ProbeDecoder):
@@ -130,7 +130,7 @@ class _Workspace:
             self.q, self.k, self.v = np.empty((t, c)), np.empty((t, c)), np.empty((t, c))
             self.m, self.d_r, self.proj = np.empty((t, c)), np.empty((t, c)), np.empty((t, c))
         self.attn_in: AttentionBlockInput | None = None
-        # pixel-order views for the training loss: d_out and out as (Ht, P, Wt, P, 3) blocks
+        # pixel-order views for the loss: d_out and out as (Ht, P, Wt, P, 3) blocks
         self.residual_blocks = self.d_out.reshape(ht, wt, p, p, 3).transpose(0, 2, 1, 3, 4)
         self.sq_err = self.out.reshape(ht * p, wt * p, 3)
         self.sq_err_blocks = self.out.reshape(ht, p, wt, p, 3)
@@ -200,53 +200,13 @@ def _backward(decoder: ProbeDecoder, x: np.ndarray, holes: np.ndarray, ws: _Work
     np.add.reduce(d_r, axis=0, out=grads["reducer_b"])
 
 
-@dataclass
-class ForwardCache:
-    version: int
-    x: np.ndarray
-    holes: np.ndarray
-    workspace: _Workspace
-    pred: np.ndarray
-
-
-def probe_forward(decoder: ProbeDecoder, warped: WarpedPlane, want_cache: bool = False):
+def probe_forward(decoder: ProbeDecoder, warped: WarpedPlane) -> np.ndarray:
     """Decode a token-resolution warped plane into an RGB image."""
     x, holes = _tokens(decoder, warped)
     ht, wt = warped.payload.shape[:2]
     ws = _Workspace(ht, wt, decoder)
     _forward(decoder, x, holes, ws)
-    pred = unpatchify(ws.out, ht, wt, decoder.patch_size)
-    if want_cache:
-        return pred, ForwardCache(decoder.version, x, holes, ws, pred)
-    return pred
-
-
-@dataclass
-class LossCache:
-    pred: np.ndarray
-    target: np.ndarray
-
-
-def probe_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, LossCache]:
-    """Mean squared error over all pixels and channels."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise InputError(f"prediction shape {pred.shape} != target {target.shape}")
-    return float(((pred - target) ** 2).mean()), LossCache(pred, target)
-
-
-def probe_backward(decoder: ProbeDecoder, fwd: ForwardCache, loss: LossCache) -> dict[str, np.ndarray]:
-    """Exact parameter gradients of the MSE through the full decoder."""
-    if fwd.version != decoder.version:
-        raise StateError("forward cache is stale: decoder parameters changed since the forward pass")
-    if loss.pred is not fwd.pred:
-        raise StateError("loss cache does not belong to this forward cache")
-    ws = fwd.workspace
-    np.subtract(ws.out, patchify(loss.target, decoder.patch_size), out=ws.d_out)
-    grads = {n: np.empty_like(decoder.params[n]) for n in decoder.param_names}
-    _backward(decoder, fwd.x, fwd.holes, ws, grads)
-    return grads
+    return unpatchify(ws.out, ht, wt, decoder.patch_size)
 
 
 @dataclass
@@ -292,6 +252,31 @@ def _prepare(decoder: ProbeDecoder, dataset: list[tuple[WarpedPlane, np.ndarray]
     return samples
 
 
+def _sample_step(decoder: ProbeDecoder, s: _Sample, grads: dict[str, np.ndarray]) -> float:
+    """One sample's MSE loss; its exact parameter gradients are written into grads' arrays."""
+    ws = s.workspace
+    _forward(decoder, s.x, s.holes, ws)
+    np.subtract(ws.out, s.target, out=ws.d_out)
+    # the patches are spent: out takes the squared residual in pixel order,
+    # the order in which the mean over the image sums it
+    np.square(ws.residual_blocks, out=ws.sq_err_blocks)
+    loss = float(ws.sq_err.mean())
+    _backward(decoder, s.x, s.holes, ws, grads)
+    return loss
+
+
+def probe_backward(decoder: ProbeDecoder, warped: WarpedPlane, target: np.ndarray
+                   ) -> tuple[float, dict[str, np.ndarray]]:
+    """MSE of the decoded plane against target, and its exact parameter gradients.
+
+    Runs the training step's own per-sample code in float64 on a fresh
+    workspace; the decoder and the inputs are only read.
+    """
+    (sample,) = _prepare(decoder, [(warped, target)], 1)
+    grads = {n: np.empty_like(decoder.params[n]) for n in decoder.param_names}
+    return _sample_step(decoder, sample, grads), grads
+
+
 def train_probe(
     dataset: list[tuple[WarpedPlane, np.ndarray]],
     cfg: TrainConfig,
@@ -305,9 +290,9 @@ def train_probe(
     flat vector (decoder.params holds views of the parameter vector), and a
     step writes its products into buffers made once per call (only the
     attention functions allocate their own).  Every floating-point operation
-    is the one of the per-parameter loop over probe_forward, probe_loss and
-    probe_backward with textbook Adam, in the same order, so the parameters
-    and the loss curve are bit-identical to that loop's.
+    is the one of the per-parameter loop over probe_backward with textbook
+    Adam, in the same order, so the parameters and the loss curve are
+    bit-identical to that loop's.
     """
     if not dataset:
         raise InputError("train_probe needs a nonempty dataset")
@@ -336,14 +321,7 @@ def train_probe(
         with np.errstate(over="ignore", invalid="ignore"):
             for b in range(cfg.batch):
                 s = samples[(step * cfg.batch + b) % len(samples)]
-                ws = s.workspace
-                _forward(decoder, s.x, s.holes, ws)
-                np.subtract(ws.out, s.target, out=ws.d_out)
-                # the patches are spent: out takes the squared residual in pixel
-                # order, the order in which probe_loss sums it
-                np.square(ws.residual_blocks, out=ws.sq_err_blocks)
-                step_loss += float(ws.sq_err.mean())
-                _backward(decoder, s.x, s.holes, ws, sample_grads)
+                step_loss += _sample_step(decoder, s, sample_grads)
                 grad += tmp
         step_loss /= cfg.batch
         if not np.isfinite(step_loss):
@@ -364,7 +342,6 @@ def train_probe(
         m_hat *= cfg.learning_rate
         m_hat /= denom
         theta -= m_hat
-        decoder.bump_version()
     return decoder, curve
 
 

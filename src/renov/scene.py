@@ -84,6 +84,10 @@ class SceneSpec:
     palette_size: int = 0
     shading: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.shading <= 1.0:
+            raise InputError(f"shading must be in [0, 1], got {self.shading}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -7,13 +7,16 @@ from renov.features import FeatureFamily
 from renov.pipeline import (ProbeProtocol, condition_grids, feature_warp, reduced_grids,
                             rgb_warp, unified_grids, warped_image_metrics)
 from renov.probe import ProbeDecoder, TrainConfig
+from renov.scene import SceneSpec, generate_scene
 
 
-def test_scene_bundle_roundtrip(tmp_path, scene_data):
-    bundle.save_scene_bundle(tmp_path / "b", scene_data.scene, scene_data.views,
-                             scene_data.transform)
+def test_scene_bundle_roundtrip(tmp_path, scene_data, suite_cfg):
+    spec = SceneSpec(n_quads=suite_cfg.n_quads, palette_size=suite_cfg.palette_size,
+                     shading=suite_cfg.shading)
+    scene = generate_scene(scene_data.seed, spec)
+    bundle.save_scene_bundle(tmp_path / "b", scene, scene_data.views, scene_data.transform)
     doc, views = bundle.load_scene_bundle(tmp_path / "b")
-    assert doc["seed"] == scene_data.scene.seed
+    assert doc["seed"] == scene_data.seed
     assert len(views) == len(scene_data.views)
     v0, r0 = views[0], scene_data.views[0]
     np.testing.assert_allclose(v0.rgb, r0.rgb, atol=1e-7)  # rgb stored f32
@@ -24,8 +27,7 @@ def test_scene_bundle_roundtrip(tmp_path, scene_data):
     np.testing.assert_array_equal(v0.camera.world_to_camera, r0.camera.world_to_camera)
     tr = bundle.bundle_transform(doc)
     np.testing.assert_array_equal(tr.center, scene_data.transform.center)
-    spec = bundle.bundle_spec(doc)
-    assert spec == scene_data.scene.spec
+    assert SceneSpec.from_dict(doc["spec"]) == spec
 
 
 def test_bundle_rejects_foreign_dir(tmp_path):

@@ -223,6 +223,25 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     cam = rnvt.read_json(bad_cam / "views" / "view_003" / "camera.json")
     cam["extrinsic"][0] = 2.0  # no longer a rotation: a NumericalError inside CameraPose
     rnvt.write_json(bad_cam / "views" / "view_003" / "camera.json", cam)
+    view_3 = os.path.join("views", "view_003")
+
+    def damaged_view(name, file, damage):
+        """A copy of the bundle whose view 3 file is rewritten by damage(its contents)."""
+        root = tmp_path / name
+        shutil.copytree(small_bundle, root)
+        path = root / view_3 / file
+        if file.endswith(".json"):
+            rnvt.write_json(path, damage(rnvt.read_json(path)))
+        else:
+            rnvt.write_tensor(path, damage(rnvt.read_tensor(path)))
+        return str(root)
+
+    u8_rgb = damaged_view("u8_rgb", "rgb.rnvt", lambda a: (a * 255).astype(np.uint8))
+    nan_depth = damaged_view("nan_depth", "depth.rnvt", lambda a: np.full_like(a, np.nan))
+    f64_labels = damaged_view("f64_labels", "labels.rnvt", lambda a: a.astype(np.float64))
+    big_cam = damaged_view("big_cam", "camera.json", lambda d: dict(d, width=64, height=64))
+    small_rgb = damaged_view("small_rgb", "rgb.rnvt", lambda a: a[:5, :5])
+    hot_rgb = damaged_view("hot_rgb", "rgb.rnvt", lambda a: a + np.float32(1.5))
     evaluate = ["--seed", "1", "probe", "eval", "--scene", str(small_bundle), "--ckpt"]
     cases = [
         (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],
@@ -237,6 +256,16 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         (evaluate + [str(bad_w2)], "mlp_w2.rnvt has shape (3, 5)"),
         (["warp", "--scene", str(bad_cam), "--refs", "0", "--target", "1",
           "--out", str(tmp_path / "w")], os.path.join("views", "view_003", "camera.json")),
+        (["warp", "--scene", u8_rgb, "--refs", "0", "--target", "1", "--out", str(tmp_path / "w")],
+         os.path.join(view_3, "rgb.rnvt") + " holds uint8"),
+        (["analyze", "semcorr", "--scene", nan_depth],
+         os.path.join(view_3, "depth.rnvt") + " has values that are not finite"),
+        (["warp", "--scene", f64_labels, "--refs", "0", "--target", "1",
+          "--out", str(tmp_path / "w")], os.path.join(view_3, "labels.rnvt") + " holds float64"),
+        (["analyze", "semcorr", "--scene", big_cam], os.path.join(view_3, "camera.json") + " is 64x64"),
+        (["analyze", "semcorr", "--scene", small_rgb], "has shape (5, 5, 3)"),
+        (["warp", "--scene", hot_rgb, "--refs", "0", "--target", "1", "--out", str(tmp_path / "w")],
+         os.path.join(view_3, "rgb.rnvt") + " has values that are not in [0, 1]"),
     ]
     for argv, name in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -244,6 +273,41 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error:") and name in err
+
+
+# A flag value the library rejects where it first uses it: (argv with {scene}/{out}, field named)
+BAD_FLAG_VALUES = [
+    (["features", "--scene", "{scene}", "--out", "{out}", "--patch", "0"], "patch"),
+    (["warp", "--scene", "{scene}", "--refs", "0", "--target", "1", "--payload", "features",
+      "--out", "{out}", "--patch", "0"], "patch"),
+    (["condition", "--scene", "{scene}", "--refs", "0", "--target", "1", "--out", "{out}",
+      "--patch", "0"], "patch"),
+    (["analyze", "lds", "--scene", "{scene}", "--patch", "0"], "patch"),
+    (["features", "--scene", "{scene}", "--out", "{out}", "--c-red", "0"], "c_red"),
+    (["analyze", "corr", "--scene", "{scene}", "--queries", "0"], "num_queries"),
+    (["analyze", "semcorr", "--scene", "{scene}", "--queries", "0"], "num_queries"),
+    (["analyze", "corr", "--scene", "{scene}", "--queries", "-1"], "num_queries"),
+    (["analyze", "semcorr", "--scene", "{scene}", "--queries", "-1"], "num_queries"),
+    (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--hidden", "0"], "hidden"),
+    (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--c-red", "0"], "c_red"),
+    (["robustness", "--scene", "{scene}", "--out", "{out}", "--hidden", "0"], "hidden"),
+    (["robustness", "--scene", "{scene}", "--out", "{out}", "--c-red", "0"], "c_red"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--shading", "2"], "shading"),
+]
+
+
+@pytest.mark.parametrize("argv,field", BAD_FLAG_VALUES,
+                         ids=[" ".join([w for w in a[:2] if w[0] != "-"] + a[-2:])
+                              for a, _ in BAD_FLAG_VALUES])
+def test_bad_flag_values_exit_2(small_bundle, capsys, tmp_path, argv, field):
+    out = tmp_path / "out"
+    argv = [a.format(scene=small_bundle, out=out) for a in argv]
+    code, stdout, err = run_cli(capsys, "--seed", "1", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("input error:") and field in err
+    assert not out.exists()
 
 
 def test_probe_eval_checks_checkpoint_family(small_bundle, small_ckpt, capsys):

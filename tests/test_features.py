@@ -7,11 +7,12 @@ from renov.features import (ChannelReducer, FeatureFamily, concat_global_local, 
 from renov.geometry import FeatureGrid
 
 
-def test_family_channel_counts():
-    assert FeatureFamily("oracle_geom", num_freqs=4).channel_count == 27
-    assert FeatureFamily("appearance").channel_count == 18
-    assert FeatureFamily("random", channels=24).channel_count == 24
-    assert FeatureFamily("mixed", num_freqs=4).channel_count == 45
+def test_family_extracted_widths(scene_data):
+    view, p, transform = scene_data.views[0], scene_data.patch, scene_data.transform
+    assert extract_features(view, FeatureFamily("oracle_geom", num_freqs=4), p, transform).channels == 27
+    assert extract_features(view, FeatureFamily("appearance"), p).channels == 18
+    assert extract_features(view, FeatureFamily("random", channels=24), p).channels == 24
+    assert extract_features(view, FeatureFamily("mixed", num_freqs=4), p, transform).channels == 45
 
 
 def test_unknown_family_rejected():
@@ -164,7 +165,7 @@ def test_concat_rejects_all_invalid():
 def test_reducer_identity_hook():
     rng = np.random.default_rng(0)
     grid = FeatureGrid(rng.normal(size=(3, 3, 5)), 8, np.ones((3, 3), dtype=bool))
-    out = reduce_channels(grid, ChannelReducer.identity(5))
+    out = reduce_channels(grid, ChannelReducer(np.eye(5), seed=-1))
     np.testing.assert_array_equal(out.tokens, grid.tokens)
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from renov import bundle
-from renov.errors import InputError, NumericalError, StateError
+from renov.errors import InputError, NumericalError
 from renov.geometry import WarpedPlane
 from renov.probe import (ADAM_BETAS, ADAM_EPS, ProbeDecoder, TrainConfig, eval_probe, patchify,
-                         pixel_hole_mask, probe_backward, probe_forward, probe_loss, train_probe,
+                         pixel_hole_mask, probe_backward, probe_forward, train_probe,
                          unpatchify)
 
 # ---------------------------------------------------------------------------
@@ -29,9 +29,9 @@ def fd_param_grads(decoder, warped, target, h=1e-5):
         for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + h
-            up, _ = probe_loss(probe_forward(decoder, warped), target)
+            up = np.mean((probe_forward(decoder, warped) - target) ** 2)
             p[idx] = orig - h
-            dn, _ = probe_loss(probe_forward(decoder, warped), target)
+            dn = np.mean((probe_forward(decoder, warped) - target) ** 2)
             p[idx] = orig
             g[idx] = (up - dn) / (2 * h)
         grads[name] = g
@@ -109,26 +109,36 @@ def test_forward_channel_mismatch():
 # loss
 
 def test_loss_zero_for_equal():
-    a = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
-    loss, _ = probe_loss(a, a)
+    rng = np.random.default_rng(0)
+    dec, plane = small_decoder(), make_plane(rng)
+    loss, _ = probe_backward(dec, plane, probe_forward(dec, plane))
     assert loss == 0.0
 
 
 def test_loss_uniform_offset():
-    a = np.random.default_rng(1).uniform(0, 0.5, (8, 8, 3))
-    loss, _ = probe_loss(a, a + 0.1)
+    rng = np.random.default_rng(1)
+    dec, plane = small_decoder(), make_plane(rng)
+    loss, _ = probe_backward(dec, plane, probe_forward(dec, plane) + 0.1)
     assert loss == pytest.approx(0.01, abs=1e-12)
 
 
 def test_loss_matches_scalar_loop():
     rng = np.random.default_rng(2)
-    a = rng.uniform(0, 1, (6, 6, 3))
-    b = rng.uniform(0, 1, (6, 6, 3))
-    loss, _ = probe_loss(a, b)
+    dec, plane = small_decoder(), make_plane(rng)
+    a = probe_forward(dec, plane)
+    b = rng.uniform(0, 1, a.shape)
+    loss, _ = probe_backward(dec, plane, b)
     total = 0.0
     for x, y in zip(a.reshape(-1), b.reshape(-1)):
         total += (x - y) ** 2
     assert loss == pytest.approx(total / a.size, abs=1e-12)
+
+
+def test_loss_target_shape_checked():
+    rng = np.random.default_rng(3)
+    dec, plane = small_decoder(), make_plane(rng)
+    with pytest.raises(InputError, match="target"):
+        probe_backward(dec, plane, np.zeros((12, 16, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +149,7 @@ def test_gradients_match_finite_differences():
     dec = small_decoder(rng_seed=7)
     plane = make_plane(rng)
     target = rng.uniform(0, 1, (16, 16, 3))
-    pred, fwd = probe_forward(dec, plane, want_cache=True)
-    _, lcache = probe_loss(pred, target)
-    analytic = probe_backward(dec, fwd, lcache)
+    _, analytic = probe_backward(dec, plane, target)
     numeric = fd_param_grads(dec, plane, target)
     assert max_rel_error(analytic, numeric) <= 1e-4
 
@@ -151,9 +159,7 @@ def test_gradients_match_finite_differences_with_attention():
     dec = small_decoder(rng_seed=8, attn=True)
     plane = make_plane(rng)
     target = rng.uniform(0, 1, (16, 16, 3))
-    pred, fwd = probe_forward(dec, plane, want_cache=True)
-    _, lcache = probe_loss(pred, target)
-    analytic = probe_backward(dec, fwd, lcache)
+    _, analytic = probe_backward(dec, plane, target)
     numeric = fd_param_grads(dec, plane, target)
     assert max_rel_error(analytic, numeric) <= 1e-4
 
@@ -163,14 +169,10 @@ def test_mask_token_gradient_isolation():
     dec = small_decoder()
     plane = make_plane(rng, hole_prob=0.0)
     target = rng.uniform(0, 1, (16, 16, 3))
-    pred, fwd = probe_forward(dec, plane, want_cache=True)
-    _, lcache = probe_loss(pred, target)
-    grads = probe_backward(dec, fwd, lcache)
+    _, grads = probe_backward(dec, plane, target)
     np.testing.assert_array_equal(grads["mask_token"], 0.0)
     plane_holes = make_plane(rng, hole_prob=0.9)
-    pred, fwd = probe_forward(dec, plane_holes, want_cache=True)
-    _, lcache = probe_loss(pred, target)
-    assert np.any(probe_backward(dec, fwd, lcache)["mask_token"] != 0)
+    assert np.any(probe_backward(dec, plane_holes, target)[1]["mask_token"] != 0)
 
 
 def test_doubled_loss_doubles_gradients():
@@ -178,40 +180,39 @@ def test_doubled_loss_doubles_gradients():
     dec = small_decoder()
     plane = make_plane(rng)
     target = rng.uniform(0, 1, (16, 16, 3))
-    pred, fwd = probe_forward(dec, plane, want_cache=True)
-    _, lcache = probe_loss(pred, target)
-    g1 = probe_backward(dec, fwd, lcache)
-    # doubling MSE == doubling the residual-based upstream; emulate via target trick:
-    # L2(pred) = 2 * L(pred) has gradient 2 dL/dp exactly
-    lcache2 = type(lcache)(pred, target)
-    g2 = probe_backward(dec, fwd, lcache2)
+    loss1, g1 = probe_backward(dec, plane, target)
+    # the target mirrored through the prediction doubles the residual: the MSE
+    # quadruples and, the forward pass being the same, the gradients double
+    pred = probe_forward(dec, plane)
+    loss2, g2 = probe_backward(dec, plane, 2 * target - pred)
+    assert loss2 == pytest.approx(4 * loss1, rel=1e-12)
     for name in g1:
-        np.testing.assert_allclose(2 * g1[name], g2[name] + g1[name], atol=1e-15)
+        np.testing.assert_allclose(2 * g1[name], g2[name], atol=1e-15)
 
 
-def test_backward_stale_after_update():
+@pytest.mark.parametrize("attn", [False, True])
+def test_backward_is_stateless(attn):
     rng = np.random.default_rng(9)
-    dec = small_decoder()
+    dec = small_decoder(attn=attn)
     plane = make_plane(rng)
     target = rng.uniform(0, 1, (16, 16, 3))
-    pred, fwd = probe_forward(dec, plane, want_cache=True)
-    _, lcache = probe_loss(pred, target)
+    inputs = (plane.payload.copy(), plane.depth.copy(), plane.mask.copy(), target.copy())
+    probe_backward(dec, plane, target)
     dec.params["mlp_b2"] += 0.1
-    dec.bump_version()
-    with pytest.raises(StateError):
-        probe_backward(dec, fwd, lcache)
-
-
-def test_backward_foreign_loss_cache():
-    rng = np.random.default_rng(10)
-    dec = small_decoder()
-    plane = make_plane(rng)
-    target = rng.uniform(0, 1, (16, 16, 3))
-    _, fwd = probe_forward(dec, plane, want_cache=True)
-    pred2 = probe_forward(dec, plane)
-    _, lcache = probe_loss(pred2, target)  # not the cached forward's array
-    with pytest.raises(StateError):
-        probe_backward(dec, fwd, lcache)
+    params = {n: v.copy() for n, v in dec.params.items()}
+    fresh = ProbeDecoder(dec.patch_size, dec.c_in, dec.c_red, dec.hidden, dec.attn_enabled,
+                         {n: v.copy() for n, v in dec.params.items()})
+    loss, grads = probe_backward(dec, plane, target)
+    again_loss, again = probe_backward(dec, plane, target)
+    fresh_loss, fresh_grads = probe_backward(fresh, plane, target)
+    assert loss == again_loss == fresh_loss
+    assert grads.keys() == again.keys() == fresh_grads.keys() == set(dec.param_names)
+    for name in dec.param_names:
+        assert np.array_equal(grads[name], fresh_grads[name]), name
+        assert np.array_equal(grads[name], again[name]), name
+        assert np.array_equal(dec.params[name], params[name]), name
+    for before, after in zip(inputs, (plane.payload, plane.depth, plane.mask, target)):
+        assert np.array_equal(before, after)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +273,8 @@ def test_training_empty_dataset():
 def reference_train(dataset, cfg):
     """The per-parameter training loop train_probe must reproduce bit for bit.
 
-    probe_forward -> probe_loss -> probe_backward per sample, gradients summed
-    into fresh zero arrays, then textbook Adam on each parameter array.
+    probe_backward per sample, gradients summed into fresh zero arrays, then
+    textbook Adam on each parameter array.
     """
     warped0, target0 = dataset[0]
     patch = target0.shape[0] // warped0.payload.shape[0]
@@ -289,10 +290,9 @@ def reference_train(dataset, cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             for b in range(cfg.batch):
                 warped, target = dataset[(step * cfg.batch + b) % len(dataset)]
-                pred, fwd = probe_forward(decoder, warped, want_cache=True)
-                loss, lcache = probe_loss(pred, target)
+                loss, grads = probe_backward(decoder, warped, target)
                 step_loss += loss
-                for name, g in probe_backward(decoder, fwd, lcache).items():
+                for name, g in grads.items():
                     total[name] += g
         step_loss /= cfg.batch
         if not np.isfinite(step_loss):
@@ -306,7 +306,6 @@ def reference_train(dataset, cfg):
             m_hat = m_state[name] / (1 - b1**t)
             v_hat = v_state[name] / (1 - b2**t)
             decoder.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        decoder.bump_version()
     return decoder, curve
 
 
