@@ -89,6 +89,8 @@ def geometric_correspondence_score(
     """PCK@tau of feature matching from A into B, gated to visible queries."""
     if num_queries < 1:
         raise InputError(f"num_queries must be >= 1, got {num_queries}")
+    if tau < 0:
+        raise InputError(f"tau must be >= 0, got {tau}")
     p = grid_a.patch_size
     if grid_b.patch_size != p:
         raise InputError("grids must share one patch size")

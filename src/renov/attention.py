@@ -3,16 +3,27 @@
 Keys and values are row-concatenated as [target, ref_1, ..., ref_N]; a single
 softmax(q K^T / sqrt(d)) V is computed over the combined token axis.  Single
 head, deterministic row-wise reduction.  The backward pass is exact
-reverse-mode differentiation of the same expression.
+reverse-mode differentiation of the same expression, given the forward's
+softmax weights.  float32 inputs are computed in float32, all others in
+float64.  aggregated_attention and attention_backward check their inputs and
+run the unchecked kernels softmax_weights and attend_backward, which the
+probe's train step calls on its own buffers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericalError
+
+
+def _as_float(a) -> np.ndarray:
+    """a as a float32 array if it is one, else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -22,14 +33,13 @@ class AttentionBlockInput:
     ref_kv: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
+        q = _as_float(self.q)
         if q.ndim != 2 or q.shape[1] < 1:
             raise InputError(f"q must be (T_t, d) with d >= 1, got {q.shape}")
         object.__setattr__(self, "q", q)
-        tk, tv = (np.asarray(a, dtype=np.float64) for a in self.target_kv)
+        tk, tv = (_as_float(a) for a in self.target_kv)
         object.__setattr__(self, "target_kv", (tk, tv))
-        refs = tuple((np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64))
-                     for k, v in self.ref_kv)
+        refs = tuple((_as_float(k), _as_float(v)) for k, v in self.ref_kv)
         object.__setattr__(self, "ref_kv", refs)
         d = q.shape[1]
         d_v = tv.shape[1] if tv.ndim == 2 else -1
@@ -54,10 +64,19 @@ class AttentionBlockInput:
         return np.concatenate(ks, axis=0), np.concatenate(vs, axis=0)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax_weights(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise softmax(q k^T / sqrt(d)) written into out, which is returned."""
+    np.matmul(q, k.T, out=out)
+    out /= math.sqrt(q.shape[1])
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def _new_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """softmax_weights(q, k) into a new array."""
+    return softmax_weights(q, k, np.empty((q.shape[0], k.shape[0]), np.result_type(q, k)))
 
 
 def aggregated_attention(inp: AttentionBlockInput, return_weights: bool = False):
@@ -70,9 +89,7 @@ def aggregated_attention(inp: AttentionBlockInput, return_weights: bool = False)
     for name, arr in (("q", inp.q), ("k", k), ("v", v)):
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"non-finite values in attention input '{name}'")
-    d = inp.q.shape[1]
-    logits = inp.q @ k.T / np.sqrt(d)
-    weights = _softmax_rows(logits)
+    weights = _new_weights(inp.q, k)
     out = weights @ v
     if return_weights:
         return out, weights
@@ -86,22 +103,26 @@ class AttentionGrads:
     ref_kv: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def attention_backward(inp: AttentionBlockInput, upstream: np.ndarray) -> AttentionGrads:
-    """Exact gradients of aggregated_attention w.r.t. q and every key/value row."""
-    k, v = inp.stacked()
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (inp.q.shape[0], v.shape[1]):
-        raise InputError(
-            f"upstream gradient shape {upstream.shape} != output shape {(inp.q.shape[0], v.shape[1])}")
-    d = inp.q.shape[1]
-    scale = 1.0 / np.sqrt(d)
-    weights = _softmax_rows(inp.q @ k.T * scale)
+def attend_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, weights: np.ndarray,
+                    upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_q, d_k, d_v) of weights @ v, where weights = softmax_weights(q, k)."""
+    scale = 1.0 / math.sqrt(q.shape[1])
     d_v = weights.T @ upstream
     d_w = upstream @ v.T
     # softmax backward per row: dS = W * (dW - sum(dW * W))
     d_s = weights * (d_w - (d_w * weights).sum(axis=1, keepdims=True))
-    d_q = d_s @ k * scale
-    d_k = d_s.T @ inp.q * scale
+    return d_s @ k * scale, d_s.T @ q * scale, d_v
+
+
+def attention_backward(inp: AttentionBlockInput, upstream: np.ndarray) -> AttentionGrads:
+    """Exact gradients of aggregated_attention w.r.t. q and every key/value row."""
+    k, v = inp.stacked()
+    upstream = _as_float(upstream)
+    if upstream.shape != (inp.q.shape[0], v.shape[1]):
+        raise InputError(
+            f"upstream gradient shape {upstream.shape} != output shape {(inp.q.shape[0], v.shape[1])}")
+    weights = _new_weights(inp.q, k)
+    d_q, d_k, d_v = attend_backward(inp.q, k, v, weights, upstream)
     sizes = inp.view_sizes
     bounds = np.cumsum([0] + sizes)
     parts_k = [d_k[bounds[i]:bounds[i + 1]] for i in range(len(sizes))]

@@ -236,7 +236,7 @@ def _param_shapes(patch_size: int, c_in: int, c_red: int, hidden: int, attn_enab
 
 
 def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:
-    """The checkpoint's manifest and decoder; every parameter must have the manifest's shape."""
+    """The checkpoint's manifest and decoder; each parameter is finite f64 of the manifest's shape."""
     path = Path(path)
     mpath = path / "manifest.json"
     manifest = rnvt.read_json(mpath)
@@ -247,8 +247,12 @@ def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:
         raise InputError(f"{mpath}: field 'extra' must be an object")
     params = {}
     for name, shape in _param_shapes(**dims, attn_enabled=attn).items():
-        params[name] = rnvt.read_tensor(path / f"{name}.rnvt")
-        if params[name].shape != shape:
-            raise InputError(f"{path / f'{name}.rnvt'} has shape {params[name].shape}, "
-                             f"the manifest implies {shape}")
+        tensor = path / f"{name}.rnvt"
+        arr = params[name] = rnvt.read_tensor(tensor)
+        if arr.shape != shape:
+            raise InputError(f"{tensor} has shape {arr.shape}, the manifest implies {shape}")
+        if arr.dtype != np.float64:
+            raise InputError(f"{tensor} holds {arr.dtype}, expected float64")
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"{tensor} has values that are not finite")
     return manifest, ProbeDecoder(**dims, attn_enabled=attn, params=params)

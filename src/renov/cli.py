@@ -188,6 +188,8 @@ def cmd_condition(args) -> dict:
 
 def cmd_analyze(args) -> dict:
     seed = _seed_from(args)
+    if args.save_maps < 0:
+        raise InputError(f"--save-maps must be >= 0, got {args.save_maps}")
     data = _load_scene_data(args.scene, args.patch)
     family = scene_family(_family_from(args, seed), data.seed)
     out = Path(args.out) if args.out else None

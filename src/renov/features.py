@@ -44,8 +44,8 @@ class FeatureFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise InputError(f"unknown feature family '{self.kind}'")
-        if self.sigma < 0:
-            raise InputError("sigma must be non-negative")
+        if not 0 <= self.sigma < np.inf:
+            raise InputError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.channels < 1:
             raise InputError("random channel count must be >= 1")
 

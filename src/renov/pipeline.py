@@ -204,14 +204,17 @@ class ProbeProtocol:
         return 1 + max(max(*refs, tgt) for refs, tgt in pairs)
 
 
+def probe_dataset(data: SceneData, grids: list[FeatureGrid], proto: ProbeProtocol
+                  ) -> list[tuple[WarpedPlane, np.ndarray]]:
+    """The protocol's training warps, each pair thinned with its own seed, with their targets."""
+    return [(feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k), data.views[tgt].rgb)
+            for k, (refs, tgt, frac) in enumerate(proto.train_pairs)]
+
+
 def train_scene_probe(data: SceneData, grids: list[FeatureGrid], proto: ProbeProtocol,
                       cfg: TrainConfig) -> tuple[ProbeDecoder, list[float]]:
-    """Train a probe on the protocol's training warps, each pair thinned with its own seed."""
-    dataset = []
-    for k, (refs, tgt, frac) in enumerate(proto.train_pairs):
-        plane = feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k)
-        dataset.append((plane, data.views[tgt].rgb))
-    return train_probe(dataset, cfg)
+    """Train a probe on the protocol's training warps."""
+    return train_probe(probe_dataset(data, grids, proto), cfg)
 
 
 def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, grids: list[FeatureGrid],

@@ -7,6 +7,11 @@ Training minimizes plain MSE against the target image with Adam; gradients
 are exact reverse-mode and checked against finite differences in the tests.
 Predictions live in R during training and are clamped to [0, 1] only at
 evaluation time.
+
+train_probe computes in float32 and returns its parameters widened to
+float64; probe_forward, probe_backward and eval_probe compute in float64.
+All of them run the same per-sample code (_forward, _backward), so the
+gradient check of probe_backward covers the code that trains.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionBlockInput, aggregated_attention, attention_backward
+from .attention import attend_backward, softmax_weights
 from .errors import InputError, NumericalError
 from .geometry import WarpedPlane
 from .metrics import MetricReport, psnr, ssim
@@ -34,8 +39,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise InputError("steps must be >= 1")
-        if self.learning_rate < 0:
-            raise InputError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise InputError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch < 1:
             raise InputError("batch must be >= 1")
         if self.c_red < 1:
@@ -113,23 +118,27 @@ def unpatchify(tokens: np.ndarray, ht: int, wt: int, patch_size: int) -> np.ndar
 
 
 class _Workspace:
-    """Forward and backward buffers for one token grid shape.
+    """Forward and backward buffers of one dtype for one token grid shape.
 
     The training step keeps one per grid shape and reuses it for every
     sample; probe_forward and probe_backward make a fresh one per call.
     """
 
-    def __init__(self, ht: int, wt: int, decoder: ProbeDecoder):
+    def __init__(self, ht: int, wt: int, decoder: ProbeDecoder, dtype):
         t, c, h, p = ht * wt, decoder.c_red, decoder.hidden, decoder.patch_size
         out_dim = p * p * 3
-        self.r, self.d_m = np.empty((t, c)), np.empty((t, c))
-        self.a1, self.d_a1, self.tanh_grad = np.empty((t, h)), np.empty((t, h)), np.empty((t, h))
-        self.out, self.d_out = np.empty((t, out_dim)), np.empty((t, out_dim))
+
+        def new(*shape):
+            return np.empty(shape, dtype)
+
+        self.r, self.d_m = new(t, c), new(t, c)
+        self.a1, self.d_a1, self.tanh_grad = new(t, h), new(t, h), new(t, h)
+        self.out, self.d_out = new(t, out_dim), new(t, out_dim)
         self.m = self.r  # the MLP input: r, plus the attention output when attention is on
         if decoder.attn_enabled:
-            self.q, self.k, self.v = np.empty((t, c)), np.empty((t, c)), np.empty((t, c))
-            self.m, self.d_r, self.proj = np.empty((t, c)), np.empty((t, c)), np.empty((t, c))
-        self.attn_in: AttentionBlockInput | None = None
+            self.q, self.k, self.v = new(t, c), new(t, c), new(t, c)
+            self.m, self.d_r, self.proj = new(t, c), new(t, c), new(t, c)
+            self.weights = new(t, t)  # the forward's softmax weights, reused by the backward
         # pixel-order views for the loss: d_out and out as (Ht, P, Wt, P, 3) blocks
         self.residual_blocks = self.d_out.reshape(ht, wt, p, p, 3).transpose(0, 2, 1, 3, 4)
         self.sq_err = self.out.reshape(ht * p, wt * p, 3)
@@ -151,10 +160,10 @@ def _forward(decoder: ProbeDecoder, x: np.ndarray, holes: np.ndarray, ws: _Works
     r += p["reducer_b"]
     r[holes] = p["mask_token"]
     if decoder.attn_enabled:
-        ws.attn_in = AttentionBlockInput(
-            np.matmul(r, p["attn_wq"], out=ws.q),
-            (np.matmul(r, p["attn_wk"], out=ws.k), np.matmul(r, p["attn_wv"], out=ws.v)))
-        np.add(r, aggregated_attention(ws.attn_in), out=ws.m)
+        weights = softmax_weights(np.matmul(r, p["attn_wq"], out=ws.q),
+                                  np.matmul(r, p["attn_wk"], out=ws.k), ws.weights)
+        np.matmul(weights, np.matmul(r, p["attn_wv"], out=ws.v), out=ws.m)
+        ws.m += r
     a1 = np.matmul(ws.m, p["mlp_w1"], out=ws.a1)
     a1 += p["mlp_b1"]
     np.tanh(a1, out=a1)
@@ -185,12 +194,12 @@ def _backward(decoder: ProbeDecoder, x: np.ndarray, holes: np.ndarray, ws: _Work
 
     d_r = d_m
     if decoder.attn_enabled:
-        ag = attention_backward(ws.attn_in, d_m)  # residual: d_m flows to both r and attn
-        d_k, d_v = ag.target_kv
-        d_r = np.add(d_m, np.matmul(ag.q, p["attn_wq"].T, out=ws.d_r), out=ws.d_r)
+        # residual: d_m flows to both r and the attention output
+        d_q, d_k, d_v = attend_backward(ws.q, ws.k, ws.v, ws.weights, d_m)
+        d_r = np.add(d_m, np.matmul(d_q, p["attn_wq"].T, out=ws.d_r), out=ws.d_r)
         d_r += np.matmul(d_k, p["attn_wk"].T, out=ws.proj)
         d_r += np.matmul(d_v, p["attn_wv"].T, out=ws.proj)
-        np.matmul(ws.r.T, ag.q, out=grads["attn_wq"])
+        np.matmul(ws.r.T, d_q, out=grads["attn_wq"])
         np.matmul(ws.r.T, d_k, out=grads["attn_wk"])
         np.matmul(ws.r.T, d_v, out=grads["attn_wv"])
 
@@ -204,7 +213,7 @@ def probe_forward(decoder: ProbeDecoder, warped: WarpedPlane) -> np.ndarray:
     """Decode a token-resolution warped plane into an RGB image."""
     x, holes = _tokens(decoder, warped)
     ht, wt = warped.payload.shape[:2]
-    ws = _Workspace(ht, wt, decoder)
+    ws = _Workspace(ht, wt, decoder, np.float64)
     _forward(decoder, x, holes, ws)
     return unpatchify(ws.out, ht, wt, decoder.patch_size)
 
@@ -228,12 +237,13 @@ def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[st
     return views
 
 
-def _prepare(decoder: ProbeDecoder, dataset: list[tuple[WarpedPlane, np.ndarray]], n_used: int
-             ) -> list[_Sample]:
-    """The first n_used training pairs as _Samples; planes of one grid shape share a workspace.
+def _prepare(decoder: ProbeDecoder, dataset: list[tuple[WarpedPlane, np.ndarray]], n_used: int,
+             dtype) -> list[_Sample]:
+    """The first n_used training pairs as dtype _Samples; one workspace per grid shape.
 
-    Each distinct target array is patchified once.  The caller's arrays are
-    only read: x may be a view of a payload, and only buffers made here are written.
+    Each token matrix is cast to dtype once, and each distinct target array
+    is cast and patchified once.  The caller's arrays are only read: x may be
+    a view of a payload, and only buffers made here are written.
     """
     p = decoder.patch_size
     workspaces: dict[tuple[int, int], _Workspace] = {}
@@ -241,13 +251,14 @@ def _prepare(decoder: ProbeDecoder, dataset: list[tuple[WarpedPlane, np.ndarray]
     samples = []
     for warped, target in dataset[:n_used]:
         x, holes = _tokens(decoder, warped)
+        x = x.astype(dtype, copy=False)
         ht, wt = warped.payload.shape[:2]
         if np.shape(target) != (ht * p, wt * p, 3):
             raise InputError(f"prediction shape {(ht * p, wt * p, 3)} != target {np.shape(target)}")
         if (ht, wt) not in workspaces:
-            workspaces[ht, wt] = _Workspace(ht, wt, decoder)
+            workspaces[ht, wt] = _Workspace(ht, wt, decoder, dtype)
         if id(target) not in targets:  # the dataset keeps every target alive: no id is reused
-            targets[id(target)] = patchify(np.asarray(target, dtype=np.float64), p)
+            targets[id(target)] = patchify(np.asarray(target, dtype=dtype), p)
         samples.append(_Sample(x, holes, targets[id(target)], workspaces[ht, wt]))
     return samples
 
@@ -272,7 +283,7 @@ def probe_backward(decoder: ProbeDecoder, warped: WarpedPlane, target: np.ndarra
     Runs the training step's own per-sample code in float64 on a fresh
     workspace; the decoder and the inputs are only read.
     """
-    (sample,) = _prepare(decoder, [(warped, target)], 1)
+    (sample,) = _prepare(decoder, [(warped, target)], 1, np.float64)
     grads = {n: np.empty_like(decoder.params[n]) for n in decoder.param_names}
     return _sample_step(decoder, sample, grads), grads
 
@@ -286,13 +297,16 @@ def train_probe(
     Batches walk the dataset in fixed order; the step loss (and gradient) is
     the mean over the batch.  Deterministic in cfg.seed.
 
-    The parameters, the summed gradient and the Adam moments are each one
-    flat vector (decoder.params holds views of the parameter vector), and a
-    step writes its products into buffers made once per call (only the
-    attention functions allocate their own).  Every floating-point operation
-    is the one of the per-parameter loop over probe_backward with textbook
-    Adam, in the same order, so the parameters and the loss curve are
-    bit-identical to that loop's.
+    Everything is float32, from the initial parameters rounded to float32
+    on; the returned decoder holds the trained values widened exactly to
+    float64.  The parameters, the summed gradient and the Adam moments are
+    each one flat vector (decoder.params holds views of the parameter vector
+    while training), and a step writes its products into buffers made once
+    per call (only the attention backward allocates its own).  Every
+    floating-point operation is the one of the per-parameter loop over the
+    per-sample step with textbook Adam, in the same order, so the parameters
+    and the loss curve are bit-identical to that loop's run in float32.
+    A non-finite step loss or final parameter vector raises NumericalError.
     """
     if not dataset:
         raise InputError("train_probe needs a nonempty dataset")
@@ -304,44 +318,48 @@ def train_probe(
     if target0.shape[1] // wt != patch:
         raise InputError("non-square patches are not supported")
     decoder = ProbeDecoder.init(patch, warped0.payload.shape[2], cfg)
-    samples = _prepare(decoder, dataset, min(len(dataset), cfg.steps * cfg.batch))
+    samples = _prepare(decoder, dataset, min(len(dataset), cfg.steps * cfg.batch), np.float32)
 
     shapes = {n: decoder.params[n].shape for n in decoder.param_names}
-    theta = np.concatenate([decoder.params[n].ravel() for n in decoder.param_names])
+    theta = np.concatenate([decoder.params[n].ravel() for n in decoder.param_names],
+                           dtype=np.float32)
     decoder.params = _flat_views(theta, shapes)
     grad, m_state, v_state, tmp = (np.zeros_like(theta) for _ in range(4))
     sample_grads = _flat_views(tmp, shapes)
     b1, b2 = ADAM_BETAS
     curve: list[float] = []
-    for step in range(cfg.steps):
-        grad.fill(0.0)
-        step_loss = 0.0
-        # divergence surfaces as a non-finite loss below; suppress the
-        # intermediate overflow warnings on that path
-        with np.errstate(over="ignore", invalid="ignore"):
+    # divergence surfaces as a non-finite loss or final parameter vector;
+    # suppress the intermediate overflow warnings on that path
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            grad.fill(0.0)
+            step_loss = 0.0
             for b in range(cfg.batch):
                 s = samples[(step * cfg.batch + b) % len(samples)]
                 step_loss += _sample_step(decoder, s, sample_grads)
                 grad += tmp
-        step_loss /= cfg.batch
-        if not np.isfinite(step_loss):
-            raise NumericalError(f"training diverged: non-finite loss at step {step}")
-        curve.append(step_loss)
-        t = step + 1
-        grad /= cfg.batch
-        m_state *= b1
-        m_state += np.multiply(grad, 1 - b1, out=tmp)
-        v_state *= b2
-        np.square(grad, out=tmp)
-        tmp *= 1 - b2
-        v_state += tmp
-        m_hat = np.divide(m_state, 1 - b1**t, out=tmp)
-        denom = np.divide(v_state, 1 - b2**t, out=grad)  # the gradient is spent
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        m_hat *= cfg.learning_rate
-        m_hat /= denom
-        theta -= m_hat
+            step_loss /= cfg.batch
+            if not np.isfinite(step_loss):
+                raise NumericalError(f"training diverged: non-finite loss at step {step}")
+            curve.append(step_loss)
+            t = step + 1
+            grad /= cfg.batch
+            m_state *= b1
+            m_state += np.multiply(grad, 1 - b1, out=tmp)
+            v_state *= b2
+            np.square(grad, out=tmp)
+            tmp *= 1 - b2
+            v_state += tmp
+            m_hat = np.divide(m_state, 1 - b1**t, out=tmp)
+            denom = np.divide(v_state, 1 - b2**t, out=grad)  # the gradient is spent
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            m_hat *= cfg.learning_rate
+            m_hat /= denom
+            theta -= m_hat
+    if not np.all(np.isfinite(theta)):
+        raise NumericalError(f"training diverged: non-finite parameters after step {cfg.steps - 1}")
+    decoder.params = _flat_views(theta.astype(np.float64), shapes)
     return decoder, curve
 
 

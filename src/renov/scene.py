@@ -85,6 +85,9 @@ class SceneSpec:
     shading: float = 0.0
 
     def __post_init__(self):
+        if self.palette_size < 0 or self.palette_size == 1:
+            raise InputError("palette_size must be 0 or >= 2 (a texture draws two distinct "
+                             f"colors), got {self.palette_size}")
         if not 0.0 <= self.shading <= 1.0:
             raise InputError(f"shading must be in [0, 1], got {self.shading}")
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,14 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     big_cam = damaged_view("big_cam", "camera.json", lambda d: dict(d, width=64, height=64))
     small_rgb = damaged_view("small_rgb", "rgb.rnvt", lambda a: a[:5, :5])
     hot_rgb = damaged_view("hot_rgb", "rgb.rnvt", lambda a: a + np.float32(1.5))
+    nan_w1 = tmp_path / "nan_w1"
+    shutil.copytree(small_ckpt, nan_w1)
+    w1 = rnvt.read_tensor(nan_w1 / "mlp_w1.rnvt")
+    w1[0, 0] = np.nan
+    rnvt.write_tensor(nan_w1 / "mlp_w1.rnvt", w1)
+    u8_b1 = tmp_path / "u8_b1"
+    shutil.copytree(small_ckpt, u8_b1)
+    rnvt.write_tensor(u8_b1 / "mlp_b1.rnvt", np.zeros(128, dtype=np.uint8))
     evaluate = ["--seed", "1", "probe", "eval", "--scene", str(small_bundle), "--ckpt"]
     cases = [
         (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],
@@ -266,6 +275,8 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         (["analyze", "semcorr", "--scene", small_rgb], "has shape (5, 5, 3)"),
         (["warp", "--scene", hot_rgb, "--refs", "0", "--target", "1", "--out", str(tmp_path / "w")],
          os.path.join(view_3, "rgb.rnvt") + " has values that are not in [0, 1]"),
+        (evaluate + [str(nan_w1)], "mlp_w1.rnvt has values that are not finite"),
+        (evaluate + [str(u8_b1)], "mlp_b1.rnvt holds uint8, expected float64"),
     ]
     for argv, name in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -293,6 +304,17 @@ BAD_FLAG_VALUES = [
     (["robustness", "--scene", "{scene}", "--out", "{out}", "--hidden", "0"], "hidden"),
     (["robustness", "--scene", "{scene}", "--out", "{out}", "--c-red", "0"], "c_red"),
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--shading", "2"], "shading"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--palette", "-1"],
+     "palette_size"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--palette", "1"],
+     "palette_size"),
+    (["analyze", "corr", "--scene", "{scene}", "--tau", "-1"], "tau"),
+    (["analyze", "semcorr", "--scene", "{scene}", "--out", "{out}", "--save-maps", "-1"],
+     "--save-maps"),
+    (["analyze", "lds", "--scene", "{scene}", "--family", "oracle_geom", "--sigma", "nan"], "sigma"),
+    (["features", "--scene", "{scene}", "--out", "{out}", "--sigma", "inf"], "sigma"),
+    (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--lr", "nan"], "learning_rate"),
+    (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--lr", "inf"], "learning_rate"),
 ]
 
 
@@ -433,12 +455,19 @@ def test_exit_code_2_on_degenerate_camera(small_bundle, capsys, tmp_path):
 
 
 def test_exit_code_3_on_diverging_training(small_bundle, capsys, tmp_path):
-    code, out, err = run_cli(capsys, "--seed", "1", "probe", "train", "--scene", str(small_bundle),
-                             "--ckpt", str(tmp_path / "ck"), "--steps", "20", "--lr", "1e200")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("numerical error:") and "non-finite loss at step" in err
-    assert not (tmp_path / "ck").exists()
+    # a later step sees a non-finite loss; a one-step run only non-finite parameters
+    for steps, message in (("20", "non-finite loss at step"),
+                           ("1", "non-finite parameters after step 0")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the one-line message is the only report
+            code, out, err = run_cli(capsys, "--seed", "1", "probe", "train", "--scene",
+                                     str(small_bundle), "--ckpt", str(tmp_path / "ck"),
+                                     "--steps", steps, "--lr", "1e200")
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("numerical error:") and message in err
+        assert not (tmp_path / "ck").exists()
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

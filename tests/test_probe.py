@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from renov import bundle
+from renov import bundle, pipeline
 from renov.errors import InputError, NumericalError
+from renov.features import FeatureFamily
 from renov.geometry import WarpedPlane
-from renov.probe import (ADAM_BETAS, ADAM_EPS, ProbeDecoder, TrainConfig, eval_probe, patchify,
-                         pixel_hole_mask, probe_backward, probe_forward, train_probe,
-                         unpatchify)
+from renov.probe import (ADAM_BETAS, ADAM_EPS, ProbeDecoder, TrainConfig, _prepare, _sample_step,
+                         eval_probe, patchify, pixel_hole_mask, probe_backward, probe_forward,
+                         train_probe, unpatchify)
 
 # ---------------------------------------------------------------------------
 # helpers / oracles
@@ -241,7 +244,9 @@ def test_zero_learning_rate_flat():
     before = ProbeDecoder.init(4, 5, cfg).params
     decoder, curve = train_probe(data, cfg)
     for name, val in decoder.params.items():
-        np.testing.assert_array_equal(val, before[name])
+        assert val.dtype == np.float64
+        # training starts from the init rounded to float32 and returns it widened
+        np.testing.assert_array_equal(val, before[name].astype(np.float32))
     # curve repeats the per-batch losses cyclically
     assert curve[0] == pytest.approx(curve[2], abs=1e-15)
 
@@ -270,43 +275,66 @@ def test_training_empty_dataset():
         train_probe([], TrainConfig())
 
 
-def reference_train(dataset, cfg):
-    """The per-parameter training loop train_probe must reproduce bit for bit.
+def sample_backward(decoder, warped, target, dtype):
+    """probe_backward's per-sample code run in dtype (probe_backward runs it in float64)."""
+    (sample,) = _prepare(decoder, [(warped, target)], 1, dtype)
+    grads = {n: np.empty_like(decoder.params[n]) for n in decoder.param_names}
+    return _sample_step(decoder, sample, grads), grads
 
-    probe_backward per sample, gradients summed into fresh zero arrays, then
-    textbook Adam on each parameter array.
+
+def reference_train(dataset, cfg, dtype=np.float32):
+    """The per-parameter training loop train_probe must reproduce bit for bit in float32.
+
+    The init rounded to dtype, the per-sample step in dtype, gradients summed
+    into fresh zero arrays, then textbook Adam on each parameter array.
     """
     warped0, target0 = dataset[0]
     patch = target0.shape[0] // warped0.payload.shape[0]
     decoder = ProbeDecoder.init(patch, warped0.payload.shape[2], cfg)
     names = decoder.param_names
+    decoder.params = {n: decoder.params[n].astype(dtype) for n in names}
     m_state = {n: np.zeros_like(decoder.params[n]) for n in names}
     v_state = {n: np.zeros_like(decoder.params[n]) for n in names}
     b1, b2 = ADAM_BETAS
     curve = []
-    for step in range(cfg.steps):
-        total = {n: np.zeros_like(decoder.params[n]) for n in names}
-        step_loss = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            total = {n: np.zeros_like(decoder.params[n]) for n in names}
+            step_loss = 0.0
             for b in range(cfg.batch):
                 warped, target = dataset[(step * cfg.batch + b) % len(dataset)]
-                loss, grads = probe_backward(decoder, warped, target)
+                loss, grads = sample_backward(decoder, warped, target, dtype)
                 step_loss += loss
                 for name, g in grads.items():
                     total[name] += g
-        step_loss /= cfg.batch
-        if not np.isfinite(step_loss):
-            raise NumericalError(f"training diverged: non-finite loss at step {step}")
-        curve.append(step_loss)
-        t = step + 1
-        for name in names:
-            g = total[name] / cfg.batch
-            m_state[name] = b1 * m_state[name] + (1 - b1) * g
-            v_state[name] = b2 * v_state[name] + (1 - b2) * g**2
-            m_hat = m_state[name] / (1 - b1**t)
-            v_hat = v_state[name] / (1 - b2**t)
-            decoder.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            step_loss /= cfg.batch
+            if not np.isfinite(step_loss):
+                raise NumericalError(f"training diverged: non-finite loss at step {step}")
+            curve.append(step_loss)
+            t = step + 1
+            for name in names:
+                g = total[name] / cfg.batch
+                m_state[name] = b1 * m_state[name] + (1 - b1) * g
+                v_state[name] = b2 * v_state[name] + (1 - b2) * g**2
+                m_hat = m_state[name] / (1 - b1**t)
+                v_hat = v_state[name] / (1 - b2**t)
+                decoder.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not all(np.all(np.isfinite(decoder.params[n])) for n in names):
+        raise NumericalError(
+            f"training diverged: non-finite parameters after step {cfg.steps - 1}")
     return decoder, curve
+
+
+def test_sample_backward_in_float64_is_probe_backward():
+    rng = np.random.default_rng(39)
+    dec = small_decoder(attn=True)
+    plane, target = make_plane(rng), rng.uniform(0, 1, (16, 16, 3))
+    loss, grads = probe_backward(dec, plane, target)
+    ref_loss, ref_grads = sample_backward(dec, plane, target, np.float64)
+    assert loss == ref_loss
+    for name in dec.param_names:
+        assert grads[name].dtype == np.float64
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def _reference_dataset(rng, n=15, patch=4, c=6):
@@ -337,6 +365,8 @@ def test_train_probe_matches_reference_loop(attn, batch, steps):
     dec, curve = train_probe(data, cfg)
     assert dec.param_names == ref.param_names
     for name in ref.param_names:
+        assert ref.params[name].dtype == np.float32
+        assert dec.params[name].dtype == np.float64
         assert np.array_equal(dec.params[name], ref.params[name]), name
     assert curve == ref_curve
     assert all(type(v) is float for v in curve)
@@ -352,6 +382,33 @@ def test_train_probe_diverges_where_reference_does(attn):
     with pytest.raises(NumericalError) as err:
         train_probe(data, cfg)
     assert str(err.value) == str(ref_err.value)
+
+
+@pytest.mark.parametrize("attn", [False, True])
+def test_train_probe_rejects_nonfinite_final_parameters(attn):
+    """A last Adam update that overflows float32 leaves no loss to catch it: theta is checked."""
+    data = _reference_dataset(np.random.default_rng(41))
+    cfg = TrainConfig(steps=1, learning_rate=1e200, batch=2, seed=0, attn_enabled=attn,
+                      hidden=8, c_red=5)
+    with pytest.raises(NumericalError) as ref_err:
+        reference_train(data, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported by the error alone
+        with pytest.raises(NumericalError, match="non-finite parameters after step 0") as err:
+            train_probe(data, cfg)
+    assert str(err.value) == str(ref_err.value)
+
+
+def test_float32_loss_curve_tracks_float64():
+    """Training in float32 follows the float64 loss curve at the benchmark shapes."""
+    data = pipeline.render_scene_data(0, pipeline.SuiteConfig())
+    grids = pipeline.unified_grids(data, FeatureFamily("mixed"))
+    dataset = pipeline.probe_dataset(data, grids, pipeline.ProbeProtocol.fixed_target())
+    cfg = TrainConfig(steps=300, batch=4, seed=0, hidden=128, c_red=32)
+    _, curve32 = train_probe(dataset, cfg)
+    _, curve64 = reference_train(dataset, cfg, np.float64)
+    assert curve32[-1] < 0.5 * curve32[0]  # it trains
+    np.testing.assert_allclose(curve32, curve64, rtol=1e-4)
 
 
 @pytest.mark.parametrize("attn", [False, True])
