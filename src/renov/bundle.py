@@ -27,7 +27,7 @@ from .encoding import NormalizationTransform
 from .errors import InputError, NumericalError
 from .features import ChannelReducer, FeatureFamily
 from .geometry import FeatureGrid, Pointmap
-from .probe import ATTN_PARAMS, ProbeDecoder
+from .probe import ProbeDecoder, param_shapes
 from .scene import RenderedView, SceneSpec, SyntheticScene
 
 SCENE_FORMAT = "renov-scene"
@@ -56,7 +56,7 @@ def _field(path: Path, doc, name: str, parse):
     """parse(doc[name]); a missing or mistyped field is an InputError naming the file and field."""
     try:
         return parse(doc[name])
-    except (KeyError, TypeError, ValueError) as e:  # InputError is a ValueError
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # InputError is a ValueError
         raise InputError(f"{path}: field '{name}' is missing or malformed "
                          f"({type(e).__name__}: {e})") from e
 
@@ -132,7 +132,7 @@ def load_scene_bundle(bundle: Path) -> tuple[dict, list[RenderedView]]:
         camera_doc = rnvt.read_json(vdir / "camera.json")
         try:
             camera = CameraPose.from_dict(camera_doc)
-        except (KeyError, TypeError, ValueError, NumericalError) as e:  # a damaged file, not a bad run
+        except (KeyError, TypeError, ValueError, OverflowError, NumericalError) as e:  # a damaged file
             raise InputError(f"{vdir / 'camera.json'}: {e}") from e
         h, w = camera.height, camera.width
         rgb = _view_tensor(vdir, "rgb", np.float32, (h, w, 3))
@@ -164,8 +164,8 @@ def save_feature_set(
     family: FeatureFamily,
     patch_size: int,
     local_grids: list[FeatureGrid],
-    reduced_grids: list[FeatureGrid] | None = None,
-    reducer: ChannelReducer | None = None,
+    reduced_grids: list[FeatureGrid],
+    reducer: ChannelReducer,
 ) -> None:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,32 +173,27 @@ def save_feature_set(
         "family": family.to_dict(),
         "patch_size": patch_size,
         "n_views": len(local_grids),
-        "c_local": local_grids[0].channels if local_grids else 0,
-        "c_reduced": reduced_grids[0].channels if reduced_grids else None,
-        "reducer_seed": reducer.seed if reducer else None,
+        "c_local": local_grids[0].channels,
+        "c_reduced": reduced_grids[0].channels,
+        "reducer_seed": reducer.seed,
     }
     rnvt.write_json(out / "manifest.json", manifest)
-    for i, grid in enumerate(local_grids):
-        rnvt.write_tensor(out / f"local_{i:03d}.rnvt", grid.tokens.astype(np.float64))
-        rnvt.write_tensor(out / f"valid_{i:03d}.rnvt", grid.valid.astype(np.uint8))
-    if reduced_grids:
-        for i, grid in enumerate(reduced_grids):
-            rnvt.write_tensor(out / f"reduced_{i:03d}.rnvt", grid.tokens.astype(np.float64))
+    for i, (local, reduced) in enumerate(zip(local_grids, reduced_grids, strict=True)):
+        rnvt.write_tensor(out / f"local_{i:03d}.rnvt", local.tokens.astype(np.float64))
+        rnvt.write_tensor(out / f"valid_{i:03d}.rnvt", local.valid.astype(np.uint8))
+        rnvt.write_tensor(out / f"reduced_{i:03d}.rnvt", reduced.tokens.astype(np.float64))
 
 
-def load_feature_set(path: Path) -> tuple[dict, list[FeatureGrid], list[FeatureGrid] | None]:
+def load_feature_set(path: Path) -> tuple[dict, list[FeatureGrid], list[FeatureGrid]]:
     path = Path(path)
     manifest = rnvt.read_json(path / "manifest.json")
     p = _field(path / "manifest.json", manifest, "patch_size", _positive)
     local, reduced = [], []
     for i in range(_field(path / "manifest.json", manifest, "n_views", _positive)):
-        tokens = rnvt.read_tensor(path / f"local_{i:03d}.rnvt")
         valid = rnvt.read_tensor(path / f"valid_{i:03d}.rnvt").astype(bool)
-        local.append(FeatureGrid(tokens, p, valid))
-        rpath = path / f"reduced_{i:03d}.rnvt"
-        if rpath.exists():
-            reduced.append(FeatureGrid(rnvt.read_tensor(rpath), p, valid))
-    return manifest, local, (reduced if reduced else None)
+        local.append(FeatureGrid(rnvt.read_tensor(path / f"local_{i:03d}.rnvt"), p, valid))
+        reduced.append(FeatureGrid(rnvt.read_tensor(path / f"reduced_{i:03d}.rnvt"), p, valid))
+    return manifest, local, reduced
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +218,6 @@ def save_decoder(out: Path, decoder: ProbeDecoder, extra: dict | None = None) ->
         rnvt.write_tensor(out / f"{name}.rnvt", decoder.params[name].astype(np.float64))
 
 
-def _param_shapes(patch_size: int, c_in: int, c_red: int, hidden: int, attn_enabled: bool
-                  ) -> dict[str, tuple[int, ...]]:
-    """Shape of each decoder parameter, in ProbeDecoder.param_names order."""
-    out_dim = patch_size * patch_size * 3
-    shapes = {"mask_token": (c_red,), "reducer_w": (c_in, c_red), "reducer_b": (c_red,)}
-    if attn_enabled:
-        shapes.update({name: (c_red, c_red) for name in ATTN_PARAMS})
-    shapes.update({"mlp_w1": (c_red, hidden), "mlp_b1": (hidden,),
-                   "mlp_w2": (hidden, out_dim), "mlp_b2": (out_dim,)})
-    return shapes
-
-
 def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:
     """The checkpoint's manifest and decoder; each parameter is finite f64 of the manifest's shape."""
     path = Path(path)
@@ -246,7 +229,7 @@ def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:
     if not isinstance(manifest.get("extra", {}), dict):
         raise InputError(f"{mpath}: field 'extra' must be an object")
     params = {}
-    for name, shape in _param_shapes(**dims, attn_enabled=attn).items():
+    for name, shape in param_shapes(**dims, attn_enabled=attn).items():
         tensor = path / f"{name}.rnvt"
         arr = params[name] = rnvt.read_tensor(tensor)
         if arr.shape != shape:

@@ -36,6 +36,13 @@ class CameraPose:
         object.__setattr__(self, "world_to_camera", m)
         if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
             raise InputError("world_to_camera bottom row must be (0,0,0,1)")
+        for name in ("fx", "fy", "cx", "cy"):
+            if not np.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise InputError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.width <= 0 or self.height <= 0:
@@ -105,8 +112,8 @@ class CameraPose:
             float(d["fy"]),
             float(d["cx"]),
             float(d["cy"]),
-            int(d["width"]),
-            int(d["height"]),
+            d["width"],
+            d["height"],
         )
 
 

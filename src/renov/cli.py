@@ -24,7 +24,8 @@ from .encoding import (FourierConfig, build_reference_condition, build_target_co
 from .errors import InputError, NumericalError
 from .features import ChannelReducer, FeatureFamily, concat_global_local, extract_features, reduce_channels
 from .geometry import token_anchors
-from .pipeline import (ProbeProtocol, SceneData, available_cpus, condition_grids, eval_scene_probe,
+from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, SCENE_SPEC, ProbeProtocol,
+                       SceneData, SuiteConfig, available_cpus, condition_grids, eval_scene_probe,
                        feature_warp, reduced_grids, rgb_warp, robustness_scene_run, scene_family,
                        train_scene_probe, unified_grids)
 from .probe import TrainConfig
@@ -309,7 +310,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=0.0, help="oracle noise scale")
     p.add_argument("--freqs", type=int, default=4, help="oracle embedding depth")
     p.add_argument("--channels", type=int, default=24, help="random family width")
-    p.add_argument("--patch", type=int, default=8)
+    p.add_argument("--patch", type=int, default=PATCH)
 
 
 def _add_reducer_flags(p: argparse.ArgumentParser) -> None:
@@ -334,15 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scene-gen", help="generate and render a scene bundle")
-    p.add_argument("--views", type=int, default=16)
-    p.add_argument("--res", default="64x64")
+    p.add_argument("--views", type=int, default=SuiteConfig.n_views)
+    p.add_argument("--res", default=f"{SuiteConfig.res}x{SuiteConfig.res}")
     p.add_argument("--out", required=True)
-    p.add_argument("--radius", type=float, default=6.0)
-    p.add_argument("--fov", type=float, default=55.0)
-    p.add_argument("--span", type=float, default=60.0)
-    p.add_argument("--quads", type=int, default=6)
-    p.add_argument("--palette", type=int, default=0)
-    p.add_argument("--shading", type=float, default=0.5)
+    p.add_argument("--radius", type=float, default=ARC_RADIUS)
+    p.add_argument("--fov", type=float, default=ARC_FOV_DEG)
+    p.add_argument("--span", type=float, default=ARC_SPAN_DEG)
+    p.add_argument("--quads", type=int, default=SCENE_SPEC.n_quads)
+    p.add_argument("--palette", type=int, default=SCENE_SPEC.palette_size)
+    p.add_argument("--shading", type=float, default=SCENE_SPEC.shading)
     p.set_defaults(func=cmd_scene_gen)
 
     p = sub.add_parser("features", help="extract a feature family over a bundle")

@@ -64,6 +64,8 @@ class NormalizationTransform:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64).reshape(3)
         half = np.asarray(self.half_extent, dtype=np.float64).reshape(3)
+        if not np.all(np.isfinite(center) & np.isfinite(half)):
+            raise InputError(f"center and half_extent must be finite, got {center} and {half}")
         if np.any(half <= 0):
             raise InputError(f"half_extent must be strictly positive, got {half}")
         object.__setattr__(self, "center", center)

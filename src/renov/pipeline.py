@@ -34,19 +34,19 @@ from .probe import ProbeDecoder, TrainConfig, eval_probe, train_probe
 from .scene import RenderedView, SceneSpec, generate_scene, make_camera_arc, render_view
 
 
+PATCH = 8  # token patch size, in pixels
+ARC_RADIUS = 6.0
+ARC_FOV_DEG = 55.0
+ARC_SPAN_DEG = 60.0
+SCENE_SPEC = SceneSpec(n_quads=6, palette_size=0, shading=0.5)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Scene/arc geometry shared by the evaluation protocols."""
+    """The suite scene's image size and arc length; the constants above fix the rest."""
 
     res: int = 64
-    patch: int = 8
     n_views: int = 16
-    radius: float = 6.0
-    fov_deg: float = 55.0
-    span_deg: float = 60.0
-    n_quads: int = 6
-    palette_size: int = 0
-    shading: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,12 @@ class SceneData:
 
 
 def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
-    scene = generate_scene(seed, SceneSpec(n_quads=cfg.n_quads, palette_size=cfg.palette_size,
-                                           shading=cfg.shading))
-    cams = make_camera_arc(scene, cfg.n_views, cfg.radius, cfg.fov_deg,
-                           (cfg.res, cfg.res), cfg.span_deg)
+    scene = generate_scene(seed, SCENE_SPEC)
+    cams = make_camera_arc(scene, cfg.n_views, ARC_RADIUS, ARC_FOV_DEG, (cfg.res, cfg.res),
+                           ARC_SPAN_DEG)
     views = [render_view(scene, c) for c in cams]
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
-    return SceneData(seed, views, transform, cfg.patch)
+    return SceneData(seed, views, transform, PATCH)
 
 
 def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
@@ -90,6 +89,21 @@ def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int, reducer_se
     return [reduce_channels(g, reducer) for g in grids], reducer
 
 
+def _warp(data: SceneData, refs: tuple[int, ...], target: int, scale: int, remove_frac: float,
+          remove_seed: int, cloud_of) -> WarpedPlane:
+    """z-buffer cloud_of(the reference pointmaps) into the target camera at 1/scale resolution.
+
+    remove_frac drops that fraction of the cloud (seeded, nested) before rasterization.
+    """
+    if not refs:
+        raise InputError("need at least one reference view")
+    cloud = cloud_of([data.views[i].pointmap for i in refs])
+    if remove_frac > 0:
+        cloud = subsample_points(cloud, 1.0 - remove_frac, remove_seed)
+    cam = data.views[target].camera.scaled(scale)
+    return rasterize(cloud, cam, (cam.width, cam.height))
+
+
 def feature_warp(
     data: SceneData,
     grids: list[FeatureGrid],
@@ -98,19 +112,9 @@ def feature_warp(
     remove_frac: float = 0.0,
     remove_seed: int = 0,
 ) -> WarpedPlane:
-    """Warp reference-view tokens into the target camera at token resolution.
-
-    remove_frac drops that fraction of the aggregated cloud (seeded, nested)
-    before rasterization.
-    """
-    if not refs:
-        raise InputError("need at least one reference view")
-    cloud = token_feature_cloud([grids[i] for i in refs],
-                                [data.views[i].pointmap for i in refs])
-    if remove_frac > 0:
-        cloud = subsample_points(cloud, 1.0 - remove_frac, remove_seed)
-    cam_tok = data.views[target].camera.scaled(data.patch)
-    return rasterize(cloud, cam_tok, (cam_tok.width, cam_tok.height))
+    """Warp reference-view tokens into the target camera at token resolution."""
+    return _warp(data, refs, target, data.patch, remove_frac, remove_seed,
+                 lambda pms: token_feature_cloud([grids[i] for i in refs], pms))
 
 
 def rgb_warp(
@@ -121,14 +125,8 @@ def rgb_warp(
     remove_seed: int = 0,
 ) -> WarpedPlane:
     """Full-resolution RGB warp of reference pixels into the target camera."""
-    if not refs:
-        raise InputError("need at least one reference view")
-    cloud = aggregate_pointmaps([data.views[i].pointmap for i in refs],
-                                [data.views[i].rgb for i in refs])
-    if remove_frac > 0:
-        cloud = subsample_points(cloud, 1.0 - remove_frac, remove_seed)
-    cam = data.views[target].camera
-    return rasterize(cloud, cam, (cam.width, cam.height))
+    return _warp(data, refs, target, 1, remove_frac, remove_seed,
+                 lambda pms: aggregate_pointmaps(pms, [data.views[i].rgb for i in refs]))
 
 
 def condition_grids(data: SceneData, grids_red: list[FeatureGrid]) -> list[FeatureGrid]:
@@ -233,13 +231,11 @@ def probe_scene_run(
     family: FeatureFamily,
     cfg: TrainConfig,
     proto: ProbeProtocol,
-    eval_remove: float = 0.0,
-    remove_seed: int = 0,
 ):
-    """Train a per-scene probe on warped tokens and evaluate held-out cases."""
+    """Train a per-scene probe on warped tokens and evaluate its held-out cases."""
     grids = unified_grids(data, family)
     decoder, curve = train_scene_probe(data, grids, proto, cfg)
-    report = eval_scene_probe(decoder, data, grids, proto.eval_cases, eval_remove, remove_seed)
+    report = eval_scene_probe(decoder, data, grids, proto.eval_cases, 0.0, 0)
     return decoder, curve, report
 
 
@@ -297,8 +293,9 @@ def _map_scenes(job, seeds: list[int]) -> list:
 
 
 def _probe_scene_report(family: FeatureFamily, cfg: TrainConfig, suite: SuiteConfig,
-                        proto: ProbeProtocol, seed: int) -> dict:
-    return probe_scene_run(render_scene_data(seed, suite), family, cfg, proto)[2]
+                        seed: int) -> dict:
+    data = render_scene_data(seed, suite)
+    return probe_scene_run(data, family, cfg, ProbeProtocol.fixed_target())[2]
 
 
 def family_suite_psnr(
@@ -306,11 +303,9 @@ def family_suite_psnr(
     family: FeatureFamily,
     cfg: TrainConfig,
     suite: SuiteConfig,
-    proto: ProbeProtocol | None = None,
 ) -> dict:
     """Mean probe PSNR over a suite of scenes, per view count and overall."""
-    proto = proto or ProbeProtocol.fixed_target()
-    reports = _map_scenes(partial(_probe_scene_report, family, cfg, suite, proto), seeds)
+    reports = _map_scenes(partial(_probe_scene_report, family, cfg, suite), seeds)
     per_scene = [report["mean_psnr"] for report in reports]
     by_views: dict[str, list[float]] = {}
     for report in reports:

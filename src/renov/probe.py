@@ -54,6 +54,18 @@ ADAM_EPS = 1e-8
 ATTN_PARAMS = ("attn_wq", "attn_wk", "attn_wv")
 
 
+def param_shapes(patch_size: int, c_in: int, c_red: int, hidden: int, attn_enabled: bool
+                 ) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each decoder parameter, in initialization and checkpoint order."""
+    out_dim = patch_size * patch_size * 3
+    shapes = {"mask_token": (c_red,), "reducer_w": (c_in, c_red), "reducer_b": (c_red,)}
+    if attn_enabled:
+        shapes.update({name: (c_red, c_red) for name in ATTN_PARAMS})
+    shapes.update({"mlp_w1": (c_red, hidden), "mlp_b1": (hidden,),
+                   "mlp_w2": (hidden, out_dim), "mlp_b2": (out_dim,)})
+    return shapes
+
+
 @dataclass
 class ProbeDecoder:
     patch_size: int
@@ -65,31 +77,29 @@ class ProbeDecoder:
 
     @classmethod
     def init(cls, patch_size: int, c_in: int, cfg: TrainConfig) -> "ProbeDecoder":
+        """Matrices are normal / sqrt(fan-in), the mask token 0.1 * normal, biases zero.
+
+        Draws in param_shapes order from a generator seeded with cfg.seed.
+        """
         rng = np.random.default_rng(cfg.seed)
-        c_red, hidden = cfg.c_red, cfg.hidden
-        out_dim = patch_size * patch_size * 3
-        params = {
-            "mask_token": 0.1 * rng.standard_normal(c_red),
-            "reducer_w": rng.standard_normal((c_in, c_red)) / np.sqrt(c_in),
-            "reducer_b": np.zeros(c_red),
-        }
-        if cfg.attn_enabled:
-            for name in ATTN_PARAMS:
-                params[name] = rng.standard_normal((c_red, c_red)) / np.sqrt(c_red)
-        params.update({
-            "mlp_w1": rng.standard_normal((c_red, hidden)) / np.sqrt(c_red),
-            "mlp_b1": np.zeros(hidden),
-            "mlp_w2": rng.standard_normal((hidden, out_dim)) / np.sqrt(hidden),
-            "mlp_b2": np.zeros(out_dim),
-        })
-        return cls(patch_size, c_in, c_red, hidden, cfg.attn_enabled, params)
+        params = {}
+        for name, shape in param_shapes(patch_size, c_in, cfg.c_red, cfg.hidden,
+                                        cfg.attn_enabled).items():
+            if name == "mask_token":
+                params[name] = 0.1 * rng.standard_normal(shape)
+            elif len(shape) == 2:
+                params[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
+            else:
+                params[name] = np.zeros(shape)
+        return cls(patch_size, c_in, cfg.c_red, cfg.hidden, cfg.attn_enabled, params)
+
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return param_shapes(self.patch_size, self.c_in, self.c_red, self.hidden, self.attn_enabled)
 
     @property
     def param_names(self) -> list[str]:
-        names = ["mask_token", "reducer_w", "reducer_b"]
-        if self.attn_enabled:
-            names += list(ATTN_PARAMS)
-        return names + ["mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"]
+        return list(self.shapes)
 
     @property
     def n_params(self) -> int:
@@ -320,9 +330,8 @@ def train_probe(
     decoder = ProbeDecoder.init(patch, warped0.payload.shape[2], cfg)
     samples = _prepare(decoder, dataset, min(len(dataset), cfg.steps * cfg.batch), np.float32)
 
-    shapes = {n: decoder.params[n].shape for n in decoder.param_names}
-    theta = np.concatenate([decoder.params[n].ravel() for n in decoder.param_names],
-                           dtype=np.float32)
+    shapes = decoder.shapes
+    theta = np.concatenate([decoder.params[n].ravel() for n in shapes], dtype=np.float32)
     decoder.params = _flat_views(theta, shapes)
     grad, m_state, v_state, tmp = (np.zeros_like(theta) for _ in range(4))
     sample_grads = _flat_views(tmp, shapes)

@@ -7,7 +7,7 @@ from renov.pipeline import SceneData, SuiteConfig, render_scene_data
 
 @pytest.fixture(scope="session")
 def suite_cfg() -> SuiteConfig:
-    return SuiteConfig(n_views=8, span_deg=60.0)
+    return SuiteConfig(n_views=8)
 
 
 @pytest.fixture(scope="session")

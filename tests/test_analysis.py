@@ -161,7 +161,7 @@ def test_semantic_appearance_beats_random_by_margin():
     from renov.pipeline import SuiteConfig, render_scene_data
     gaps = []
     for seed in (21, 22, 23, 24):
-        data = render_scene_data(seed, SuiteConfig(n_views=8, span_deg=60.0))
+        data = render_scene_data(seed, SuiteConfig(n_views=8))
         va, vb = data.views[2], data.views[3]
         s_app = semantic_correspondence_score(
             extract_features(va, FeatureFamily("appearance"), data.patch),

@@ -4,16 +4,14 @@ import pytest
 from renov import bundle
 from renov.errors import InputError
 from renov.features import FeatureFamily
-from renov.pipeline import (ProbeProtocol, condition_grids, feature_warp, reduced_grids,
-                            rgb_warp, unified_grids, warped_image_metrics)
+from renov.pipeline import (SCENE_SPEC, ProbeProtocol, condition_grids, feature_warp,
+                            reduced_grids, rgb_warp, unified_grids, warped_image_metrics)
 from renov.probe import ProbeDecoder, TrainConfig
 from renov.scene import SceneSpec, generate_scene
 
 
-def test_scene_bundle_roundtrip(tmp_path, scene_data, suite_cfg):
-    spec = SceneSpec(n_quads=suite_cfg.n_quads, palette_size=suite_cfg.palette_size,
-                     shading=suite_cfg.shading)
-    scene = generate_scene(scene_data.seed, spec)
+def test_scene_bundle_roundtrip(tmp_path, scene_data):
+    scene = generate_scene(scene_data.seed, SCENE_SPEC)
     bundle.save_scene_bundle(tmp_path / "b", scene, scene_data.views, scene_data.transform)
     doc, views = bundle.load_scene_bundle(tmp_path / "b")
     assert doc["seed"] == scene_data.seed
@@ -27,7 +25,7 @@ def test_scene_bundle_roundtrip(tmp_path, scene_data, suite_cfg):
     np.testing.assert_array_equal(v0.camera.world_to_camera, r0.camera.world_to_camera)
     tr = bundle.bundle_transform(doc)
     np.testing.assert_array_equal(tr.center, scene_data.transform.center)
-    assert SceneSpec.from_dict(doc["spec"]) == spec
+    assert SceneSpec.from_dict(doc["spec"]) == SCENE_SPEC
 
 
 def test_bundle_rejects_foreign_dir(tmp_path):
@@ -88,7 +86,7 @@ def test_warped_image_hole_psnr_below_overall():
     """Holes are unfilled zeros, so the hole region scores below the frame."""
     from renov.pipeline import SuiteConfig, render_scene_data
     for seed in (31, 32, 33):
-        data = render_scene_data(seed, SuiteConfig(n_views=8, span_deg=60.0))
+        data = render_scene_data(seed, SuiteConfig(n_views=8))
         m = warped_image_metrics(data, (6,), 2)
         if m["psnr_hole"] is not None:
             assert m["psnr_hole"] <= m["psnr"]

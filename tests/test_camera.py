@@ -24,6 +24,11 @@ def test_rejects_bad_focal_and_resolution():
         CameraPose(np.eye(4), -1.0, 1.0, 0.0, 0.0, 4, 4)
     with pytest.raises(InputError):
         CameraPose(np.eye(4), 1.0, 1.0, 0.0, 0.0, 0, 4)
+    good = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4)
+    for bad in (dict(fx=np.nan), dict(cy=np.inf), dict(width=4.0), dict(height=True)):
+        with pytest.raises(InputError):
+            CameraPose(np.eye(4), **(good | bad))
+    assert CameraPose(np.eye(4), **(good | dict(width=np.int64(4)))).width == 4
 
 
 def test_rejects_bad_bottom_row():

@@ -2,7 +2,10 @@ import argparse
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from renov.cli import main
 from renov.features import FeatureFamily
 from renov.geometry import FeatureGrid
 from renov.probe import TrainConfig
+from renov.scene import SceneSpec
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +205,66 @@ def test_features_and_analyze_use_per_scene_features(small_bundle, capsys, tmp_p
     assert json.loads(summary)["score"] == lds_score(local_3, 1, 4)
 
 
+def test_default_scene_gen_is_the_suite_scene(tmp_path, capsys):
+    """scene-gen's default flags render the scene of pipeline.SuiteConfig() and its constants."""
+    code, _, _ = run_cli(capsys, "--seed", "3", "scene-gen", "--out", str(tmp_path / "s"))
+    assert code == 0
+    doc, views = bundle.load_scene_bundle(tmp_path / "s")
+    data = pipeline.render_scene_data(3, pipeline.SuiteConfig())
+    assert SceneSpec.from_dict(doc["spec"]) == pipeline.SCENE_SPEC
+    transform = bundle.bundle_transform(doc)
+    np.testing.assert_array_equal(transform.center, data.transform.center)
+    np.testing.assert_array_equal(transform.half_extent, data.transform.half_extent)
+    assert len(views) == len(data.views)
+    for got, want in zip(views, data.views):
+        np.testing.assert_array_equal(got.rgb, want.rgb.astype(np.float32))  # rgb is stored f32
+        np.testing.assert_array_equal(got.depth, want.depth)
+        np.testing.assert_array_equal(got.pointmap.coords, want.pointmap.coords)
+        np.testing.assert_array_equal(got.pointmap.valid, want.pointmap.valid)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.camera.to_dict() == want.camera.to_dict()
+
+
+NUMPY_ONLY_FLOW = """
+import sys
+BLOCKED = ("scipy", "pytest_benchmark", "hypothesis")
+for name in BLOCKED:
+    sys.modules[name] = None  # any import of them raises ImportError
+from renov.cli import main
+d = sys.argv[1]
+scene, ckpt = d + "/scene", d + "/ckpt"
+g = ["--seed", "2", "--threads", "1"]
+steps = ["--steps", "2"]
+flow = [
+    g + ["scene-gen", "--out", scene, "--views", "16", "--res", "24x24"],
+    g + ["features", "--scene", scene, "--out", d + "/features"],
+    g + ["warp", "--scene", scene, "--refs", "7,9", "--target", "8", "--out", d + "/warp_rgb"],
+    g + ["warp", "--scene", scene, "--refs", "0,2", "--target", "8", "--payload", "features",
+         "--remove", "0.5", "--out", d + "/warp_feat"],
+    g + ["condition", "--scene", scene, "--refs", "7,9", "--target", "8", "--out", d + "/cond"],
+    g + ["analyze", "corr", "--scene", scene, "--save-maps", "2", "--out", d + "/corr"],
+    g + ["analyze", "semcorr", "--scene", scene],
+    g + ["analyze", "lds", "--scene", scene, "--r-far", "2"],  # a 3x3 token grid
+    g + ["probe", "train", "--scene", scene, "--ckpt", ckpt, "--attn"] + steps,
+    g + ["probe", "eval", "--scene", scene, "--ckpt", ckpt] + steps,
+    g + ["robustness", "--scene", scene] + steps,
+]
+codes = [main(argv) for argv in flow]
+assert codes == [0] * len(flow), codes
+assert all(sys.modules[name] is None for name in BLOCKED), "a blocked module was loaded"
+"""
+
+
+def test_cli_flow_runs_on_numpy_alone(tmp_path):
+    """The runtime needs numpy only: the whole CLI flow runs with scipy and the test plugins blocked."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_FLOW, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     no_depth, bad_doc = tmp_path / "no_depth", tmp_path / "bad_doc"
     shutil.copytree(small_bundle, no_depth)
@@ -226,16 +290,23 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     rnvt.write_json(bad_cam / "views" / "view_003" / "camera.json", cam)
     view_3 = os.path.join("views", "view_003")
 
-    def damaged_view(name, file, damage):
-        """A copy of the bundle whose view 3 file is rewritten by damage(its contents)."""
+    def damaged(name, file, damage):
+        """A copy of the bundle whose file is rewritten by damage(its contents)."""
         root = tmp_path / name
         shutil.copytree(small_bundle, root)
-        path = root / view_3 / file
+        path = root / file
         if file.endswith(".json"):
             rnvt.write_json(path, damage(rnvt.read_json(path)))
         else:
             rnvt.write_tensor(path, damage(rnvt.read_tensor(path)))
         return str(root)
+
+    def damaged_view(name, file, damage):
+        return damaged(name, os.path.join(view_3, file), damage)
+
+    def damaged_normalization(name, key, value):
+        return damaged(name, "scene.json", lambda d: dict(
+            d, normalization=dict(d["normalization"], **{key: value})))
 
     u8_rgb = damaged_view("u8_rgb", "rgb.rnvt", lambda a: (a * 255).astype(np.uint8))
     nan_depth = damaged_view("nan_depth", "depth.rnvt", lambda a: np.full_like(a, np.nan))
@@ -252,6 +323,21 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     shutil.copytree(small_ckpt, u8_b1)
     rnvt.write_tensor(u8_b1 / "mlp_b1.rnvt", np.zeros(128, dtype=np.uint8))
     evaluate = ["--seed", "1", "probe", "eval", "--scene", str(small_bundle), "--ckpt"]
+    camera_3 = os.path.join(view_3, "camera.json")
+    bad_values = [  # (damaged bundle, file its message names)
+        (damaged_view("inf_width", "camera.json", lambda d: dict(d, width=float("inf"))), camera_3),
+        (damaged_view("frac_width", "camera.json", lambda d: dict(d, width=d["width"] + 0.7)),
+         camera_3),
+        (damaged_view("nan_fx", "camera.json", lambda d: dict(d, fx=float("nan"))), camera_3),
+        (damaged_view("inf_cx", "camera.json", lambda d: dict(d, cx=float("inf"))), camera_3),
+        (damaged_view("huge_fx", "camera.json", lambda d: dict(d, fx=10**400)), camera_3),
+        (damaged_normalization("nan_center", "center", [float("nan"), 0.0, 0.0]),
+         "scene.json: field 'normalization'"),
+        (damaged_normalization("inf_half", "half_extent", [float("inf"), 1.0, 1.0]),
+         "scene.json: field 'normalization'"),
+        (damaged_normalization("huge_center", "center", [10**400, 0, 0]),
+         "scene.json: field 'normalization'"),
+    ]
     cases = [
         (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],
          "manifest.json"),
@@ -278,6 +364,10 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         (evaluate + [str(nan_w1)], "mlp_w1.rnvt has values that are not finite"),
         (evaluate + [str(u8_b1)], "mlp_b1.rnvt holds uint8, expected float64"),
     ]
+    for scene, name in bad_values:
+        cases.append((["warp", "--scene", scene, "--refs", "3", "--target", "1",
+                       "--out", str(tmp_path / "w")], name))
+        cases.append((["analyze", "corr", "--scene", scene, "--view-a", "3"], name))
     for argv, name in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
