@@ -60,15 +60,20 @@ def _unit_rows(tokens: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, tokens / np.where(norms > 0, norms, 1.0), 0.0)
 
 
-def cosine_similarity_map(query: np.ndarray, target: FeatureGrid) -> np.ndarray:
-    """Cosine of one query vector against every target token; zero-norm cells score 0."""
+def _cosine_to_units(query: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Cosine of one query vector against the unit rows _unit_rows made; zero rows score 0."""
     query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != target.channels:
-        raise InputError(f"query has {query.shape[0]} channels, grid has {target.channels}")
+    if query.shape[0] != units.shape[-1]:
+        raise InputError(f"query has {query.shape[0]} channels, grid has {units.shape[-1]}")
     qn = np.linalg.norm(query)
     if qn == 0:
         raise InputError("query vector has zero norm")
-    return _unit_rows(target.tokens) @ (query / qn)
+    return units @ (query / qn)
+
+
+def cosine_similarity_map(query: np.ndarray, target: FeatureGrid) -> np.ndarray:
+    """Cosine of one query vector against every target token; zero-norm cells score 0."""
+    return _cosine_to_units(query, _unit_rows(target.tokens))
 
 
 def _argmax_cell(sim: np.ndarray, valid: np.ndarray) -> tuple[int, int]:
@@ -114,12 +119,13 @@ def geometric_correspondence_score(
     n = min(num_queries, eligible.size)
     chosen = rng.choice(eligible, size=n, replace=False)
 
+    units_b = _unit_rows(grid_b.tokens)  # once per score, not per query
     records = []
     hits = 0
     for idx in chosen:
         qi, qj = divmod(int(idx), wt)
         truth = (int(np.floor(v[idx] / p)), int(np.floor(u[idx] / p)))
-        sim = cosine_similarity_map(grid_a.tokens[qi, qj], grid_b)
+        sim = _cosine_to_units(grid_a.tokens[qi, qj], units_b)
         pred = _argmax_cell(sim, grid_b.valid)
         hit = max(abs(pred[0] - truth[0]), abs(pred[1] - truth[1])) <= tau
         hits += hit
@@ -134,13 +140,13 @@ def dominant_labels(labels: np.ndarray, patch_size: int) -> np.ndarray:
     if h % p or w % p:
         raise InputError(f"label map {h}x{w} not divisible by patch size {p}")
     ht, wt = h // p, w // p
-    patches = labels.reshape(ht, p, wt, p).transpose(0, 2, 1, 3).reshape(ht, wt, p * p)
-    out = np.empty((ht, wt), dtype=np.int64)
-    for i in range(ht):
-        for j in range(wt):
-            vals, counts = np.unique(patches[i, j], return_counts=True)
-            out[i, j] = vals[np.argmax(counts)]  # np.unique sorts, argmax takes first max
-    return out
+    patches = labels.reshape(ht, p, wt, p).transpose(0, 2, 1, 3).reshape(ht * wt, p * p)
+    # np.unique sorts, so argmax (first max) over the sorted label axis takes the smaller id
+    vals, inverse = np.unique(patches, return_inverse=True)
+    flat = np.arange(ht * wt)[:, None] * vals.size + inverse.reshape(patches.shape)
+    counts = np.bincount(flat.reshape(-1), minlength=flat.shape[0] * vals.size)
+    majority = vals[np.argmax(counts.reshape(-1, vals.size), axis=1)]
+    return majority.reshape(ht, wt).astype(np.int64)
 
 
 def semantic_correspondence_score(
@@ -171,11 +177,12 @@ def semantic_correspondence_score(
     chosen = rng.choice(eligible, size=n, replace=False)
 
     ht, wt = grid_a.resolution
+    units_b = _unit_rows(grid_b.tokens)  # once per score, not per query
     records = []
     hits = 0
     for idx in chosen:
         qi, qj = divmod(int(idx), wt)
-        sim = cosine_similarity_map(grid_a.tokens[qi, qj], grid_b)
+        sim = _cosine_to_units(grid_a.tokens[qi, qj], units_b)
         pred = _argmax_cell(sim, grid_b.valid)
         hit = int(dom_b[pred]) == int(dom_a[qi, qj])
         hits += hit

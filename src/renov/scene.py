@@ -22,6 +22,8 @@ from .geometry import Pointmap
 
 WORLD_HALF = 5.0  # scene box is [-WORLD_HALF, WORLD_HALF]^3
 _RAY_EPS = 1e-6
+_FRONT_Z = 1e-3  # a quad with every vertex beyond this camera depth gets a screen box
+_BOX_PAD = 2  # px added on each side of a quad's projected bounding box
 
 
 @dataclass(frozen=True)
@@ -85,25 +87,49 @@ class SceneSpec:
     shading: float = 0.0
 
     def __post_init__(self):
+        if not _is_int(self.n_quads) or self.n_quads < 1:
+            raise InputError(f"n_quads must be an integer >= 1, got {self.n_quads!r}")
+        if not isinstance(self.include_room, bool):
+            raise InputError(f"include_room must be true or false, got {self.include_room!r}")
+        cr = self.cell_range
+        if not (isinstance(cr, (tuple, list)) and len(cr) == 2 and all(map(_is_real, cr))
+                and 0 < cr[0] <= cr[1]):
+            raise InputError(f"cell_range must be two finite numbers with 0 < lo <= hi, got {cr!r}")
+        object.__setattr__(self, "cell_range", tuple(cr))  # a JSON list becomes a tuple
+        for name in ("checker_prob", "shading"):
+            value = getattr(self, name)
+            if not _is_real(value) or not 0.0 <= value <= 1.0:
+                raise InputError(f"{name} must be in [0, 1], got {value!r}")
+        if not _is_int(self.palette_size):
+            raise InputError(f"palette_size must be an integer, got {self.palette_size!r}")
         if self.palette_size < 0 or self.palette_size == 1:
             raise InputError("palette_size must be 0 or >= 2 (a texture draws two distinct "
                              f"colors), got {self.palette_size}")
-        if not 0.0 <= self.shading <= 1.0:
-            raise InputError(f"shading must be in [0, 1], got {self.shading}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
+        """Parse to_dict's output; __post_init__ checks the values instead of coercing them."""
         return cls(
-            n_quads=int(d["n_quads"]),
-            include_room=bool(d["include_room"]),
-            cell_range=tuple(d["cell_range"]),
-            checker_prob=float(d["checker_prob"]),
-            palette_size=int(d.get("palette_size", 0)),
-            shading=float(d.get("shading", 0.0)),
+            n_quads=d["n_quads"],
+            include_room=d["include_room"],
+            cell_range=d["cell_range"],
+            checker_prob=d["checker_prob"],
+            palette_size=d.get("palette_size", 0),
+            shading=d.get("shading", 0.0),
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float, bools excluded."""
+    return (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -251,8 +277,6 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
     in front of the other toward the camera side) when n_quads >= 2; with the
     room shell enabled any content quad already occludes the back wall.
     """
-    if spec.n_quads < 1:
-        raise InputError("spec.n_quads must be >= 1")
     rng = np.random.default_rng(seed)
     palette = _sample_palette(rng, spec.palette_size) if spec.palette_size > 0 else None
     quads: list[Quad] = []
@@ -304,8 +328,45 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
 # ---------------------------------------------------------------------------
 # rendering
 
+def _screen_boxes(scene: SyntheticScene, camera: CameraPose) -> list[tuple[slice, slice] | None]:
+    """Per quad, the (rows, cols) pixel box its hits can fall in; None when it has none.
+
+    A quad with every vertex in front of the camera projects inside the
+    bounding box of its projected vertices, padded here by _BOX_PAD px against
+    rounding.  A quad reaching the camera plane does not, so its box is the
+    whole image.
+    """
+    h, w = camera.height, camera.width
+    cam = camera.world_to_cam_points(np.array([q.vertices for q in scene.quads]).reshape(-1, 4, 3))
+    z = cam[..., 2]
+    front = np.all(z > _FRONT_Z, axis=1)
+    z = np.where(front[:, None], z, 1.0)
+    # pixel (i, j) has its center at (j + 0.5, i + 0.5); clipping before the int cast keeps
+    # an off-screen box empty after padding
+    m = _BOX_PAD + 1
+    u = np.clip(camera.fx * cam[..., 0] / z + camera.cx, -m, w + m)
+    v = np.clip(camera.fy * cam[..., 1] / z + camera.cy, -m, h + m)
+    c0 = np.maximum(np.floor(u.min(axis=1)).astype(np.int64) - _BOX_PAD, 0).tolist()
+    c1 = np.minimum(np.floor(u.max(axis=1)).astype(np.int64) + m, w).tolist()
+    r0 = np.maximum(np.floor(v.min(axis=1)).astype(np.int64) - _BOX_PAD, 0).tolist()
+    r1 = np.minimum(np.floor(v.max(axis=1)).astype(np.int64) + m, h).tolist()
+    boxes: list[tuple[slice, slice] | None] = []
+    for k in range(len(scene.quads)):
+        if not front[k]:
+            boxes.append((slice(0, h), slice(0, w)))
+        elif r0[k] < r1[k] and c0[k] < c1[k]:
+            boxes.append((slice(r0[k], r1[k]), slice(c0[k], c1[k])))
+        else:
+            boxes.append(None)
+    return boxes
+
+
 def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
-    """Cast one ray per pixel center, keep the nearest hit (ties to smaller id)."""
+    """Cast one ray per pixel center, keep the nearest hit (ties to smaller id).
+
+    Each quad is ray-cast only on the pixels of its screen box (_screen_boxes);
+    the per-pixel math does not depend on the box.
+    """
     h, w = camera.height, camera.width
     jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     d_cam = np.stack([
@@ -323,14 +384,22 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
     best_quad = np.full(n_pix, -1, dtype=np.int64)
     best_a = np.zeros(n_pix)
     best_b = np.zeros(n_pix)
+    # (h, w) views of the flat buffers, sliced to each quad's screen box
+    grids = [x.reshape(h, w, *x.shape[1:])
+             for x in (d_world, best_t, best_id, best_quad, best_a, best_b)]
+    edges = np.array([(q.edge_u, q.edge_v) for q in scene.quads]).reshape(-1, 2, 3)
+    normals = np.cross(edges[:, 0], edges[:, 1])
 
-    for qi, quad in enumerate(scene.quads):
-        normal = np.cross(quad.edge_u, quad.edge_v)
-        denom = d_world @ normal
+    boxes = _screen_boxes(scene, camera)
+    for qi, (quad, normal, box) in enumerate(zip(scene.quads, normals, boxes)):
+        if box is None:
+            continue
+        d_box, box_t, box_id, box_quad, box_a, box_b = (x[box] for x in grids)
+        denom = d_box @ normal
         safe = np.abs(denom) > 1e-14
         t = np.where(safe, np.dot(quad.corner - origin, normal) / np.where(safe, denom, 1.0), np.inf)
         t_eval = np.where(safe, t, 0.0)
-        p = origin + t_eval[:, None] * d_world
+        p = origin + t_eval[..., None] * d_box
         rel = p - quad.corner
         g = np.array([
             [quad.edge_u @ quad.edge_u, quad.edge_u @ quad.edge_v],
@@ -342,12 +411,12 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
         a = ginv[0, 0] * pu + ginv[0, 1] * pv
         b = ginv[1, 0] * pu + ginv[1, 1] * pv
         hit = safe & (t > _RAY_EPS) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
-        closer = hit & ((t < best_t) | ((t == best_t) & (quad.instance_id < best_id)))
-        best_t[closer] = t[closer]
-        best_id[closer] = quad.instance_id
-        best_quad[closer] = qi
-        best_a[closer] = a[closer]
-        best_b[closer] = b[closer]
+        closer = hit & ((t < box_t) | ((t == box_t) & (quad.instance_id < box_id)))
+        box_t[closer] = t[closer]
+        box_id[closer] = quad.instance_id
+        box_quad[closer] = qi
+        box_a[closer] = a[closer]
+        box_b[closer] = b[closer]
 
     covered = np.isfinite(best_t)
     rgb = np.tile(np.asarray(scene.background_rgb, dtype=np.float64), (n_pix, 1))
@@ -360,8 +429,7 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
         t = best_b[sel] * np.linalg.norm(quad.edge_v)
         color = texture_rgb(quad.texture, s, t)
         if shading > 0:
-            normal = np.cross(quad.edge_u, quad.edge_v)
-            normal = normal / np.linalg.norm(normal)
+            normal = normals[qi] / np.linalg.norm(normals[qi])
             d = d_world[sel]
             cos_inc = np.abs(d @ normal) / np.linalg.norm(d, axis=1)
             color = color * ((1.0 - shading) + shading * cos_inc)[:, None]
@@ -391,8 +459,10 @@ def make_camera_arc(
     """n cameras on a horizontal arc of the given angular span, all aimed at the scene center."""
     if n < 2:
         raise InputError(f"camera arc needs n >= 2, got {n}")
-    if radius <= 0:
-        raise InputError("camera arc radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"camera arc radius must be finite and positive, got {radius}")
+    if not math.isfinite(span_deg):
+        raise InputError(f"camera arc span_deg must be finite, got {span_deg}")
     width, height = res
     center = scene.aabb_center
     span = math.radians(span_deg)

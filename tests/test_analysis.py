@@ -145,6 +145,85 @@ def test_dominant_labels_majority_and_ties():
     assert dominant_labels(tie, 2)[0, 0] == 5  # tie resolved to smaller id
 
 
+def reference_dominant_labels(labels, p):
+    """One np.unique per patch; np.unique sorts, so argmax's first max is the smaller id."""
+    ht, wt = labels.shape[0] // p, labels.shape[1] // p
+    out = np.empty((ht, wt), dtype=np.int64)
+    for i in range(ht):
+        for j in range(wt):
+            vals, counts = np.unique(labels[i * p:(i + 1) * p, j * p:(j + 1) * p], return_counts=True)
+            out[i, j] = vals[np.argmax(counts)]
+    return out
+
+
+def test_dominant_labels_match_per_patch_reference(scene_data):
+    rng = np.random.default_rng(11)
+    two_way = np.array([[2, 9, 2, 9], [9, 2, 9, -1]])  # 2x2 patches: 2 ties 9, then 9 wins
+    background = np.array([[-1, 3, -1, -1], [3, -1, 3, 3]])  # -1 ties 3 in both patches
+    cases = [
+        (two_way, 2), (background, 2), (background, 1),
+        (rng.integers(-1, 3, (12, 16)), 4),
+        (rng.integers(-1, 2, (8, 8)), 2),  # many ties
+        (scene_data.views[0].labels, scene_data.patch),
+    ]
+    for labels, p in cases:
+        got = dominant_labels(labels, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_dominant_labels(labels, p)), (labels, p)
+    assert np.array_equal(dominant_labels(background, 1), background)  # patch 1 is the map
+    assert dominant_labels(two_way, 2).tolist() == [[2, 9]]
+    assert dominant_labels(background, 2).tolist() == [[-1, -1]]
+
+
+def _reference_predictions(grid_a, grid_b, report):
+    """Re-score a report's queries with one cosine_similarity_map call each."""
+    out = []
+    for rec in report.per_query:
+        sim = cosine_similarity_map(grid_a.tokens[rec.query_cell], grid_b)
+        masked = np.where(grid_b.valid, sim, -2.0)
+        flat = int(np.argmax(masked))
+        out.append((flat // sim.shape[1], flat % sim.shape[1]))
+    return out
+
+
+def test_scores_match_per_query_cosine_map_reference(scene_data):
+    va, vb = scene_data.views[0], scene_data.views[2]
+    for kind in ("appearance", "random", "mixed"):
+        fam = FeatureFamily(kind, seed=0)
+        ga = extract_features(va, fam, scene_data.patch, scene_data.transform)
+        gb = extract_features(vb, fam, scene_data.patch, scene_data.transform)
+        geo = geometric_correspondence_score(ga, gb, va, vb, tau=1, num_queries=32, seed=3)
+        sem = semantic_correspondence_score(ga, gb, va.labels, vb.labels, num_queries=32, seed=3)
+        dom_a = dominant_labels(va.labels, scene_data.patch)
+        dom_b = dominant_labels(vb.labels, scene_data.patch)
+        for rep in (geo, sem):
+            preds = _reference_predictions(ga, gb, rep)
+            assert [r.predicted_cell for r in rep.per_query] == preds
+        for rec in geo.per_query:
+            truth = rec.truth_cell
+            hit = max(abs(rec.predicted_cell[0] - truth[0]), abs(rec.predicted_cell[1] - truth[1])) <= 1
+            assert rec.hit == hit
+        for rec in sem.per_query:
+            assert rec.hit == (dom_b[rec.predicted_cell] == dom_a[rec.query_cell])
+
+
+def test_scores_check_channels_and_zero_norm_queries(scene_data):
+    va, vb = scene_data.views[0], scene_data.views[1]
+    fam = FeatureFamily("appearance", seed=0)
+    ga = extract_features(va, fam, scene_data.patch)
+    gb = extract_features(vb, fam, scene_data.patch)
+    narrow = FeatureGrid(gb.tokens[..., :-1], gb.patch_size, gb.valid)
+    with pytest.raises(InputError, match="channels"):
+        geometric_correspondence_score(ga, narrow, va, vb)
+    with pytest.raises(InputError, match="channels"):
+        semantic_correspondence_score(ga, narrow, va.labels, vb.labels)
+    zeros = FeatureGrid(np.zeros_like(ga.tokens), ga.patch_size, ga.valid)
+    with pytest.raises(InputError, match="zero norm"):
+        geometric_correspondence_score(zeros, gb, va, vb)
+    with pytest.raises(InputError, match="zero norm"):
+        semantic_correspondence_score(zeros, gb, va.labels, vb.labels)
+
+
 def test_semantic_single_instance_trivial(scene_data):
     fam = FeatureFamily("random", seed=0)
     va, vb = scene_data.views[0], scene_data.views[1]

@@ -308,6 +308,9 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         return damaged(name, "scene.json", lambda d: dict(
             d, normalization=dict(d["normalization"], **{key: value})))
 
+    def damaged_spec(name, key, value):
+        return damaged(name, "scene.json", lambda d: dict(d, spec=dict(d["spec"], **{key: value})))
+
     u8_rgb = damaged_view("u8_rgb", "rgb.rnvt", lambda a: (a * 255).astype(np.uint8))
     nan_depth = damaged_view("nan_depth", "depth.rnvt", lambda a: np.full_like(a, np.nan))
     f64_labels = damaged_view("f64_labels", "labels.rnvt", lambda a: a.astype(np.float64))
@@ -337,6 +340,9 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
          "scene.json: field 'normalization'"),
         (damaged_normalization("huge_center", "center", [10**400, 0, 0]),
          "scene.json: field 'normalization'"),
+        (damaged_spec("word_room", "include_room", "no"), "scene.json: field 'spec'"),
+        (damaged_spec("word_cells", "cell_range", "ab"), "scene.json: field 'spec'"),
+        (damaged_spec("nan_checker", "checker_prob", float("nan")), "scene.json: field 'spec'"),
     ]
     cases = [
         (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],
@@ -398,6 +404,8 @@ BAD_FLAG_VALUES = [
      "palette_size"),
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--palette", "1"],
      "palette_size"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--radius", "nan"], "radius"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--span", "inf"], "span"),
     (["analyze", "corr", "--scene", "{scene}", "--tau", "-1"], "tau"),
     (["analyze", "semcorr", "--scene", "{scene}", "--out", "{out}", "--save-maps", "-1"],
      "--save-maps"),

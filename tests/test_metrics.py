@@ -112,3 +112,45 @@ def test_metric_report_serialization():
     assert d["ssim"] == 0.5
     rep2 = MetricReport(12.5, None, "hole")
     assert rep2.to_dict() == {"psnr_db": 12.5, "ssim": None, "region": "hole"}
+
+
+def reference_ssim(a, b):
+    """SSIM with the 11x11 2-D Gaussian window applied directly (no separable passes)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 2:
+        a, b = a[..., None], b[..., None]
+    r = np.arange(11, dtype=np.float64) - 5.0
+    g = np.exp(-(r**2) / (2.0 * 1.5**2))
+    kernel = np.outer(g, g) / np.outer(g, g).sum()
+
+    def mean(x):
+        win = np.lib.stride_tricks.sliding_window_view(x, kernel.shape)
+        return np.einsum("ijkl,kl->ij", win, kernel)
+
+    c1, c2 = 0.01**2, 0.03**2
+    scores = []
+    for c in range(a.shape[2]):
+        x, y = a[..., c], b[..., c]
+        mu_x, mu_y = mean(x), mean(y)
+        var_x = mean(x * x) - mu_x**2
+        var_y = mean(y * y) - mu_y**2
+        cov = mean(x * y) - mu_x * mu_y
+        s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / ((mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2))
+        scores.append(s.mean())
+    return float(np.mean(scores))
+
+
+@pytest.mark.parametrize("shape", [(11, 11, 3), (23, 40, 3), (17, 30), (64, 64, 3), (12, 12, 1)])
+def test_ssim_matches_2d_window_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    for noise in (0.02, 0.3):
+        a = rng.uniform(0, 1, shape)
+        b = np.clip(a + rng.normal(0, noise, shape), 0, 1)
+        assert ssim(a, b) == pytest.approx(reference_ssim(a, b), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("shape", [(11, 11, 3), (13, 29, 3), (20, 16)])
+def test_ssim_identical_images_read_one(shape):
+    a = np.random.default_rng(6).uniform(0, 1, shape)
+    assert ssim(a, a) == pytest.approx(1.0, rel=1e-12)

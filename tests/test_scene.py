@@ -3,8 +3,10 @@ import pytest
 
 from renov.camera import look_at
 from renov.errors import InputError
-from renov.scene import (Quad, SceneSpec, TextureSpec, generate_scene, make_camera_arc,
-                         render_view, texture_rgb)
+from renov.geometry import Pointmap
+from renov.pipeline import ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, SCENE_SPEC
+from renov.scene import (Quad, RenderedView, SceneSpec, SyntheticScene, TextureSpec,
+                         _screen_boxes, generate_scene, make_camera_arc, render_view, texture_rgb)
 
 
 def _scene_digest(scene):
@@ -226,3 +228,164 @@ def test_headlight_shading_darkens_oblique():
     sel = v_flat.pointmap.valid & (v_flat.rgb.sum(axis=2) > 0.05)
     assert np.all(v_shaded.rgb[sel] <= v_flat.rgb[sel] + 1e-12)
     assert np.any(v_shaded.rgb[sel] < v_flat.rgb[sel] - 1e-6)
+
+
+def reference_render_view(scene, camera):
+    """The full-image ray cast render_view must reproduce bit for bit.
+
+    Every quad is tested on every pixel; render_view tests each quad only
+    inside its screen box.
+    """
+    h, w = camera.height, camera.width
+    jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    d_cam = np.stack([
+        (jj + 0.5 - camera.cx) / camera.fx,
+        (ii + 0.5 - camera.cy) / camera.fy,
+        np.ones_like(jj),
+    ], axis=-1).reshape(-1, 3)
+    d_world = d_cam @ camera.rotation
+    origin = camera.center
+
+    n_pix = h * w
+    best_t = np.full(n_pix, np.inf)
+    best_id = np.full(n_pix, np.iinfo(np.int64).max, dtype=np.int64)
+    best_quad = np.full(n_pix, -1, dtype=np.int64)
+    best_a = np.zeros(n_pix)
+    best_b = np.zeros(n_pix)
+
+    for qi, quad in enumerate(scene.quads):
+        normal = np.cross(quad.edge_u, quad.edge_v)
+        denom = d_world @ normal
+        safe = np.abs(denom) > 1e-14
+        t = np.where(safe, np.dot(quad.corner - origin, normal) / np.where(safe, denom, 1.0), np.inf)
+        t_eval = np.where(safe, t, 0.0)
+        p = origin + t_eval[:, None] * d_world
+        rel = p - quad.corner
+        g = np.array([
+            [quad.edge_u @ quad.edge_u, quad.edge_u @ quad.edge_v],
+            [quad.edge_u @ quad.edge_v, quad.edge_v @ quad.edge_v],
+        ])
+        ginv = np.linalg.inv(g)
+        pu = rel @ quad.edge_u
+        pv = rel @ quad.edge_v
+        a = ginv[0, 0] * pu + ginv[0, 1] * pv
+        b = ginv[1, 0] * pu + ginv[1, 1] * pv
+        hit = safe & (t > 1e-6) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
+        closer = hit & ((t < best_t) | ((t == best_t) & (quad.instance_id < best_id)))
+        best_t[closer] = t[closer]
+        best_id[closer] = quad.instance_id
+        best_quad[closer] = qi
+        best_a[closer] = a[closer]
+        best_b[closer] = b[closer]
+
+    covered = np.isfinite(best_t)
+    rgb = np.tile(np.asarray(scene.background_rgb, dtype=np.float64), (n_pix, 1))
+    shading = scene.spec.shading
+    for qi, quad in enumerate(scene.quads):
+        sel = best_quad == qi
+        if not np.any(sel):
+            continue
+        s = best_a[sel] * np.linalg.norm(quad.edge_u)
+        t = best_b[sel] * np.linalg.norm(quad.edge_v)
+        color = texture_rgb(quad.texture, s, t)
+        if shading > 0:
+            normal = np.cross(quad.edge_u, quad.edge_v)
+            normal = normal / np.linalg.norm(normal)
+            d = d_world[sel]
+            cos_inc = np.abs(d @ normal) / np.linalg.norm(d, axis=1)
+            color = color * ((1.0 - shading) + shading * cos_inc)[:, None]
+        rgb[sel] = color
+
+    t_hit = np.where(covered, best_t, 0.0)
+    coords = np.where(covered[:, None], origin + t_hit[:, None] * d_world, 0.0).reshape(h, w, 3)
+    return RenderedView(
+        rgb=rgb.reshape(h, w, 3),
+        depth=t_hit.reshape(h, w),
+        pointmap=Pointmap(coords=coords, valid=covered.reshape(h, w)),
+        labels=np.where(covered, best_id, -1).reshape(h, w).astype(np.int64),
+        camera=camera,
+    )
+
+
+def _assert_same_render(scene, cam):
+    got, want = render_view(scene, cam), reference_render_view(scene, cam)
+    for name in ("rgb", "depth", "labels"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.pointmap.coords, want.pointmap.coords)
+    assert np.array_equal(got.pointmap.valid, want.pointmap.valid)
+
+
+@pytest.mark.parametrize("res", [32, 48, 64, 128])
+def test_render_matches_full_image_reference_on_suite_scenes(res):
+    for seed in (0, 1):
+        scene = generate_scene(seed, SCENE_SPEC)
+        cams = make_camera_arc(scene, 4, ARC_RADIUS, ARC_FOV_DEG, (res, res), ARC_SPAN_DEG)
+        for cam in cams[:: 3 if res == 128 else 1]:
+            _assert_same_render(scene, cam)
+
+
+@pytest.mark.parametrize("shading", [0.0, 0.5])
+def test_render_matches_reference_non_square_and_shading(shading):
+    for seed in (2, 3):
+        scene = generate_scene(seed, SceneSpec(shading=shading))
+        for cam in make_camera_arc(scene, 3, 6.0, 55.0, (48, 32), 70.0):
+            _assert_same_render(scene, cam)
+
+
+def test_render_matches_reference_from_inside_the_room():
+    """Some quad straddles the camera plane, so it is tested on the whole image."""
+    scene = generate_scene(4, SCENE_SPEC)
+    cam = look_at((0.5, 0.3, -3.0), (2.0, -1.0, 3.0), 90.0, 40, 40)
+    z = cam.world_to_cam_points(np.array([q.vertices for q in scene.quads]))[..., 2]
+    straddles = (z.min(axis=1) <= 1e-3) & (z.max(axis=1) > 1e-3)
+    assert straddles.any()
+    boxes = _screen_boxes(scene, cam)
+    assert all(boxes[k] == (slice(0, 40), slice(0, 40)) for k in np.nonzero(straddles)[0])
+    _assert_same_render(scene, cam)
+
+
+def test_render_skips_quad_off_screen():
+    tex = TextureSpec("checker", (1, 0, 0), (0, 0, 1), 0.5)
+    quads = (
+        Quad(np.array([-1.0, -1.0, 3.0]), np.array([2.0, 0, 0]), np.array([0, 2.0, 0]), tex, 0),
+        Quad(np.array([20.0, -1.0, 3.0]), np.array([2.0, 0, 0]), np.array([0, 2.0, 0]), tex, 1),
+    )
+    verts = np.concatenate([q.vertices for q in quads])
+    scene = SyntheticScene(quads, (0.2, 0.3, 0.4), verts.min(0), verts.max(0), 0,
+                           SceneSpec(n_quads=2, include_room=False, shading=0.5))
+    cam = look_at((0, 0, -2.0), (0, 0, 3.0), 60.0, 32, 24)
+    boxes = _screen_boxes(scene, cam)
+    assert boxes[0] is not None and boxes[1] is None
+    view = render_view(scene, cam)
+    assert set(np.unique(view.labels).tolist()) == {-1, 0}
+    _assert_same_render(scene, cam)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_quads", 0), ("n_quads", True), ("n_quads", 2.0),
+    ("include_room", "no"), ("include_room", 1),
+    ("cell_range", "ab"), ("cell_range", [0.3]), ("cell_range", [0.0, 1.0]),
+    ("cell_range", [1.0, 0.5]), ("cell_range", [0.3, float("inf")]), ("cell_range", [True, 1.0]),
+    ("checker_prob", float("nan")), ("checker_prob", 1.5), ("checker_prob", "0.6"),
+    ("shading", float("inf")), ("shading", -0.1),
+    ("palette_size", 2.5), ("palette_size", "3"),
+])
+def test_spec_from_dict_checks_instead_of_coercing(field, value):
+    doc = dict(SceneSpec().to_dict(), **{field: value})
+    with pytest.raises(InputError, match=field):
+        SceneSpec.from_dict(doc)
+
+
+def test_spec_dict_roundtrip():
+    spec = SceneSpec(n_quads=3, include_room=False, cell_range=(0.5, 0.5), checker_prob=1,
+                     palette_size=4, shading=0.25)
+    doc = spec.to_dict()
+    assert SceneSpec.from_dict(dict(doc, cell_range=list(doc["cell_range"]))) == spec
+
+
+@pytest.mark.parametrize("radius,span", [(float("nan"), 60.0), (float("inf"), 60.0), (0.0, 60.0),
+                                         (6.0, float("inf")), (6.0, float("nan"))])
+def test_arc_rejects_non_finite_radius_and_span(radius, span):
+    scene = generate_scene(1, SceneSpec())
+    with pytest.raises(InputError, match="radius" if span == 60.0 else "span"):
+        make_camera_arc(scene, 3, radius, 55.0, (16, 16), span)
