@@ -141,12 +141,18 @@ def dominant_labels(labels: np.ndarray, patch_size: int) -> np.ndarray:
         raise InputError(f"label map {h}x{w} not divisible by patch size {p}")
     ht, wt = h // p, w // p
     patches = labels.reshape(ht, p, wt, p).transpose(0, 2, 1, 3).reshape(ht * wt, p * p)
-    # np.unique sorts, so argmax (first max) over the sorted label axis takes the smaller id
-    vals, inverse = np.unique(patches, return_inverse=True)
-    flat = np.arange(ht * wt)[:, None] * vals.size + inverse.reshape(patches.shape)
-    counts = np.bincount(flat.reshape(-1), minlength=flat.shape[0] * vals.size)
-    majority = vals[np.argmax(counts.reshape(-1, vals.size), axis=1)]
-    return majority.reshape(ht, wt).astype(np.int64)
+    # Sort each patch so equal labels form runs in ascending id order; the first longest
+    # run of a patch is its majority, ties going to the smaller id.  Memory is O(pixels).
+    s = np.sort(patches, axis=1)
+    new_run = np.ones(s.shape, dtype=bool)
+    new_run[:, 1:] = s[:, 1:] != s[:, :-1]
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(np.append(starts, s.size))
+    row = starts // (p * p)
+    row_first = np.concatenate(([0], np.cumsum(new_run.sum(axis=1))[:-1]))
+    best = np.flatnonzero(lengths == np.maximum.reduceat(lengths, row_first)[row])
+    first = best[np.concatenate(([True], row[best][1:] != row[best][:-1]))]
+    return s.reshape(-1)[starts[first]].reshape(ht, wt).astype(np.int64)
 
 
 def semantic_correspondence_score(

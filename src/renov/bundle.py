@@ -24,7 +24,7 @@ import numpy as np
 from . import rnvt
 from .camera import CameraPose
 from .encoding import NormalizationTransform
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, is_int
 from .features import ChannelReducer, FeatureFamily
 from .geometry import FeatureGrid, Pointmap
 from .probe import ProbeDecoder, param_shapes
@@ -35,7 +35,7 @@ SCENE_VERSION = 1
 
 
 def _int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, is_int
 
 ORTHONORMAL_TOL = 1e-6
 
@@ -41,7 +41,7 @@ class CameraPose:
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("width", "height"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_int(value):
                 raise InputError(f"{name} must be an integer, got {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise InputError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .camera import CameraPose, look_at
-from .errors import InputError
+from .errors import InputError, is_int
 from .geometry import Pointmap
 
 WORLD_HALF = 5.0  # scene box is [-WORLD_HALF, WORLD_HALF]^3
@@ -87,7 +87,7 @@ class SceneSpec:
     shading: float = 0.0
 
     def __post_init__(self):
-        if not _is_int(self.n_quads) or self.n_quads < 1:
+        if not is_int(self.n_quads) or self.n_quads < 1:
             raise InputError(f"n_quads must be an integer >= 1, got {self.n_quads!r}")
         if not isinstance(self.include_room, bool):
             raise InputError(f"include_room must be true or false, got {self.include_room!r}")
@@ -100,7 +100,7 @@ class SceneSpec:
             value = getattr(self, name)
             if not _is_real(value) or not 0.0 <= value <= 1.0:
                 raise InputError(f"{name} must be in [0, 1], got {value!r}")
-        if not _is_int(self.palette_size):
+        if not is_int(self.palette_size):
             raise InputError(f"palette_size must be an integer, got {self.palette_size!r}")
         if self.palette_size < 0 or self.palette_size == 1:
             raise InputError("palette_size must be 0 or >= 2 (a texture draws two distinct "
@@ -120,10 +120,6 @@ class SceneSpec:
             palette_size=d.get("palette_size", 0),
             shading=d.get("shading", 0.0),
         )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:

@@ -160,10 +160,12 @@ def test_dominant_labels_match_per_patch_reference(scene_data):
     rng = np.random.default_rng(11)
     two_way = np.array([[2, 9, 2, 9], [9, 2, 9, -1]])  # 2x2 patches: 2 ties 9, then 9 wins
     background = np.array([[-1, 3, -1, -1], [3, -1, 3, 3]])  # -1 ties 3 in both patches
+    ids = rng.permutation(128 * 128).reshape(128, 128) * 1000 - 7  # 16,384 distinct ids
     cases = [
         (two_way, 2), (background, 2), (background, 1),
         (rng.integers(-1, 3, (12, 16)), 4),
         (rng.integers(-1, 2, (8, 8)), 2),  # many ties
+        (ids, 1), (ids, 8),
         (scene_data.views[0].labels, scene_data.patch),
     ]
     for labels, p in cases:
@@ -173,6 +175,9 @@ def test_dominant_labels_match_per_patch_reference(scene_data):
     assert np.array_equal(dominant_labels(background, 1), background)  # patch 1 is the map
     assert dominant_labels(two_way, 2).tolist() == [[2, 9]]
     assert dominant_labels(background, 2).tolist() == [[-1, -1]]
+    # every pixel its own id: patch 1 returns the map, a larger patch its smallest id
+    assert np.array_equal(dominant_labels(ids, 1), ids)
+    assert np.array_equal(dominant_labels(ids, 8), ids.reshape(16, 8, 16, 8).min(axis=(1, 3)))
 
 
 def _reference_predictions(grid_a, grid_b, report):

@@ -1,6 +1,6 @@
 """Print median times of renov's hot layers and of one probe train step per feature family.
 
-Layers, each timed --layer-reps times on the benchmark's suite scene (seed
+Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
 --seed, `pipeline.SCENE_SPEC` on the `pipeline` camera arc, patch 8):
 
     render_view     ms per view at 32x32, 64x64 and 128x128 (16 views a rep)
@@ -46,6 +46,7 @@ FAMILIES = ("mixed", "appearance", "random")
 FEATURE_FAMILIES = ("oracle_geom", "appearance", "random", "mixed")
 N_VIEWS = 16
 VIEW_A, VIEW_B = 2, 5  # the pair the benchmark's analysis sweep scores
+LAYER_REPS = 9
 
 
 def blas_version() -> str:
@@ -70,7 +71,7 @@ def timed_ms(fn, reps: int, per: int = 1) -> list[float]:
     return out
 
 
-def layer_times(seed: int, reps: int) -> None:
+def layer_times(seed: int) -> None:
     scn = scene.generate_scene(seed, pipeline.SCENE_SPEC)
     views = {}
     for res in (32, 64, 128):
@@ -78,26 +79,27 @@ def layer_times(seed: int, reps: int) -> None:
                                      (res, res), pipeline.ARC_SPAN_DEG)
         views[res] = [scene.render_view(scn, cam) for cam in cams]
         report(f"render_view {res}x{res} /view",
-               timed_ms(lambda: [scene.render_view(scn, cam) for cam in cams], reps, N_VIEWS))
+               timed_ms(lambda: [scene.render_view(scn, cam) for cam in cams], LAYER_REPS, N_VIEWS))
     for res in (64, 128):
         a, b = views[res][VIEW_A].rgb, views[res][VIEW_B].rgb
-        report(f"ssim {res}x{res}", timed_ms(lambda: metrics.ssim(a, b), reps))
+        report(f"ssim {res}x{res}", timed_ms(lambda: metrics.ssim(a, b), LAYER_REPS))
     va, vb = views[128][VIEW_A], views[128][VIEW_B]
     p = pipeline.PATCH
-    report("dominant_labels 128x128", timed_ms(lambda: analysis.dominant_labels(va.labels, p), reps))
+    report("dominant_labels 128x128",
+           timed_ms(lambda: analysis.dominant_labels(va.labels, p), LAYER_REPS))
     transform = NormalizationTransform.from_aabb(scn.aabb_min, scn.aabb_max)
     fam = pipeline.scene_family(FeatureFamily("mixed"), seed)
     ga = features.extract_features(va, fam, p, transform)
     gb = features.extract_features(vb, fam, p, transform)
     report("geometric_score 128x128", timed_ms(
-        lambda: analysis.geometric_correspondence_score(ga, gb, va, vb, 1, 64, seed), reps))
+        lambda: analysis.geometric_correspondence_score(ga, gb, va, vb, 1, 64, seed), LAYER_REPS))
     report("semantic_score 128x128", timed_ms(
         lambda: analysis.semantic_correspondence_score(ga, gb, va.labels, vb.labels, 64, seed),
-        reps))
+        LAYER_REPS))
     for kind in FEATURE_FAMILIES:
         fam = pipeline.scene_family(FeatureFamily(kind), seed)
         report(f"extract_features {kind}", timed_ms(
-            lambda: features.extract_features(va, fam, p, transform), reps))
+            lambda: features.extract_features(va, fam, p, transform), LAYER_REPS))
 
 
 def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
@@ -109,24 +111,24 @@ def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
         dataset = pipeline.probe_dataset(data, pipeline.unified_grids(data, FeatureFamily(kind)),
                                          proto)
         c_in = dataset[0][0].payload.shape[2]
-        report(f"step {kind} (c_in {c_in})", timed_ms(lambda: train_probe(dataset, cfg), reps, steps))
+        report(f"step {kind} (c_in {c_in})",
+               timed_ms(lambda: train_probe(dataset, cfg), reps, steps))
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--steps", type=int, default=300, help="train steps per probe rep")
     ap.add_argument("--reps", type=int, default=3, help="timed probe reps per family")
-    ap.add_argument("--layer-reps", type=int, default=9, help="timed reps per layer")
     ap.add_argument("--seed", type=int, default=0, help="scene seed")
     ap.add_argument("--attn", action="store_true", help="time the attention probe")
     args = ap.parse_args(argv)
-    if args.steps < 1 or args.reps < 1 or args.layer_reps < 1:
-        ap.error("--steps, --reps and --layer-reps must be >= 1")
+    if args.steps < 1 or args.reps < 1:
+        ap.error("--steps and --reps must be >= 1")
 
     print(f"python {sys.version.split()[0]}, numpy {np.__version__}, BLAS {blas_version()}, "
           f"{pipeline.available_cpus()} CPU(s) usable, 1 BLAS thread")
-    print(f"scene seed {args.seed}, {args.layer_reps} reps per layer")
-    layer_times(args.seed, args.layer_reps)
+    print(f"scene seed {args.seed}, {LAYER_REPS} reps per layer")
+    layer_times(args.seed)
     step_times(args.seed, args.steps, args.reps, args.attn)
     return 0
 
