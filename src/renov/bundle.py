@@ -167,6 +167,7 @@ def save_feature_set(
     reduced_grids: list[FeatureGrid],
     reducer: ChannelReducer,
 ) -> None:
+    """Each view's local, valid and reduced tensors, for inspection; no command reads them."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -182,18 +183,6 @@ def save_feature_set(
         rnvt.write_tensor(out / f"local_{i:03d}.rnvt", local.tokens.astype(np.float64))
         rnvt.write_tensor(out / f"valid_{i:03d}.rnvt", local.valid.astype(np.uint8))
         rnvt.write_tensor(out / f"reduced_{i:03d}.rnvt", reduced.tokens.astype(np.float64))
-
-
-def load_feature_set(path: Path) -> tuple[dict, list[FeatureGrid], list[FeatureGrid]]:
-    path = Path(path)
-    manifest = rnvt.read_json(path / "manifest.json")
-    p = _field(path / "manifest.json", manifest, "patch_size", _positive)
-    local, reduced = [], []
-    for i in range(_field(path / "manifest.json", manifest, "n_views", _positive)):
-        valid = rnvt.read_tensor(path / f"valid_{i:03d}.rnvt").astype(bool)
-        local.append(FeatureGrid(rnvt.read_tensor(path / f"local_{i:03d}.rnvt"), p, valid))
-        reduced.append(FeatureGrid(rnvt.read_tensor(path / f"reduced_{i:03d}.rnvt"), p, valid))
-    return manifest, local, reduced
 
 
 # ---------------------------------------------------------------------------

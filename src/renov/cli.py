@@ -19,29 +19,28 @@ import numpy as np
 from . import bundle, rnvt
 from .analysis import (cosine_similarity_map, geometric_correspondence_score, lds_score,
                        semantic_correspondence_score)
-from .encoding import (FourierConfig, build_reference_condition, build_target_condition,
-                       normalize_coords)
+from .encoding import FourierConfig, build_reference_condition, build_target_condition
 from .errors import InputError, NumericalError
 from .features import ChannelReducer, FeatureFamily, concat_global_local, extract_features, reduce_channels
-from .geometry import token_anchors
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, SCENE_SPEC, ProbeProtocol,
                        SceneData, SuiteConfig, available_cpus, condition_grids, eval_scene_probe,
-                       feature_warp, reduced_grids, rgb_warp, robustness_scene_run, scene_family,
-                       train_scene_probe, unified_grids)
-from .probe import TrainConfig
+                       feature_warp, probe_dataset, reduced_grids, rgb_warp, robustness_scene_run,
+                       scene_family, unified_grids)
+from .probe import TrainConfig, train_probe
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
 
 
 def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RENOV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise InputError(f"RENOV_SEED must be an integer, got '{env}'") from e
-    return 0
+    source, value = "--seed", args.seed
+    if value is None:
+        source, value = "RENOV_SEED", os.environ.get("RENOV_SEED", "0")
+    try:
+        seed = int(value)
+    except ValueError as e:
+        raise InputError(f"{source} must be an integer, got '{value}'") from e
+    if seed < 0:
+        raise InputError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_res(text: str) -> tuple[int, int]:
@@ -167,16 +166,14 @@ def cmd_condition(args) -> dict:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    aug = condition_grids(data, grids)  # normalized anchor coords first
     ref_layout = None
     for r in refs:
-        coords, avalid = token_anchors(data.views[r].pointmap, args.patch)
-        norm = normalize_coords(coords, data.transform, avalid)
-        plane = build_reference_condition(norm, grids[r], geo_cfg, feat_cfg)
+        plane = build_reference_condition(aug[r].tokens[..., :3], grids[r], geo_cfg, feat_cfg)
         rnvt.write_tensor(out / f"cond_ref_{r:03d}.rnvt", plane.channels)
         ref_layout = plane.layout
     rnvt.write_json(out / "layout_ref.json", ref_layout.to_json())
 
-    aug = condition_grids(data, grids)
     warped = feature_warp(data, aug, refs, args.target)
     tgt_plane = build_target_condition(warped, geo_cfg, feat_cfg)
     rnvt.write_tensor(out / "cond_target.rnvt", tgt_plane.channels)
@@ -256,7 +253,7 @@ def cmd_probe(args) -> dict:
 
     if args.mode == "train":
         cfg = _probe_cfg(args, seed)
-        decoder, curve = train_scene_probe(data, grids, proto, cfg)
+        decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
         out = Path(args.ckpt)
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed})
         rnvt.write_text(out / "loss.csv",
@@ -416,6 +413,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.threads < 0:  # a global flag, so checked for every command
+            raise InputError(f"--threads must be >= 0, got {args.threads}")
         summary = args.func(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

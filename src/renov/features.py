@@ -48,6 +48,8 @@ class FeatureFamily:
             raise InputError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.channels < 1:
             raise InputError("random channel count must be >= 1")
+        if self.num_freqs < 1:
+            raise InputError(f"num_freqs must be >= 1, got {self.num_freqs}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "sigma": self.sigma, "num_freqs": self.num_freqs,
@@ -166,6 +168,8 @@ class ChannelReducer:
             raise InputError(f"c_red must be >= 1, got {c_red}")
         if c_red > c_in:
             raise InputError(f"cannot orthonormalize {c_red} rows of dimension {c_in}")
+        if seed < 0:
+            raise InputError(f"reducer seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         gauss = rng.standard_normal((c_in, c_red))
         q, _ = np.linalg.qr(gauss)  # orthonormal columns

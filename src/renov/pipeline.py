@@ -178,22 +178,22 @@ class ProbeProtocol:
     TARGET = 8  # fixed target view on the 16-view arc
 
     @classmethod
-    def fixed_target(cls, target: int = TARGET) -> "ProbeProtocol":
+    def fixed_target(cls) -> "ProbeProtocol":
         refs = ((0,), (2,), (4,), (6,), (10,), (12,), (14,),
                 (0, 4), (2, 6), (10, 14), (4, 12), (6, 10),
                 (0, 6, 12), (2, 10, 14), (4, 6, 10))
-        evals = (((7,), target), ((7, 9), target), ((7, 9, 11), target))
-        return cls(tuple((r, target, 0.0) for r in refs), evals)
+        evals = (((7,), cls.TARGET), ((7, 9), cls.TARGET), ((7, 9, 11), cls.TARGET))
+        return cls(tuple((r, cls.TARGET, 0.0) for r in refs), evals)
 
     @classmethod
-    def robustness(cls, target: int = TARGET) -> "ProbeProtocol":
+    def robustness(cls) -> "ProbeProtocol":
         # removal-augmented training so hole statistics at eval are in-domain
         refs_fracs = (((0,), 0.0), ((2,), 0.3), ((4,), 0.5), ((6,), 0.0),
                       ((10,), 0.3), ((12,), 0.5), ((14,), 0.0),
                       ((0, 4), 0.3), ((2, 6), 0.5), ((10, 14), 0.0),
                       ((0, 6, 12), 0.5), ((2, 10, 14), 0.3), ((4, 6, 10, 12), 0.5))
-        evals = (((3, 7, 9, 11, 13), target),)
-        return cls(tuple((r, target, f) for r, f in refs_fracs), evals)
+        evals = (((3, 7, 9, 11, 13), cls.TARGET),)
+        return cls(tuple((r, cls.TARGET, f) for r, f in refs_fracs), evals)
 
     @property
     def views_needed(self) -> int:
@@ -207,12 +207,6 @@ def probe_dataset(data: SceneData, grids: list[FeatureGrid], proto: ProbeProtoco
     """The protocol's training warps, each pair thinned with its own seed, with their targets."""
     return [(feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k), data.views[tgt].rgb)
             for k, (refs, tgt, frac) in enumerate(proto.train_pairs)]
-
-
-def train_scene_probe(data: SceneData, grids: list[FeatureGrid], proto: ProbeProtocol,
-                      cfg: TrainConfig) -> tuple[ProbeDecoder, list[float]]:
-    """Train a probe on the protocol's training warps."""
-    return train_probe(probe_dataset(data, grids, proto), cfg)
 
 
 def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, grids: list[FeatureGrid],
@@ -234,7 +228,7 @@ def probe_scene_run(
 ):
     """Train a per-scene probe on warped tokens and evaluate its held-out cases."""
     grids = unified_grids(data, family)
-    decoder, curve = train_scene_probe(data, grids, proto, cfg)
+    decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
     report = eval_scene_probe(decoder, data, grids, proto.eval_cases, 0.0, 0)
     return decoder, curve, report
 
@@ -326,7 +320,7 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
     """
     proto = ProbeProtocol.robustness()
     grids = unified_grids(data, family)
-    decoder, _ = train_scene_probe(data, grids, proto, cfg)
+    decoder, _ = train_probe(probe_dataset(data, grids, proto), cfg)
 
     def psnr_at(frac: float) -> float:
         return eval_scene_probe(decoder, data, grids, proto.eval_cases, frac, remove_seed)["mean_psnr"]

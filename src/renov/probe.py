@@ -377,12 +377,6 @@ def pixel_hole_mask(warped: WarpedPlane, patch_size: int) -> np.ndarray:
     return np.kron(warped.mask, np.ones((patch_size, patch_size), dtype=bool))
 
 
-def _region_psnr(pred, target, mask) -> float | None:
-    if not np.any(mask):
-        return None
-    return psnr(pred, target, mask)
-
-
 def eval_probe(decoder: ProbeDecoder, samples: list[tuple[WarpedPlane, np.ndarray, int]]) -> dict:
     """PSNR/SSIM of clamped predictions, split by visible/hole regions.
 
@@ -391,39 +385,27 @@ def eval_probe(decoder: ProbeDecoder, samples: list[tuple[WarpedPlane, np.ndarra
     """
     if not samples:
         raise InputError("eval_probe needs a nonempty sample list")
-    per_sample = []
+    per_sample, psnrs = [], []
+    groups: dict[int, list[tuple[float, float, float]]] = {}  # (psnr, ssim, hole fraction)
     for warped, target, n_views in samples:
         pred = np.clip(probe_forward(decoder, warped), 0.0, 1.0)
         hole = pixel_hole_mask(warped, decoder.patch_size)
-        vis_psnr = _region_psnr(pred, target, ~hole)
-        hole_psnr = _region_psnr(pred, target, hole)
         whole = MetricReport(psnr(pred, target), ssim(pred, target), "all")
-        reports = {
-            "all": whole,
-            "visible": None if vis_psnr is None else MetricReport(vis_psnr, None, "visible"),
-            "hole": None if hole_psnr is None else MetricReport(hole_psnr, None, "hole"),
-        }
-        per_sample.append({
-            "n_views": int(n_views),
-            "hole_fraction": warped.hole_fraction,
-            "metrics": {k: (v.to_dict() if v else None) for k, v in reports.items()},
-            "_psnr_all": whole.psnr_db,
-            "_ssim_all": whole.ssim,
-        })
-    by_views: dict[int, list[dict]] = {}
-    for s in per_sample:
-        by_views.setdefault(s["n_views"], []).append(s)
+        metrics = {"all": whole.to_dict()}
+        for region, mask in (("visible", ~hole), ("hole", hole)):
+            metrics[region] = (MetricReport(psnr(pred, target, mask), None, region).to_dict()
+                               if np.any(mask) else None)
+        per_sample.append({"n_views": int(n_views), "hole_fraction": warped.hole_fraction,
+                           "metrics": metrics})
+        psnrs.append(whole.psnr_db)
+        groups.setdefault(int(n_views), []).append((whole.psnr_db, whole.ssim, warped.hole_fraction))
     summary = {
         str(k): {
-            "mean_psnr": float(np.mean([s["_psnr_all"] for s in group])),
-            "mean_ssim": float(np.mean([s["_ssim_all"] for s in group])),
-            "mean_hole_fraction": float(np.mean([s["hole_fraction"] for s in group])),
+            "mean_psnr": float(np.mean([p for p, _, _ in group])),
+            "mean_ssim": float(np.mean([s for _, s, _ in group])),
+            "mean_hole_fraction": float(np.mean([h for _, _, h in group])),
             "count": len(group),
         }
-        for k, group in sorted(by_views.items())
+        for k, group in sorted(groups.items())
     }
-    overall_psnr = float(np.mean([s["_psnr_all"] for s in per_sample]))
-    for s in per_sample:
-        s.pop("_psnr_all")
-        s.pop("_ssim_all")
-    return {"per_sample": per_sample, "by_view_count": summary, "mean_psnr": overall_psnr}
+    return {"per_sample": per_sample, "by_view_count": summary, "mean_psnr": float(np.mean(psnrs))}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .camera import CameraPose, look_at
 from .errors import InputError, is_int
-from .geometry import Pointmap
+from .geometry import Pointmap, project_points
 
 WORLD_HALF = 5.0  # scene box is [-WORLD_HALF, WORLD_HALF]^3
 _RAY_EPS = 1e-6
@@ -333,15 +333,14 @@ def _screen_boxes(scene: SyntheticScene, camera: CameraPose) -> list[tuple[slice
     whole image.
     """
     h, w = camera.height, camera.width
-    cam = camera.world_to_cam_points(np.array([q.vertices for q in scene.quads]).reshape(-1, 4, 3))
-    z = cam[..., 2]
+    verts = np.array([q.vertices for q in scene.quads])  # (n_quads, 4, 3)
+    u, v, z, _ = (a.reshape(-1, 4) for a in project_points(verts, camera))
     front = np.all(z > _FRONT_Z, axis=1)
-    z = np.where(front[:, None], z, 1.0)
     # pixel (i, j) has its center at (j + 0.5, i + 0.5); clipping before the int cast keeps
     # an off-screen box empty after padding
     m = _BOX_PAD + 1
-    u = np.clip(camera.fx * cam[..., 0] / z + camera.cx, -m, w + m)
-    v = np.clip(camera.fy * cam[..., 1] / z + camera.cy, -m, h + m)
+    u = np.clip(u, -m, w + m)
+    v = np.clip(v, -m, h + m)
     c0 = np.maximum(np.floor(u.min(axis=1)).astype(np.int64) - _BOX_PAD, 0).tolist()
     c1 = np.minimum(np.floor(u.max(axis=1)).astype(np.int64) + m, w).tolist()
     r0 = np.maximum(np.floor(v.min(axis=1)).astype(np.int64) - _BOX_PAD, 0).tolist()

@@ -13,8 +13,9 @@ import pytest
 from renov import bundle, cli, pipeline, rnvt
 from renov.analysis import lds_score
 from renov.cli import main
+from renov.encoding import FourierConfig, build_reference_condition, normalize_coords
 from renov.features import FeatureFamily
-from renov.geometry import FeatureGrid
+from renov.geometry import FeatureGrid, token_anchors
 from renov.probe import TrainConfig
 from renov.scene import SceneSpec
 
@@ -131,6 +132,23 @@ def test_condition_outputs_layouts(small_bundle, capsys, tmp_path):
     assert set(np.unique(cond[..., -1])) <= {0.0, 1.0}
 
 
+def test_condition_reference_planes(small_bundle, capsys, tmp_path):
+    """Each cond_ref_NNN.rnvt encodes that view's normalized anchors and reduced features."""
+    out = tmp_path / "c"
+    code, _, _ = run_cli(capsys, "--seed", "3", "condition", "--scene", str(small_bundle),
+                         "--refs", "5,0,2", "--target", "8", "--out", str(out))
+    assert code == 0
+    data = cli._load_scene_data(small_bundle, 8)
+    grids, _ = pipeline.reduced_grids(data, FeatureFamily("mixed", seed=3), 32, 77)
+    assert sorted(p.name for p in out.glob("cond_ref_*")) == [
+        "cond_ref_000.rnvt", "cond_ref_002.rnvt", "cond_ref_005.rnvt"]
+    for r in (5, 0, 2):
+        coords, valid = token_anchors(data.views[r].pointmap, 8)
+        want = build_reference_condition(normalize_coords(coords, data.transform, valid), grids[r],
+                                         FourierConfig(num_freqs=6), FourierConfig(num_freqs=2))
+        assert np.array_equal(rnvt.read_tensor(out / f"cond_ref_{r:03d}.rnvt"), want.channels)
+
+
 def test_analyze_lds(small_bundle, capsys):
     code, out, _ = run_cli(capsys, "analyze", "lds", "--scene", str(small_bundle),
                            "--family", "oracle_geom", "--view-a", "2")
@@ -196,11 +214,12 @@ def test_features_and_analyze_use_per_scene_features(small_bundle, capsys, tmp_p
 
     family = FeatureFamily("random", seed=5)
     grids = pipeline.unified_grids(cli._load_scene_data(small_bundle, 8), family)
-    manifest, local, _ = bundle.load_feature_set(out)
+    manifest = rnvt.read_json(out / "manifest.json")
+    local = [rnvt.read_tensor(out / f"local_{i:03d}.rnvt") for i in range(manifest["n_views"])]
     assert manifest["family"] == family.to_dict()
     assert len(local) == len(grids)
     for saved, unified in zip(local, grids):
-        np.testing.assert_array_equal(saved.tokens, unified.tokens[..., saved.channels:])
+        np.testing.assert_array_equal(saved, unified.tokens[..., saved.shape[2]:])
     local_3 = FeatureGrid(grids[3].tokens[..., family.channels:], 8, grids[3].valid)
     assert json.loads(summary)["score"] == lds_score(local_3, 1, 4)
 
@@ -413,6 +432,11 @@ BAD_FLAG_VALUES = [
     (["features", "--scene", "{scene}", "--out", "{out}", "--sigma", "inf"], "sigma"),
     (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--lr", "nan"], "learning_rate"),
     (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--lr", "inf"], "learning_rate"),
+    (["features", "--scene", "{scene}", "--out", "{out}", "--family", "random", "--freqs", "0"],
+     "num_freqs"),
+    (["warp", "--scene", "{scene}", "--refs", "0", "--target", "1", "--payload", "features",
+      "--out", "{out}", "--reducer-seed", "-1"], "reducer seed"),
+    (["features", "--scene", "{scene}", "--out", "{out}", "--reducer-seed", "-1"], "reducer seed"),
 ]
 
 
@@ -423,6 +447,43 @@ def test_bad_flag_values_exit_2(small_bundle, capsys, tmp_path, argv, field):
     out = tmp_path / "out"
     argv = [a.format(scene=small_bundle, out=out) for a in argv]
     code, stdout, err = run_cli(capsys, "--seed", "1", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("input error:") and field in err
+    assert not out.exists()
+
+
+BAD_GLOBAL_VALUES = [
+    ({}, ["--seed", "-1", "scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16"],
+     "--seed"),
+    ({}, ["--seed", "-2", "warp", "--scene", "{scene}", "--refs", "0", "--target", "1",
+          "--payload", "features", "--remove", "0.5", "--out", "{out}"], "--seed"),
+    ({}, ["--seed", "-2", "analyze", "corr", "--scene", "{scene}", "--out", "{out}"], "--seed"),
+    ({}, ["--seed", "-2", "analyze", "semcorr", "--scene", "{scene}", "--out", "{out}"], "--seed"),
+    ({"RENOV_SEED": "-4"}, ["probe", "train", "--scene", "{scene}", "--ckpt", "{out}",
+                            "--steps", "2"], "RENOV_SEED"),
+    ({}, ["--threads", "-3", "scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16"],
+     "--threads"),
+    ({}, ["--threads", "-3", "analyze", "lds", "--scene", "{scene}", "--out", "{out}"], "--threads"),
+]
+
+
+def _global_case_id(env, argv):
+    """The environment and the words before the first path flag, e.g. '--seed -2 analyze corr'."""
+    head = argv[:min(argv.index(f) for f in ("--scene", "--out") if f in argv)]
+    return " ".join([f"{k}={v}" for k, v in env.items()] + head)
+
+
+@pytest.mark.parametrize("env,argv,field", BAD_GLOBAL_VALUES,
+                         ids=[_global_case_id(env, a) for env, a, _ in BAD_GLOBAL_VALUES])
+def test_bad_global_values_exit_2(small_bundle, capsys, tmp_path, monkeypatch, env, argv, field):
+    """A negative seed or thread count exits 2 naming its flag or variable, and writes nothing."""
+    monkeypatch.delenv("RENOV_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *[a.format(scene=small_bundle, out=out) for a in argv])
     assert code == 2
     assert stdout == ""
     assert len(err.strip().splitlines()) == 1

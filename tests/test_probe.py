@@ -7,6 +7,7 @@ from renov import bundle, pipeline
 from renov.errors import InputError, NumericalError
 from renov.features import FeatureFamily
 from renov.geometry import WarpedPlane
+from renov.metrics import psnr, ssim
 from renov.probe import (ADAM_BETAS, ADAM_EPS, ProbeDecoder, TrainConfig, _prepare, _sample_step,
                          eval_probe, patchify, pixel_hole_mask, probe_backward, probe_forward,
                          train_probe, unpatchify)
@@ -475,6 +476,54 @@ def test_eval_probe_regions_and_grouping():
     s0 = report["per_sample"][0]
     assert s0["metrics"]["all"]["ssim"] is not None
     assert s0["metrics"]["visible"]["region"] == "visible"
+
+
+def test_eval_probe_report_from_raw_metrics():
+    """Each field of the report equals the metric recomputed here; means run in sample order.
+
+    With this seed the overall mean and the 1-view means change in their last bits when
+    the samples are summed reversed or grouped by view count.
+    """
+    rng = np.random.default_rng(20)
+    dec = small_decoder()
+    planes = [make_plane(rng, hole_prob=0.0)] + [make_plane(rng, hole_prob=0.4) for _ in range(11)]
+    view_counts = (2, 1, 3, 1, 2, 1, 1, 3, 2, 1, 1, 2)
+    samples = [(p, rng.uniform(0, 1, (16, 16, 3)), v) for p, v in zip(planes, view_counts)]
+    report = eval_probe(dec, samples)
+    assert set(report) == {"per_sample", "by_view_count", "mean_psnr"}
+
+    def region(pred, target, mask, name):
+        return {"psnr_db": psnr(pred, target, mask), "ssim": None, "region": name} \
+            if np.any(mask) else None
+
+    raw = []
+    for (plane, target, n_views), got in zip(samples, report["per_sample"], strict=True):
+        pred = np.clip(probe_forward(dec, plane), 0.0, 1.0)
+        hole = pixel_hole_mask(plane, dec.patch_size)
+        raw.append((n_views, psnr(pred, target), ssim(pred, target), plane.hole_fraction))
+        assert got == {"n_views": n_views, "hole_fraction": plane.hole_fraction, "metrics": {
+            "all": {"psnr_db": raw[-1][1], "ssim": raw[-1][2], "region": "all"},
+            "visible": region(pred, target, ~hole, "visible"),
+            "hole": region(pred, target, hole, "hole")}}
+    assert report["per_sample"][0]["metrics"]["hole"] is None
+    assert all(s["metrics"]["hole"] is not None for s in report["per_sample"][1:])
+
+    groups: dict[int, list] = {}
+    for n_views, *values in raw:
+        groups.setdefault(n_views, []).append(values)
+    assert list(report["by_view_count"]) == ["1", "2", "3"]
+    assert report["by_view_count"] == {str(n): {
+        "mean_psnr": float(np.mean([p for p, _, _ in g])),
+        "mean_ssim": float(np.mean([s for _, s, _ in g])),
+        "mean_hole_fraction": float(np.mean([h for _, _, h in g])),
+        "count": len(g)} for n, g in groups.items()}
+    assert report["mean_psnr"] == float(np.mean([p for _, p, _, _ in raw]))
+
+    exact = np.clip(probe_forward(dec, planes[1]), 0.0, 1.0)
+    report = eval_probe(dec, [(planes[1], exact, 1)])
+    metrics = report["per_sample"][0]["metrics"]
+    assert [metrics[k]["psnr_db"] for k in ("all", "visible", "hole")] == ["inf"] * 3
+    assert report["mean_psnr"] == report["by_view_count"]["1"]["mean_psnr"] == np.inf
 
 
 def test_pixel_hole_mask_expansion():

@@ -19,8 +19,9 @@ process to one CPU for steadier numbers:
 
     PYTHONPATH=src taskset -c 0 python3 tools/layer_time.py --steps 300 --reps 3
 
-The first lines give the numpy and BLAS versions and the CPUs the process may
-use, then one line per layer and one per family: median and range in ms.
+The first lines give the numpy and BLAS versions, the CPUs the process may
+use and the line count of renov's sources (the total of `wc -l src/renov/*.py`),
+then one line per layer and one per family: median and range in ms.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import argparse  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -55,6 +57,11 @@ def blas_version() -> str:
         return f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
         return "unknown"
+
+
+def src_lines() -> int:
+    """Newlines in the imported renov package's *.py files, which is what `wc -l` totals."""
+    return sum(f.read_bytes().count(b"\n") for f in Path(pipeline.__file__).parent.glob("*.py"))
 
 
 def report(name: str, times_ms: list[float]) -> None:
@@ -126,7 +133,7 @@ def main(argv=None) -> int:
         ap.error("--steps and --reps must be >= 1")
 
     print(f"python {sys.version.split()[0]}, numpy {np.__version__}, BLAS {blas_version()}, "
-          f"{pipeline.available_cpus()} CPU(s) usable, 1 BLAS thread")
+          f"{pipeline.available_cpus()} CPU(s) usable, 1 BLAS thread, src {src_lines()} lines")
     print(f"scene seed {args.seed}, {LAYER_REPS} reps per layer")
     layer_times(args.seed)
     step_times(args.seed, args.steps, args.reps, args.attn)
