@@ -21,11 +21,11 @@ from .analysis import (cosine_similarity_map, geometric_correspondence_score, ld
                        semantic_correspondence_score)
 from .encoding import FourierConfig, build_reference_condition, build_target_condition
 from .errors import InputError, NumericalError
-from .features import ChannelReducer, FeatureFamily, concat_global_local, extract_features, reduce_channels
+from .features import FeatureFamily, extract_features
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, SCENE_SPEC, ProbeProtocol,
                        SceneData, SuiteConfig, available_cpus, condition_grids, eval_scene_probe,
-                       feature_warp, probe_dataset, reduced_grids, rgb_warp, robustness_scene_run,
-                       scene_family, unified_grids)
+                       feature_warp, local_grids, probe_dataset, reduce_local_grids, reduced_grids,
+                       rgb_warp, robustness_scene_run, scene_family, unified_grids)
 from .probe import TrainConfig, train_probe
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
 
@@ -117,11 +117,8 @@ def cmd_features(args) -> dict:
     seed = _seed_from(args)
     data = _load_scene_data(args.scene, args.patch)
     family = _family_from(args, seed)
-    fam = scene_family(family, data.seed)  # the per-scene features the probe sees
-    local = [extract_features(v, fam, args.patch, data.transform) for v in data.views]
-    unified = [concat_global_local(g) for g in local]
-    reducer = ChannelReducer.create(unified[0].channels, args.c_red, args.reducer_seed)
-    reduced = [reduce_channels(g, reducer) for g in unified]
+    local = local_grids(data, family)  # the per-scene features the probe sees
+    reduced, reducer = reduce_local_grids(local, args.c_red, args.reducer_seed)
     out = Path(args.out) if args.out else Path(args.scene) / f"features_{args.family}_p{args.patch}"
     bundle.save_feature_set(out, family, args.patch, local, reduced, reducer)
     return {"command": "features", "out": str(out), "family": args.family,
@@ -137,8 +134,8 @@ def cmd_warp(args) -> dict:
         plane = rgb_warp(data, refs, args.target, args.remove, seed)
     else:
         family = _family_from(args, seed)
-        grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed)
-        plane = feature_warp(data, grids, refs, args.target, args.remove, seed)
+        grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
+        plane = feature_warp(data, dict(zip(refs, grids)), refs, args.target, args.remove, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rnvt.write_tensor(out / "payload.rnvt", plane.payload)
@@ -160,21 +157,21 @@ def cmd_condition(args) -> dict:
     data = _load_scene_data(args.scene, args.patch)
     refs = _refs_and_target(args, data)
     family = _family_from(args, seed)
-    grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed)
+    grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
     geo_cfg = FourierConfig(num_freqs=args.geo_freqs)
     feat_cfg = FourierConfig(num_freqs=args.feat_freqs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    aug = condition_grids(data, grids)  # normalized anchor coords first
+    aug = condition_grids(data, grids, refs)  # normalized anchor coords first
     ref_layout = None
-    for r in refs:
-        plane = build_reference_condition(aug[r].tokens[..., :3], grids[r], geo_cfg, feat_cfg)
+    for r, grid, cond in zip(refs, grids, aug):
+        plane = build_reference_condition(cond.tokens[..., :3], grid, geo_cfg, feat_cfg)
         rnvt.write_tensor(out / f"cond_ref_{r:03d}.rnvt", plane.channels)
         ref_layout = plane.layout
     rnvt.write_json(out / "layout_ref.json", ref_layout.to_json())
 
-    warped = feature_warp(data, aug, refs, args.target)
+    warped = feature_warp(data, dict(zip(refs, aug)), refs, args.target)
     tgt_plane = build_target_condition(warped, geo_cfg, feat_cfg)
     rnvt.write_tensor(out / "cond_target.rnvt", tgt_plane.channels)
     rnvt.write_json(out / "layout_target.json", tgt_plane.layout.to_json())

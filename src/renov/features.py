@@ -65,22 +65,30 @@ def _view_seed(camera: CameraPose, family_seed: int) -> int:
 
 
 def _patchify_stats(img: np.ndarray, p: int) -> np.ndarray:
-    """Appearance statistics per PxP patch of an HxWx3 image -> (Ht, Wt, 18)."""
+    """Appearance statistics per PxP patch of an HxWx3 image -> (Ht, Wt, 18).
+
+    Each moment is one weighted bincount over the flat (patch, channel) index of
+    every pixel-channel.  bincount adds a patch's values in row-major image
+    order, the order of a sum over the patch's rows and columns, so the mean,
+    the variance (mean squared deviation) and the magnitude-weighted 4-bin
+    orientation histogram are bit-identical to those reductions.
+    """
     h, w = img.shape[:2]
     ht, wt = h // p, w // p
-    patches = img.reshape(ht, p, wt, p, 3)
-    mean = patches.mean(axis=(1, 3))
-    var = patches.var(axis=(1, 3))
+    n_cells = ht * wt * 3
+    patch = (np.arange(h) // p * wt)[:, None] + np.arange(w) // p
+    cell = (patch[..., None] * 3 + np.arange(3)).ravel()
+    flat = img.ravel()
+    mean = np.bincount(cell, weights=flat, minlength=n_cells) / (p * p)
+    dev = flat - mean[cell]
+    var = np.bincount(cell, weights=dev * dev, minlength=n_cells) / (p * p)
     gy, gx = np.gradient(img, axis=(0, 1))
     mag = np.hypot(gx, gy)
     theta = np.arctan2(gy, gx)  # signed orientation in [-pi, pi]
     bins = np.clip(((theta + np.pi) / (np.pi / 2.0)).astype(np.int64), 0, 3)
-    hist = np.zeros((ht, wt, 3, 4))
-    bins_p = bins.reshape(ht, p, wt, p, 3)
-    mag_p = mag.reshape(ht, p, wt, p, 3)
-    for b in range(4):
-        hist[..., b] = np.where(bins_p == b, mag_p, 0.0).sum(axis=(1, 3)) / (p * p)
-    return np.concatenate([mean, var, hist.reshape(ht, wt, 12)], axis=2)
+    hist = np.bincount(cell * 4 + bins.ravel(), weights=mag.ravel(), minlength=n_cells * 4) / (p * p)
+    return np.concatenate([mean.reshape(ht, wt, 3), var.reshape(ht, wt, 3),
+                           hist.reshape(ht, wt, 12)], axis=2)
 
 
 def extract_features(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -75,18 +76,34 @@ def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
     return replace(family, seed=(family.seed * 1000003 + scene_seed) % (2**63))
 
 
+def local_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
+                ) -> list[FeatureGrid]:
+    """t_l of each view in `views` (every view by default), for the per-scene family."""
+    fam = scene_family(family, data.seed)
+    views = range(len(data.views)) if views is None else views
+    return [extract_features(data.views[i], fam, data.patch, data.transform) for i in views]
+
+
 def unified_grids(data: SceneData, family: FeatureFamily) -> list[FeatureGrid]:
     """T_n per view: local tokens stacked with the pooled global token."""
-    fam = scene_family(family, data.seed)
-    return [concat_global_local(extract_features(v, fam, data.patch, data.transform))
-            for v in data.views]
+    return [concat_global_local(g) for g in local_grids(data, family)]
 
 
-def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int, reducer_seed: int
-                  ) -> tuple[list[FeatureGrid], ChannelReducer]:
-    grids = unified_grids(data, family)
-    reducer = ChannelReducer.create(grids[0].channels, c_red, reducer_seed)
-    return [reduce_channels(g, reducer) for g in grids], reducer
+def reduce_local_grids(local: list[FeatureGrid], c_red: int, reducer_seed: int
+                       ) -> tuple[list[FeatureGrid], ChannelReducer]:
+    """Each local grid unified and reduced to c_red channels, and the reducer.
+
+    The reducer depends only on the channel count, which every view of a family shares.
+    """
+    unified = [concat_global_local(g) for g in local]
+    reducer = ChannelReducer.create(unified[0].channels, c_red, reducer_seed)
+    return [reduce_channels(g, reducer) for g in unified], reducer
+
+
+def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int, reducer_seed: int,
+                  views: Sequence[int] | None = None) -> tuple[list[FeatureGrid], ChannelReducer]:
+    """reduce_local_grids over the views in `views` (every view by default), in that order."""
+    return reduce_local_grids(local_grids(data, family, views), c_red, reducer_seed)
 
 
 def _warp(data: SceneData, refs: tuple[int, ...], target: int, scale: int, remove_frac: float,
@@ -106,13 +123,13 @@ def _warp(data: SceneData, refs: tuple[int, ...], target: int, scale: int, remov
 
 def feature_warp(
     data: SceneData,
-    grids: list[FeatureGrid],
+    grids: Sequence[FeatureGrid] | Mapping[int, FeatureGrid],
     refs: tuple[int, ...],
     target: int,
     remove_frac: float = 0.0,
     remove_seed: int = 0,
 ) -> WarpedPlane:
-    """Warp reference-view tokens into the target camera at token resolution."""
+    """Warp reference-view tokens into the target camera at token resolution; grids[i] is view i's."""
     return _warp(data, refs, target, data.patch, remove_frac, remove_seed,
                  lambda pms: token_feature_cloud([grids[i] for i in refs], pms))
 
@@ -129,11 +146,16 @@ def rgb_warp(
                  lambda pms: aggregate_pointmaps(pms, [data.views[i].rgb for i in refs]))
 
 
-def condition_grids(data: SceneData, grids_red: list[FeatureGrid]) -> list[FeatureGrid]:
-    """Per-view grids carrying [normalized anchor coords, reduced features] payloads."""
+def condition_grids(data: SceneData, grids_red: list[FeatureGrid],
+                    views: Sequence[int] | None = None) -> list[FeatureGrid]:
+    """Grids carrying [normalized anchor coords, reduced features] payloads.
+
+    grids_red[k] is the grid of view views[k] (every view by default, in order).
+    """
+    views = range(len(data.views)) if views is None else views
     out = []
-    for view, grid in zip(data.views, grids_red):
-        coords, avalid = token_anchors(view.pointmap, data.patch)
+    for i, grid in zip(views, grids_red, strict=True):
+        coords, avalid = token_anchors(data.views[i].pointmap, data.patch)
         norm = normalize_coords(coords, data.transform, avalid)
         out.append(FeatureGrid(np.concatenate([norm, grid.tokens], axis=2),
                                data.patch, avalid & grid.valid))

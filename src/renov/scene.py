@@ -18,11 +18,10 @@ import numpy as np
 
 from .camera import CameraPose, look_at
 from .errors import InputError, is_int
-from .geometry import Pointmap, project_points
+from .geometry import Pointmap
 
 WORLD_HALF = 5.0  # scene box is [-WORLD_HALF, WORLD_HALF]^3
 _RAY_EPS = 1e-6
-_FRONT_Z = 1e-3  # a quad with every vertex beyond this camera depth gets a screen box
 _BOX_PAD = 2  # px added on each side of a quad's projected bounding box
 
 
@@ -327,33 +326,44 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
 def _screen_boxes(scene: SyntheticScene, camera: CameraPose) -> list[tuple[slice, slice] | None]:
     """Per quad, the (rows, cols) pixel box its hits can fall in; None when it has none.
 
-    A quad with every vertex in front of the camera projects inside the
-    bounding box of its projected vertices, padded here by _BOX_PAD px against
-    rounding.  A quad reaching the camera plane does not, so its box is the
-    whole image.
+    A hit needs ray parameter t > _RAY_EPS, and the rays have unit camera-frame
+    z, so every hit has camera depth above _RAY_EPS: it lies in the quad clipped
+    to the half-space z >= _RAY_EPS.  That clipped polygon is convex and in
+    front of the camera, so its projection is the convex hull of its projected
+    vertices (the quad's corners at depth >= _RAY_EPS and the points where its
+    edges cross that depth).  Their bounding box, padded by _BOX_PAD px against
+    rounding, therefore holds every hit pixel.
     """
     h, w = camera.height, camera.width
-    verts = np.array([q.vertices for q in scene.quads])  # (n_quads, 4, 3)
-    u, v, z, _ = (a.reshape(-1, 4) for a in project_points(verts, camera))
-    front = np.all(z > _FRONT_Z, axis=1)
+    c, eu, ev = (np.array([getattr(q, name) for q in scene.quads]).reshape(-1, 3)
+                 for name in ("corner", "edge_u", "edge_v"))
+    # each quad's corners in polygon order, in camera coordinates: (n_quads, 4, 3)
+    poly = camera.world_to_cam_points(np.stack([c, c + eu, c + eu + ev, c + ev], axis=1))
+    nxt = np.roll(poly, -1, axis=1)  # the other end of each edge
+    inside = poly[..., 2] >= _RAY_EPS
+    crosses = inside != (nxt[..., 2] >= _RAY_EPS)
+    dz = np.where(crosses, nxt[..., 2] - poly[..., 2], 1.0)
+    cut = poly + ((_RAY_EPS - poly[..., 2]) / dz)[..., None] * (nxt - poly)
+    cut[..., 2] = _RAY_EPS  # on the clip plane by construction
+    pts = np.concatenate([poly, cut], axis=1)
+    keep = np.concatenate([inside, crosses], axis=1)
+    z = np.where(keep, pts[..., 2], 1.0)
+    u = camera.fx * pts[..., 0] / z + camera.cx
+    v = camera.fy * pts[..., 1] / z + camera.cy
     # pixel (i, j) has its center at (j + 0.5, i + 0.5); clipping before the int cast keeps
     # an off-screen box empty after padding
     m = _BOX_PAD + 1
-    u = np.clip(u, -m, w + m)
-    v = np.clip(v, -m, h + m)
-    c0 = np.maximum(np.floor(u.min(axis=1)).astype(np.int64) - _BOX_PAD, 0).tolist()
-    c1 = np.minimum(np.floor(u.max(axis=1)).astype(np.int64) + m, w).tolist()
-    r0 = np.maximum(np.floor(v.min(axis=1)).astype(np.int64) - _BOX_PAD, 0).tolist()
-    r1 = np.minimum(np.floor(v.max(axis=1)).astype(np.int64) + m, h).tolist()
-    boxes: list[tuple[slice, slice] | None] = []
-    for k in range(len(scene.quads)):
-        if not front[k]:
-            boxes.append((slice(0, h), slice(0, w)))
-        elif r0[k] < r1[k] and c0[k] < c1[k]:
-            boxes.append((slice(r0[k], r1[k]), slice(c0[k], c1[k])))
-        else:
-            boxes.append(None)
-    return boxes
+
+    def bounds(x: np.ndarray, size: int) -> tuple[list[int], list[int]]:
+        lo = np.clip(np.where(keep, x, np.inf).min(axis=1), -m, size + m)
+        hi = np.clip(np.where(keep, x, -np.inf).max(axis=1), -m, size + m)
+        return (np.maximum(np.floor(lo).astype(np.int64) - _BOX_PAD, 0).tolist(),
+                np.minimum(np.floor(hi).astype(np.int64) + m, size).tolist())
+
+    c0, c1 = bounds(u, w)
+    r0, r1 = bounds(v, h)
+    return [(slice(r0[k], r1[k]), slice(c0[k], c1[k])) if r0[k] < r1[k] and c0[k] < c1[k]
+            else None for k in range(len(scene.quads))]
 
 
 def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from renov.errors import InputError
-from renov.features import (ChannelReducer, FeatureFamily, concat_global_local, extract_features,
-                            reduce_channels)
+from renov.features import (ChannelReducer, FeatureFamily, _patchify_stats, concat_global_local,
+                            extract_features, reduce_channels)
 from renov.geometry import FeatureGrid
 
 
@@ -109,6 +109,32 @@ def test_mixed_is_exact_concatenation(scene_data):
     a = extract_features(view, fam_a, scene_data.patch)
     np.testing.assert_array_equal(m.tokens, np.concatenate([o.tokens, a.tokens], axis=2))
     np.testing.assert_array_equal(m.valid, o.valid & a.valid)
+
+
+def _patchify_stats_four_pass(img, p):
+    """Oracle: strided mean/var reductions and one masked sum per orientation bin."""
+    h, w = img.shape[:2]
+    ht, wt = h // p, w // p
+    patches = img.reshape(ht, p, wt, p, 3)
+    gy, gx = np.gradient(img, axis=(0, 1))
+    mag = np.hypot(gx, gy)
+    bins = np.clip(((np.arctan2(gy, gx) + np.pi) / (np.pi / 2.0)).astype(np.int64), 0, 3)
+    hist = np.zeros((ht, wt, 3, 4))
+    bins_p = bins.reshape(ht, p, wt, p, 3)
+    mag_p = mag.reshape(ht, p, wt, p, 3)
+    for b in range(4):
+        hist[..., b] = np.where(bins_p == b, mag_p, 0.0).sum(axis=(1, 3)) / (p * p)
+    return np.concatenate([patches.mean(axis=(1, 3)), patches.var(axis=(1, 3)),
+                           hist.reshape(ht, wt, 12)], axis=2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
+def test_patchify_stats_bit_identical_to_four_pass_oracle(scene_data, p):
+    rng = np.random.default_rng(p)
+    images = [v.rgb for v in scene_data.views[::3]] + [
+        rng.random((64, 64, 3)), rng.standard_normal((32, 48, 3)), np.full((32, 32, 3), 0.37)]
+    for k, img in enumerate(images):
+        assert np.array_equal(_patchify_stats(img, p), _patchify_stats_four_pass(img, p)), k
 
 
 def test_patch_divisibility_enforced(scene_data):

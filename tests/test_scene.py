@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from renov.camera import look_at
 from renov.errors import InputError
 from renov.geometry import Pointmap
 from renov.pipeline import ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, SCENE_SPEC
-from renov.scene import (Quad, RenderedView, SceneSpec, SyntheticScene, TextureSpec,
+from renov.scene import (_RAY_EPS, Quad, RenderedView, SceneSpec, SyntheticScene, TextureSpec,
                          _screen_boxes, generate_scene, make_camera_arc, render_view, texture_rgb)
 
 
@@ -333,15 +335,41 @@ def test_render_matches_reference_non_square_and_shading(shading):
 
 
 def test_render_matches_reference_from_inside_the_room():
-    """Some quad straddles the camera plane, so it is tested on the whole image."""
+    """A quad straddling the camera plane is clipped there, so its box is smaller than the image."""
     scene = generate_scene(4, SCENE_SPEC)
     cam = look_at((0.5, 0.3, -3.0), (2.0, -1.0, 3.0), 90.0, 40, 40)
     z = cam.world_to_cam_points(np.array([q.vertices for q in scene.quads]))[..., 2]
-    straddles = (z.min(axis=1) <= 1e-3) & (z.max(axis=1) > 1e-3)
+    straddles = (z.min(axis=1) <= _RAY_EPS) & (z.max(axis=1) > _RAY_EPS)
     assert straddles.any()
     boxes = _screen_boxes(scene, cam)
-    assert all(boxes[k] == (slice(0, 40), slice(0, 40)) for k in np.nonzero(straddles)[0])
+    for k in np.nonzero(straddles)[0]:
+        rows, cols = boxes[k]
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) < 40 * 40, k
     _assert_same_render(scene, cam)
+
+
+def _box_holds(box, mask) -> bool:
+    """Every True pixel of mask lies inside box (None holds none)."""
+    if box is None:
+        return not mask.any()
+    outside = mask.copy()
+    outside[box] = False
+    return not outside.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 50), eye=st.tuples(*[st.floats(-4.5, 4.5)] * 3),
+       target=st.tuples(*[st.floats(-4.5, 4.5)] * 3), fov=st.floats(30.0, 120.0),
+       res=st.sampled_from([(8, 8), (12, 8), (16, 16)]))
+def test_screen_box_holds_every_hit_pixel(seed, eye, target, fov, res):
+    """Cameras inside the room, many with quads straddling the camera plane."""
+    assume(np.hypot(target[0] - eye[0], target[2] - eye[2]) > 0.1)  # look_at needs a heading
+    scene = generate_scene(seed, SCENE_SPEC)
+    cam = look_at(eye, target, fov, *res)
+    labels = reference_render_view(scene, cam).labels
+    boxes = _screen_boxes(scene, cam)
+    for k, quad in enumerate(scene.quads):
+        assert _box_holds(boxes[k], labels == quad.instance_id), k
 
 
 def test_render_skips_quad_off_screen():

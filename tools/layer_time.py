@@ -4,11 +4,16 @@ Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
 --seed, `pipeline.SCENE_SPEC` on the `pipeline` camera arc, patch 8):
 
     render_view     ms per view at 32x32, 64x64 and 128x128 (16 views a rep)
+    render_view tested px
+                    pixels ray-cast per image pixel at 128x128: the summed area
+                    of the quads' screen boxes over the view's area (mean, min
+                    and max over the 16 views; a count, not a time)
     ssim            one call on two rendered 64x64 / 128x128 views
     dominant_labels one 128x128 label map
     geometric_score one geometric_correspondence_score, 64 queries, 128x128, mixed family
     semantic_score  one semantic_correspondence_score, 64 queries, 128x128, mixed family
     extract_features one 128x128 view, per family
+    _patchify_stats the appearance statistics of one 128x128 view
 
 Probe steps: one `SuiteConfig()` scene (64x64, 16 views), the fixed-target
 training set of each family (15 warped planes), `train_probe` with the
@@ -87,6 +92,12 @@ def layer_times(seed: int) -> None:
         views[res] = [scene.render_view(scn, cam) for cam in cams]
         report(f"render_view {res}x{res} /view",
                timed_ms(lambda: [scene.render_view(scn, cam) for cam in cams], LAYER_REPS, N_VIEWS))
+    # cams is the 128x128 arc, the last one rendered above
+    tested = [sum((rows.stop - rows.start) * (cols.stop - cols.start)
+                  for rows, cols in filter(None, scene._screen_boxes(scn, cam)))
+              / (cam.width * cam.height) for cam in cams]
+    print(f"{'render_view tested px 128x128':<28} {statistics.mean(tested):8.3f} x image "
+          f"(min {min(tested):.3f}, max {max(tested):.3f})")
     for res in (64, 128):
         a, b = views[res][VIEW_A].rgb, views[res][VIEW_B].rgb
         report(f"ssim {res}x{res}", timed_ms(lambda: metrics.ssim(a, b), LAYER_REPS))
@@ -107,6 +118,8 @@ def layer_times(seed: int) -> None:
         fam = pipeline.scene_family(FeatureFamily(kind), seed)
         report(f"extract_features {kind}", timed_ms(
             lambda: features.extract_features(va, fam, p, transform), LAYER_REPS))
+    report("_patchify_stats 128x128",
+           timed_ms(lambda: features._patchify_stats(va.rgb, p), LAYER_REPS))
 
 
 def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
