@@ -34,7 +34,7 @@ class Pointmap:
             raise InputError(f"pointmap coords must be HxWx3, got {coords.shape}")
         if valid.shape != coords.shape[:2]:
             raise InputError("pointmap valid mask shape mismatch")
-        if not np.all(np.isfinite(coords[valid])):
+        if not np.isfinite(coords).all() and not np.isfinite(coords[valid]).all():
             raise InputError("pointmap has non-finite coords at valid entries")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "valid", valid)

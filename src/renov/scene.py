@@ -169,32 +169,36 @@ def _lattice_hash01(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _value_noise(gx: np.ndarray, gy: np.ndarray, seed: int) -> np.ndarray:
-    ix = np.floor(gx)
-    iy = np.floor(gy)
-    fx = gx - ix
-    fy = gy - iy
+    """Smoothstep-interpolated lattice noise; each lattice point in range is hashed once."""
+    ix, iy = np.floor(gx), np.floor(gy)
+    fx, fy = gx - ix, gy - iy
+    ix, iy = ix.astype(np.int64), iy.astype(np.int64)
+    if ix.size == 0:
+        return fx  # empty, of the inputs' shape
+    x0, y0 = ix.min(), iy.min()
+    ny = iy.max() - y0 + 2
     # offset keeps lattice indices positive so floor-based cells stay stable
-    ix = ix.astype(np.int64) + (1 << 20)
-    iy = iy.astype(np.int64) + (1 << 20)
+    table = _lattice_hash01(np.arange(x0, ix.max() + 2)[:, None] + (1 << 20),
+                            np.arange(y0, y0 + ny) + (1 << 20), seed).ravel()
+    k = (ix - x0) * ny + (iy - y0)  # each point's cell corner (ix, iy) in the table
     sx = fx * fx * (3.0 - 2.0 * fx)
     sy = fy * fy * (3.0 - 2.0 * fy)
-    v00 = _lattice_hash01(ix, iy, seed)
-    v10 = _lattice_hash01(ix + 1, iy, seed)
-    v01 = _lattice_hash01(ix, iy + 1, seed)
-    v11 = _lattice_hash01(ix + 1, iy + 1, seed)
+    v00, v10, v01, v11 = table[k], table[k + ny], table[k + 1], table[k + ny + 1]
     return (v00 * (1 - sx) + v10 * sx) * (1 - sy) + (v01 * (1 - sx) + v11 * sx) * sy
+
+
+def _texture_mix(tex: TextureSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The weight w of color_b at surface coordinates (s, t): color = a + w * (b - a)."""
+    if tex.kind == "checker":
+        k = np.floor(s / tex.cell_size) + np.floor(t / tex.cell_size)
+        return (k.astype(np.int64) % 2).astype(np.float64)
+    return _value_noise(s / tex.cell_size, t / tex.cell_size, tex.noise_seed)
 
 
 def texture_rgb(tex: TextureSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Evaluate a texture at surface coordinates (s, t) in world units. Returns (...,3)."""
-    ca = np.asarray(tex.color_a, dtype=np.float64)
-    cb = np.asarray(tex.color_b, dtype=np.float64)
-    if tex.kind == "checker":
-        k = np.floor(s / tex.cell_size) + np.floor(t / tex.cell_size)
-        pick = (k.astype(np.int64) % 2).astype(np.float64)
-        return ca + pick[..., None] * (cb - ca)
-    v = _value_noise(s / tex.cell_size, t / tex.cell_size, tex.noise_seed)
-    return ca + v[..., None] * (cb - ca)
+    ca, cb = np.asarray(tex.color_a, dtype=np.float64), np.asarray(tex.color_b, dtype=np.float64)
+    return ca + _texture_mix(tex, s, t)[..., None] * (cb - ca)
 
 
 # ---------------------------------------------------------------------------
@@ -369,86 +373,79 @@ def _screen_boxes(scene: SyntheticScene, camera: CameraPose) -> list[tuple[slice
 def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
     """Cast one ray per pixel center, keep the nearest hit (ties to smaller id).
 
-    Each quad is ray-cast only on the pixels of its screen box (_screen_boxes);
-    the per-pixel math does not depend on the box.
+    Each quad is ray-cast only on its screen box (_screen_boxes), and its
+    surface coordinates are computed only where it would win.  Quads are cast
+    in increasing id order, so the tie rule becomes "nearer than the best so
+    far", a strict total order: neither the box nor the candidates change an
+    output bit.  The headlight is evaluated once per pixel, for its final quad.
     """
     h, w = camera.height, camera.width
-    jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    d_cam = np.stack([
-        (jj + 0.5 - camera.cx) / camera.fx,
-        (ii + 0.5 - camera.cy) / camera.fy,
-        np.ones_like(jj),
-    ], axis=-1).reshape(-1, 3)
-    # d_cam has unit z, so the ray parameter equals camera-frame depth exactly
-    d_world = d_cam @ camera.rotation
-    origin = camera.center
-
     n_pix = h * w
-    best_t = np.full(n_pix, np.inf)
-    best_id = np.full(n_pix, np.iinfo(np.int64).max, dtype=np.int64)
+    # outputs first, below the temporaries on the heap; coords holds ray directions until the end
+    rgb, coords, labels = np.empty((n_pix, 3)), np.empty((n_pix, 3)), np.empty(n_pix, np.int64)
+    best_t = np.full(n_pix, np.inf)  # becomes the depth output
+    coords[:, 0] = np.tile((np.arange(w, dtype=np.float64) + 0.5 - camera.cx) / camera.fx, h)
+    coords[:, 1] = np.repeat((np.arange(h, dtype=np.float64) + 0.5 - camera.cy) / camera.fy, w)
+    coords[:, 2] = 1.0  # unit z: the ray parameter equals camera-frame depth exactly
+    d_world, origin = coords @ camera.rotation, camera.center
     best_quad = np.full(n_pix, -1, dtype=np.int64)
-    best_a = np.zeros(n_pix)
-    best_b = np.zeros(n_pix)
-    # (h, w) views of the flat buffers, sliced to each quad's screen box
-    grids = [x.reshape(h, w, *x.shape[1:])
-             for x in (d_world, best_t, best_id, best_quad, best_a, best_b)]
+    # per pixel: the weight of the winning quad's color_b, and its headlight factor
+    mix, light, shading = np.zeros(n_pix), np.ones(n_pix), scene.spec.shading
+    # (h, w) views to slice by screen box; pix maps a box pixel to its flat index
+    t_grid, pix = best_t.reshape(h, w), np.arange(n_pix).reshape(h, w)
     edges = np.array([(q.edge_u, q.edge_v) for q in scene.quads]).reshape(-1, 2, 3)
     normals = np.cross(edges[:, 0], edges[:, 1])
+    ginvs = np.linalg.inv(edges @ edges.transpose(0, 2, 1))  # (rel . u, rel . v) -> (a, b)
 
     boxes = _screen_boxes(scene, camera)
-    for qi, (quad, normal, box) in enumerate(zip(scene.quads, normals, boxes)):
+    for qi in sorted(range(len(scene.quads)), key=lambda qi: scene.quads[qi].instance_id):
+        quad, box, ginv = scene.quads[qi], boxes[qi], ginvs[qi]
         if box is None:
             continue
-        d_box, box_t, box_id, box_quad, box_a, box_b = (x[box] for x in grids)
-        denom = d_box @ normal
-        safe = np.abs(denom) > 1e-14
-        t = np.where(safe, np.dot(quad.corner - origin, normal) / np.where(safe, denom, 1.0), np.inf)
-        t_eval = np.where(safe, t, 0.0)
-        p = origin + t_eval[..., None] * d_box
-        rel = p - quad.corner
-        g = np.array([
-            [quad.edge_u @ quad.edge_u, quad.edge_u @ quad.edge_v],
-            [quad.edge_u @ quad.edge_v, quad.edge_v @ quad.edge_v],
-        ])
-        ginv = np.linalg.inv(g)
-        pu = rel @ quad.edge_u
-        pv = rel @ quad.edge_v
+        denom = d_world.reshape(h, w, 3)[box] @ normals[qi]
+        t = np.full(denom.shape, np.nan)  # NaN fails every comparison, so parallel rays never win
+        np.divide(np.dot(quad.corner - origin, normals[qi]), denom, out=t, where=abs(denom) > 1e-14)
+        sel = np.flatnonzero((t > _RAY_EPS) & (t < t_grid[box]))
+        # one row takes BLAS dot and more take gemv, which round differently: do as a box row
+        wide = box[1].stop - box[1].start > 1
+        sel = sel.repeat(2) if wide and sel.size == 1 else sel
+        idx, t = pix[box].ravel().take(sel), t.ravel().take(sel)
+        rel = d_world.take(idx, axis=0)  # becomes origin + t * d - corner
+        for k in range(3):
+            rel[:, k] = (rel[:, k] * t + origin[k]) - quad.corner[k]
+        rows = rel if wide else rel[:, None]
+        pu, pv = (rows @ quad.edge_u).ravel(), (rows @ quad.edge_v).ravel()
         a = ginv[0, 0] * pu + ginv[0, 1] * pv
         b = ginv[1, 0] * pu + ginv[1, 1] * pv
-        hit = safe & (t > _RAY_EPS) & (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
-        closer = hit & ((t < box_t) | ((t == box_t) & (quad.instance_id < box_id)))
-        box_t[closer] = t[closer]
-        box_id[closer] = quad.instance_id
-        box_quad[closer] = qi
-        box_a[closer] = a[closer]
-        box_b[closer] = b[closer]
+        hit = np.flatnonzero((a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0))
+        idx = idx.take(hit)
+        best_t[idx], best_quad[idx] = t.take(hit), qi
+        mix[idx] = _texture_mix(quad.texture, a.take(hit) * np.linalg.norm(quad.edge_u),
+                                b.take(hit) * np.linalg.norm(quad.edge_v))
 
-    covered = np.isfinite(best_t)
-    rgb = np.tile(np.asarray(scene.background_rgb, dtype=np.float64), (n_pix, 1))
-    shading = scene.spec.shading
-    for qi, quad in enumerate(scene.quads):
-        sel = best_quad == qi
-        if not np.any(sel):
-            continue
-        s = best_a[sel] * np.linalg.norm(quad.edge_u)
-        t = best_b[sel] * np.linalg.norm(quad.edge_v)
-        color = texture_rgb(quad.texture, s, t)
-        if shading > 0:
-            normal = normals[qi] / np.linalg.norm(normals[qi])
-            d = d_world[sel]
-            cos_inc = np.abs(d @ normal) / np.linalg.norm(d, axis=1)
-            color = color * ((1.0 - shading) + shading * cos_inc)[:, None]
-        rgb[sel] = color
-
-    t_hit = np.where(covered, best_t, 0.0)
-    depth = t_hit.reshape(h, w)
-    coords = np.where(covered[:, None], origin + t_hit[:, None] * d_world, 0.0).reshape(h, w, 3)
-    labels = np.where(covered, best_id, -1).reshape(h, w).astype(np.int64)
+    if shading > 0:  # ray_len has the bits of np.linalg.norm(d_world, axis=1)
+        ray_len = np.sqrt((d_world[:, 0] ** 2 + d_world[:, 1] ** 2) + d_world[:, 2] ** 2)
+        for qi, normal in enumerate(normals):
+            idx = np.flatnonzero(best_quad == qi)
+            cos_inc = np.abs(d_world.take(idx, axis=0) @ (normal / np.linalg.norm(normal)))
+            light[idx] = (1.0 - shading) + shading * (cos_inc / ray_len.take(idx))
+    # the trailing row, which best_quad -1 picks, is the background: mix 0 and light 1 keep it
+    colors = np.array([(q.texture.color_a, q.texture.color_b) for q in scene.quads]
+                      + [(scene.background_rgb,) * 2], dtype=np.float64)
+    covered = best_quad >= 0
+    best_t[~covered] = 0.0
+    for k in range(3):
+        ca, cb = colors[:, 0, k].take(best_quad), colors[:, 1, k].take(best_quad)
+        np.multiply(ca + mix * (cb - ca), light, out=rgb[:, k])
+        np.add(best_t * d_world[:, k], origin[k], out=coords[:, k])
+    coords[~covered] = 0.0
+    ids = np.array([q.instance_id for q in scene.quads] + [-1], dtype=np.int64)
+    ids.take(best_quad, out=labels)
     return RenderedView(
         rgb=rgb.reshape(h, w, 3),
-        depth=depth,
-        pointmap=Pointmap(coords=coords, valid=covered.reshape(h, w)),
-        labels=labels,
+        depth=best_t.reshape(h, w),
+        pointmap=Pointmap(coords=coords.reshape(h, w, 3), valid=covered.reshape(h, w)),
+        labels=labels.reshape(h, w),
         camera=camera,
     )
 

@@ -128,6 +128,18 @@ def test_aggregate_counts_and_order():
     np.testing.assert_array_equal(cloud.payload[16:], pays[1].reshape(-1, 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pointmap_checks_finite_coords_only_at_valid_entries(bad):
+    coords = np.zeros((4, 5, 3))
+    valid = np.ones((4, 5), dtype=bool)
+    valid[1, 2] = False
+    coords[1, 2, 0] = bad
+    Pointmap(coords, valid)  # an invalid entry may hold anything
+    coords[3, 4, 1] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        Pointmap(coords, valid)
+
+
 def test_aggregate_empty_pointmap():
     pm = Pointmap(np.zeros((3, 3, 3)), np.zeros((3, 3), dtype=bool))
     cloud = aggregate_pointmaps([pm], [np.zeros((3, 3, 2))])

@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +147,41 @@ def test_interleaved_writers_use_own_temp_files(tmp_path, monkeypatch):
     rnvt.write_json(path, {"writer": "outer"})
     assert len(calls) == 2
     assert path.read_bytes() == b'{"writer":"outer"}\n'
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def _write_until(path, arr, stop):
+    while not stop.is_set():
+        rnvt.write_tensor(path, arr)
+
+
+def test_two_writer_processes_never_leave_a_torn_tensor(tmp_path):
+    """Two processes rewrite one path while this one reads it: every read is one whole tensor."""
+    ctx = multiprocessing.get_context("fork")
+    path = tmp_path / "shared.rnvt"
+    arrays = [np.full((64, 48), 1.5), np.arange(3000, dtype=np.int64)]  # different lengths too
+    rnvt.write_tensor(path, arrays[0])
+    stop = ctx.Event()
+    writers = [ctx.Process(target=_write_until, args=(path, arr, stop)) for arr in arrays]
+    for p in writers:
+        p.start()
+    seen, reads = set(), 0
+    try:
+        deadline = time.monotonic() + 1.5
+        while time.monotonic() < deadline and (len(seen) < 2 or reads < 300):
+            got = rnvt.read_tensor(path)
+            match = [k for k, arr in enumerate(arrays)
+                     if got.dtype == arr.dtype and got.shape == arr.shape and np.array_equal(got, arr)]
+            assert match, f"read {reads} is neither tensor: {got.dtype} {got.shape}"
+            seen.add(match[0])
+            reads += 1
+    finally:
+        stop.set()
+        for p in writers:
+            p.join(timeout=10)
+    assert not any(p.is_alive() for p in writers)
+    assert [p.exitcode for p in writers] == [0, 0]
+    assert seen == {0, 1}, f"{reads} reads saw only tensor(s) {seen}"
     assert not list(tmp_path.glob("*.tmp"))
 
 

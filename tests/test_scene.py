@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,8 @@ from renov.errors import InputError
 from renov.geometry import Pointmap
 from renov.pipeline import ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, SCENE_SPEC
 from renov.scene import (_RAY_EPS, Quad, RenderedView, SceneSpec, SyntheticScene, TextureSpec,
-                         _screen_boxes, generate_scene, make_camera_arc, render_view, texture_rgb)
+                         _lattice_hash01, _screen_boxes, _value_noise, generate_scene,
+                         make_camera_arc, render_view, texture_rgb)
 
 
 def _scene_digest(scene):
@@ -122,6 +125,23 @@ def test_nearest_hit_wins():
     assert np.all(view.labels[covered] == 1)
 
 
+def test_coplanar_overlap_goes_to_the_smaller_id():
+    tex = TextureSpec("checker", (1, 0, 0), (0, 0, 1), 0.5)
+    quads = (  # one plane, larger id listed first
+        Quad(np.array([-1.0, -1.0, 3.0]), np.array([2.0, 0, 0]), np.array([0, 2.0, 0]), tex, 3),
+        Quad(np.array([-0.5, -1.5, 3.0]), np.array([2.0, 0, 0]), np.array([0, 2.0, 0]), tex, 1),
+    )
+    verts = np.concatenate([q.vertices for q in quads])
+    scene = SyntheticScene(quads, (0.2, 0.3, 0.4), verts.min(0), verts.max(0), 0,
+                           SceneSpec(n_quads=2, include_room=False, shading=0.5))
+    cam = look_at((0, 0, -2.0), (0, 0, 3.0), 60.0, 24, 24)
+    labels = render_view(scene, cam).labels
+    first = render_view(replace(scene, quads=quads[:1]), cam).labels == 3
+    assert (labels[first] == 1).any() and (labels[first] == 3).any()
+    assert np.array_equal(labels[~first], np.where(labels[~first] == 1, 1, -1))
+    _assert_same_render(scene, cam)
+
+
 def test_quad_order_does_not_change_output():
     scene = generate_scene(5, SceneSpec(n_quads=6))
     cam = make_camera_arc(scene, 3, 6.0, 55.0, (32, 32), 40.0)[1]
@@ -210,6 +230,48 @@ def test_noise_texture_deterministic_and_bounded():
     np.testing.assert_array_equal(a, b)
     assert np.all(a >= 0) and np.all(a <= 1)
     assert a.std() > 0.01  # actually varies
+
+
+def reference_value_noise(gx, gy, seed):
+    """The value noise _value_noise must reproduce bit for bit: four lattice hashes per point."""
+    ix = np.floor(gx)
+    iy = np.floor(gy)
+    fx = gx - ix
+    fy = gy - iy
+    ix = ix.astype(np.int64) + (1 << 20)
+    iy = iy.astype(np.int64) + (1 << 20)
+    sx = fx * fx * (3.0 - 2.0 * fx)
+    sy = fy * fy * (3.0 - 2.0 * fy)
+    v00 = _lattice_hash01(ix, iy, seed)
+    v10 = _lattice_hash01(ix + 1, iy, seed)
+    v01 = _lattice_hash01(ix, iy + 1, seed)
+    v11 = _lattice_hash01(ix + 1, iy + 1, seed)
+    return (v00 * (1 - sx) + v10 * sx) * (1 - sy) + (v01 * (1 - sx) + v11 * sx) * sy
+
+
+# a surface coordinate on a 10-unit quad: a float, or an int k standing for k cells (a lattice line)
+_surface_coord = st.one_of(st.floats(0.0, 10.0), st.integers(0, 34))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell=st.floats(0.3, 1.0), seed=st.integers(0, 2**31 - 1),
+       points=st.lists(st.tuples(_surface_coord, _surface_coord), min_size=1, max_size=40))
+def test_table_noise_matches_per_point_hashes(cell, seed, points):
+    s, t = (np.array([x * cell if isinstance(x, int) else x for x in col]) for col in zip(*points))
+    gx, gy = s / cell, t / cell
+    assert np.array_equal(_value_noise(gx, gy, seed), reference_value_noise(gx, gy, seed))
+    lines = np.floor(gx)  # exactly on lattice lines, however s / cell rounded
+    assert np.array_equal(_value_noise(lines, gy, seed), reference_value_noise(lines, gy, seed))
+    tex = TextureSpec("noise", (0.1, 0.5, 0.9), (0.8, 0.2, 0.3), cell, seed)
+    ca, cb = np.asarray(tex.color_a), np.asarray(tex.color_b)
+    want = ca + reference_value_noise(gx, gy, seed)[:, None] * (cb - ca)
+    assert np.array_equal(texture_rgb(tex, s, t), want)
+    assert np.array_equal(texture_rgb(tex, s[None], t[None]), want[None])
+
+
+def test_noise_of_no_points_is_empty():
+    tex = TextureSpec("noise", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), cell_size=0.5, noise_seed=3)
+    assert texture_rgb(tex, np.zeros(0), np.zeros(0)).shape == (0, 3)
 
 
 def test_palette_scenes_share_colors():
@@ -326,6 +388,19 @@ def test_render_matches_full_image_reference_on_suite_scenes(res):
             _assert_same_render(scene, cam)
 
 
+@pytest.mark.parametrize("spec,span", [
+    (SceneSpec(n_quads=12, palette_size=4, shading=0.3), ARC_SPAN_DEG),
+    (SceneSpec(n_quads=8, include_room=False, shading=0.5), ARC_SPAN_DEG),
+    (SceneSpec(n_quads=4, include_room=False), ARC_SPAN_DEG),
+    (SCENE_SPEC, 150.0),
+])
+def test_render_matches_reference_on_varied_scenes(spec, span):
+    for seed in (5, 6):
+        scene = generate_scene(seed, spec)
+        for cam in make_camera_arc(scene, 3, ARC_RADIUS, ARC_FOV_DEG, (40, 32), span):
+            _assert_same_render(scene, cam)
+
+
 @pytest.mark.parametrize("shading", [0.0, 0.5])
 def test_render_matches_reference_non_square_and_shading(shading):
     for seed in (2, 3):
@@ -337,14 +412,24 @@ def test_render_matches_reference_non_square_and_shading(shading):
 def test_render_matches_reference_from_inside_the_room():
     """A quad straddling the camera plane is clipped there, so its box is smaller than the image."""
     scene = generate_scene(4, SCENE_SPEC)
-    cam = look_at((0.5, 0.3, -3.0), (2.0, -1.0, 3.0), 90.0, 40, 40)
-    z = cam.world_to_cam_points(np.array([q.vertices for q in scene.quads]))[..., 2]
-    straddles = (z.min(axis=1) <= _RAY_EPS) & (z.max(axis=1) > _RAY_EPS)
-    assert straddles.any()
-    boxes = _screen_boxes(scene, cam)
-    for k in np.nonzero(straddles)[0]:
-        rows, cols = boxes[k]
-        assert (rows.stop - rows.start) * (cols.stop - cols.start) < 40 * 40, k
+    for res in (40, 128):
+        cam = look_at((0.5, 0.3, -3.0), (2.0, -1.0, 3.0), 90.0, res, res)
+        z = cam.world_to_cam_points(np.array([q.vertices for q in scene.quads]))[..., 2]
+        straddles = (z.min(axis=1) <= _RAY_EPS) & (z.max(axis=1) > _RAY_EPS)
+        assert straddles.any()
+        boxes = _screen_boxes(scene, cam)
+        for k in np.nonzero(straddles)[0]:
+            rows, cols = boxes[k]
+            assert (rows.stop - rows.start) * (cols.stop - cols.start) < res * res, k
+        _assert_same_render(scene, cam)
+
+
+def test_render_matches_reference_where_a_quad_has_one_candidate_pixel():
+    """BLAS dot and gemv round one of this quad's surface coordinates differently."""
+    scene = generate_scene(44, SceneSpec(n_quads=12, palette_size=4, shading=0.3))
+    cam = look_at((2.163811147322116, -2.180171169966374, 0.7555979688601697),
+                  (3.7273947534338703, 1.511925444333662, 1.6296888820660635),
+                  102.41894647256011, 8, 8)
     _assert_same_render(scene, cam)
 
 
@@ -370,6 +455,7 @@ def test_screen_box_holds_every_hit_pixel(seed, eye, target, fov, res):
     boxes = _screen_boxes(scene, cam)
     for k, quad in enumerate(scene.quads):
         assert _box_holds(boxes[k], labels == quad.instance_id), k
+    _assert_same_render(scene, cam)
 
 
 def test_render_skips_quad_off_screen():

@@ -14,6 +14,9 @@ Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
     semantic_score  one semantic_correspondence_score, 64 queries, 128x128, mixed family
     extract_features one 128x128 view, per family
     _patchify_stats the appearance statistics of one 128x128 view
+    load_scene_bundle
+                    reading a saved 16-view 64x64 bundle back (what every CLI
+                    command but scene-gen does first)
 
 Probe steps: one `SuiteConfig()` scene (64x64, 16 views), the fixed-target
 training set of each family (15 warped planes), `train_probe` with the
@@ -39,12 +42,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from renov import analysis, features, metrics, pipeline, scene  # noqa: E402
+from renov import analysis, bundle, features, metrics, pipeline, scene  # noqa: E402
 from renov.encoding import NormalizationTransform  # noqa: E402
 from renov.features import FeatureFamily  # noqa: E402
 from renov.probe import TrainConfig, train_probe  # noqa: E402
@@ -120,6 +124,10 @@ def layer_times(seed: int) -> None:
             lambda: features.extract_features(va, fam, p, transform), LAYER_REPS))
     report("_patchify_stats 128x128",
            timed_ms(lambda: features._patchify_stats(va.rgb, p), LAYER_REPS))
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle.save_scene_bundle(tmp, scn, views[64], transform)
+        report("load_scene_bundle 16x64x64",
+               timed_ms(lambda: bundle.load_scene_bundle(tmp), LAYER_REPS))
 
 
 def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
