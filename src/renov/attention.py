@@ -4,10 +4,10 @@ Keys and values are row-concatenated as [target, ref_1, ..., ref_N]; a single
 softmax(q K^T / sqrt(d)) V is computed over the combined token axis.  Single
 head, deterministic row-wise reduction.  The backward pass is exact
 reverse-mode differentiation of the same expression, given the forward's
-softmax weights.  float32 inputs are computed in float32, all others in
-float64.  aggregated_attention and attention_backward check their inputs and
-run the unchecked kernels softmax_weights and attend_backward, which the
-probe's train step calls on its own buffers.
+softmax weights.  aggregated_attention and attention_backward check their
+inputs, compute in float64 and run the unchecked kernels softmax_weights and
+attend_backward, which keep their inputs' dtype and which the probe's train
+step calls on its own float32 buffers.
 """
 
 from __future__ import annotations
@@ -20,12 +20,6 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 
-def _as_float(a) -> np.ndarray:
-    """a as a float32 array if it is one, else as float64."""
-    a = np.asarray(a)
-    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
-
-
 @dataclass(frozen=True)
 class AttentionBlockInput:
     q: np.ndarray  # (T_t, d)
@@ -33,13 +27,14 @@ class AttentionBlockInput:
     ref_kv: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        q = _as_float(self.q)
+        q = np.asarray(self.q, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] < 1:
             raise InputError(f"q must be (T_t, d) with d >= 1, got {q.shape}")
         object.__setattr__(self, "q", q)
-        tk, tv = (_as_float(a) for a in self.target_kv)
+        tk, tv = (np.asarray(a, dtype=np.float64) for a in self.target_kv)
         object.__setattr__(self, "target_kv", (tk, tv))
-        refs = tuple((_as_float(k), _as_float(v)) for k, v in self.ref_kv)
+        refs = tuple((np.asarray(k, dtype=np.float64), np.asarray(v, dtype=np.float64))
+                     for k, v in self.ref_kv)
         object.__setattr__(self, "ref_kv", refs)
         d = q.shape[1]
         d_v = tv.shape[1] if tv.ndim == 2 else -1
@@ -76,7 +71,7 @@ def softmax_weights(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray
 
 def _new_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """softmax_weights(q, k) into a new array."""
-    return softmax_weights(q, k, np.empty((q.shape[0], k.shape[0]), np.result_type(q, k)))
+    return softmax_weights(q, k, np.empty((q.shape[0], k.shape[0])))
 
 
 def aggregated_attention(inp: AttentionBlockInput, return_weights: bool = False):
@@ -117,7 +112,7 @@ def attend_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, weights: np.nda
 def attention_backward(inp: AttentionBlockInput, upstream: np.ndarray) -> AttentionGrads:
     """Exact gradients of aggregated_attention w.r.t. q and every key/value row."""
     k, v = inp.stacked()
-    upstream = _as_float(upstream)
+    upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (inp.q.shape[0], v.shape[1]):
         raise InputError(
             f"upstream gradient shape {upstream.shape} != output shape {(inp.q.shape[0], v.shape[1])}")

@@ -3,8 +3,7 @@
 The rasterizer splats each point into exactly one pixel (nearest-neighbor,
 no footprint): holes are intentional and drive the visibility mask.  Depth
 competition keeps the minimal camera-frame z; exact ties break toward the
-smallest source index so output is independent of point order and of any
-future parallel partitioning.
+earlier point of the cloud.
 """
 
 from __future__ import annotations
@@ -48,21 +47,16 @@ class Pointmap:
 class PointCloud:
     points: np.ndarray  # Mx3 world coordinates
     payload: np.ndarray  # MxC channels
-    source_index: np.ndarray  # M, strictly increasing in insertion order
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         payload = np.asarray(self.payload, dtype=np.float64)
         if payload.ndim == 1:
             payload = payload[:, None]
-        src = np.asarray(self.source_index, dtype=np.int64)
-        if payload.shape[0] != points.shape[0] or src.shape[0] != points.shape[0]:
-            raise InputError("point/payload/source_index row counts disagree")
-        if src.size > 1 and not np.all(np.diff(src) > 0):
-            raise InputError("source_index must be strictly increasing")
+        if payload.shape[0] != points.shape[0]:
+            raise InputError("point/payload row counts disagree")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "source_index", src)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -139,7 +133,7 @@ def aggregate_pointmaps(pointmaps: list[Pointmap], payloads: list[np.ndarray]) -
     """Concatenate valid pixels of all views into one cloud.
 
     Points are emitted in view order then row-major pixel order; payload rows
-    are copied verbatim; source_index is the global insertion ordinal.
+    are copied verbatim.
     """
     if len(pointmaps) != len(payloads):
         raise InputError("pointmaps and payloads lists differ in length")
@@ -160,17 +154,16 @@ def aggregate_pointmaps(pointmaps: list[Pointmap], payloads: list[np.ndarray]) -
         pays.append(payload.reshape(-1, channels)[sel])
     points = np.concatenate(pts) if pts else np.zeros((0, 3))
     payload = np.concatenate(pays) if pays else np.zeros((0, 0))
-    return PointCloud(points, payload, np.arange(points.shape[0], dtype=np.int64))
+    return PointCloud(points, payload)
 
 
-def project_points(cloud_points: np.ndarray | PointCloud, camera: CameraPose):
+def project_points(points: np.ndarray, camera: CameraPose):
     """Project world points through a camera.
 
     Returns (u, v, z, valid): continuous pixel coordinates, camera-frame depth,
     and validity (z > Z_NEAR and floor(u), floor(v) inside the camera's image).
     """
-    pts = cloud_points.points if isinstance(cloud_points, PointCloud) else np.asarray(cloud_points, dtype=np.float64)
-    cam_pts = camera.world_to_cam_points(pts.reshape(-1, 3))
+    cam_pts = camera.world_to_cam_points(np.asarray(points, dtype=np.float64).reshape(-1, 3))
     z = cam_pts[:, 2]
     in_front = z > Z_NEAR
     z_safe = np.where(in_front, z, 1.0)
@@ -188,13 +181,13 @@ def rasterize(cloud: PointCloud, camera: CameraPose, res: tuple[int, int]) -> Wa
     """Z-buffer splat of a cloud at the given resolution.
 
     Each valid projected point lands in pixel (floor(v), floor(u)); per pixel
-    the minimal z wins, exact ties to the smallest source_index.
+    the minimal z wins, exact ties to the earlier row of the cloud.
     """
     w, h = res
     if w < 1 or h < 1:
         raise InputError(f"rasterize resolution must be positive, got {res}")
     cam = CameraPose(camera.world_to_camera, camera.fx, camera.fy, camera.cx, camera.cy, w, h)
-    u, v, z, valid = project_points(cloud, cam)
+    u, v, z, valid = project_points(cloud.points, cam)
 
     payload = np.zeros((h, w, cloud.channels), dtype=np.float64)
     depth = np.full((h, w), DEPTH_EMPTY)
@@ -202,10 +195,9 @@ def rasterize(cloud: PointCloud, camera: CameraPose, res: tuple[int, int]) -> Wa
     if np.any(valid):
         pix = (np.floor(v[valid]).astype(np.int64) * w + np.floor(u[valid]).astype(np.int64))
         zv = z[valid]
-        src = cloud.source_index[valid]
         rows = np.nonzero(valid)[0]
-        # lexicographic (pixel, z, source_index): first row per pixel is the winner
-        order = np.lexsort((src, zv, pix))
+        # lexicographic (pixel, z); lexsort is stable, so the first row per pixel is the winner
+        order = np.lexsort((zv, pix))
         pix_sorted = pix[order]
         first = np.ones(pix_sorted.shape[0], dtype=bool)
         first[1:] = pix_sorted[1:] != pix_sorted[:-1]
@@ -244,7 +236,7 @@ def token_feature_cloud(grids: list[FeatureGrid], pointmaps: list[Pointmap]) -> 
         raise InputError("need at least one source view")
     p = grids[0].patch_size
     channels = grids[0].channels
-    anchor_maps, payloads = [], []
+    pts, pays = [], []
     for grid, pm in zip(grids, pointmaps):
         if grid.patch_size != p:
             raise InputError("all grids must share one patch size")
@@ -255,9 +247,9 @@ def token_feature_cloud(grids: list[FeatureGrid], pointmaps: list[Pointmap]) -> 
             raise InputError(f"grid {grid.resolution} inconsistent with pointmap {pm.resolution} at P={p}")
         coords, avalid = token_anchors(pm, p)
         avalid = avalid & grid.valid
-        anchor_maps.append(Pointmap(np.where(avalid[..., None], coords, 0.0), avalid))
-        payloads.append(grid.tokens)
-    return aggregate_pointmaps(anchor_maps, payloads)
+        pts.append(coords[avalid])
+        pays.append(grid.tokens[avalid])
+    return PointCloud(np.concatenate(pts), np.concatenate(pays))
 
 
 def subsample_points(cloud: PointCloud, keep_fraction: float, seed: int) -> PointCloud:
@@ -275,4 +267,4 @@ def subsample_points(cloud: PointCloud, keep_fraction: float, seed: int) -> Poin
         return cloud
     perm = np.random.default_rng(seed).permutation(m)
     sel = np.sort(perm[:k])
-    return PointCloud(cloud.points[sel], cloud.payload[sel], cloud.source_index[sel])
+    return PointCloud(cloud.points[sel], cloud.payload[sel])

@@ -94,7 +94,9 @@ def decode_tensor(blob: bytes) -> np.ndarray:
     count = math.prod(dims)  # Python ints: a huge declared shape cannot wrap to a small count
     expected = 12 + 8 * ndim + dtype.itemsize * count
     if len(blob) != expected:
-        raise InputError(f"RNVT length {len(blob)} != declared {expected}")
+        # expected can have more digits than Python will print: name the header fields instead
+        raise InputError(f"RNVT length {len(blob)} does not match the {ndim}-dim {dtype} shape "
+                         "its header declares")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=12 + 8 * ndim)
     try:
         return data.reshape(dims).copy()

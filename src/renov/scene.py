@@ -402,19 +402,19 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
         quad, box, ginv = scene.quads[qi], boxes[qi], ginvs[qi]
         if box is None:
             continue
-        denom = d_world.reshape(h, w, 3)[box] @ normals[qi]
+        # one gemv over the box's rays, which rounds as the whole image's would
+        denom = d_world.reshape(h, w, 3)[box].reshape(-1, 3) @ normals[qi]
         t = np.full(denom.shape, np.nan)  # NaN fails every comparison, so parallel rays never win
         np.divide(np.dot(quad.corner - origin, normals[qi]), denom, out=t, where=abs(denom) > 1e-14)
-        sel = np.flatnonzero((t > _RAY_EPS) & (t < t_grid[box]))
-        # one row takes BLAS dot and more take gemv, which round differently: do as a box row
-        wide = box[1].stop - box[1].start > 1
-        sel = sel.repeat(2) if wide and sel.size == 1 else sel
-        idx, t = pix[box].ravel().take(sel), t.ravel().take(sel)
+        sel = np.flatnonzero((t > _RAY_EPS) & (t < t_grid[box].ravel()))
+        # one row takes BLAS dot and more take gemv, which round differently: a lone candidate
+        # is cast twice
+        sel = sel.repeat(2) if sel.size == 1 else sel
+        idx, t = pix[box].ravel().take(sel), t.take(sel)
         rel = d_world.take(idx, axis=0)  # becomes origin + t * d - corner
         for k in range(3):
             rel[:, k] = (rel[:, k] * t + origin[k]) - quad.corner[k]
-        rows = rel if wide else rel[:, None]
-        pu, pv = (rows @ quad.edge_u).ravel(), (rows @ quad.edge_v).ravel()
+        pu, pv = rel @ quad.edge_u, rel @ quad.edge_v
         a = ginv[0, 0] * pu + ginv[0, 1] * pv
         b = ginv[1, 0] * pu + ginv[1, 1] * pv
         hit = np.flatnonzero((a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0))

@@ -45,8 +45,7 @@ def test_criterion_1_rasterizer_oracle_equivalence():
     rng = np.random.default_rng(77)
     for trial in range(100):
         n = int(rng.integers(1, 10_001))
-        cloud = PointCloud(rng.uniform(-5, 5, (n, 3)), rng.normal(size=(n, 2)),
-                           np.arange(n, dtype=np.int64))
+        cloud = PointCloud(rng.uniform(-5, 5, (n, 3)), rng.normal(size=(n, 2)))
         eye = rng.uniform(-9, 9, 3)
         target = rng.uniform(-2, 2, 3)
         while np.linalg.norm(target - eye) < 1.0:
@@ -55,15 +54,15 @@ def test_criterion_1_rasterizer_oracle_equivalence():
         cam = rv.look_at(eye, target, rng.uniform(35, 75), w, h)
         plane = rasterize(cloud, cam, (w, h))
 
-        # oracle: per pixel, scan all candidate points, lexicographic (z, src) min
-        u, v, z, ok = project_points(cloud, cam)
+        # oracle: per pixel, scan all candidate points, lexicographic (z, row) min
+        u, v, z, ok = project_points(cloud.points, cam)
         pix = np.where(ok, np.floor(v).astype(np.int64) * w + np.floor(u).astype(np.int64), -1)
         payload = np.zeros((h * w, cloud.channels))
         depth = np.full(h * w, np.inf)
         mask = np.ones(h * w, dtype=bool)
         for p in np.unique(pix[pix >= 0]):
             rows = np.flatnonzero(pix == p)
-            order = sorted(rows, key=lambda r: (z[r], cloud.source_index[r]))
+            order = sorted(rows, key=lambda r: (z[r], r))
             best = order[0]
             payload[p] = cloud.payload[best]
             depth[p] = z[best]

@@ -203,23 +203,24 @@ def test_backward_shape_mismatch():
 # ---------------------------------------------------------------------------
 # precision
 
-def test_float32_inputs_computed_in_float32():
+def test_public_attention_computes_in_float64():
+    """float32 and integer inputs are widened: the result is the float64 inputs' result."""
     rng = np.random.default_rng(9)
-    inp64 = make_input(rng)
-    upstream = rng.normal(size=(2, 5))
-    inp32 = rebuild_input(inp64, [a.astype(np.float32) for a in flatten_input(inp64)])
+    template = make_input(rng)
+    arrays32 = [a.astype(np.float32) for a in flatten_input(template)]
+    inp32 = rebuild_input(template, arrays32)
+    inp64 = rebuild_input(template, [a.astype(np.float64) for a in arrays32])
+    assert all(a.dtype == np.float64 for a in flatten_input(inp32))
+    upstream = rng.normal(size=(2, 5)).astype(np.float32)
     out32, w32 = aggregated_attention(inp32, return_weights=True)
-    g32 = attention_backward(inp32, upstream.astype(np.float32))
     out64, w64 = aggregated_attention(inp64, return_weights=True)
-    g64 = attention_backward(inp64, upstream)
-    assert out32.dtype == w32.dtype == np.float32
-    np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
-    np.testing.assert_allclose(w32, w64, rtol=1e-5, atol=1e-6)
-    for a32, a64 in zip([g32.q, *g32.target_kv, *g32.ref_kv[0], *g32.ref_kv[1]],
-                        [g64.q, *g64.target_kv, *g64.ref_kv[0], *g64.ref_kv[1]]):
-        assert a32.dtype == np.float32
-        np.testing.assert_allclose(a32, a64, rtol=1e-4, atol=1e-5)
-    # integer inputs still compute in float64
+    assert out32.dtype == w32.dtype == np.float64
+    assert out32.tobytes() == out64.tobytes() and w32.tobytes() == w64.tobytes()
+    g32 = attention_backward(inp32, upstream)
+    g64 = attention_backward(inp64, upstream.astype(np.float64))
+    for a32, a64 in zip(flatten_input(g32), flatten_input(g64)):
+        assert a32.dtype == np.float64
+        assert a32.tobytes() == a64.tobytes()
     ints = AttentionBlockInput(np.ones((1, 2), dtype=np.int64),
                                (np.ones((1, 2), dtype=np.int64), np.ones((1, 3), dtype=np.int64)))
     assert aggregated_attention(ints).dtype == np.float64

@@ -1,0 +1,126 @@
+"""A damaged bundle or checkpoint file makes the CLI exit 0 or 2, never 3 or a traceback.
+
+One 16-view 32x32 bundle and one 3-step checkpoint are saved per module.  Each
+example damages one of their files (truncate, flip a byte, write NaN or inf,
+swap f32/f64, add or permute a dim, drop or retype a JSON field), runs `warp`,
+`condition`, `analyze corr` and `probe eval` in-process on it, and restores
+the file.  Every view file is checked alike, so the files of view 0 (a
+reference of every command) stand for all views.
+"""
+
+import contextlib
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from renov import rnvt
+from renov.cli import main
+
+TENSOR_DAMAGES = ("truncate", "flip", "nonfinite", "swap_float", "add_dim", "permute_dims")
+JSON_DAMAGES = ("truncate", "flip", "drop_field", "retype_field")
+RETYPED = (None, "x", [], {}, True, -7, 0, 2.5, 1e308, math.nan, math.inf, 10**400)
+
+
+def _run(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """(bundle, checkpoint, output dir, the files to damage) saved once."""
+    root = tmp_path_factory.mktemp("fuzz")
+    scene, ckpt = root / "scene", root / "ckpt"
+    assert _run("--seed", "3", "--threads", "1", "scene-gen", "--out", str(scene),
+                "--views", "16", "--res", "32x32") == 0
+    assert _run("--seed", "1", "probe", "train", "--scene", str(scene), "--ckpt", str(ckpt),
+                "--family", "mixed", "--steps", "3") == 0
+    files = [scene / "scene.json", *sorted((scene / "views" / "view_000").iterdir()),
+             *sorted(ckpt.glob("*.rnvt")), ckpt / "manifest.json"]
+    return scene, ckpt, root / "out", files
+
+
+def _commands(scene: Path, ckpt: Path, out: Path) -> list[list[str]]:
+    s = str(scene)
+    return [
+        ["warp", "--scene", s, "--refs", "0,2", "--target", "1", "--out", str(out / "warp")],
+        ["condition", "--scene", s, "--refs", "0,2", "--target", "1", "--out", str(out / "cond")],
+        ["analyze", "corr", "--scene", s, "--view-a", "0", "--view-b", "1", "--r-far", "2"],
+        ["--seed", "1", "probe", "eval", "--scene", s, "--ckpt", str(ckpt)],
+    ]
+
+
+def _key_paths(doc, prefix=()):
+    """Every key path into the nested dicts and lists of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _damage_json(doc, kind: str, draw):
+    paths = list(_key_paths(doc))
+    if not paths:
+        return draw(st.sampled_from(RETYPED))  # the whole document becomes another value
+    *parents, last = draw(st.sampled_from(paths))
+    node = doc
+    for key in parents:
+        node = node[key]
+    if kind == "drop_field" and isinstance(node, dict):
+        del node[last]
+    else:
+        node[last] = draw(st.sampled_from(RETYPED))
+    return doc
+
+
+def _damage_tensor(arr: np.ndarray, kind: str, draw) -> np.ndarray:
+    if kind == "nonfinite":
+        arr = arr.astype(np.float64) if arr.dtype.kind != "f" else arr.copy()
+        if arr.size:
+            arr.reshape(-1)[draw(st.integers(0, arr.size - 1))] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+        return arr
+    if kind == "swap_float":
+        return arr.astype(np.float64 if arr.dtype == np.float32 else np.float32)
+    if kind == "permute_dims" and arr.ndim > 1:
+        return np.ascontiguousarray(np.moveaxis(arr, 0, -1))
+    return np.expand_dims(arr, draw(st.integers(0, arr.ndim)))  # add_dim
+
+
+def _offset(draw, size: int) -> int:
+    """A byte offset below size, as often in the first 40 bytes (an RNVT header) as anywhere."""
+    return draw(st.integers(0, min(size, 40) - 1) | st.integers(0, size - 1))
+
+
+def _damaged_bytes(path: Path, blob: bytes, kind: str, draw) -> bytes:
+    if kind == "truncate":
+        return blob[:_offset(draw, len(blob))]
+    if kind == "flip":
+        out = bytearray(blob)
+        out[_offset(draw, len(out))] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if path.suffix == ".json":
+        return json.dumps(_damage_json(json.loads(blob), kind, draw)).encode()
+    return rnvt.encode_tensor(_damage_tensor(rnvt.decode_tensor(blob), kind, draw))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_damaged_file_exits_0_or_2(saved, data):
+    scene, ckpt, out, files = saved
+    path = data.draw(st.sampled_from(files), label="file")
+    damage = data.draw(st.sampled_from(JSON_DAMAGES if path.suffix == ".json"
+                                       else TENSOR_DAMAGES), label="damage")
+    original = path.read_bytes()
+    path.write_bytes(_damaged_bytes(path, original, damage, data.draw))
+    try:
+        for argv in _commands(scene, ckpt, out):
+            assert _run(*argv) in (0, 2), (path.name, damage, argv)
+    finally:
+        path.write_bytes(original)

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from renov.camera import CameraPose, look_at
 from renov.errors import InputError
@@ -41,13 +39,13 @@ def oracle_rasterize(cloud: PointCloud, cam: CameraPose, res):
     """
     w, h = res
     cam = CameraPose(cam.world_to_camera, cam.fx, cam.fy, cam.cx, cam.cy, w, h)
-    u_all, v_all, z_all, ok_all = project_points(cloud, cam)
-    hits = []  # (pixel, z, source_index, row)
+    u_all, v_all, z_all, ok_all = project_points(cloud.points, cam)
+    hits = []  # (pixel, z, row)
     for row in range(len(cloud)):
         if not ok_all[row]:
             continue
         u, v, z = u_all[row], v_all[row], z_all[row]
-        hits.append((math.floor(v) * w + math.floor(u), z, int(cloud.source_index[row]), row))
+        hits.append((math.floor(v) * w + math.floor(u), z, row))
     payload = np.zeros((h, w, cloud.channels))
     depth = np.full((h, w), np.inf)
     mask = np.ones((h, w), dtype=bool)
@@ -60,7 +58,7 @@ def oracle_rasterize(cloud: PointCloud, cam: CameraPose, res):
                 best = hit
         if best is not None:
             i, j = divmod(pix, w)
-            payload[i, j] = cloud.payload[best[3]]
+            payload[i, j] = cloud.payload[best[2]]
             depth[i, j] = best[1]
             mask[i, j] = False
     return payload, depth, mask
@@ -75,8 +73,7 @@ def random_camera(rng) -> CameraPose:
 
 
 def random_cloud(rng, n, channels=2) -> PointCloud:
-    return PointCloud(rng.uniform(-4, 4, (n, 3)), rng.normal(size=(n, channels)),
-                      np.arange(n, dtype=np.int64))
+    return PointCloud(rng.uniform(-4, 4, (n, 3)), rng.normal(size=(n, channels)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,6 @@ def test_aggregate_counts_and_order():
     pays = [rng.normal(size=(4, 4, 3)), rng.normal(size=(4, 4, 3))]
     cloud = aggregate_pointmaps(pms, pays)
     assert len(cloud) == 32
-    np.testing.assert_array_equal(cloud.source_index, np.arange(32))
     np.testing.assert_array_equal(cloud.points[:16], pms[0].coords.reshape(-1, 3))
     np.testing.assert_array_equal(cloud.payload[16:], pays[1].reshape(-1, 3))
 
@@ -174,7 +170,7 @@ def test_zbuffer_rule_two_points():
     cam = look_at((0, 0, -2.0), (0, 0, 1.0), 60.0, 4, 4)
     d = cam.rotation.T @ np.array([0.0, 0.0, 1.0])  # along optical axis
     pts = np.stack([cam.center + 3.0 * d, cam.center + 1.5 * d])
-    cloud = PointCloud(pts, np.array([[10.0], [20.0]]), np.array([0, 1]))
+    cloud = PointCloud(pts, np.array([[10.0], [20.0]]))
     plane = rasterize(cloud, cam, (4, 4))
     covered = ~plane.mask
     assert covered.sum() == 1
@@ -182,19 +178,19 @@ def test_zbuffer_rule_two_points():
     assert plane.depth[covered][0] == pytest.approx(1.5)
 
 
-def test_exact_tie_breaks_to_smaller_source_index():
+def test_exact_tie_breaks_to_earlier_row():
     cam = look_at((0, 0, -2.0), (0, 0, 1.0), 60.0, 4, 4)
     d = cam.rotation.T @ np.array([0.0, 0.0, 1.0])
     p = cam.center + 2.0 * d
-    cloud = PointCloud(np.stack([p, p]), np.array([[1.0], [2.0]]), np.array([4, 9]))
-    plane = rasterize(cloud, cam, (4, 4))
-    assert plane.payload[~plane.mask][0, 0] == 1.0
+    for first, second in ((1.0, 2.0), (2.0, 1.0)):
+        cloud = PointCloud(np.stack([p, p]), np.array([[first], [second]]))
+        plane = rasterize(cloud, cam, (4, 4))
+        assert plane.payload[~plane.mask][0, 0] == first
 
 
 def test_empty_cloud():
     cam = look_at((0, 0, -2.0), (0, 0, 1.0), 60.0, 4, 4)
-    plane = rasterize(PointCloud(np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
-                      cam, (4, 4))
+    plane = rasterize(PointCloud(np.zeros((0, 3)), np.zeros((0, 2))), cam, (4, 4))
     assert plane.mask.all()
     assert np.all(plane.payload == 0)
     assert np.all(np.isinf(plane.depth))
@@ -218,27 +214,6 @@ def test_rasterize_matches_bruteforce_oracle():
         np.testing.assert_array_equal(plane.mask, mask)
         np.testing.assert_array_equal(plane.depth, depth)
         np.testing.assert_array_equal(plane.payload, payload)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_rasterize_point_order_invariance(seed):
-    """Shuffling cloud rows while keeping source_index pairs changes nothing."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 200))
-    pts = rng.uniform(-4, 4, (n, 3))
-    # duplicate some points to force exact depth ties
-    k = n // 3
-    pts[:k] = pts[n - k - 1:n - 1][::-1]
-    pay = rng.normal(size=(n, 1))
-    cam = random_camera(rng)
-    a = rasterize(PointCloud(pts, pay, np.arange(n)), cam, (8, 8))
-    perm = rng.permutation(n)
-    order = np.argsort(perm)  # restore strictly increasing source_index
-    b = rasterize(PointCloud(pts[perm][order], pay[perm][order], np.arange(n)[perm][order]),
-                  cam, (8, 8))
-    assert a.payload.tobytes() == b.payload.tobytes()
-    assert a.depth.tobytes() == b.depth.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +291,18 @@ def test_subsample_keep_all_and_none():
     cloud = random_cloud(rng, 50)
     full = subsample_points(cloud, 1.0, seed=3)
     assert len(full) == 50
-    np.testing.assert_array_equal(full.source_index, cloud.source_index)
+    assert full is cloud
     assert len(subsample_points(cloud, 0.0, seed=3)) == 0
 
 
 def test_subsample_deterministic_and_ordered():
     rng = np.random.default_rng(2)
-    cloud = random_cloud(rng, 100)
+    cloud = PointCloud(rng.uniform(-4, 4, (100, 3)), np.arange(100.0))  # payload: the row
     a = subsample_points(cloud, 0.4, seed=7)
     b = subsample_points(cloud, 0.4, seed=7)
-    np.testing.assert_array_equal(a.source_index, b.source_index)
-    assert np.all(np.diff(a.source_index) > 0)
+    np.testing.assert_array_equal(a.payload, b.payload)
+    np.testing.assert_array_equal(a.points, cloud.points[a.payload[:, 0].astype(int)])
+    assert np.all(np.diff(a.payload[:, 0]) > 0)
     assert len(a) == 40
 
 

@@ -75,6 +75,16 @@ def test_rejects_overflowing_and_cut_dims():
         rnvt.decode_tensor(header + (3).to_bytes(8, "little")[:5])
 
 
+def test_flipped_ndim_byte_with_a_huge_declared_length(tmp_path):
+    """ndim 3 flipped to 252 reads data as dims: the declared length has ~4,600 digits."""
+    blob = bytearray(rnvt.encode_tensor(np.random.default_rng(0).normal(size=(32, 32, 3))))
+    blob[9] ^= 0xFF
+    path = tmp_path / "t.rnvt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InputError, match="t.rnvt"):
+        rnvt.read_tensor(path)
+
+
 def _damaged_blobs():
     """Well-formed headers with arbitrary code, ndim, dims and body, then cut or not."""
     header = st.builds(

@@ -433,6 +433,19 @@ def test_render_matches_reference_where_a_quad_has_one_candidate_pixel():
     _assert_same_render(scene, cam)
 
 
+@pytest.mark.parametrize("res", [(1, 9), (1, 17), (9, 1)])
+def test_render_matches_reference_on_one_pixel_wide_and_tall_images(res):
+    """A one-pixel-wide box has one-pixel rows: its rays must still round as the image's do."""
+    spec = SceneSpec(n_quads=8, palette_size=4, shading=0.3)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        scene = generate_scene(seed % 8, spec)
+        for _ in range(4):
+            eye, target = rng.uniform(-4.5, 4.5, 3), rng.uniform(-4.5, 4.5, 3)
+            if np.hypot(target[0] - eye[0], target[2] - eye[2]) > 0.1:  # look_at needs a heading
+                _assert_same_render(scene, look_at(eye, target, rng.uniform(30.0, 120.0), *res))
+
+
 def _box_holds(box, mask) -> bool:
     """Every True pixel of mask lies inside box (None holds none)."""
     if box is None:

@@ -8,6 +8,12 @@ Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
                     pixels ray-cast per image pixel at 128x128: the summed area
                     of the quads' screen boxes over the view's area (mean, min
                     and max over the 16 views; a count, not a time)
+    feature_warp    refs 7,9 warped into view 8 at 64x64: reduced mixed-family tokens
+                    (32 channels) anchored at patch centers, z-buffered at token
+                    resolution (token_feature_cloud and rasterize)
+    rgb_warp        refs 7,9 warped into view 8 at 128x128: every covered pixel's
+                    RGB, z-buffered at full resolution (aggregate_pointmaps and
+                    rasterize)
     ssim            one call on two rendered 64x64 / 128x128 views
     dominant_labels one 128x128 label map
     geometric_score one geometric_correspondence_score, 64 queries, 128x128, mixed family
@@ -57,6 +63,7 @@ FAMILIES = ("mixed", "appearance", "random")
 FEATURE_FAMILIES = ("oracle_geom", "appearance", "random", "mixed")
 N_VIEWS = 16
 VIEW_A, VIEW_B = 2, 5  # the pair the benchmark's analysis sweep scores
+WARP_REFS, WARP_TARGET = (7, 9), 8  # the two-reference warp of the benchmark's analysis sweep
 LAYER_REPS = 9
 
 
@@ -102,14 +109,21 @@ def layer_times(seed: int) -> None:
               / (cam.width * cam.height) for cam in cams]
     print(f"{'render_view tested px 128x128':<28} {statistics.mean(tested):8.3f} x image "
           f"(min {min(tested):.3f}, max {max(tested):.3f})")
+    transform = NormalizationTransform.from_aabb(scn.aabb_min, scn.aabb_max)
+    p = pipeline.PATCH
+    data = {res: pipeline.SceneData(seed, views[res], transform, p) for res in (64, 128)}
+    grids = dict(zip(WARP_REFS, pipeline.reduced_grids(data[64], FeatureFamily("mixed"), 32, 77,
+                                                       WARP_REFS)[0]))
+    report("feature_warp 64x64", timed_ms(
+        lambda: pipeline.feature_warp(data[64], grids, WARP_REFS, WARP_TARGET), LAYER_REPS))
+    report("rgb_warp 128x128", timed_ms(
+        lambda: pipeline.rgb_warp(data[128], WARP_REFS, WARP_TARGET), LAYER_REPS))
     for res in (64, 128):
         a, b = views[res][VIEW_A].rgb, views[res][VIEW_B].rgb
         report(f"ssim {res}x{res}", timed_ms(lambda: metrics.ssim(a, b), LAYER_REPS))
     va, vb = views[128][VIEW_A], views[128][VIEW_B]
-    p = pipeline.PATCH
     report("dominant_labels 128x128",
            timed_ms(lambda: analysis.dominant_labels(va.labels, p), LAYER_REPS))
-    transform = NormalizationTransform.from_aabb(scn.aabb_min, scn.aabb_max)
     fam = pipeline.scene_family(FeatureFamily("mixed"), seed)
     ga = features.extract_features(va, fam, p, transform)
     gb = features.extract_features(vb, fam, p, transform)
