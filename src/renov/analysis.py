@@ -77,9 +77,34 @@ def cosine_similarity_map(query: np.ndarray, target: FeatureGrid) -> np.ndarray:
 
 
 def _argmax_cell(sim: np.ndarray, valid: np.ndarray) -> tuple[int, int]:
-    masked = np.where(valid, sim, -2.0)  # below any cosine
-    flat = int(np.argmax(masked))
-    return flat // sim.shape[1], flat % sim.shape[1]
+    return divmod(int(np.argmax(np.where(valid, sim, -2.0))), sim.shape[1])  # -2: below any cosine
+
+
+def _check_queries(grid_a: FeatureGrid, grid_b: FeatureGrid, num_queries: int, tau=0) -> None:
+    if num_queries < 1:
+        raise InputError(f"num_queries must be >= 1, got {num_queries}")
+    if tau < 0:
+        raise InputError(f"tau must be >= 0, got {tau}")
+    if grid_b.patch_size != grid_a.patch_size:
+        raise InputError("grids must share one patch size")
+
+
+def _match_queries(grid_a: FeatureGrid, grid_b: FeatureGrid, eligible: np.ndarray,
+                   num_queries: int, seed: int, tau: int, judge) -> CorrespondenceReport:
+    """Up to num_queries seeded draws of A's eligible flat indices, each matched to its cosine
+    argmax over B's valid tokens; judge(index, cell, prediction) gives (truth cell, hit)."""
+    rng = np.random.default_rng(seed)
+    n = min(num_queries, eligible.size)
+    chosen = rng.choice(eligible, size=n, replace=False)
+    wt = grid_a.resolution[1]
+    units_b = _unit_rows(grid_b.tokens)  # once per score, not per query
+    records = []
+    for idx in chosen:
+        cell = divmod(int(idx), wt)
+        pred = _argmax_cell(_cosine_to_units(grid_a.tokens[cell], units_b), grid_b.valid)
+        truth, hit = judge(int(idx), cell, pred)
+        records.append(QueryRecord(cell, pred, truth, bool(hit)))
+    return CorrespondenceReport(sum(r.hit for r in records) / n, tau, n, tuple(records))
 
 
 def geometric_correspondence_score(
@@ -92,20 +117,13 @@ def geometric_correspondence_score(
     seed: int = 0,
 ) -> CorrespondenceReport:
     """PCK@tau of feature matching from A into B, gated to visible queries."""
-    if num_queries < 1:
-        raise InputError(f"num_queries must be >= 1, got {num_queries}")
-    if tau < 0:
-        raise InputError(f"tau must be >= 0, got {tau}")
+    _check_queries(grid_a, grid_b, num_queries, tau)
     p = grid_a.patch_size
-    if grid_b.patch_size != p:
-        raise InputError("grids must share one patch size")
     anchors, avalid = token_anchors(view_a.pointmap, p)
-    avalid = avalid & grid_a.valid
-    ht, wt = grid_a.resolution
     cam_b = view_b.camera
 
     u, v, z, pvalid = project_points(anchors.reshape(-1, 3), cam_b)
-    pvalid &= avalid.reshape(-1)
+    pvalid &= (avalid & grid_a.valid).reshape(-1)
     # occlusion gate: projected depth must match B's rendered depth within 2%
     pi = np.clip(np.floor(v).astype(np.int64), 0, cam_b.height - 1)
     pj = np.clip(np.floor(u).astype(np.int64), 0, cam_b.width - 1)
@@ -115,22 +133,12 @@ def geometric_correspondence_score(
     eligible = np.nonzero(visible)[0]
     if eligible.size == 0:
         raise InputError("no query token of A is visible in B")
-    rng = np.random.default_rng(seed)
-    n = min(num_queries, eligible.size)
-    chosen = rng.choice(eligible, size=n, replace=False)
 
-    units_b = _unit_rows(grid_b.tokens)  # once per score, not per query
-    records = []
-    hits = 0
-    for idx in chosen:
-        qi, qj = divmod(int(idx), wt)
+    def judge(idx, cell, pred):
         truth = (int(np.floor(v[idx] / p)), int(np.floor(u[idx] / p)))
-        sim = _cosine_to_units(grid_a.tokens[qi, qj], units_b)
-        pred = _argmax_cell(sim, grid_b.valid)
-        hit = max(abs(pred[0] - truth[0]), abs(pred[1] - truth[1])) <= tau
-        hits += hit
-        records.append(QueryRecord((qi, qj), pred, truth, bool(hit)))
-    return CorrespondenceReport(hits / n, tau, n, tuple(records))
+        return truth, max(abs(pred[0] - truth[0]), abs(pred[1] - truth[1])) <= tau
+
+    return _match_queries(grid_a, grid_b, eligible, num_queries, seed, tau, judge)
 
 
 def dominant_labels(labels: np.ndarray, patch_size: int) -> np.ndarray:
@@ -164,36 +172,17 @@ def semantic_correspondence_score(
     seed: int = 0,
 ) -> CorrespondenceReport:
     """Label-agreement PCK: a hit is an argmax cell whose dominant label matches the query's."""
-    if num_queries < 1:
-        raise InputError(f"num_queries must be >= 1, got {num_queries}")
+    _check_queries(grid_a, grid_b, num_queries)
     p = grid_a.patch_size
-    if grid_b.patch_size != p:
-        raise InputError("grids must share one patch size")
     dom_a = dominant_labels(np.asarray(labels_a), p)
     dom_b = dominant_labels(np.asarray(labels_b), p)
     if dom_a.shape != grid_a.resolution or dom_b.shape != grid_b.resolution:
         raise InputError("label maps inconsistent with grid resolutions")
-    present_b = set(np.unique(dom_b).tolist())
-    eligible_mask = grid_a.valid & np.isin(dom_a, sorted(present_b))
-    eligible = np.nonzero(eligible_mask.reshape(-1))[0]
+    eligible = np.nonzero((grid_a.valid & np.isin(dom_a, np.unique(dom_b))).reshape(-1))[0]
     if eligible.size == 0:
         raise InputError("no query token's dominant label appears in B")
-    rng = np.random.default_rng(seed)
-    n = min(num_queries, eligible.size)
-    chosen = rng.choice(eligible, size=n, replace=False)
-
-    ht, wt = grid_a.resolution
-    units_b = _unit_rows(grid_b.tokens)  # once per score, not per query
-    records = []
-    hits = 0
-    for idx in chosen:
-        qi, qj = divmod(int(idx), wt)
-        sim = _cosine_to_units(grid_a.tokens[qi, qj], units_b)
-        pred = _argmax_cell(sim, grid_b.valid)
-        hit = int(dom_b[pred]) == int(dom_a[qi, qj])
-        hits += hit
-        records.append(QueryRecord((qi, qj), pred, None, bool(hit)))
-    return CorrespondenceReport(hits / n, 0, n, tuple(records))
+    return _match_queries(grid_a, grid_b, eligible, num_queries, seed, 0,
+                          lambda idx, cell, pred: (None, int(dom_b[pred]) == int(dom_a[cell])))
 
 
 def lds_score(grid: FeatureGrid, r_local: int = 1, r_far: int = 4) -> float:

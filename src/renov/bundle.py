@@ -9,10 +9,13 @@ A scene bundle is a directory with deterministic, atomically written files:
     views/view_NNN/labels.rnvt    i64 HxW instance ids (-1 = background)
     views/view_NNN/camera.json
 
-Pointmap validity is recovered from depth > 0 on load.  load_scene_bundle
-checks every view against this layout (dtype, the shape its camera.json
-gives, finite values, rgb in [0,1], depth >= 0); a violation is an
-InputError naming the file.
+load_scene_bundle reads a bundle into the pipeline's SceneData in one call,
+checking every field it parses and every view against this layout: the
+dtype, the shape camera.json gives, rgb in [0, 1], depth finite and >= 0,
+pointmap coordinates and the normalization box in [-WORLD_HALF, WORLD_HALF]^3.
+Pointmap validity is recovered from depth > 0.  load_decoder checks each
+checkpoint parameter alike: float64, the manifest's shape, finite and in
+float32 range.  A violation is an InputError naming the file.
 """
 
 from __future__ import annotations
@@ -23,15 +26,19 @@ import numpy as np
 
 from . import rnvt
 from .camera import CameraPose
-from .encoding import NormalizationTransform
+from .encoding import MIN_HALF_EXTENT, NormalizationTransform
 from .errors import InputError, NumericalError, is_int
 from .features import ChannelReducer, FeatureFamily
 from .geometry import FeatureGrid, Pointmap
+from .pipeline import SceneData
 from .probe import ProbeDecoder, param_shapes
-from .scene import RenderedView, SceneSpec, SyntheticScene
+from .scene import WORLD_HALF, RenderedView, SceneSpec, SyntheticScene
 
 SCENE_FORMAT = "renov-scene"
 SCENE_VERSION = 1
+WORLD_TOL = 1e-6  # rounding slack on the world box for saved coordinates and boxes
+WORLD_BOX = f"[-{WORLD_HALF}, {WORLD_HALF}]^3"
+PARAM_MAX = float(np.finfo(np.float32).max)  # train_probe trains and saves float32 values
 
 
 def _int(value) -> int:
@@ -52,13 +59,13 @@ def _bool(value) -> bool:
     return value
 
 
-def _field(path: Path, doc, name: str, parse):
-    """parse(doc[name]); a missing or mistyped field is an InputError naming the file and field."""
+def _field(path: Path, doc, name: str | None, parse):
+    """parse(doc[name]), or parse(doc) if name is None; errors become InputErrors naming path."""
     try:
-        return parse(doc[name])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:  # InputError is a ValueError
-        raise InputError(f"{path}: field '{name}' is missing or malformed "
-                         f"({type(e).__name__}: {e})") from e
+        return parse(doc if name is None else doc[name])
+    except (KeyError, TypeError, ValueError, OverflowError, NumericalError) as e:
+        what = "malformed" if name is None else f"field '{name}' is missing or malformed"
+        raise InputError(f"{path}: {what} ({type(e).__name__}: {e})") from e
 
 
 def view_dir(bundle: Path, index: int) -> Path:
@@ -100,60 +107,58 @@ def save_scene_bundle(
         rnvt.write_json(vdir / "camera.json", view.camera.to_dict())
 
 
-def _view_tensor(vdir: Path, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """A view tensor with the dtype save_scene_bundle writes and the shape camera.json implies."""
-    path = vdir / f"{name}.rnvt"
+def _tensor(path: Path, dtype, shape: tuple, source: str, ok=None, rule: str = "") -> np.ndarray:
+    """The tensor at path, checked for dtype, for the shape `source` gives and for ok(values)."""
     arr = rnvt.read_tensor(path)
     if arr.dtype != dtype:
         raise InputError(f"{path} holds {arr.dtype}, expected {np.dtype(dtype)}")
     if arr.shape != shape:
-        raise InputError(f"{path} has shape {arr.shape}, but {vdir / 'camera.json'} is "
-                         f"{shape[1]}x{shape[0]}")
+        raise InputError(f"{path} has shape {arr.shape}, but {source}")
+    if ok is not None and not np.all(ok(arr)):
+        raise InputError(f"{path} has values that are not {rule}")
     return arr
 
 
-def _check_values(vdir: Path, name: str, ok: np.ndarray, rule: str) -> None:
-    if not np.all(ok):
-        raise InputError(f"{vdir / name}.rnvt has values that are not {rule}")
+def _normalization(d) -> NormalizationTransform:
+    """A saved transform whose box has half-extents >= MIN_HALF_EXTENT and is in the world box."""
+    t = NormalizationTransform.from_dict(d)
+    # |center| + half <= bound, written so that huge finite values cannot overflow
+    if np.any(t.half_extent < MIN_HALF_EXTENT) or np.any(
+            np.abs(t.center) > WORLD_HALF + WORLD_TOL - t.half_extent):
+        raise ValueError(f"the box {t.center} +- {t.half_extent} is not a box of half-extent "
+                         f">= {MIN_HALF_EXTENT} in {WORLD_BOX}")
+    return t
 
 
-def load_scene_bundle(bundle: Path) -> tuple[dict, list[RenderedView]]:
-    bundle = Path(bundle)
-    path = bundle / "scene.json"
+def _load_view(vdir: Path) -> RenderedView:
+    """One view's camera and tensors; depth > 0 marks the valid pointmap pixels."""
+    camera_path = vdir / "camera.json"
+    camera = _field(camera_path, rnvt.read_json(camera_path), None, CameraPose.from_dict)
+    h, w = camera.height, camera.width
+    size = f"{camera_path} is {w}x{h}"
+    rgb = _tensor(vdir / "rgb.rnvt", np.float32, (h, w, 3), size,
+                  lambda a: (a >= 0) & (a <= 1), "in [0, 1]")
+    depth = _tensor(vdir / "depth.rnvt", np.float64, (h, w), size,
+                    lambda a: np.isfinite(a) & (a >= 0), "finite and >= 0")
+    coords = _tensor(vdir / "pointmap.rnvt", np.float64, (h, w, 3), size,
+                     lambda a: np.abs(a) <= WORLD_HALF + WORLD_TOL, f"in {WORLD_BOX}")
+    labels = _tensor(vdir / "labels.rnvt", np.int64, (h, w), size)
+    return RenderedView(rgb=rgb.astype(np.float64), depth=depth,
+                        pointmap=Pointmap(coords, depth > 0), labels=labels, camera=camera)
+
+
+def load_scene_bundle(bundle: Path, patch: int) -> SceneData:
+    """The bundle's seed, views and normalization, as the SceneData of the given patch size."""
+    path = Path(bundle) / "scene.json"
     doc = rnvt.read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SCENE_FORMAT:
         raise InputError(f"{bundle} is not a scene bundle (field 'format')")
-    _field(path, doc, "seed", _int)
+    seed = _field(path, doc, "seed", _int)
     _field(path, doc, "spec", SceneSpec.from_dict)
-    _field(path, doc, "normalization", NormalizationTransform.from_dict)
-    views = []
-    for i in range(_field(path, doc, "n_views", _positive)):
-        vdir = view_dir(bundle, i)
-        camera_doc = rnvt.read_json(vdir / "camera.json")
-        try:
-            camera = CameraPose.from_dict(camera_doc)
-        except (KeyError, TypeError, ValueError, OverflowError, NumericalError) as e:  # a damaged file
-            raise InputError(f"{vdir / 'camera.json'}: {e}") from e
-        h, w = camera.height, camera.width
-        rgb = _view_tensor(vdir, "rgb", np.float32, (h, w, 3))
-        _check_values(vdir, "rgb", (rgb >= 0) & (rgb <= 1), "in [0, 1]")
-        depth = _view_tensor(vdir, "depth", np.float64, (h, w))
-        _check_values(vdir, "depth", np.isfinite(depth) & (depth >= 0), "finite and >= 0")
-        coords = _view_tensor(vdir, "pointmap", np.float64, (h, w, 3))
-        _check_values(vdir, "pointmap", np.isfinite(coords), "finite")
-        labels = _view_tensor(vdir, "labels", np.int64, (h, w))
-        views.append(RenderedView(
-            rgb=rgb.astype(np.float64),
-            depth=depth,
-            pointmap=Pointmap(coords, depth > 0),
-            labels=labels,
-            camera=camera,
-        ))
-    return doc, views
-
-
-def bundle_transform(doc: dict) -> NormalizationTransform:
-    return NormalizationTransform.from_dict(doc["normalization"])
+    transform = _field(path, doc, "normalization", _normalization)
+    views = [_load_view(view_dir(bundle, i))
+             for i in range(_field(path, doc, "n_views", _positive))]
+    return SceneData(seed, views, transform, patch)
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +213,16 @@ def save_decoder(out: Path, decoder: ProbeDecoder, extra: dict | None = None) ->
 
 
 def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:
-    """The checkpoint's manifest and decoder; each parameter is finite f64 of the manifest's shape."""
-    path = Path(path)
-    mpath = path / "manifest.json"
+    """The checkpoint's manifest and decoder; each parameter is f64 of the manifest's shape."""
+    mpath = Path(path) / "manifest.json"
     manifest = rnvt.read_json(mpath)
     dims = {name: _field(mpath, manifest, name, _positive)
             for name in ("patch_size", "c_in", "c_red", "hidden")}
     attn = _field(mpath, manifest, "attn_enabled", _bool)
     if not isinstance(manifest.get("extra", {}), dict):
         raise InputError(f"{mpath}: field 'extra' must be an object")
-    params = {}
-    for name, shape in param_shapes(**dims, attn_enabled=attn).items():
-        tensor = path / f"{name}.rnvt"
-        arr = params[name] = rnvt.read_tensor(tensor)
-        if arr.shape != shape:
-            raise InputError(f"{tensor} has shape {arr.shape}, the manifest implies {shape}")
-        if arr.dtype != np.float64:
-            raise InputError(f"{tensor} holds {arr.dtype}, expected float64")
-        if not np.all(np.isfinite(arr)):
-            raise InputError(f"{tensor} has values that are not finite")
+    params = {name: _tensor(mpath.with_name(f"{name}.rnvt"), np.float64, shape,
+                            f"the manifest implies {shape}", lambda a: np.abs(a) <= PARAM_MAX,
+                            "finite and in float32 range")
+              for name, shape in param_shapes(**dims, attn_enabled=attn).items()}
     return manifest, ProbeDecoder(**dims, attn_enabled=attn, params=params)

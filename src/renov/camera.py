@@ -50,7 +50,9 @@ class CameraPose:
         r = m[:3, :3]
         if not np.all(np.isfinite(m)):
             raise NumericalError("non-finite camera matrix")
-        if np.max(np.abs(r @ r.T - np.eye(3))) > ORTHONORMAL_TOL:
+        # an orthonormal entry is at most 1, and a larger one could overflow r @ r.T
+        if (np.max(np.abs(r)) > 1 + ORTHONORMAL_TOL
+                or np.max(np.abs(r @ r.T - np.eye(3))) > ORTHONORMAL_TOL):
             raise NumericalError("rotation block is not orthonormal within 1e-6")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
             raise NumericalError("rotation determinant is not +1 within 1e-6")

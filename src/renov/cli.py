@@ -63,11 +63,6 @@ def _family_from(args, seed: int) -> FeatureFamily:
                          channels=args.channels, seed=seed)
 
 
-def _load_scene_data(path, patch: int) -> SceneData:
-    doc, views = bundle.load_scene_bundle(Path(path))
-    return SceneData(doc["seed"], views, bundle.bundle_transform(doc), patch)
-
-
 def _check_view_index(data: SceneData, idx: int, flag: str) -> None:
     if not 0 <= idx < len(data.views):
         raise InputError(f"{flag} index {idx} out of range for bundle with {len(data.views)} views")
@@ -115,7 +110,7 @@ def cmd_scene_gen(args) -> dict:
 
 def cmd_features(args) -> dict:
     seed = _seed_from(args)
-    data = _load_scene_data(args.scene, args.patch)
+    data = bundle.load_scene_bundle(args.scene, args.patch)
     family = _family_from(args, seed)
     local = local_grids(data, family)  # the per-scene features the probe sees
     reduced, reducer = reduce_local_grids(local, args.c_red, args.reducer_seed)
@@ -127,7 +122,7 @@ def cmd_features(args) -> dict:
 
 def cmd_warp(args) -> dict:
     seed = _seed_from(args)
-    data = _load_scene_data(args.scene, args.patch)
+    data = bundle.load_scene_bundle(args.scene, args.patch)
     refs = _refs_and_target(args, data)
     _check_remove(args.remove)
     if args.payload == "rgb":
@@ -154,7 +149,7 @@ def cmd_warp(args) -> dict:
 
 def cmd_condition(args) -> dict:
     seed = _seed_from(args)
-    data = _load_scene_data(args.scene, args.patch)
+    data = bundle.load_scene_bundle(args.scene, args.patch)
     refs = _refs_and_target(args, data)
     family = _family_from(args, seed)
     grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
@@ -185,16 +180,17 @@ def cmd_analyze(args) -> dict:
     seed = _seed_from(args)
     if args.save_maps < 0:
         raise InputError(f"--save-maps must be >= 0, got {args.save_maps}")
-    data = _load_scene_data(args.scene, args.patch)
+    data = bundle.load_scene_bundle(args.scene, args.patch)
     family = scene_family(_family_from(args, seed), data.seed)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
+    _check_view_index(data, args.view_a, "--view-a")
+    va = data.views[args.view_a]
+    ga = extract_features(va, family, args.patch, data.transform)
     if args.metric == "lds":
-        _check_view_index(data, args.view_a, "--view-a")
-        grid = extract_features(data.views[args.view_a], family, args.patch, data.transform)
-        score = lds_score(grid, args.r_local, args.r_far)
+        score = lds_score(ga, args.r_local, args.r_far)
         summary = {"command": "analyze", "metric": "lds", "family": args.family,
                    "view": args.view_a, "r_local": args.r_local, "r_far": args.r_far,
                    "score": score}
@@ -202,10 +198,8 @@ def cmd_analyze(args) -> dict:
             rnvt.write_json(out / "lds.json", summary)
         return summary
 
-    _check_view_index(data, args.view_a, "--view-a")
     _check_view_index(data, args.view_b, "--view-b")
-    va, vb = data.views[args.view_a], data.views[args.view_b]
-    ga = extract_features(va, family, args.patch, data.transform)
+    vb = data.views[args.view_b]
     gb = extract_features(vb, family, args.patch, data.transform)
     if args.metric == "corr":
         rep = geometric_correspondence_score(ga, gb, va, vb, args.tau, args.queries, seed)
@@ -242,7 +236,7 @@ def _check_protocol_views(data: SceneData, proto: ProbeProtocol) -> None:
 
 def cmd_probe(args) -> dict:
     seed = _seed_from(args)
-    data = _load_scene_data(args.scene, args.patch)
+    data = bundle.load_scene_bundle(args.scene, args.patch)
     family = _family_from(args, seed)
     proto = ProbeProtocol.fixed_target()
     _check_protocol_views(data, proto)
@@ -283,7 +277,7 @@ def cmd_probe(args) -> dict:
 
 def cmd_robustness(args) -> dict:
     seed = _seed_from(args)
-    data = _load_scene_data(args.scene, args.patch)
+    data = bundle.load_scene_bundle(args.scene, args.patch)
     _check_protocol_views(data, ProbeProtocol.robustness())
     for frac in args.remove:
         _check_remove(frac)

@@ -13,8 +13,10 @@ from renov.scene import SceneSpec, generate_scene
 def test_scene_bundle_roundtrip(tmp_path, scene_data):
     scene = generate_scene(scene_data.seed, SCENE_SPEC)
     bundle.save_scene_bundle(tmp_path / "b", scene, scene_data.views, scene_data.transform)
-    doc, views = bundle.load_scene_bundle(tmp_path / "b")
-    assert doc["seed"] == scene_data.seed
+    data = bundle.load_scene_bundle(tmp_path / "b", scene_data.patch)
+    doc, views = rnvt.read_json(tmp_path / "b" / "scene.json"), data.views
+    assert data.seed == doc["seed"] == scene_data.seed
+    assert data.patch == scene_data.patch
     assert len(views) == len(scene_data.views)
     v0, r0 = views[0], scene_data.views[0]
     np.testing.assert_allclose(v0.rgb, r0.rgb, atol=1e-7)  # rgb stored f32
@@ -23,7 +25,7 @@ def test_scene_bundle_roundtrip(tmp_path, scene_data):
     np.testing.assert_array_equal(v0.pointmap.valid, r0.pointmap.valid)
     np.testing.assert_array_equal(v0.labels, r0.labels)
     np.testing.assert_array_equal(v0.camera.world_to_camera, r0.camera.world_to_camera)
-    tr = bundle.bundle_transform(doc)
+    tr = data.transform
     np.testing.assert_array_equal(tr.center, scene_data.transform.center)
     assert SceneSpec.from_dict(doc["spec"]) == SCENE_SPEC
 
@@ -32,7 +34,7 @@ def test_bundle_rejects_foreign_dir(tmp_path):
     from renov import rnvt
     rnvt.write_json(tmp_path / "scene.json", {"format": "something-else"})
     with pytest.raises(InputError):
-        bundle.load_scene_bundle(tmp_path)
+        bundle.load_scene_bundle(tmp_path, 8)
 
 
 def test_feature_set_roundtrip(tmp_path, scene_data):

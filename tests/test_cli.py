@@ -138,7 +138,7 @@ def test_condition_reference_planes(small_bundle, capsys, tmp_path):
     code, _, _ = run_cli(capsys, "--seed", "3", "condition", "--scene", str(small_bundle),
                          "--refs", "5,0,2", "--target", "8", "--out", str(out))
     assert code == 0
-    data = cli._load_scene_data(small_bundle, 8)
+    data = bundle.load_scene_bundle(small_bundle, 8)
     grids, _ = pipeline.reduced_grids(data, FeatureFamily("mixed", seed=3), 32, 77)
     assert sorted(p.name for p in out.glob("cond_ref_*")) == [
         "cond_ref_000.rnvt", "cond_ref_002.rnvt", "cond_ref_005.rnvt"]
@@ -193,7 +193,7 @@ def test_cli_probe_and_robustness_match_library(small_bundle, capsys, tmp_path):
                          *flags)
     assert code == 0
 
-    data = cli._load_scene_data(small_bundle, 8)
+    data = bundle.load_scene_bundle(small_bundle, 8)
     family = FeatureFamily("mixed", seed=5)
     cfg = TrainConfig(steps=20, batch=4, seed=5, attn_enabled=True, c_red=32, hidden=128)
     _, _, report = pipeline.probe_scene_run(data, family, cfg, pipeline.ProbeProtocol.fixed_target())
@@ -213,7 +213,7 @@ def test_features_and_analyze_use_per_scene_features(small_bundle, capsys, tmp_p
     assert code == 0
 
     family = FeatureFamily("random", seed=5)
-    grids = pipeline.unified_grids(cli._load_scene_data(small_bundle, 8), family)
+    grids = pipeline.unified_grids(bundle.load_scene_bundle(small_bundle, 8), family)
     manifest = rnvt.read_json(out / "manifest.json")
     local = [rnvt.read_tensor(out / f"local_{i:03d}.rnvt") for i in range(manifest["n_views"])]
     assert manifest["family"] == family.to_dict()
@@ -228,10 +228,12 @@ def test_default_scene_gen_is_the_suite_scene(tmp_path, capsys):
     """scene-gen's default flags render the scene of pipeline.SuiteConfig() and its constants."""
     code, _, _ = run_cli(capsys, "--seed", "3", "scene-gen", "--out", str(tmp_path / "s"))
     assert code == 0
-    doc, views = bundle.load_scene_bundle(tmp_path / "s")
+    loaded = bundle.load_scene_bundle(tmp_path / "s", pipeline.PATCH)
+    doc, views = rnvt.read_json(tmp_path / "s" / "scene.json"), loaded.views
     data = pipeline.render_scene_data(3, pipeline.SuiteConfig())
     assert SceneSpec.from_dict(doc["spec"]) == pipeline.SCENE_SPEC
-    transform = bundle.bundle_transform(doc)
+    assert loaded.seed == data.seed
+    transform = loaded.transform
     np.testing.assert_array_equal(transform.center, data.transform.center)
     np.testing.assert_array_equal(transform.half_extent, data.transform.half_extent)
     assert len(views) == len(data.views)
@@ -341,6 +343,10 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     w1 = rnvt.read_tensor(nan_w1 / "mlp_w1.rnvt")
     w1[0, 0] = np.nan
     rnvt.write_tensor(nan_w1 / "mlp_w1.rnvt", w1)
+    huge_w1 = tmp_path / "huge_w1"
+    shutil.copytree(small_ckpt, huge_w1)
+    w1[0, 0] = 1e308  # finite, but outside the float32 range that training writes
+    rnvt.write_tensor(huge_w1 / "mlp_w1.rnvt", w1)
     u8_b1 = tmp_path / "u8_b1"
     shutil.copytree(small_ckpt, u8_b1)
     rnvt.write_tensor(u8_b1 / "mlp_b1.rnvt", np.zeros(128, dtype=np.uint8))
@@ -387,14 +393,46 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         (["warp", "--scene", hot_rgb, "--refs", "0", "--target", "1", "--out", str(tmp_path / "w")],
          os.path.join(view_3, "rgb.rnvt") + " has values that are not in [0, 1]"),
         (evaluate + [str(nan_w1)], "mlp_w1.rnvt has values that are not finite"),
+        (evaluate + [str(huge_w1)], "mlp_w1.rnvt has values that are not finite and in float32"),
         (evaluate + [str(u8_b1)], "mlp_b1.rnvt holds uint8, expected float64"),
     ]
     for scene, name in bad_values:
         cases.append((["warp", "--scene", scene, "--refs", "3", "--target", "1",
                        "--out", str(tmp_path / "w")], name))
         cases.append((["analyze", "corr", "--scene", scene, "--view-a", "3"], name))
+
+    def entry_set(index, value):
+        """A damage that sets one entry of a tensor, or of a camera's extrinsic list."""
+        def damage(a):
+            a = dict(a, extrinsic=list(a["extrinsic"])) if isinstance(a, dict) else a.copy()
+            (a["extrinsic"] if isinstance(a, dict) else a)[index] = value
+            return a
+        return damage
+
+    huge_values = [  # huge or tiny finite values: (damaged bundle, file its message names)
+        (damaged_view("huge_r00", "camera.json", entry_set(0, 1e308)), camera_3),
+        (damaged_view("huge_r11", "camera.json", entry_set(5, 1e308)), camera_3),
+        (damaged_normalization("far_center", "center", [1e308, 0.0, 0.0]),
+         "scene.json: field 'normalization'"),
+        (damaged_normalization("tiny_half", "half_extent", [1e-300, 1.0, 1.0]),
+         "scene.json: field 'normalization'"),
+        (damaged_view("huge_corner", "pointmap.rnvt", entry_set((0, 0, 0), 1e308)),
+         os.path.join(view_3, "pointmap.rnvt")),
+        (damaged_view("huge_middle", "pointmap.rnvt", entry_set((24, 24, 2), -1e308)),
+         os.path.join(view_3, "pointmap.rnvt")),
+    ]
+    for scene, name in huge_values:
+        cases += [(["warp", "--scene", scene, "--refs", "3", "--target", "1",
+                    "--out", str(tmp_path / "w")], name),
+                  (["condition", "--scene", scene, "--refs", "3", "--target", "1",
+                    "--out", str(tmp_path / "c")], name),
+                  (["analyze", "corr", "--scene", scene, "--view-a", "3"], name),
+                  (["--seed", "1", "probe", "eval", "--scene", scene, "--ckpt", str(small_ckpt)],
+                   name)]
     for argv, name in cases:
-        code, out, err = run_cli(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the one-line message is the only report
+            code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert len(err.strip().splitlines()) == 1

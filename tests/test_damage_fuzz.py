@@ -2,16 +2,19 @@
 
 One 16-view 32x32 bundle and one 3-step checkpoint are saved per module.  Each
 example damages one of their files (truncate, flip a byte, write NaN or inf,
-swap f32/f64, add or permute a dim, drop or retype a JSON field), runs `warp`,
-`condition`, `analyze corr` and `probe eval` in-process on it, and restores
-the file.  Every view file is checked alike, so the files of view 0 (a
-reference of every command) stand for all views.
+write a huge or tiny finite value, swap f32/f64, add or permute a dim, drop or
+retype a JSON field), runs `warp`, `condition`, `analyze corr` and `probe
+eval` in-process on it, and restores the file.  No command may emit a Python
+warning, and an exit-2 run prints exactly one stderr line.  Every view file is
+checked alike, so the files of view 0 (a reference of every command) stand for
+all views.
 """
 
 import contextlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,8 @@ from hypothesis import strategies as st
 from renov import rnvt
 from renov.cli import main
 
-TENSOR_DAMAGES = ("truncate", "flip", "nonfinite", "swap_float", "add_dim", "permute_dims")
+TENSOR_DAMAGES = ("truncate", "flip", "nonfinite", "huge", "swap_float", "add_dim",
+                  "permute_dims")
 JSON_DAMAGES = ("truncate", "flip", "drop_field", "retype_field")
 RETYPED = (None, "x", [], {}, True, -7, 0, 2.5, 1e308, math.nan, math.inf, 10**400)
 
@@ -30,6 +34,16 @@ RETYPED = (None, "x", [], {}, True, -7, 0, 2.5, 1e308, math.nan, math.inf, 10**4
 def _run(*argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(list(argv))
+
+
+def _checked_run(*argv) -> tuple[int, list[str], list[str]]:
+    """Exit code, stderr lines and the messages of the Python warnings of one command."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return code, err.getvalue().strip().splitlines(), [str(w.message) for w in caught]
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +93,20 @@ def _damage_json(doc, kind: str, draw):
     return doc
 
 
+def _extremes(dtype: np.dtype) -> list:
+    """+- the dtype's largest finite value and, for floats, its smallest normal value."""
+    if dtype.kind != "f":
+        return [np.iinfo(dtype).max, np.iinfo(dtype).min]
+    info = np.finfo(dtype)
+    return [info.max, -info.max, info.smallest_normal]
+
+
 def _damage_tensor(arr: np.ndarray, kind: str, draw) -> np.ndarray:
-    if kind == "nonfinite":
-        arr = arr.astype(np.float64) if arr.dtype.kind != "f" else arr.copy()
+    if kind in ("nonfinite", "huge"):  # one entry; nonfinite makes the tensor float
+        arr = arr.astype(np.float64 if kind == "nonfinite" and arr.dtype.kind != "f" else arr.dtype)
+        values = [np.nan, np.inf, -np.inf] if kind == "nonfinite" else _extremes(arr.dtype)
         if arr.size:
-            arr.reshape(-1)[draw(st.integers(0, arr.size - 1))] = draw(
-                st.sampled_from([np.nan, np.inf, -np.inf]))
+            arr.reshape(-1)[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from(values))
         return arr
     if kind == "swap_float":
         return arr.astype(np.float64 if arr.dtype == np.float32 else np.float32)
@@ -121,6 +143,9 @@ def test_damaged_file_exits_0_or_2(saved, data):
     path.write_bytes(_damaged_bytes(path, original, damage, data.draw))
     try:
         for argv in _commands(scene, ckpt, out):
-            assert _run(*argv) in (0, 2), (path.name, damage, argv)
+            code, err, caught = _checked_run(*argv)
+            assert code in (0, 2), (path.name, damage, argv)
+            assert not caught, (path.name, damage, argv, caught)
+            assert code == 0 or len(err) == 1, (path.name, damage, argv, err)
     finally:
         path.write_bytes(original)

@@ -21,8 +21,8 @@ Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
     extract_features one 128x128 view, per family
     _patchify_stats the appearance statistics of one 128x128 view
     load_scene_bundle
-                    reading a saved 16-view 64x64 bundle back (what every CLI
-                    command but scene-gen does first)
+                    reading a saved 16-view 64x64 bundle back into a SceneData
+                    (what every CLI command but scene-gen does first)
 
 Probe steps: one `SuiteConfig()` scene (64x64, 16 views), the fixed-target
 training set of each family (15 warped planes), `train_probe` with the
@@ -141,7 +141,7 @@ def layer_times(seed: int) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         bundle.save_scene_bundle(tmp, scn, views[64], transform)
         report("load_scene_bundle 16x64x64",
-               timed_ms(lambda: bundle.load_scene_bundle(tmp), LAYER_REPS))
+               timed_ms(lambda: bundle.load_scene_bundle(tmp, p), LAYER_REPS))
 
 
 def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
