@@ -8,6 +8,33 @@ block with exact gradients, and a shallow reconstruction probe trained with
 hand-rolled Adam.  See the CLI (`renov --help`) for the pipeline stages.
 """
 
+import ctypes
+
+
+def _keep_freed_heap() -> bool:
+    """Have glibc keep freed heap mapped for reuse; True where the C library took the setting.
+
+    The layers free numpy temporaries of 0.1-4 MB per call.  By default glibc maps many
+    afresh and trims the freed top of the heap, so the next call faults the pages in again:
+    about 22k minor faults per benchmark analysis_sweep op, 20 with this policy.  A trim
+    threshold of 64 MiB keeps up to 64 MiB of freed heap resident after a peak.  An mmap
+    threshold of 32 MiB, glibc's maximum, also keeps a short process's first op on the heap
+    (4.7k faults, against 14.6k with the trim threshold alone and 24k with neither).
+    Outputs and determinism do not change; peak RSS moves by under 0.3 MB.  Fork-pool
+    workers inherit the setting.  Without mallopt (macOS, Windows), or with a stub (musl),
+    nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: Windows cannot dlopen(NULL)
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # malloc.h
+    return all([mallopt(m_trim_threshold, 64 << 20), mallopt(m_mmap_threshold, 32 << 20)])
+
+
+_heap_kept = _keep_freed_heap()  # before any layer allocates
+
 from .analysis import (CorrespondenceReport, cosine_similarity_map, dominant_labels,
                        geometric_correspondence_score, lds_score, semantic_correspondence_score)
 from .attention import AttentionBlockInput, AttentionGrads, aggregated_attention, attention_backward

@@ -25,7 +25,7 @@ from .features import FeatureFamily, extract_features
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, SCENE_SPEC, ProbeProtocol,
                        SceneData, SuiteConfig, available_cpus, condition_grids, eval_scene_probe,
                        feature_warp, local_grids, probe_dataset, reduce_local_grids, reduced_grids,
-                       rgb_warp, robustness_scene_run, scene_family, unified_grids)
+                       reference_views, rgb_warp, robustness_scene_run, scene_family, unified_grids)
 from .probe import TrainConfig, train_probe
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
 
@@ -240,10 +240,11 @@ def cmd_probe(args) -> dict:
     family = _family_from(args, seed)
     proto = ProbeProtocol.fixed_target()
     _check_protocol_views(data, proto)
-    grids = unified_grids(data, family)
 
     if args.mode == "train":
         cfg = _probe_cfg(args, seed)
+        views = reference_views(proto.train_pairs)
+        grids = dict(zip(views, unified_grids(data, family, views)))
         decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
         out = Path(args.ckpt)
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed})
@@ -267,6 +268,8 @@ def cmd_probe(args) -> dict:
         raise InputError(f"--ckpt {args.ckpt} was trained on family "
                          f"{json.dumps(trained_on, sort_keys=True)}, but the family flags give "
                          f"{json.dumps(family.to_dict(), sort_keys=True)}")
+    views = reference_views(cases)
+    grids = dict(zip(views, unified_grids(data, family, views)))
     report = eval_scene_probe(decoder, data, grids, cases, args.remove, seed)
     if args.out:
         rnvt.write_json(Path(args.out), report)

@@ -84,9 +84,10 @@ def local_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | N
     return [extract_features(data.views[i], fam, data.patch, data.transform) for i in views]
 
 
-def unified_grids(data: SceneData, family: FeatureFamily) -> list[FeatureGrid]:
-    """T_n per view: local tokens stacked with the pooled global token."""
-    return [concat_global_local(g) for g in local_grids(data, family)]
+def unified_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
+                  ) -> list[FeatureGrid]:
+    """T_n of each view in `views` (every view by default): local tokens plus the global token."""
+    return [concat_global_local(g) for g in local_grids(data, family, views)]
 
 
 def reduce_local_grids(local: list[FeatureGrid], c_red: int, reducer_seed: int
@@ -223,15 +224,26 @@ class ProbeProtocol:
         pairs = [(refs, tgt) for refs, tgt, _ in self.train_pairs] + list(self.eval_cases)
         return 1 + max(max(*refs, tgt) for refs, tgt in pairs)
 
+    @property
+    def views_read(self) -> tuple[int, ...]:
+        """Views whose features the protocol reads: the refs of its train pairs and eval cases."""
+        return reference_views(self.train_pairs + self.eval_cases)
 
-def probe_dataset(data: SceneData, grids: list[FeatureGrid], proto: ProbeProtocol
-                  ) -> list[tuple[WarpedPlane, np.ndarray]]:
+
+def reference_views(cases: Sequence[tuple]) -> tuple[int, ...]:
+    """The reference views of (refs, target, ...) cases, ascending and each once."""
+    return tuple(sorted({i for refs, *_ in cases for i in refs}))
+
+
+def probe_dataset(data: SceneData, grids: Sequence[FeatureGrid] | Mapping[int, FeatureGrid],
+                  proto: ProbeProtocol) -> list[tuple[WarpedPlane, np.ndarray]]:
     """The protocol's training warps, each pair thinned with its own seed, with their targets."""
     return [(feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k), data.views[tgt].rgb)
             for k, (refs, tgt, frac) in enumerate(proto.train_pairs)]
 
 
-def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, grids: list[FeatureGrid],
+def eval_scene_probe(decoder: ProbeDecoder, data: SceneData,
+                     grids: Sequence[FeatureGrid] | Mapping[int, FeatureGrid],
                      cases: tuple[tuple[tuple[int, ...], int], ...], remove_frac: float,
                      remove_seed: int) -> dict:
     """eval_probe report over (refs, target) cases, each cloud thinned by remove_frac."""
@@ -249,7 +261,8 @@ def probe_scene_run(
     proto: ProbeProtocol,
 ):
     """Train a per-scene probe on warped tokens and evaluate its held-out cases."""
-    grids = unified_grids(data, family)
+    views = proto.views_read
+    grids = dict(zip(views, unified_grids(data, family, views)))
     decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
     report = eval_scene_probe(decoder, data, grids, proto.eval_cases, 0.0, 0)
     return decoder, curve, report
@@ -341,7 +354,8 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
     remove_seed seeds the evaluation-time thinning; training pairs keep their own seeds.
     """
     proto = ProbeProtocol.robustness()
-    grids = unified_grids(data, family)
+    views = proto.views_read
+    grids = dict(zip(views, unified_grids(data, family, views)))
     decoder, _ = train_probe(probe_dataset(data, grids, proto), cfg)
 
     def psnr_at(frac: float) -> float:

@@ -203,6 +203,52 @@ def test_cli_probe_and_robustness_match_library(small_bundle, capsys, tmp_path):
     assert {k: cli_robust[k] for k in robust} == robust
 
 
+def test_commands_extract_features_only_for_the_views_they_read(small_bundle, small_ckpt, capsys,
+                                                                tmp_path, monkeypatch):
+    calls = []
+    extract = pipeline.extract_features
+
+    def counted(view, *args):
+        calls.append(view)
+        return extract(view, *args)
+
+    monkeypatch.setattr(pipeline, "extract_features", counted)
+
+    def count(*argv) -> int:
+        calls.clear()
+        code, _, err = run_cli(capsys, "--seed", "1", *argv)
+        assert code == 0, err
+        return len(calls)
+
+    scene, out = ["--scene", str(small_bundle)], ["--out", str(tmp_path / "out")]
+    assert count("features", *scene, *out) == 16
+    assert count("warp", *scene, *out, "--refs", "0,2", "--target", "8",
+                 "--payload", "features") == 2
+    assert count("condition", *scene, *out, "--refs", "0,2", "--target", "8") == 2
+    assert count("probe", "train", *scene, "--ckpt", str(tmp_path / "ck"), "--steps", "2") == 7
+    assert count("probe", "eval", *scene, "--ckpt", str(small_ckpt)) == 3
+    assert count("probe", "eval", *scene, "--ckpt", str(small_ckpt), "--views", "2") == 2
+    assert count("robustness", *scene, "--steps", "2") == 12
+
+    # the library protocols a pool worker runs per scene
+    data = bundle.load_scene_bundle(small_bundle, 8)
+    family, cfg = FeatureFamily("mixed", seed=1), TrainConfig(steps=2)
+    calls.clear()
+    pipeline.probe_scene_run(data, family, cfg, pipeline.ProbeProtocol.fixed_target())
+    assert len(calls) == 10
+    calls.clear()
+    pipeline.robustness_scene_run(data, family, cfg, (0.3,), remove_seed=1)
+    assert len(calls) == 12
+
+    # a unified grid depends on its own view only, so reading fewer views changes no grid
+    full = pipeline.unified_grids(data, family)
+    for proto in (pipeline.ProbeProtocol.fixed_target(), pipeline.ProbeProtocol.robustness()):
+        views = proto.views_read
+        for i, grid in zip(views, pipeline.unified_grids(data, family, views), strict=True):
+            np.testing.assert_array_equal(grid.tokens, full[i].tokens)
+            np.testing.assert_array_equal(grid.valid, full[i].valid)
+
+
 def test_features_and_analyze_use_per_scene_features(small_bundle, capsys, tmp_path):
     """`features` and `analyze` see the same per-scene features the probe trains on."""
     out = tmp_path / "feat"

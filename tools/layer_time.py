@@ -34,8 +34,11 @@ process to one CPU for steadier numbers:
     PYTHONPATH=src taskset -c 0 python3 tools/layer_time.py --steps 300 --reps 3
 
 The first lines give the numpy and BLAS versions, the CPUs the process may
-use and the line count of renov's sources (the total of `wc -l src/renov/*.py`),
-then one line per layer and one per family: median and range in ms.
+use, the line count of renov's sources (the total of `wc -l src/renov/*.py`)
+and whether the heap policy `import renov` sets is active, then one line per
+layer and one per family: median and range in ms, and the median minor page
+faults per call (per view or per step where the time is), from the
+`ru_minflt` delta of getrusage around each rep.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
 import argparse  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -54,6 +58,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import renov  # noqa: E402
 from renov import analysis, bundle, features, metrics, pipeline, scene  # noqa: E402
 from renov.encoding import NormalizationTransform  # noqa: E402
 from renov.features import FeatureFamily  # noqa: E402
@@ -80,18 +85,23 @@ def src_lines() -> int:
     return sum(f.read_bytes().count(b"\n") for f in Path(pipeline.__file__).parent.glob("*.py"))
 
 
-def report(name: str, times_ms: list[float]) -> None:
+def report(name: str, reps: tuple[list[float], list[float]]) -> None:
+    times_ms, faults = reps
     print(f"{name:<28} {statistics.median(times_ms):8.3f} ms "
-          f"(min {min(times_ms):.3f}, max {max(times_ms):.3f})")
+          f"(min {min(times_ms):.3f}, max {max(times_ms):.3f}) "
+          f"{statistics.median(faults):9.1f} faults")
 
 
-def timed_ms(fn, reps: int, per: int = 1) -> list[float]:
-    out = []
+def timed(fn, reps: int, per: int = 1) -> tuple[list[float], list[float]]:
+    """Wall time in ms and minor page faults of each rep of fn(), both divided by `per`."""
+    times_ms, faults = [], []
     for _ in range(reps):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         fn()
-        out.append(1e3 * (time.perf_counter() - t0) / per)
-    return out
+        times_ms.append(1e3 * (time.perf_counter() - t0) / per)
+        faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / per)
+    return times_ms, faults
 
 
 def layer_times(seed: int) -> None:
@@ -102,7 +112,7 @@ def layer_times(seed: int) -> None:
                                      (res, res), pipeline.ARC_SPAN_DEG)
         views[res] = [scene.render_view(scn, cam) for cam in cams]
         report(f"render_view {res}x{res} /view",
-               timed_ms(lambda: [scene.render_view(scn, cam) for cam in cams], LAYER_REPS, N_VIEWS))
+               timed(lambda: [scene.render_view(scn, cam) for cam in cams], LAYER_REPS, N_VIEWS))
     # cams is the 128x128 arc, the last one rendered above
     tested = [sum((rows.stop - rows.start) * (cols.stop - cols.start)
                   for rows, cols in filter(None, scene._screen_boxes(scn, cam)))
@@ -114,34 +124,34 @@ def layer_times(seed: int) -> None:
     data = {res: pipeline.SceneData(seed, views[res], transform, p) for res in (64, 128)}
     grids = dict(zip(WARP_REFS, pipeline.reduced_grids(data[64], FeatureFamily("mixed"), 32, 77,
                                                        WARP_REFS)[0]))
-    report("feature_warp 64x64", timed_ms(
+    report("feature_warp 64x64", timed(
         lambda: pipeline.feature_warp(data[64], grids, WARP_REFS, WARP_TARGET), LAYER_REPS))
-    report("rgb_warp 128x128", timed_ms(
+    report("rgb_warp 128x128", timed(
         lambda: pipeline.rgb_warp(data[128], WARP_REFS, WARP_TARGET), LAYER_REPS))
     for res in (64, 128):
         a, b = views[res][VIEW_A].rgb, views[res][VIEW_B].rgb
-        report(f"ssim {res}x{res}", timed_ms(lambda: metrics.ssim(a, b), LAYER_REPS))
+        report(f"ssim {res}x{res}", timed(lambda: metrics.ssim(a, b), LAYER_REPS))
     va, vb = views[128][VIEW_A], views[128][VIEW_B]
     report("dominant_labels 128x128",
-           timed_ms(lambda: analysis.dominant_labels(va.labels, p), LAYER_REPS))
+           timed(lambda: analysis.dominant_labels(va.labels, p), LAYER_REPS))
     fam = pipeline.scene_family(FeatureFamily("mixed"), seed)
     ga = features.extract_features(va, fam, p, transform)
     gb = features.extract_features(vb, fam, p, transform)
-    report("geometric_score 128x128", timed_ms(
+    report("geometric_score 128x128", timed(
         lambda: analysis.geometric_correspondence_score(ga, gb, va, vb, 1, 64, seed), LAYER_REPS))
-    report("semantic_score 128x128", timed_ms(
+    report("semantic_score 128x128", timed(
         lambda: analysis.semantic_correspondence_score(ga, gb, va.labels, vb.labels, 64, seed),
         LAYER_REPS))
     for kind in FEATURE_FAMILIES:
         fam = pipeline.scene_family(FeatureFamily(kind), seed)
-        report(f"extract_features {kind}", timed_ms(
+        report(f"extract_features {kind}", timed(
             lambda: features.extract_features(va, fam, p, transform), LAYER_REPS))
     report("_patchify_stats 128x128",
-           timed_ms(lambda: features._patchify_stats(va.rgb, p), LAYER_REPS))
+           timed(lambda: features._patchify_stats(va.rgb, p), LAYER_REPS))
     with tempfile.TemporaryDirectory() as tmp:
         bundle.save_scene_bundle(tmp, scn, views[64], transform)
         report("load_scene_bundle 16x64x64",
-               timed_ms(lambda: bundle.load_scene_bundle(tmp, p), LAYER_REPS))
+               timed(lambda: bundle.load_scene_bundle(tmp, p), LAYER_REPS))
 
 
 def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
@@ -154,7 +164,7 @@ def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
                                          proto)
         c_in = dataset[0][0].payload.shape[2]
         report(f"step {kind} (c_in {c_in})",
-               timed_ms(lambda: train_probe(dataset, cfg), reps, steps))
+               timed(lambda: train_probe(dataset, cfg), reps, steps))
 
 
 def main(argv=None) -> int:
@@ -169,6 +179,8 @@ def main(argv=None) -> int:
 
     print(f"python {sys.version.split()[0]}, numpy {np.__version__}, BLAS {blas_version()}, "
           f"{pipeline.available_cpus()} CPU(s) usable, 1 BLAS thread, src {src_lines()} lines")
+    print("heap policy: " + ("freed heap kept mapped (mallopt trim 64 MiB, mmap 32 MiB)"
+                             if renov._heap_kept else "not set (no glibc mallopt)"))
     print(f"scene seed {args.seed}, {LAYER_REPS} reps per layer")
     layer_times(args.seed)
     step_times(args.seed, args.steps, args.reps, args.attn)
