@@ -9,10 +9,12 @@ A scene bundle is a directory with deterministic, atomically written files:
     views/view_NNN/labels.rnvt    i64 HxW instance ids (-1 = background)
     views/view_NNN/camera.json
 
-load_scene_bundle reads a bundle into the pipeline's SceneData in one call,
-checking every field it parses and every view against this layout: the
-dtype, the shape camera.json gives, rgb in [0, 1], depth finite and >= 0,
-pointmap coordinates and the normalization box in [-WORLD_HALF, WORLD_HALF]^3.
+load_scene_bundle reads scene.json and the views a caller names into the
+pipeline's SceneData in one call, checking every field it parses and every
+view it reads against this layout: the dtype, the shape camera.json gives,
+rgb in [0, 1], depth finite and >= 0, pointmap coordinates and the
+normalization box in [-WORLD_HALF, WORLD_HALF]^3.  A view it does not read
+is not opened.
 Pointmap validity is recovered from depth > 0.  load_decoder checks each
 checkpoint parameter alike: float64, the manifest's shape, finite and in
 float32 range.  A violation is an InputError naming the file.
@@ -20,6 +22,7 @@ float32 range.  A violation is an InputError naming the file.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +150,15 @@ def _load_view(vdir: Path) -> RenderedView:
                         pointmap=Pointmap(coords, depth > 0), labels=labels, camera=camera)
 
 
-def load_scene_bundle(bundle: Path, patch: int) -> SceneData:
-    """The bundle's seed, views and normalization, as the SceneData of the given patch size."""
+def load_scene_bundle(bundle: Path, patch: int,
+                      views: Iterable[int] | Callable[[int], Iterable[int]] | None = None
+                      ) -> SceneData:
+    """The bundle as the SceneData of the given patch size, holding only the views in `views`.
+
+    scene.json is read and checked whole.  `views` may instead be a function of
+    the bundle's n_views that gives them (and may raise InputError for a bad
+    choice) before any view is read; None loads every view.
+    """
     path = Path(bundle) / "scene.json"
     doc = rnvt.read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SCENE_FORMAT:
@@ -156,9 +166,14 @@ def load_scene_bundle(bundle: Path, patch: int) -> SceneData:
     seed = _field(path, doc, "seed", _int)
     _field(path, doc, "spec", SceneSpec.from_dict)
     transform = _field(path, doc, "normalization", _normalization)
-    views = [_load_view(view_dir(bundle, i))
-             for i in range(_field(path, doc, "n_views", _positive))]
-    return SceneData(seed, views, transform, patch)
+    n_views = _field(path, doc, "n_views", _positive)
+    views = sorted(set(range(n_views) if views is None
+                       else views(n_views) if callable(views) else views))
+    for i in views:
+        if not 0 <= i < n_views:
+            raise InputError(f"view index {i} out of range for {bundle} with {n_views} views")
+    return SceneData(seed, n_views, {i: _load_view(view_dir(bundle, i)) for i in views},
+                     transform, patch)
 
 
 # ---------------------------------------------------------------------------

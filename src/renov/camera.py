@@ -15,6 +15,9 @@ import numpy as np
 from .errors import InputError, NumericalError, is_int
 
 ORTHONORMAL_TOL = 1e-6
+# a narrower view has a focal length over 5e4 image widths; as the field of view nears 0,
+# projected pixel coordinates overflow
+MIN_FOV_DEG = 1e-3
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,8 @@ class CameraPose:
 
 def intrinsics_from_fov(fov_deg: float, width: int, height: int) -> tuple[float, float, float, float]:
     """Square-pixel intrinsics with the given horizontal field of view."""
-    if not 0 < fov_deg < 180:
-        raise InputError(f"fov_deg must be in (0, 180), got {fov_deg}")
+    if not MIN_FOV_DEG <= fov_deg < 180:
+        raise InputError(f"fov_deg must be in [{MIN_FOV_DEG:g}, 180), got {fov_deg}")
     fx = (width / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
     return fx, fx, width / 2.0, height / 2.0
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .encoding import FourierConfig, build_reference_condition, build_target_con
 from .errors import InputError, NumericalError
 from .features import FeatureFamily, extract_features
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, SCENE_SPEC, ProbeProtocol,
-                       SceneData, SuiteConfig, available_cpus, condition_grids, eval_scene_probe,
+                       SuiteConfig, available_cpus, condition_grids, eval_scene_probe,
                        feature_warp, local_grids, probe_dataset, reduce_local_grids, reduced_grids,
                        reference_views, rgb_warp, robustness_scene_run, scene_family, unified_grids)
 from .probe import TrainConfig, train_probe
@@ -53,9 +54,12 @@ def _parse_res(text: str) -> tuple[int, int]:
 
 def _parse_refs(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split(",") if t != "")
+        refs = tuple(int(t) for t in text.split(",") if t != "")
     except ValueError as e:
         raise InputError(f"--refs must be comma-separated integers, got '{text}'") from e
+    if not refs:
+        raise InputError("--refs must name at least one reference view")
+    return refs
 
 
 def _family_from(args, seed: int) -> FeatureFamily:
@@ -63,20 +67,49 @@ def _family_from(args, seed: int) -> FeatureFamily:
                          channels=args.channels, seed=seed)
 
 
-def _check_view_index(data: SceneData, idx: int, flag: str) -> None:
-    if not 0 <= idx < len(data.views):
-        raise InputError(f"{flag} index {idx} out of range for bundle with {len(data.views)} views")
+def _flag_views(flags: dict[str, tuple[int, ...]]) -> Callable[[int], list[int]]:
+    """load_scene_bundle's `views` for the views flags name: each checked against n_views first."""
+    def views_of(n_views: int) -> list[int]:
+        for flag, views in flags.items():
+            for idx in views:
+                if not 0 <= idx < n_views:
+                    raise InputError(f"{flag} index {idx} out of range for bundle with "
+                                     f"{n_views} views")
+        return [i for views in flags.values() for i in views]
+    return views_of
 
 
-def _refs_and_target(args, data: SceneData) -> tuple[int, ...]:
-    """Parse --refs and check it and --target against the bundle's views."""
-    refs = _parse_refs(args.refs)
-    if not refs:
-        raise InputError("--refs must name at least one reference view")
-    for r in refs:
-        _check_view_index(data, r, "--refs")
-    _check_view_index(data, args.target, "--target")
-    return refs
+def _protocol_views(proto: ProbeProtocol, cases) -> Callable[[int], tuple[int, ...]]:
+    """load_scene_bundle's `views` for (refs, target, ...) cases: on a bundle that fits proto."""
+    def views_of(n_views: int) -> tuple[int, ...]:
+        if n_views < proto.views_needed:
+            raise InputError(f"--scene bundle has {n_views} views; "
+                             f"the probe protocol needs {proto.views_needed}")
+        return reference_views(cases) + tuple(tgt for _, tgt, *_ in cases)
+    return views_of
+
+
+def _out_dir(text: str | None, flag: str) -> Path | None:
+    """The directory a command writes, checked before any work: no file is on its way."""
+    if text is None:
+        return None
+    path = Path(text)
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise InputError(f"{flag} {text} cannot be a directory: {nearest} is a file")
+    return path
+
+
+def _out_file(text: str | None, flag: str) -> Path | None:
+    """The file a command writes, checked before any work: in a directory, and not one itself."""
+    if text is None:
+        return None
+    path = Path(text)
+    if path.is_dir():
+        raise InputError(f"{flag} {text} cannot be a file: it is a directory")
+    if not path.parent.is_dir():
+        raise InputError(f"{flag} {text} cannot be a file: {path.parent} is not a directory")
+    return path
 
 
 def _check_remove(frac: float) -> None:
@@ -88,6 +121,7 @@ def _check_remove(frac: float) -> None:
 # commands
 
 def cmd_scene_gen(args) -> dict:
+    out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
     w, h = _parse_res(args.res)
     spec = SceneSpec(n_quads=args.quads, palette_size=args.palette, shading=args.shading)
@@ -103,35 +137,37 @@ def cmd_scene_gen(args) -> dict:
     from .encoding import NormalizationTransform
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
     meta = {"radius": args.radius, "fov_deg": args.fov, "span_deg": args.span, "res": [w, h]}
-    bundle.save_scene_bundle(Path(args.out), scene, views, transform, meta)
+    bundle.save_scene_bundle(out, scene, views, transform, meta)
     return {"command": "scene-gen", "out": str(args.out), "seed": seed,
             "views": len(views), "res": [w, h], "quads": len(scene.quads)}
 
 
 def cmd_features(args) -> dict:
+    out = _out_dir(args.out or str(Path(args.scene) / f"features_{args.family}_p{args.patch}"),
+                   "--out")
     seed = _seed_from(args)
-    data = bundle.load_scene_bundle(args.scene, args.patch)
+    data = bundle.load_scene_bundle(args.scene, args.patch)  # every view
     family = _family_from(args, seed)
     local = local_grids(data, family)  # the per-scene features the probe sees
     reduced, reducer = reduce_local_grids(local, args.c_red, args.reducer_seed)
-    out = Path(args.out) if args.out else Path(args.scene) / f"features_{args.family}_p{args.patch}"
     bundle.save_feature_set(out, family, args.patch, local, reduced, reducer)
     return {"command": "features", "out": str(out), "family": args.family,
             "views": len(local), "c_local": local[0].channels, "c_reduced": args.c_red}
 
 
 def cmd_warp(args) -> dict:
+    out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
-    data = bundle.load_scene_bundle(args.scene, args.patch)
-    refs = _refs_and_target(args, data)
+    refs = _parse_refs(args.refs)
     _check_remove(args.remove)
+    data = bundle.load_scene_bundle(args.scene, args.patch,
+                                    _flag_views({"--refs": refs, "--target": (args.target,)}))
     if args.payload == "rgb":
         plane = rgb_warp(data, refs, args.target, args.remove, seed)
     else:
         family = _family_from(args, seed)
         grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
         plane = feature_warp(data, dict(zip(refs, grids)), refs, args.target, args.remove, seed)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rnvt.write_tensor(out / "payload.rnvt", plane.payload)
     rnvt.write_tensor(out / "depth.rnvt", plane.depth)
@@ -148,14 +184,15 @@ def cmd_warp(args) -> dict:
 
 
 def cmd_condition(args) -> dict:
+    out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
-    data = bundle.load_scene_bundle(args.scene, args.patch)
-    refs = _refs_and_target(args, data)
+    refs = _parse_refs(args.refs)
+    data = bundle.load_scene_bundle(args.scene, args.patch,
+                                    _flag_views({"--refs": refs, "--target": (args.target,)}))
     family = _family_from(args, seed)
     grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
     geo_cfg = FourierConfig(num_freqs=args.geo_freqs)
     feat_cfg = FourierConfig(num_freqs=args.feat_freqs)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     aug = condition_grids(data, grids, refs)  # normalized anchor coords first
@@ -177,16 +214,18 @@ def cmd_condition(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
+    out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
     if args.save_maps < 0:
         raise InputError(f"--save-maps must be >= 0, got {args.save_maps}")
-    data = bundle.load_scene_bundle(args.scene, args.patch)
+    flags = {"--view-a": (args.view_a,)}
+    if args.metric != "lds":  # the only metric of a single view
+        flags["--view-b"] = (args.view_b,)
+    data = bundle.load_scene_bundle(args.scene, args.patch, _flag_views(flags))
     family = scene_family(_family_from(args, seed), data.seed)
-    out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    _check_view_index(data, args.view_a, "--view-a")
     va = data.views[args.view_a]
     ga = extract_features(va, family, args.patch, data.transform)
     if args.metric == "lds":
@@ -198,7 +237,6 @@ def cmd_analyze(args) -> dict:
             rnvt.write_json(out / "lds.json", summary)
         return summary
 
-    _check_view_index(data, args.view_b, "--view-b")
     vb = data.views[args.view_b]
     gb = extract_features(vb, family, args.patch, data.transform)
     if args.metric == "corr":
@@ -228,25 +266,19 @@ def _probe_cfg(args, seed: int) -> TrainConfig:
                        seed=seed, attn_enabled=args.attn, c_red=args.c_red, hidden=args.hidden)
 
 
-def _check_protocol_views(data: SceneData, proto: ProbeProtocol) -> None:
-    if len(data.views) < proto.views_needed:
-        raise InputError(f"--scene bundle has {len(data.views)} views; "
-                         f"the probe protocol needs {proto.views_needed}")
-
-
 def cmd_probe(args) -> dict:
+    out = _out_dir(args.ckpt, "--ckpt") if args.mode == "train" else _out_file(args.out, "--out")
     seed = _seed_from(args)
-    data = bundle.load_scene_bundle(args.scene, args.patch)
     family = _family_from(args, seed)
     proto = ProbeProtocol.fixed_target()
-    _check_protocol_views(data, proto)
 
     if args.mode == "train":
+        data = bundle.load_scene_bundle(args.scene, args.patch,
+                                        _protocol_views(proto, proto.train_pairs))
         cfg = _probe_cfg(args, seed)
         views = reference_views(proto.train_pairs)
         grids = dict(zip(views, unified_grids(data, family, views)))
         decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
-        out = Path(args.ckpt)
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed})
         rnvt.write_text(out / "loss.csv",
                         "step,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(curve)))
@@ -259,6 +291,7 @@ def cmd_probe(args) -> dict:
         c for c in proto.eval_cases if len(c[0]) == args.views)
     if not cases:
         raise InputError(f"--views {args.views} selects no evaluation case")
+    data = bundle.load_scene_bundle(args.scene, args.patch, _protocol_views(proto, cases))
     manifest, decoder = bundle.load_decoder(Path(args.ckpt))
     if decoder.patch_size != args.patch:
         raise InputError(f"--patch {args.patch} does not match the patch_size "
@@ -271,24 +304,26 @@ def cmd_probe(args) -> dict:
     views = reference_views(cases)
     grids = dict(zip(views, unified_grids(data, family, views)))
     report = eval_scene_probe(decoder, data, grids, cases, args.remove, seed)
-    if args.out:
-        rnvt.write_json(Path(args.out), report)
+    if out:
+        rnvt.write_json(out, report)
     return {"command": "probe", "mode": "eval", "family": args.family,
             "mean_psnr": report["mean_psnr"],
             "by_view_count": {k: v["mean_psnr"] for k, v in report["by_view_count"].items()}}
 
 
 def cmd_robustness(args) -> dict:
+    out = _out_file(args.out, "--out")
     seed = _seed_from(args)
-    data = bundle.load_scene_bundle(args.scene, args.patch)
-    _check_protocol_views(data, ProbeProtocol.robustness())
     for frac in args.remove:
         _check_remove(frac)
+    proto = ProbeProtocol.robustness()
+    data = bundle.load_scene_bundle(args.scene, args.patch,
+                                    _protocol_views(proto, proto.train_pairs + proto.eval_cases))
     summary = {"command": "robustness", "family": args.family,
                **robustness_scene_run(data, _family_from(args, seed), _probe_cfg(args, seed),
                                       tuple(args.remove), seed)}
-    if args.out:
-        rnvt.write_json(Path(args.out), summary)
+    if out:
+        rnvt.write_json(out, summary)
     return summary
 
 
@@ -403,9 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first main call; parse_args leaves a parser as it was, so one serves every call
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.threads < 0:  # a global flag, so checked for every command
             raise InputError(f"--threads must be >= 0, got {args.threads}")

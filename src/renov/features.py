@@ -31,6 +31,9 @@ from .geometry import FeatureGrid, token_anchors
 from .scene import RenderedView
 
 FAMILY_KINDS = ("oracle_geom", "appearance", "random", "mixed")
+# oracle tokens lie in [-1, 1]: noise 1e3 times that buries them, and keeps squared token
+# norms, the attention logits and the probe's float32 inputs far from overflow
+MAX_SIGMA = 1e3
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,11 @@ class FeatureFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise InputError(f"unknown feature family '{self.kind}'")
-        if not 0 <= self.sigma < np.inf:
-            raise InputError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0 <= self.sigma <= MAX_SIGMA:
+            raise InputError(f"sigma must be in [0, {MAX_SIGMA:g}], got {self.sigma}")
         if self.channels < 1:
             raise InputError("random channel count must be >= 1")
-        if self.num_freqs < 1:
-            raise InputError(f"num_freqs must be >= 1, got {self.num_freqs}")
+        FourierConfig(num_freqs=self.num_freqs)  # checks the oracle embedding depth
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "sigma": self.sigma, "num_freqs": self.num_freqs,

@@ -50,25 +50,36 @@ class SuiteConfig:
     n_views: int = 16
 
 
+class _Views(dict):
+    """Views by arc index; reading one that was not loaded is a KeyError naming it."""
+
+    def __missing__(self, index):
+        raise KeyError(f"view {index} was not loaded (loaded: {sorted(self)})")
+
+
 @dataclass(frozen=True)
 class SceneData:
+    """A scene on an arc of n_views views, of which `views` holds those loaded, by arc index."""
+
     seed: int  # the scene seed: per-scene feature families mix it in
-    views: list[RenderedView]
+    n_views: int
+    views: Mapping[int, RenderedView]
     transform: NormalizationTransform
     patch: int
 
     def __post_init__(self):
         if self.patch < 1:
             raise InputError(f"patch size must be >= 1, got {self.patch}")
+        object.__setattr__(self, "views", _Views(sorted(self.views.items())))
 
 
 def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
     scene = generate_scene(seed, SCENE_SPEC)
     cams = make_camera_arc(scene, cfg.n_views, ARC_RADIUS, ARC_FOV_DEG, (cfg.res, cfg.res),
                            ARC_SPAN_DEG)
-    views = [render_view(scene, c) for c in cams]
+    views = {i: render_view(scene, c) for i, c in enumerate(cams)}
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
-    return SceneData(seed, views, transform, PATCH)
+    return SceneData(seed, cfg.n_views, views, transform, PATCH)
 
 
 def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
@@ -78,15 +89,15 @@ def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
 
 def local_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
                 ) -> list[FeatureGrid]:
-    """t_l of each view in `views` (every view by default), for the per-scene family."""
+    """t_l of each view in `views` (every loaded view by default), for the per-scene family."""
     fam = scene_family(family, data.seed)
-    views = range(len(data.views)) if views is None else views
+    views = data.views.keys() if views is None else views
     return [extract_features(data.views[i], fam, data.patch, data.transform) for i in views]
 
 
 def unified_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
                   ) -> list[FeatureGrid]:
-    """T_n of each view in `views` (every view by default): local tokens plus the global token."""
+    """T_n of each view in `views` (every loaded view by default): local tokens plus global token."""
     return [concat_global_local(g) for g in local_grids(data, family, views)]
 
 
@@ -103,7 +114,7 @@ def reduce_local_grids(local: list[FeatureGrid], c_red: int, reducer_seed: int
 
 def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int, reducer_seed: int,
                   views: Sequence[int] | None = None) -> tuple[list[FeatureGrid], ChannelReducer]:
-    """reduce_local_grids over the views in `views` (every view by default), in that order."""
+    """reduce_local_grids over the views in `views` (every loaded view by default), in order."""
     return reduce_local_grids(local_grids(data, family, views), c_red, reducer_seed)
 
 
@@ -151,9 +162,9 @@ def condition_grids(data: SceneData, grids_red: list[FeatureGrid],
                     views: Sequence[int] | None = None) -> list[FeatureGrid]:
     """Grids carrying [normalized anchor coords, reduced features] payloads.
 
-    grids_red[k] is the grid of view views[k] (every view by default, in order).
+    grids_red[k] is the grid of view views[k] (every loaded view by default, in order).
     """
-    views = range(len(data.views)) if views is None else views
+    views = data.views.keys() if views is None else views
     out = []
     for i, grid in zip(views, grids_red, strict=True):
         coords, avalid = token_anchors(data.views[i].pointmap, data.patch)

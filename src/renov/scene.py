@@ -21,6 +21,8 @@ from .errors import InputError, is_int
 from .geometry import Pointmap
 
 WORLD_HALF = 5.0  # scene box is [-WORLD_HALF, WORLD_HALF]^3
+# from farther out than this, an arc camera aimed into the world box sees all of it within 0.4 deg
+MAX_ARC_RADIUS = 1000 * WORLD_HALF
 _RAY_EPS = 1e-6
 _BOX_PAD = 2  # px added on each side of a quad's projected bounding box
 
@@ -461,8 +463,8 @@ def make_camera_arc(
     """n cameras on a horizontal arc of the given angular span, all aimed at the scene center."""
     if n < 2:
         raise InputError(f"camera arc needs n >= 2, got {n}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise InputError(f"camera arc radius must be finite and positive, got {radius}")
+    if not 0 < radius <= MAX_ARC_RADIUS:
+        raise InputError(f"camera arc radius must be in (0, {MAX_ARC_RADIUS:g}], got {radius}")
     if not math.isfinite(span_deg):
         raise InputError(f"camera arc span_deg must be finite, got {span_deg}")
     width, height = res

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from renov import bundle, rnvt
+from renov import bundle, pipeline, rnvt
 from renov.errors import InputError
 from renov.features import FeatureFamily
 from renov.pipeline import (SCENE_SPEC, ProbeProtocol, condition_grids, feature_warp,
@@ -12,12 +14,13 @@ from renov.scene import SceneSpec, generate_scene
 
 def test_scene_bundle_roundtrip(tmp_path, scene_data):
     scene = generate_scene(scene_data.seed, SCENE_SPEC)
-    bundle.save_scene_bundle(tmp_path / "b", scene, scene_data.views, scene_data.transform)
+    bundle.save_scene_bundle(tmp_path / "b", scene, list(scene_data.views.values()),
+                             scene_data.transform)
     data = bundle.load_scene_bundle(tmp_path / "b", scene_data.patch)
     doc, views = rnvt.read_json(tmp_path / "b" / "scene.json"), data.views
     assert data.seed == doc["seed"] == scene_data.seed
     assert data.patch == scene_data.patch
-    assert len(views) == len(scene_data.views)
+    assert data.n_views == scene_data.n_views == len(views) == len(scene_data.views)
     v0, r0 = views[0], scene_data.views[0]
     np.testing.assert_allclose(v0.rgb, r0.rgb, atol=1e-7)  # rgb stored f32
     np.testing.assert_array_equal(v0.depth, r0.depth)
@@ -28,6 +31,31 @@ def test_scene_bundle_roundtrip(tmp_path, scene_data):
     tr = data.transform
     np.testing.assert_array_equal(tr.center, scene_data.transform.center)
     assert SceneSpec.from_dict(doc["spec"]) == SCENE_SPEC
+
+
+def test_scene_bundle_loads_only_the_views_named(tmp_path, scene_data, monkeypatch):
+    scene = generate_scene(scene_data.seed, SCENE_SPEC)
+    bundle.save_scene_bundle(tmp_path / "b", scene, list(scene_data.views.values()),
+                             scene_data.transform)
+    read, read_tensor = [], rnvt.read_tensor
+
+    def recorded(path):
+        read.append(Path(path).parent.name)
+        return read_tensor(path)
+
+    monkeypatch.setattr(rnvt, "read_tensor", recorded)
+    shown = []
+    data = bundle.load_scene_bundle(tmp_path / "b", scene_data.patch,
+                                    lambda n: shown.append(n) or (5, 2, 5))
+    assert shown == [scene_data.n_views]  # the callable sees n_views before any view is read
+    assert data.n_views == scene_data.n_views and list(data.views) == [2, 5]
+    assert sorted(set(read)) == ["view_002", "view_005"] and len(read) == 8
+    np.testing.assert_array_equal(data.views[5].depth, scene_data.views[5].depth)
+    with pytest.raises(KeyError, match="view 3 was not loaded"):
+        data.views[3]
+    assert pipeline.local_grids(data, FeatureFamily("appearance"))[1].tokens.shape == (8, 8, 18)
+    with pytest.raises(InputError, match="view index 8 out of range"):
+        bundle.load_scene_bundle(tmp_path / "b", scene_data.patch, [1, 8])
 
 
 def test_bundle_rejects_foreign_dir(tmp_path):

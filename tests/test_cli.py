@@ -282,8 +282,8 @@ def test_default_scene_gen_is_the_suite_scene(tmp_path, capsys):
     transform = loaded.transform
     np.testing.assert_array_equal(transform.center, data.transform.center)
     np.testing.assert_array_equal(transform.half_extent, data.transform.half_extent)
-    assert len(views) == len(data.views)
-    for got, want in zip(views, data.views):
+    assert loaded.n_views == data.n_views and list(views) == list(data.views)
+    for got, want in zip(views.values(), data.views.values()):
         np.testing.assert_array_equal(got.rgb, want.rgb.astype(np.float32))  # rgb is stored f32
         np.testing.assert_array_equal(got.depth, want.depth)
         np.testing.assert_array_equal(got.pointmap.coords, want.pointmap.coords)
@@ -355,7 +355,7 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     cam = rnvt.read_json(bad_cam / "views" / "view_003" / "camera.json")
     cam["extrinsic"][0] = 2.0  # no longer a rotation: a NumericalError inside CameraPose
     rnvt.write_json(bad_cam / "views" / "view_003" / "camera.json", cam)
-    view_3 = os.path.join("views", "view_003")
+    view_3, view_7 = os.path.join("views", "view_003"), os.path.join("views", "view_007")
 
     def damaged(name, file, damage):
         """A copy of the bundle whose file is rewritten by damage(its contents)."""
@@ -368,8 +368,8 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
             rnvt.write_tensor(path, damage(rnvt.read_tensor(path)))
         return str(root)
 
-    def damaged_view(name, file, damage):
-        return damaged(name, os.path.join(view_3, file), damage)
+    def damaged_view(name, file, damage, view=view_3):
+        return damaged(name, os.path.join(view, file), damage)
 
     def damaged_normalization(name, key, value):
         return damaged(name, "scene.json", lambda d: dict(
@@ -418,7 +418,7 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     cases = [
         (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],
          "manifest.json"),
-        (["warp", "--scene", str(no_depth), "--refs", "0", "--target", "1",
+        (["warp", "--scene", str(no_depth), "--refs", "2", "--target", "1",
           "--out", str(tmp_path / "w")], "depth.rnvt"),
         (["warp", "--scene", str(bad_doc), "--refs", "0", "--target", "1",
           "--out", str(tmp_path / "w")], "scene.json"),
@@ -426,17 +426,18 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
           "--out", str(tmp_path / "w")], "scene.json: field 'n_views'"),
         (evaluate + [str(no_hidden)], "manifest.json: field 'hidden'"),
         (evaluate + [str(bad_w2)], "mlp_w2.rnvt has shape (3, 5)"),
-        (["warp", "--scene", str(bad_cam), "--refs", "0", "--target", "1",
+        (["warp", "--scene", str(bad_cam), "--refs", "3", "--target", "1",
           "--out", str(tmp_path / "w")], os.path.join("views", "view_003", "camera.json")),
-        (["warp", "--scene", u8_rgb, "--refs", "0", "--target", "1", "--out", str(tmp_path / "w")],
+        (["warp", "--scene", u8_rgb, "--refs", "3", "--target", "1", "--out", str(tmp_path / "w")],
          os.path.join(view_3, "rgb.rnvt") + " holds uint8"),
-        (["analyze", "semcorr", "--scene", nan_depth],
+        (["analyze", "semcorr", "--scene", nan_depth, "--view-a", "3"],
          os.path.join(view_3, "depth.rnvt") + " has values that are not finite"),
-        (["warp", "--scene", f64_labels, "--refs", "0", "--target", "1",
+        (["warp", "--scene", f64_labels, "--refs", "3", "--target", "1",
           "--out", str(tmp_path / "w")], os.path.join(view_3, "labels.rnvt") + " holds float64"),
-        (["analyze", "semcorr", "--scene", big_cam], os.path.join(view_3, "camera.json") + " is 64x64"),
-        (["analyze", "semcorr", "--scene", small_rgb], "has shape (5, 5, 3)"),
-        (["warp", "--scene", hot_rgb, "--refs", "0", "--target", "1", "--out", str(tmp_path / "w")],
+        (["analyze", "semcorr", "--scene", big_cam, "--view-a", "3"],
+         os.path.join(view_3, "camera.json") + " is 64x64"),
+        (["analyze", "semcorr", "--scene", small_rgb, "--view-a", "3"], "has shape (5, 5, 3)"),
+        (["warp", "--scene", hot_rgb, "--refs", "3", "--target", "1", "--out", str(tmp_path / "w")],
          os.path.join(view_3, "rgb.rnvt") + " has values that are not in [0, 1]"),
         (evaluate + [str(nan_w1)], "mlp_w1.rnvt has values that are not finite"),
         (evaluate + [str(huge_w1)], "mlp_w1.rnvt has values that are not finite and in float32"),
@@ -455,24 +456,26 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
             return a
         return damage
 
+    # in view 7, which all four commands below read: a reference of probe eval's cases
+    camera_7 = os.path.join(view_7, "camera.json")
     huge_values = [  # huge or tiny finite values: (damaged bundle, file its message names)
-        (damaged_view("huge_r00", "camera.json", entry_set(0, 1e308)), camera_3),
-        (damaged_view("huge_r11", "camera.json", entry_set(5, 1e308)), camera_3),
+        (damaged_view("huge_r00", "camera.json", entry_set(0, 1e308), view_7), camera_7),
+        (damaged_view("huge_r11", "camera.json", entry_set(5, 1e308), view_7), camera_7),
         (damaged_normalization("far_center", "center", [1e308, 0.0, 0.0]),
          "scene.json: field 'normalization'"),
         (damaged_normalization("tiny_half", "half_extent", [1e-300, 1.0, 1.0]),
          "scene.json: field 'normalization'"),
-        (damaged_view("huge_corner", "pointmap.rnvt", entry_set((0, 0, 0), 1e308)),
-         os.path.join(view_3, "pointmap.rnvt")),
-        (damaged_view("huge_middle", "pointmap.rnvt", entry_set((24, 24, 2), -1e308)),
-         os.path.join(view_3, "pointmap.rnvt")),
+        (damaged_view("huge_corner", "pointmap.rnvt", entry_set((0, 0, 0), 1e308), view_7),
+         os.path.join(view_7, "pointmap.rnvt")),
+        (damaged_view("huge_middle", "pointmap.rnvt", entry_set((24, 24, 2), -1e308), view_7),
+         os.path.join(view_7, "pointmap.rnvt")),
     ]
     for scene, name in huge_values:
-        cases += [(["warp", "--scene", scene, "--refs", "3", "--target", "1",
+        cases += [(["warp", "--scene", scene, "--refs", "7", "--target", "1",
                     "--out", str(tmp_path / "w")], name),
-                  (["condition", "--scene", scene, "--refs", "3", "--target", "1",
+                  (["condition", "--scene", scene, "--refs", "7", "--target", "1",
                     "--out", str(tmp_path / "c")], name),
-                  (["analyze", "corr", "--scene", scene, "--view-a", "3"], name),
+                  (["analyze", "corr", "--scene", scene, "--view-a", "7"], name),
                   (["--seed", "1", "probe", "eval", "--scene", scene, "--ckpt", str(small_ckpt)],
                    name)]
     for argv, name in cases:
@@ -739,3 +742,152 @@ def test_idempotent_outputs(small_bundle, capsys, tmp_path):
     blob2 = _dir_bytes(tmp_path / "w2")
     for key in blob1:
         assert blob1[key] == blob2[key]
+
+
+def test_main_builds_its_parser_once(small_bundle, capsys, monkeypatch):
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for metric in ("lds", "lds", "corr"):
+        assert run_cli(capsys, "analyze", metric, "--scene", str(small_bundle))[0] == 0
+    assert len(built) == 1
+
+
+def _view_scope_commands(scene, ckpt, out):
+    """Every command but features and scene-gen; none reads view 15."""
+    s = ["--scene", str(scene)]
+    return {
+        "warp": ["warp", *s, "--refs", "7,9", "--target", "8", "--out", str(out / "warp")],
+        "warp features": ["warp", *s, "--refs", "0,2", "--target", "8", "--payload", "features",
+                          "--out", str(out / "warp_feat")],
+        "condition": ["condition", *s, "--refs", "7,9", "--target", "8",
+                      "--out", str(out / "cond")],
+        "analyze corr": ["analyze", "corr", *s, "--view-a", "7", "--view-b", "8",
+                         "--save-maps", "2", "--out", str(out / "corr")],
+        "analyze lds": ["analyze", "lds", *s, "--out", str(out / "lds")],
+        "probe train": ["probe", "train", *s, "--ckpt", str(out / "ckpt"), "--steps", "2"],
+        "probe eval": ["probe", "eval", *s, "--ckpt", str(ckpt), "--out", str(out / "eval.json")],
+        "robustness": ["robustness", *s, "--steps", "2", "--out", str(out / "robust.json")],
+    }
+
+
+def test_damage_in_an_unread_view_changes_no_output(small_bundle, small_ckpt, capsys, tmp_path):
+    """A command opens only the views it reads: every file of view 15 damaged, outputs agree."""
+    damaged = tmp_path / "damaged"
+    shutil.copytree(small_bundle, damaged)
+    for path in (damaged / "views" / "view_015").iterdir():
+        path.write_bytes(b"damaged")
+    for name, argv in _view_scope_commands(small_bundle, small_ckpt, tmp_path / "intact").items():
+        assert run_cli(capsys, "--seed", "1", *argv)[0] == 0, name
+    for name, argv in _view_scope_commands(damaged, small_ckpt, tmp_path / "damaged_out").items():
+        code, _, err = run_cli(capsys, "--seed", "1", *argv)
+        assert code == 0, (name, err)
+    assert _dir_bytes(tmp_path / "intact") == _dir_bytes(tmp_path / "damaged_out")
+
+    # the same damage in a view the command reads
+    s = ["--scene", str(damaged)]
+    for argv in (["warp", *s, "--refs", "7,9", "--target", "15", "--out", str(tmp_path / "w")],
+                 ["condition", *s, "--refs", "15", "--target", "8", "--out", str(tmp_path / "c")],
+                 ["analyze", "corr", *s, "--view-a", "7", "--view-b", "15"],
+                 ["analyze", "lds", *s, "--view-a", "15"],
+                 ["features", *s, "--out", str(tmp_path / "f")]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert os.path.join("view_015", "camera.json") in err
+
+
+def test_commands_read_the_tensors_of_the_views_they_read(small_bundle, small_ckpt, capsys,
+                                                          tmp_path, monkeypatch):
+    """Four tensors per view a command reads, plus the checkpoint's parameters."""
+    read, read_tensor = [], rnvt.read_tensor
+
+    def counted(path):
+        read.append(path)
+        return read_tensor(path)
+
+    monkeypatch.setattr(rnvt, "read_tensor", counted)
+    params = len(rnvt.read_json(small_ckpt / "manifest.json")["params"])
+    scene, ckpt, out = ["--scene", str(small_bundle)], ["--ckpt", str(small_ckpt)], tmp_path / "o"
+    expected = [  # (argv, views read, checkpoint parameters read)
+        (["features", *scene, "--out", str(out)], 16, 0),
+        (["warp", *scene, "--refs", "7,9", "--target", "8", "--out", str(out)], 3, 0),
+        (["warp", *scene, "--refs", "8", "--target", "8", "--out", str(out)], 1, 0),
+        (["condition", *scene, "--refs", "0,2", "--target", "8", "--out", str(out)], 3, 0),
+        (["analyze", "corr", *scene], 2, 0),
+        (["analyze", "semcorr", *scene, "--view-a", "4", "--view-b", "4"], 1, 0),
+        (["analyze", "lds", *scene], 1, 0),
+        (["probe", "train", *scene, "--ckpt", str(tmp_path / "ck"), "--steps", "2"], 8, 0),
+        (["probe", "eval", *scene, *ckpt], 4, params),  # refs 7, 9, 11 and target 8
+        (["probe", "eval", *scene, *ckpt, "--views", "1"], 2, params),
+        (["robustness", *scene, "--steps", "2"], 13, 0),
+    ]
+    for argv, views, n_params in expected:
+        read.clear()
+        code, _, err = run_cli(capsys, "--seed", "1", *argv)
+        assert code == 0, err
+        assert len(read) == 4 * views + n_params, argv
+
+
+OUTPUT_FLAGS = [  # (argv before the output flag, the flag, whether it names a directory)
+    (["scene-gen", "--views", "2", "--res", "16x16"], "--out", True),
+    (["features", "--scene", "{scene}"], "--out", True),
+    (["warp", "--scene", "{scene}", "--refs", "0", "--target", "1"], "--out", True),
+    (["condition", "--scene", "{scene}", "--refs", "0", "--target", "1"], "--out", True),
+    (["analyze", "corr", "--scene", "{scene}"], "--out", True),
+    (["probe", "train", "--scene", "{scene}", "--steps", "2"], "--ckpt", True),
+    (["probe", "eval", "--scene", "{scene}", "--ckpt", "{ckpt}"], "--out", False),
+    (["robustness", "--scene", "{scene}", "--steps", "2"], "--out", False),
+]
+
+
+@pytest.mark.parametrize("argv,flag,is_dir", OUTPUT_FLAGS,
+                         ids=[" ".join(a[:1 if a[1][0] == "-" else 2]) for a, _, _ in OUTPUT_FLAGS])
+def test_unwritable_output_exits_2_before_any_work(small_bundle, small_ckpt, capsys, tmp_path,
+                                                   monkeypatch, argv, flag, is_dir):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started work before checking its output path")
+
+    monkeypatch.setattr(bundle, "load_scene_bundle", no_work)
+    monkeypatch.setattr(cli, "generate_scene", no_work)
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "dir").mkdir()
+    bad = ["file", os.path.join("file", "sub")] if is_dir else [
+        "dir", os.path.join("file", "x.json"), os.path.join("missing", "x.json")]
+    argv = [a.format(scene=small_bundle, ckpt=small_ckpt) for a in argv]
+    for path in bad:
+        code, out, err = run_cli(capsys, "--seed", "1", *argv, flag, str(tmp_path / path))
+        assert code == 2, path
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"input error: {flag} {tmp_path / path} cannot be a")
+
+
+FLAG_ESCAPES = [  # flag values that once overflowed before exiting: (argv, field named)
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--radius", "1e300"],
+     "radius"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--fov", "1e-300"],
+     "fov_deg"),
+    (["analyze", "corr", "--scene", "{scene}", "--sigma", "1e300"], "sigma"),
+    (["analyze", "corr", "--scene", "{scene}", "--freqs", "100000"], "num_freqs"),
+]
+
+
+@pytest.mark.parametrize("argv,field", FLAG_ESCAPES,
+                         ids=[" ".join(a[-2:]) for a, _ in FLAG_ESCAPES])
+def test_extreme_flag_values_exit_2_without_warnings(small_bundle, capsys, tmp_path, argv, field):
+    out = tmp_path / "out"
+    argv = [a.format(scene=small_bundle, out=out) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(capsys, "--seed", "1", *argv)
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    assert stdout == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("input error:") and field in err
+    assert not out.exists()

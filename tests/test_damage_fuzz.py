@@ -5,9 +5,10 @@ example damages one of their files (truncate, flip a byte, write NaN or inf,
 write a huge or tiny finite value, swap f32/f64, add or permute a dim, drop or
 retype a JSON field), runs `warp`, `condition`, `analyze corr` and `probe
 eval` in-process on it, and restores the file.  No command may emit a Python
-warning, and an exit-2 run prints exactly one stderr line.  Every view file is
-checked alike, so the files of view 0 (a reference of every command) stand for
-all views.
+warning, and an exit-2 run prints exactly one stderr line.  A command opens only
+the views it reads, and every view it reads is checked alike, so the files of
+view 7 stand for all views: it is a reference of `warp`, `condition` and every
+`probe eval` case, and view a of `analyze corr`.
 """
 
 import contextlib
@@ -55,7 +56,7 @@ def saved(tmp_path_factory):
                 "--views", "16", "--res", "32x32") == 0
     assert _run("--seed", "1", "probe", "train", "--scene", str(scene), "--ckpt", str(ckpt),
                 "--family", "mixed", "--steps", "3") == 0
-    files = [scene / "scene.json", *sorted((scene / "views" / "view_000").iterdir()),
+    files = [scene / "scene.json", *sorted((scene / "views" / "view_007").iterdir()),
              *sorted(ckpt.glob("*.rnvt")), ckpt / "manifest.json"]
     return scene, ckpt, root / "out", files
 
@@ -63,9 +64,9 @@ def saved(tmp_path_factory):
 def _commands(scene: Path, ckpt: Path, out: Path) -> list[list[str]]:
     s = str(scene)
     return [
-        ["warp", "--scene", s, "--refs", "0,2", "--target", "1", "--out", str(out / "warp")],
-        ["condition", "--scene", s, "--refs", "0,2", "--target", "1", "--out", str(out / "cond")],
-        ["analyze", "corr", "--scene", s, "--view-a", "0", "--view-b", "1", "--r-far", "2"],
+        ["warp", "--scene", s, "--refs", "7,9", "--target", "8", "--out", str(out / "warp")],
+        ["condition", "--scene", s, "--refs", "7,9", "--target", "8", "--out", str(out / "cond")],
+        ["analyze", "corr", "--scene", s, "--view-a", "7", "--view-b", "8", "--r-far", "2"],
         ["--seed", "1", "probe", "eval", "--scene", s, "--ckpt", str(ckpt)],
     ]
 

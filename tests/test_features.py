@@ -131,7 +131,7 @@ def _patchify_stats_four_pass(img, p):
 @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
 def test_patchify_stats_bit_identical_to_four_pass_oracle(scene_data, p):
     rng = np.random.default_rng(p)
-    images = [v.rgb for v in scene_data.views[::3]] + [
+    images = [scene_data.views[i].rgb for i in range(0, scene_data.n_views, 3)] + [
         rng.random((64, 64, 3)), rng.standard_normal((32, 48, 3)), np.full((32, 32, 3), 0.37)]
     for k, img in enumerate(images):
         assert np.array_equal(_patchify_stats(img, p), _patchify_stats_four_pass(img, p)), k

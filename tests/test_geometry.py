@@ -265,7 +265,7 @@ def test_warp_features_all_invalid():
 def test_warp_union_of_sources_covers_more(scene_data):
     from renov.features import FeatureFamily, extract_features
     fam = FeatureFamily("appearance")
-    grids = [extract_features(v, fam, scene_data.patch) for v in scene_data.views]
+    grids = [extract_features(v, fam, scene_data.patch) for v in scene_data.views.values()]
     tgt = scene_data.views[5].camera
     one = warp_tokens([grids[0]], [scene_data.views[0].pointmap], tgt)
     two = warp_tokens([grids[0], grids[2]],

@@ -21,8 +21,9 @@ Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
     extract_features one 128x128 view, per family
     _patchify_stats the appearance statistics of one 128x128 view
     load_scene_bundle
-                    reading a saved 16-view 64x64 bundle back into a SceneData
-                    (what every CLI command but scene-gen does first)
+                    reading a saved 16-view 64x64 bundle back into a SceneData:
+                    all 16 views (what `features` does first), and only views
+                    7, 8 and 9 (what `warp --refs 7,9 --target 8` does first)
 
 Probe steps: one `SuiteConfig()` scene (64x64, 16 views), the fixed-target
 training set of each family (15 warped planes), `train_probe` with the
@@ -121,7 +122,8 @@ def layer_times(seed: int) -> None:
           f"(min {min(tested):.3f}, max {max(tested):.3f})")
     transform = NormalizationTransform.from_aabb(scn.aabb_min, scn.aabb_max)
     p = pipeline.PATCH
-    data = {res: pipeline.SceneData(seed, views[res], transform, p) for res in (64, 128)}
+    data = {res: pipeline.SceneData(seed, N_VIEWS, dict(enumerate(views[res])), transform, p)
+            for res in (64, 128)}
     grids = dict(zip(WARP_REFS, pipeline.reduced_grids(data[64], FeatureFamily("mixed"), 32, 77,
                                                        WARP_REFS)[0]))
     report("feature_warp 64x64", timed(
@@ -152,6 +154,9 @@ def layer_times(seed: int) -> None:
         bundle.save_scene_bundle(tmp, scn, views[64], transform)
         report("load_scene_bundle 16x64x64",
                timed(lambda: bundle.load_scene_bundle(tmp, p), LAYER_REPS))
+        report("load_scene_bundle 3/16 views",
+               timed(lambda: bundle.load_scene_bundle(tmp, p, (*WARP_REFS, WARP_TARGET)),
+                     LAYER_REPS))
 
 
 def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
