@@ -2,8 +2,10 @@
 
 Every command prints exactly one JSON summary line to stdout and exits 0 on
 success, 2 on malformed input (the message names the offending field), 3 on
-numerical failure.  All outputs are deterministic given flags and seeds; the
-seed flag falls back to the RENOV_SEED environment variable.
+numerical failure, 4 when the process runs out of memory; each of these
+failures prints one line to stderr, not a traceback.  All outputs are
+deterministic given flags and seeds; the seed flag falls back to the
+RENOV_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -457,6 +459,9 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return 4
     print(json.dumps(summary, sort_keys=True))
     return 0
 

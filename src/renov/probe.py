@@ -12,6 +12,15 @@ train_probe computes in float32 and returns its parameters widened to
 float64; probe_forward, probe_backward and eval_probe compute in float64.
 All of them run the same per-sample code (_forward, _backward), so the
 gradient check of probe_backward covers the code that trains.
+
+Layout rule: every GEMM in _backward multiplies by a C-contiguous right
+operand.  The data gradients multiply by the transposed weights (mlp_w2,
+mlp_w1 and, with attention, attn_wq/wk/wv), so _backward takes C-contiguous
+copies of those transposes: train_probe refreshes its copies once per step,
+before the batch, and probe_backward makes them per call.  On OpenBLAS a
+product with a transposed-view right operand takes a slower kernel; at the
+shapes the benchmark trains the two layouts give the same bits, at some
+other shapes they round differently.
 """
 
 from __future__ import annotations
@@ -181,34 +190,40 @@ def _forward(decoder: ProbeDecoder, x: np.ndarray, holes: np.ndarray, ws: _Works
     out += p["mlp_b2"]
 
 
+def _transposes(decoder: ProbeDecoder) -> dict[str, np.ndarray]:
+    """C-contiguous copies of the transposed weights that _backward multiplies by."""
+    return {n: decoder.params[n].T.copy() for n in ("mlp_w2", "mlp_w1", *ATTN_PARAMS)
+            if n in decoder.params}
+
+
 def _backward(decoder: ProbeDecoder, x: np.ndarray, holes: np.ndarray, ws: _Workspace,
-              grads: dict[str, np.ndarray]) -> None:
+              weights_t: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
     """Exact parameter gradients of the MSE, written into grads' arrays.
 
     ws holds the forward pass of one plane, and ws.d_out its residual
     out - target in token layout; ws.d_out is turned into dL/d_out in place.
+    weights_t holds the transposes of the current weights (_transposes).
     """
-    p = decoder.params
     d_out = ws.d_out
     d_out *= 2.0
     d_out /= d_out.size
     np.matmul(ws.a1.T, d_out, out=grads["mlp_w2"])
     np.add.reduce(d_out, axis=0, out=grads["mlp_b2"])
-    d_h1 = np.matmul(d_out, p["mlp_w2"].T, out=ws.d_a1)
+    d_h1 = np.matmul(d_out, weights_t["mlp_w2"], out=ws.d_a1)
     tanh_grad = np.square(ws.a1, out=ws.tanh_grad)
     np.subtract(1.0, tanh_grad, out=tanh_grad)
     d_h1 *= tanh_grad
     np.matmul(ws.m.T, d_h1, out=grads["mlp_w1"])
     np.add.reduce(d_h1, axis=0, out=grads["mlp_b1"])
-    d_m = np.matmul(d_h1, p["mlp_w1"].T, out=ws.d_m)
+    d_m = np.matmul(d_h1, weights_t["mlp_w1"], out=ws.d_m)
 
     d_r = d_m
     if decoder.attn_enabled:
         # residual: d_m flows to both r and the attention output
         d_q, d_k, d_v = attend_backward(ws.q, ws.k, ws.v, ws.weights, d_m)
-        d_r = np.add(d_m, np.matmul(d_q, p["attn_wq"].T, out=ws.d_r), out=ws.d_r)
-        d_r += np.matmul(d_k, p["attn_wk"].T, out=ws.proj)
-        d_r += np.matmul(d_v, p["attn_wv"].T, out=ws.proj)
+        d_r = np.add(d_m, np.matmul(d_q, weights_t["attn_wq"], out=ws.d_r), out=ws.d_r)
+        d_r += np.matmul(d_k, weights_t["attn_wk"], out=ws.proj)
+        d_r += np.matmul(d_v, weights_t["attn_wv"], out=ws.proj)
         np.matmul(ws.r.T, d_q, out=grads["attn_wq"])
         np.matmul(ws.r.T, d_k, out=grads["attn_wk"])
         np.matmul(ws.r.T, d_v, out=grads["attn_wv"])
@@ -273,16 +288,23 @@ def _prepare(decoder: ProbeDecoder, dataset: list[tuple[WarpedPlane, np.ndarray]
     return samples
 
 
-def _sample_step(decoder: ProbeDecoder, s: _Sample, grads: dict[str, np.ndarray]) -> float:
-    """One sample's MSE loss; its exact parameter gradients are written into grads' arrays."""
+def _sample_step(decoder: ProbeDecoder, s: _Sample, weights_t: dict[str, np.ndarray],
+                 grads: dict[str, np.ndarray]) -> float:
+    """One sample's MSE loss; its exact parameter gradients are written into grads' arrays.
+
+    weights_t holds the transposes of the current weights (_transposes).
+    """
     ws = s.workspace
     _forward(decoder, s.x, s.holes, ws)
     np.subtract(ws.out, s.target, out=ws.d_out)
     # the patches are spent: out takes the squared residual in pixel order,
     # the order in which the mean over the image sums it
     np.square(ws.residual_blocks, out=ws.sq_err_blocks)
-    loss = float(ws.sq_err.mean())
-    _backward(decoder, s.x, s.holes, ws, grads)
+    # the value of ws.sq_err.mean() without its Python wrapper: the pairwise
+    # sum, divided in float64, rounded to the dtype
+    sq_sum = np.add.reduce(ws.sq_err, axis=None)
+    loss = float(sq_sum.dtype.type(float(sq_sum) / ws.sq_err.size))
+    _backward(decoder, s.x, s.holes, ws, weights_t, grads)
     return loss
 
 
@@ -295,7 +317,7 @@ def probe_backward(decoder: ProbeDecoder, warped: WarpedPlane, target: np.ndarra
     """
     (sample,) = _prepare(decoder, [(warped, target)], 1, np.float64)
     grads = {n: np.empty_like(decoder.params[n]) for n in decoder.param_names}
-    return _sample_step(decoder, sample, grads), grads
+    return _sample_step(decoder, sample, _transposes(decoder), grads), grads
 
 
 def train_probe(
@@ -311,11 +333,20 @@ def train_probe(
     on; the returned decoder holds the trained values widened exactly to
     float64.  The parameters, the summed gradient and the Adam moments are
     each one flat vector (decoder.params holds views of the parameter vector
-    while training), and a step writes its products into buffers made once
-    per call (only the attention backward allocates its own).  Every
-    floating-point operation is the one of the per-parameter loop over the
-    per-sample step with textbook Adam, in the same order, so the parameters
-    and the loss curve are bit-identical to that loop's run in float32.
+    while training); the batch's first sample writes its gradient straight
+    into the summed gradient, the others into a temporary that is added.  A
+    step writes its products into buffers made once per call, the
+    C-contiguous transposes of the weights included, which it refreshes once
+    per step before the batch (see the module's layout rule).  What a step
+    still allocates is numpy's own: temporaries of up to 32 kB per sample
+    (the iteration buffer of the pixel-order square, the hole-row gathers)
+    and, with attention, the softmax's row maxima and sums and the attention
+    backward's products.  Every floating-point operation is the one of the
+    per-parameter loop over the per-sample step with textbook Adam, in the
+    same order, so the parameters and the loss curve are bit-identical to
+    that loop's run in float32 (a zero gradient entry may start as -0.0
+    where the loop's sum gives +0.0, which changes no moment and no
+    parameter).
     A non-finite step loss or final parameter vector raises NumericalError.
     """
     if not dataset:
@@ -334,19 +365,23 @@ def train_probe(
     theta = np.concatenate([decoder.params[n].ravel() for n in shapes], dtype=np.float32)
     decoder.params = _flat_views(theta, shapes)
     grad, m_state, v_state, tmp = (np.zeros_like(theta) for _ in range(4))
-    sample_grads = _flat_views(tmp, shapes)
+    grad_views, tmp_views = _flat_views(grad, shapes), _flat_views(tmp, shapes)
+    weights_t = _transposes(decoder)
     b1, b2 = ADAM_BETAS
     curve: list[float] = []
     # divergence surfaces as a non-finite loss or final parameter vector;
     # suppress the intermediate overflow warnings on that path
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps):
-            grad.fill(0.0)
+            for name, w_t in weights_t.items():
+                np.copyto(w_t, decoder.params[name].T)
             step_loss = 0.0
             for b in range(cfg.batch):
                 s = samples[(step * cfg.batch + b) % len(samples)]
-                step_loss += _sample_step(decoder, s, sample_grads)
-                grad += tmp
+                # the batch's first sample writes the summed gradient, the others tmp
+                step_loss += _sample_step(decoder, s, weights_t, tmp_views if b else grad_views)
+                if b:
+                    grad += tmp
             step_loss /= cfg.batch
             if not np.isfinite(step_loss):
                 raise NumericalError(f"training diverged: non-finite loss at step {step}")

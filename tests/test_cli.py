@@ -716,6 +716,26 @@ def test_exit_code_3_on_diverging_training(small_bundle, capsys, tmp_path):
         assert not (tmp_path / "ck").exists()
 
 
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 20.1 GiB for an array with shape (30000, 30000, 3) "
+                "and data type float64"),
+    MemoryError()], ids=["numpy", "bare"])
+def test_exit_code_4_on_memory_error(tmp_path, capsys, monkeypatch, error):
+    """Running out of memory (scene-gen --res 30000x30000 under an address-space limit) is
+    one stderr line and exit 4; the render is patched to raise, nothing large is allocated."""
+    def render_view(scene, cam):
+        raise error
+
+    monkeypatch.setattr(cli, "render_view", render_view)
+    code, out, err = run_cli(capsys, "--threads", "1", "scene-gen", "--out",
+                             str(tmp_path / "big"), "--views", "3", "--res", "16x16")
+    assert code == 4
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("out of memory: ") and (str(error) or "allocation failed") in err
+    assert not (tmp_path / "big").exists()
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RENOV_SEED", "4")
     code1, _, _ = run_cli(capsys, "scene-gen", "--out", str(tmp_path / "env"),

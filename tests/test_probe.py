@@ -9,8 +9,8 @@ from renov.features import FeatureFamily
 from renov.geometry import WarpedPlane
 from renov.metrics import psnr, ssim
 from renov.probe import (ADAM_BETAS, ADAM_EPS, ProbeDecoder, TrainConfig, _prepare, _sample_step,
-                         eval_probe, patchify, pixel_hole_mask, probe_backward, probe_forward,
-                         train_probe, unpatchify)
+                         _transposes, eval_probe, patchify, pixel_hole_mask, probe_backward,
+                         probe_forward, train_probe, unpatchify)
 
 # ---------------------------------------------------------------------------
 # helpers / oracles
@@ -276,18 +276,32 @@ def test_training_empty_dataset():
         train_probe([], TrainConfig())
 
 
-def sample_backward(decoder, warped, target, dtype):
-    """probe_backward's per-sample code run in dtype (probe_backward runs it in float64)."""
+def transposed_views(decoder):
+    """The transposes the backward multiplies by, as strided views of the weights.
+
+    The layout of the per-parameter reference loop; probe_backward and
+    train_probe multiply by C-contiguous copies instead.
+    """
+    return {n: decoder.params[n].T for n in _transposes(decoder)}
+
+
+def sample_backward(decoder, warped, target, dtype, weights_t=None):
+    """probe_backward's per-sample code run in dtype (probe_backward runs it in float64).
+
+    It multiplies by weights_t, by default probe_backward's copies of the transposes.
+    """
     (sample,) = _prepare(decoder, [(warped, target)], 1, dtype)
     grads = {n: np.empty_like(decoder.params[n]) for n in decoder.param_names}
-    return _sample_step(decoder, sample, grads), grads
+    weights_t = _transposes(decoder) if weights_t is None else weights_t
+    return _sample_step(decoder, sample, weights_t, grads), grads
 
 
 def reference_train(dataset, cfg, dtype=np.float32):
     """The per-parameter training loop train_probe must reproduce bit for bit in float32.
 
-    The init rounded to dtype, the per-sample step in dtype, gradients summed
-    into fresh zero arrays, then textbook Adam on each parameter array.
+    The init rounded to dtype, the per-sample step in dtype on transposed views
+    of the weights, gradients summed into fresh zero arrays, then textbook Adam
+    on each parameter array.
     """
     warped0, target0 = dataset[0]
     patch = target0.shape[0] // warped0.payload.shape[0]
@@ -304,7 +318,8 @@ def reference_train(dataset, cfg, dtype=np.float32):
             step_loss = 0.0
             for b in range(cfg.batch):
                 warped, target = dataset[(step * cfg.batch + b) % len(dataset)]
-                loss, grads = sample_backward(decoder, warped, target, dtype)
+                loss, grads = sample_backward(decoder, warped, target, dtype,
+                                              transposed_views(decoder))
                 step_loss += loss
                 for name, g in grads.items():
                     total[name] += g
@@ -326,16 +341,37 @@ def reference_train(dataset, cfg, dtype=np.float32):
     return decoder, curve
 
 
-def test_sample_backward_in_float64_is_probe_backward():
+def _bench_shape_dataset(rng, n=15):
+    """n planes at the benchmark's probe shapes (8x8 tokens of 90 channels), one shared target."""
+    target = rng.uniform(0, 1, (64, 64, 3))
+    return [(make_plane(rng, 8, 8, 90, hole_prob=0.3), target) for _ in range(n)]
+
+
+@pytest.mark.parametrize("attn", [False, True])
+@pytest.mark.parametrize("shapes", ["small", "bench"])
+def test_sample_backward_in_float64_is_probe_backward(shapes, attn):
+    """At the benchmark's shapes, also the bits of the transposed-view layout.
+
+    Which BLAS kernel runs depends on the shapes and the operands' layout; at
+    some shapes (a 16-token grid with out_dim 48 and hidden 8 among them) the
+    two layouts round differently in float64.
+    """
     rng = np.random.default_rng(39)
-    dec = small_decoder(attn=True)
-    plane, target = make_plane(rng), rng.uniform(0, 1, (16, 16, 3))
+    if shapes == "small":
+        dec = small_decoder(attn=attn)
+        plane, target = make_plane(rng), rng.uniform(0, 1, (16, 16, 3))
+    else:
+        dec = small_decoder(c_in=90, patch=8, attn=attn, hidden=128, c_red=32)
+        ((plane, target),) = _bench_shape_dataset(rng, 1)
     loss, grads = probe_backward(dec, plane, target)
-    ref_loss, ref_grads = sample_backward(dec, plane, target, np.float64)
-    assert loss == ref_loss
-    for name in dec.param_names:
-        assert grads[name].dtype == np.float64
-        assert np.array_equal(grads[name], ref_grads[name]), name
+    refs = [sample_backward(dec, plane, target, np.float64)]
+    if shapes == "bench":
+        refs.append(sample_backward(dec, plane, target, np.float64, transposed_views(dec)))
+    for ref_loss, ref_grads in refs:
+        assert loss == ref_loss
+        for name in dec.param_names:
+            assert grads[name].dtype == np.float64
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def _reference_dataset(rng, n=15, patch=4, c=6):
@@ -357,11 +393,17 @@ def _reference_dataset(rng, n=15, patch=4, c=6):
 
 
 @pytest.mark.parametrize("attn", [False, True])
-@pytest.mark.parametrize("batch,steps", [(4, 12), (1, 20)])
-def test_train_probe_matches_reference_loop(attn, batch, steps):
-    data = _reference_dataset(np.random.default_rng(40))
+@pytest.mark.parametrize("shapes,batch,steps", [("small", 4, 12), ("small", 1, 20), ("bench", 4, 4)],
+                         ids=["4-12", "1-20", "bench-4-4"])
+def test_train_probe_matches_reference_loop(attn, shapes, batch, steps):
+    """At the small shapes with holes, a hole-free plane and mixed grids; at the benchmark's shapes."""
+    rng = np.random.default_rng(40)
+    if shapes == "small":
+        data, hidden, c_red = _reference_dataset(rng), 8, 5
+    else:
+        data, hidden, c_red = _bench_shape_dataset(rng), 128, 32
     cfg = TrainConfig(steps=steps, learning_rate=3e-2, batch=batch, seed=3, attn_enabled=attn,
-                      hidden=8, c_red=5)
+                      hidden=hidden, c_red=c_red)
     ref, ref_curve = reference_train(data, cfg)
     dec, curve = train_probe(data, cfg)
     assert dec.param_names == ref.param_names

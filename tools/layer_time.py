@@ -28,8 +28,8 @@ Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
 Probe steps: one `SuiteConfig()` scene (64x64, 16 views), the fixed-target
 training set of each family (15 warped planes), `train_probe` with the
 benchmark's probe settings (batch 4, hidden 128, c_red 32) for --steps steps,
---reps times per family.  A rep's step time is its wall time over its steps,
-so the once-per-call set-up is included.  BLAS runs on one thread; pin the
+--reps times per family, with attention off and then on.  A rep's step time
+is its wall time over its steps, so the once-per-call set-up is included.  BLAS runs on one thread; pin the
 process to one CPU for steadier numbers:
 
     PYTHONPATH=src taskset -c 0 python3 tools/layer_time.py --steps 300 --reps 3
@@ -159,17 +159,18 @@ def layer_times(seed: int) -> None:
                      LAYER_REPS))
 
 
-def step_times(seed: int, steps: int, reps: int, attn: bool) -> None:
+def step_times(seed: int, steps: int, reps: int) -> None:
     data = pipeline.render_scene_data(seed, pipeline.SuiteConfig())
     proto = pipeline.ProbeProtocol.fixed_target()
-    cfg = TrainConfig(steps=steps, batch=4, hidden=128, c_red=32, attn_enabled=attn)
-    print(f"probe step: {steps} steps x {reps} reps, attention {'on' if attn else 'off'}")
-    for kind in FAMILIES:
-        dataset = pipeline.probe_dataset(data, pipeline.unified_grids(data, FeatureFamily(kind)),
-                                         proto)
-        c_in = dataset[0][0].payload.shape[2]
-        report(f"step {kind} (c_in {c_in})",
-               timed(lambda: train_probe(dataset, cfg), reps, steps))
+    datasets = {kind: pipeline.probe_dataset(
+        data, pipeline.unified_grids(data, FeatureFamily(kind)), proto) for kind in FAMILIES}
+    for attn in (False, True):
+        cfg = TrainConfig(steps=steps, batch=4, hidden=128, c_red=32, attn_enabled=attn)
+        print(f"probe step: {steps} steps x {reps} reps, attention {'on' if attn else 'off'}")
+        for kind, dataset in datasets.items():
+            c_in = dataset[0][0].payload.shape[2]
+            report(f"step {kind} (c_in {c_in})",
+                   timed(lambda: train_probe(dataset, cfg), reps, steps))
 
 
 def main(argv=None) -> int:
@@ -177,7 +178,6 @@ def main(argv=None) -> int:
     ap.add_argument("--steps", type=int, default=300, help="train steps per probe rep")
     ap.add_argument("--reps", type=int, default=3, help="timed probe reps per family")
     ap.add_argument("--seed", type=int, default=0, help="scene seed")
-    ap.add_argument("--attn", action="store_true", help="time the attention probe")
     args = ap.parse_args(argv)
     if args.steps < 1 or args.reps < 1:
         ap.error("--steps and --reps must be >= 1")
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
                              if renov._heap_kept else "not set (no glibc mallopt)"))
     print(f"scene seed {args.seed}, {LAYER_REPS} reps per layer")
     layer_times(args.seed)
-    step_times(args.seed, args.steps, args.reps, args.attn)
+    step_times(args.seed, args.steps, args.reps)
     return 0
 
 
