@@ -22,7 +22,7 @@ float32 range.  A violation is an InputError naming the file.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,12 @@ def _int(value) -> int:
 def _positive(value) -> int:
     if _int(value) < 1:
         raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _scene_version(value) -> int:
+    if _int(value) != SCENE_VERSION:
+        raise ValueError(f"expected {SCENE_VERSION}, got {value}")
     return value
 
 
@@ -163,6 +169,7 @@ def load_scene_bundle(bundle: Path, patch: int,
     doc = rnvt.read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SCENE_FORMAT:
         raise InputError(f"{bundle} is not a scene bundle (field 'format')")
+    _field(path, doc, "version", _scene_version)
     seed = _field(path, doc, "seed", _int)
     _field(path, doc, "spec", SceneSpec.from_dict)
     transform = _field(path, doc, "normalization", _normalization)
@@ -182,27 +189,27 @@ def load_scene_bundle(bundle: Path, patch: int,
 def save_feature_set(
     out: Path,
     family: FeatureFamily,
-    patch_size: int,
-    local_grids: list[FeatureGrid],
-    reduced_grids: list[FeatureGrid],
+    local_grids: Mapping[int, FeatureGrid],
+    reduced_grids: Mapping[int, FeatureGrid],
     reducer: ChannelReducer,
 ) -> None:
-    """Each view's local, valid and reduced tensors, for inspection; no command reads them."""
+    """Each view's local, valid and reduced tensors, by arc index; written for inspection only."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
+    first = next(iter(local_grids))
     manifest = {
         "family": family.to_dict(),
-        "patch_size": patch_size,
+        "patch_size": local_grids[first].patch_size,
         "n_views": len(local_grids),
-        "c_local": local_grids[0].channels,
-        "c_reduced": reduced_grids[0].channels,
+        "c_local": local_grids[first].channels,
+        "c_reduced": reduced_grids[first].channels,
         "reducer_seed": reducer.seed,
     }
     rnvt.write_json(out / "manifest.json", manifest)
-    for i, (local, reduced) in enumerate(zip(local_grids, reduced_grids, strict=True)):
+    for i, local in local_grids.items():
         rnvt.write_tensor(out / f"local_{i:03d}.rnvt", local.tokens.astype(np.float64))
         rnvt.write_tensor(out / f"valid_{i:03d}.rnvt", local.valid.astype(np.uint8))
-        rnvt.write_tensor(out / f"reduced_{i:03d}.rnvt", reduced.tokens.astype(np.float64))
+        rnvt.write_tensor(out / f"reduced_{i:03d}.rnvt", reduced_grids[i].tokens.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

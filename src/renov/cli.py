@@ -152,7 +152,7 @@ def cmd_features(args) -> dict:
     family = _family_from(args, seed)
     local = local_grids(data, family)  # the per-scene features the probe sees
     reduced, reducer = reduce_local_grids(local, args.c_red, args.reducer_seed)
-    bundle.save_feature_set(out, family, args.patch, local, reduced, reducer)
+    bundle.save_feature_set(out, family, local, reduced, reducer)
     return {"command": "features", "out": str(out), "family": args.family,
             "views": len(local), "c_local": local[0].channels, "c_reduced": args.c_red}
 
@@ -169,7 +169,7 @@ def cmd_warp(args) -> dict:
     else:
         family = _family_from(args, seed)
         grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
-        plane = feature_warp(data, dict(zip(refs, grids)), refs, args.target, args.remove, seed)
+        plane = feature_warp(data, grids, refs, args.target, args.remove, seed)
     out.mkdir(parents=True, exist_ok=True)
     rnvt.write_tensor(out / "payload.rnvt", plane.payload)
     rnvt.write_tensor(out / "depth.rnvt", plane.depth)
@@ -197,15 +197,14 @@ def cmd_condition(args) -> dict:
     feat_cfg = FourierConfig(num_freqs=args.feat_freqs)
     out.mkdir(parents=True, exist_ok=True)
 
-    aug = condition_grids(data, grids, refs)  # normalized anchor coords first
-    ref_layout = None
-    for r, grid, cond in zip(refs, grids, aug):
-        plane = build_reference_condition(cond.tokens[..., :3], grid, geo_cfg, feat_cfg)
+    aug = condition_grids(data, grids)  # normalized anchor coords first
+    for r in aug:
+        plane = build_reference_condition(aug[r].tokens[..., :3], grids[r], geo_cfg, feat_cfg)
         rnvt.write_tensor(out / f"cond_ref_{r:03d}.rnvt", plane.channels)
         ref_layout = plane.layout
     rnvt.write_json(out / "layout_ref.json", ref_layout.to_json())
 
-    warped = feature_warp(data, dict(zip(refs, aug)), refs, args.target)
+    warped = feature_warp(data, aug, refs, args.target)
     tgt_plane = build_target_condition(warped, geo_cfg, feat_cfg)
     rnvt.write_tensor(out / "cond_target.rnvt", tgt_plane.channels)
     rnvt.write_json(out / "layout_target.json", tgt_plane.layout.to_json())
@@ -278,8 +277,7 @@ def cmd_probe(args) -> dict:
         data = bundle.load_scene_bundle(args.scene, args.patch,
                                         _protocol_views(proto, proto.train_pairs))
         cfg = _probe_cfg(args, seed)
-        views = reference_views(proto.train_pairs)
-        grids = dict(zip(views, unified_grids(data, family, views)))
+        grids = unified_grids(data, family, reference_views(proto.train_pairs))
         decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed})
         rnvt.write_text(out / "loss.csv",
@@ -303,8 +301,7 @@ def cmd_probe(args) -> dict:
         raise InputError(f"--ckpt {args.ckpt} was trained on family "
                          f"{json.dumps(trained_on, sort_keys=True)}, but the family flags give "
                          f"{json.dumps(family.to_dict(), sort_keys=True)}")
-    views = reference_views(cases)
-    grids = dict(zip(views, unified_grids(data, family, views)))
+    grids = unified_grids(data, family, reference_views(cases))
     report = eval_scene_probe(decoder, data, grids, cases, args.remove, seed)
     if out:
         rnvt.write_json(out, report)

@@ -88,33 +88,34 @@ def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
 
 
 def local_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
-                ) -> list[FeatureGrid]:
-    """t_l of each view in `views` (every loaded view by default), for the per-scene family."""
+                ) -> dict[int, FeatureGrid]:
+    """Per-scene t_l by arc index, of each distinct view in `views` (default: every loaded view)."""
     fam = scene_family(family, data.seed)
-    views = data.views.keys() if views is None else views
-    return [extract_features(data.views[i], fam, data.patch, data.transform) for i in views]
+    views = data.views.keys() if views is None else dict.fromkeys(views)
+    return {i: extract_features(data.views[i], fam, data.patch, data.transform) for i in views}
 
 
 def unified_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
-                  ) -> list[FeatureGrid]:
+                  ) -> dict[int, FeatureGrid]:
     """T_n of each view in `views` (every loaded view by default): local tokens plus global token."""
-    return [concat_global_local(g) for g in local_grids(data, family, views)]
+    return {i: concat_global_local(g) for i, g in local_grids(data, family, views).items()}
 
 
-def reduce_local_grids(local: list[FeatureGrid], c_red: int, reducer_seed: int
-                       ) -> tuple[list[FeatureGrid], ChannelReducer]:
+def reduce_local_grids(local: Mapping[int, FeatureGrid], c_red: int, reducer_seed: int
+                       ) -> tuple[dict[int, FeatureGrid], ChannelReducer]:
     """Each local grid unified and reduced to c_red channels, and the reducer.
 
     The reducer depends only on the channel count, which every view of a family shares.
     """
-    unified = [concat_global_local(g) for g in local]
-    reducer = ChannelReducer.create(unified[0].channels, c_red, reducer_seed)
-    return [reduce_channels(g, reducer) for g in unified], reducer
+    unified = {i: concat_global_local(g) for i, g in local.items()}
+    reducer = ChannelReducer.create(next(iter(unified.values())).channels, c_red, reducer_seed)
+    return {i: reduce_channels(g, reducer) for i, g in unified.items()}, reducer
 
 
 def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int, reducer_seed: int,
-                  views: Sequence[int] | None = None) -> tuple[list[FeatureGrid], ChannelReducer]:
-    """reduce_local_grids over the views in `views` (every loaded view by default), in order."""
+                  views: Sequence[int] | None = None
+                  ) -> tuple[dict[int, FeatureGrid], ChannelReducer]:
+    """reduce_local_grids over the views in `views` (every loaded view by default)."""
     return reduce_local_grids(local_grids(data, family, views), c_red, reducer_seed)
 
 
@@ -135,7 +136,7 @@ def _warp(data: SceneData, refs: tuple[int, ...], target: int, scale: int, remov
 
 def feature_warp(
     data: SceneData,
-    grids: Sequence[FeatureGrid] | Mapping[int, FeatureGrid],
+    grids: Mapping[int, FeatureGrid],
     refs: tuple[int, ...],
     target: int,
     remove_frac: float = 0.0,
@@ -158,19 +159,15 @@ def rgb_warp(
                  lambda pms: aggregate_pointmaps(pms, [data.views[i].rgb for i in refs]))
 
 
-def condition_grids(data: SceneData, grids_red: list[FeatureGrid],
-                    views: Sequence[int] | None = None) -> list[FeatureGrid]:
-    """Grids carrying [normalized anchor coords, reduced features] payloads.
-
-    grids_red[k] is the grid of view views[k] (every loaded view by default, in order).
-    """
-    views = data.views.keys() if views is None else views
-    out = []
-    for i, grid in zip(views, grids_red, strict=True):
+def condition_grids(data: SceneData, grids_red: Mapping[int, FeatureGrid]
+                    ) -> dict[int, FeatureGrid]:
+    """Each view's grid with [normalized anchor coords, reduced features] payloads, by arc index."""
+    out = {}
+    for i, grid in grids_red.items():
         coords, avalid = token_anchors(data.views[i].pointmap, data.patch)
         norm = normalize_coords(coords, data.transform, avalid)
-        out.append(FeatureGrid(np.concatenate([norm, grid.tokens], axis=2),
-                               data.patch, avalid & grid.valid))
+        out[i] = FeatureGrid(np.concatenate([norm, grid.tokens], axis=2), data.patch,
+                             avalid & grid.valid)
     return out
 
 
@@ -246,15 +243,14 @@ def reference_views(cases: Sequence[tuple]) -> tuple[int, ...]:
     return tuple(sorted({i for refs, *_ in cases for i in refs}))
 
 
-def probe_dataset(data: SceneData, grids: Sequence[FeatureGrid] | Mapping[int, FeatureGrid],
-                  proto: ProbeProtocol) -> list[tuple[WarpedPlane, np.ndarray]]:
+def probe_dataset(data: SceneData, grids: Mapping[int, FeatureGrid], proto: ProbeProtocol
+                  ) -> list[tuple[WarpedPlane, np.ndarray]]:
     """The protocol's training warps, each pair thinned with its own seed, with their targets."""
     return [(feature_warp(data, grids, refs, tgt, frac, remove_seed=1000 + k), data.views[tgt].rgb)
             for k, (refs, tgt, frac) in enumerate(proto.train_pairs)]
 
 
-def eval_scene_probe(decoder: ProbeDecoder, data: SceneData,
-                     grids: Sequence[FeatureGrid] | Mapping[int, FeatureGrid],
+def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, grids: Mapping[int, FeatureGrid],
                      cases: tuple[tuple[tuple[int, ...], int], ...], remove_frac: float,
                      remove_seed: int) -> dict:
     """eval_probe report over (refs, target) cases, each cloud thinned by remove_frac."""
@@ -272,8 +268,7 @@ def probe_scene_run(
     proto: ProbeProtocol,
 ):
     """Train a per-scene probe on warped tokens and evaluate its held-out cases."""
-    views = proto.views_read
-    grids = dict(zip(views, unified_grids(data, family, views)))
+    grids = unified_grids(data, family, proto.views_read)
     decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
     report = eval_scene_probe(decoder, data, grids, proto.eval_cases, 0.0, 0)
     return decoder, curve, report
@@ -365,8 +360,7 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
     remove_seed seeds the evaluation-time thinning; training pairs keep their own seeds.
     """
     proto = ProbeProtocol.robustness()
-    views = proto.views_read
-    grids = dict(zip(views, unified_grids(data, family, views)))
+    grids = unified_grids(data, family, proto.views_read)
     decoder, _ = train_probe(probe_dataset(data, grids, proto), cfg)
 
     def psnr_at(frac: float) -> float:

@@ -135,15 +135,19 @@ def read_json(path):
         raise InputError(f"{path} is not valid UTF-8 JSON: {e}") from e
 
 
+def _write_netpbm(path, magic: bytes, img: np.ndarray) -> None:
+    if img.dtype != np.uint8:
+        img = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    h, w = img.shape[:2]
+    _atomic_write_bytes(path, b"%s\n%d %d\n255\n" % (magic, w, h) + img.tobytes())
+
+
 def write_ppm(path, image: np.ndarray) -> None:
     """Binary P6 PPM, maxval 255. Accepts HxWx3 floats in [0,1] or uint8."""
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise InputError(f"PPM wants HxWx3, got {img.shape}")
-    if img.dtype != np.uint8:
-        img = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = img.shape[:2]
-    _atomic_write_bytes(path, b"P6\n%d %d\n255\n" % (w, h) + img.tobytes())
+    _write_netpbm(path, b"P6", img)
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -151,7 +155,4 @@ def write_pgm(path, image: np.ndarray) -> None:
     img = np.asarray(image)
     if img.ndim != 2:
         raise InputError(f"PGM wants HxW, got {img.shape}")
-    if img.dtype != np.uint8:
-        img = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = img.shape
-    _atomic_write_bytes(path, b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())
+    _write_netpbm(path, b"P5", img)

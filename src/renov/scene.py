@@ -118,8 +118,8 @@ class SceneSpec:
             include_room=d["include_room"],
             cell_range=d["cell_range"],
             checker_prob=d["checker_prob"],
-            palette_size=d.get("palette_size", 0),
-            shading=d.get("shading", 0.0),
+            palette_size=d["palette_size"],
+            shading=d["shading"],
         )
 
 

@@ -53,7 +53,8 @@ def test_scene_bundle_loads_only_the_views_named(tmp_path, scene_data, monkeypat
     np.testing.assert_array_equal(data.views[5].depth, scene_data.views[5].depth)
     with pytest.raises(KeyError, match="view 3 was not loaded"):
         data.views[3]
-    assert pipeline.local_grids(data, FeatureFamily("appearance"))[1].tokens.shape == (8, 8, 18)
+    assert pipeline.local_grids(data, FeatureFamily("appearance"))[5].tokens.shape == (8, 8, 18)
+    assert list(pipeline.local_grids(data, FeatureFamily("appearance"), (5, 2, 5))) == [5, 2]
     with pytest.raises(InputError, match="view index 8 out of range"):
         bundle.load_scene_bundle(tmp_path / "b", scene_data.patch, [1, 8])
 
@@ -69,7 +70,7 @@ def test_feature_set_roundtrip(tmp_path, scene_data):
     fam = FeatureFamily("mixed")
     grids, reducer = reduced_grids(scene_data, fam, 32, reducer_seed=1)
     local = unified_grids(scene_data, fam)
-    bundle.save_feature_set(tmp_path / "f", fam, scene_data.patch, local, grids, reducer)
+    bundle.save_feature_set(tmp_path / "f", fam, local, grids, reducer)
     manifest = rnvt.read_json(tmp_path / "f" / "manifest.json")
     assert manifest["family"]["kind"] == "mixed"
     assert manifest["reducer_seed"] == 1
@@ -78,6 +79,13 @@ def test_feature_set_roundtrip(tmp_path, scene_data):
     np.testing.assert_array_equal(rnvt.read_tensor(tmp_path / "f" / "reduced_003.rnvt"),
                                   grids[3].tokens)
     assert manifest["n_views"] == len(scene_data.views)
+    assert manifest["patch_size"] == scene_data.patch
+    # files are named by arc index, whichever views the grids hold
+    two = tmp_path / "two"
+    bundle.save_feature_set(two, fam, {i: local[i] for i in (5, 2)},
+                            {i: grids[i] for i in (5, 2)}, reducer)
+    assert sorted(p.name for p in two.glob("reduced_*")) == ["reduced_002.rnvt", "reduced_005.rnvt"]
+    np.testing.assert_array_equal(rnvt.read_tensor(two / "reduced_005.rnvt"), grids[5].tokens)
 
 
 def test_decoder_checkpoint_roundtrip(tmp_path):

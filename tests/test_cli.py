@@ -225,6 +225,7 @@ def test_commands_extract_features_only_for_the_views_they_read(small_bundle, sm
     assert count("warp", *scene, *out, "--refs", "0,2", "--target", "8",
                  "--payload", "features") == 2
     assert count("condition", *scene, *out, "--refs", "0,2", "--target", "8") == 2
+    assert count("condition", *scene, *out, "--refs", "2,2", "--target", "8") == 1
     assert count("probe", "train", *scene, "--ckpt", str(tmp_path / "ck"), "--steps", "2") == 7
     assert count("probe", "eval", *scene, "--ckpt", str(small_ckpt)) == 3
     assert count("probe", "eval", *scene, "--ckpt", str(small_ckpt), "--views", "2") == 2
@@ -244,7 +245,9 @@ def test_commands_extract_features_only_for_the_views_they_read(small_bundle, sm
     full = pipeline.unified_grids(data, family)
     for proto in (pipeline.ProbeProtocol.fixed_target(), pipeline.ProbeProtocol.robustness()):
         views = proto.views_read
-        for i, grid in zip(views, pipeline.unified_grids(data, family, views), strict=True):
+        grids = pipeline.unified_grids(data, family, views)
+        assert list(grids) == list(views)
+        for i, grid in grids.items():
             np.testing.assert_array_equal(grid.tokens, full[i].tokens)
             np.testing.assert_array_equal(grid.valid, full[i].valid)
 
@@ -264,8 +267,8 @@ def test_features_and_analyze_use_per_scene_features(small_bundle, capsys, tmp_p
     local = [rnvt.read_tensor(out / f"local_{i:03d}.rnvt") for i in range(manifest["n_views"])]
     assert manifest["family"] == family.to_dict()
     assert len(local) == len(grids)
-    for saved, unified in zip(local, grids):
-        np.testing.assert_array_equal(saved, unified.tokens[..., saved.shape[2]:])
+    for i, saved in enumerate(local):
+        np.testing.assert_array_equal(saved, grids[i].tokens[..., saved.shape[2]:])
     local_3 = FeatureGrid(grids[3].tokens[..., family.channels:], 8, grids[3].valid)
     assert json.loads(summary)["score"] == lds_score(local_3, 1, 4)
 
@@ -378,6 +381,15 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     def damaged_spec(name, key, value):
         return damaged(name, "scene.json", lambda d: dict(d, spec=dict(d["spec"], **{key: value})))
 
+    def without(d, key):
+        return {k: v for k, v in d.items() if k != key}
+
+    def dropped_spec(name, key):
+        return damaged(name, "scene.json", lambda d: dict(d, spec=without(d["spec"], key)))
+
+    def damaged_version(name, value):
+        return damaged(name, "scene.json", lambda d: dict(d, version=value))
+
     u8_rgb = damaged_view("u8_rgb", "rgb.rnvt", lambda a: (a * 255).astype(np.uint8))
     nan_depth = damaged_view("nan_depth", "depth.rnvt", lambda a: np.full_like(a, np.nan))
     f64_labels = damaged_view("f64_labels", "labels.rnvt", lambda a: a.astype(np.float64))
@@ -414,6 +426,14 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         (damaged_spec("word_room", "include_room", "no"), "scene.json: field 'spec'"),
         (damaged_spec("word_cells", "cell_range", "ab"), "scene.json: field 'spec'"),
         (damaged_spec("nan_checker", "checker_prob", float("nan")), "scene.json: field 'spec'"),
+        (dropped_spec("no_palette", "palette_size"), "scene.json: field 'spec'"),
+        (dropped_spec("no_shading", "shading"), "scene.json: field 'spec'"),
+        (damaged_version("version_99", 99), "scene.json: field 'version'"),
+        (damaged_version("version_word", "nonsense"), "scene.json: field 'version'"),
+        (damaged_version("version_true", True), "scene.json: field 'version'"),
+        (damaged_version("version_float", 1.0), "scene.json: field 'version'"),
+        (damaged("no_version", "scene.json", lambda d: without(d, "version")),
+         "scene.json: field 'version'"),
     ]
     cases = [
         (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(tmp_path / "missing")],

@@ -503,6 +503,15 @@ def test_spec_from_dict_checks_instead_of_coercing(field, value):
         SceneSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["n_quads", "include_room", "cell_range", "checker_prob",
+                                   "palette_size", "shading"])
+def test_spec_from_dict_needs_every_field(field):
+    doc = SceneSpec().to_dict()
+    del doc[field]
+    with pytest.raises(KeyError, match=field):
+        SceneSpec.from_dict(doc)
+
+
 def test_spec_dict_roundtrip():
     spec = SceneSpec(n_quads=3, include_room=False, cell_range=(0.5, 0.5), checker_prob=1,
                      palette_size=4, shading=0.25)

@@ -1,0 +1,33 @@
+"""The scripts under tools/ run end to end against the package in src/."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_tool(*argv: str) -> str:
+    """stdout of `python tools/<argv>` with src/ first on PYTHONPATH; the tool must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / argv[0]), *argv[1:]], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_digest_hashes_every_file_of_the_cli_flow():
+    lines = run_tool("cli_digest.py", "--seed", "0", "--steps", "2").splitlines()
+    assert len(lines) == 167
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+
+
+def test_layer_time_runs_and_counts_the_source_lines():
+    out = run_tool("layer_time.py", "--steps", "1", "--reps", "1")
+    # what `wc -l src/renov/*.py` totals: the newlines of every module
+    wc_total = sum(f.read_bytes().count(b"\n") for f in (ROOT / "src" / "renov").glob("*.py"))
+    assert f", src {wc_total} lines" in out.splitlines()[0]
+    assert "step random" in out  # the probe-step section ran to its last family

@@ -124,8 +124,7 @@ def layer_times(seed: int) -> None:
     p = pipeline.PATCH
     data = {res: pipeline.SceneData(seed, N_VIEWS, dict(enumerate(views[res])), transform, p)
             for res in (64, 128)}
-    grids = dict(zip(WARP_REFS, pipeline.reduced_grids(data[64], FeatureFamily("mixed"), 32, 77,
-                                                       WARP_REFS)[0]))
+    grids, _ = pipeline.reduced_grids(data[64], FeatureFamily("mixed"), 32, 77, WARP_REFS)
     report("feature_warp 64x64", timed(
         lambda: pipeline.feature_warp(data[64], grids, WARP_REFS, WARP_TARGET), LAYER_REPS))
     report("rgb_warp 128x128", timed(
