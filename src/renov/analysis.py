@@ -76,10 +76,6 @@ def cosine_similarity_map(query: np.ndarray, target: FeatureGrid) -> np.ndarray:
     return _cosine_to_units(query, _unit_rows(target.tokens))
 
 
-def _argmax_cell(sim: np.ndarray, valid: np.ndarray) -> tuple[int, int]:
-    return divmod(int(np.argmax(np.where(valid, sim, -2.0))), sim.shape[1])  # -2: below any cosine
-
-
 def _check_queries(grid_a: FeatureGrid, grid_b: FeatureGrid, num_queries: int, tau=0) -> None:
     if num_queries < 1:
         raise InputError(f"num_queries must be >= 1, got {num_queries}")
@@ -92,19 +88,24 @@ def _check_queries(grid_a: FeatureGrid, grid_b: FeatureGrid, num_queries: int, t
 def _match_queries(grid_a: FeatureGrid, grid_b: FeatureGrid, eligible: np.ndarray,
                    num_queries: int, seed: int, tau: int, judge) -> CorrespondenceReport:
     """Up to num_queries seeded draws of A's eligible flat indices, each matched to its cosine
-    argmax over B's valid tokens; judge(index, cell, prediction) gives (truth cell, hit)."""
+    argmax over B's valid tokens.  judge(indices, predicted rows, predicted cols) gives the
+    queries' truth cells ((n, 2) ints, or None) and hits (n bools)."""
     rng = np.random.default_rng(seed)
     n = min(num_queries, eligible.size)
     chosen = rng.choice(eligible, size=n, replace=False)
-    wt = grid_a.resolution[1]
     units_b = _unit_rows(grid_b.tokens)  # once per score, not per query
-    records = []
-    for idx in chosen:
-        cell = divmod(int(idx), wt)
-        pred = _argmax_cell(_cosine_to_units(grid_a.tokens[cell], units_b), grid_b.valid)
-        truth, hit = judge(int(idx), cell, pred)
-        records.append(QueryRecord(cell, pred, truth, bool(hit)))
-    return CorrespondenceReport(sum(r.hit for r in records) / n, tau, n, tuple(records))
+    queries = grid_a.tokens.reshape(-1, grid_a.channels).take(chosen, axis=0)
+    # per query, the (Ht, Wt)-shaped product: a flat (Ht * Wt, C) gemv rounds rows differently
+    # unless Wt is a multiple of 4
+    sims = np.array([_cosine_to_units(q, units_b) for q in queries]).reshape(n, -1)
+    pred = np.argmax(np.where(grid_b.valid.reshape(-1), sims, -2.0), axis=1)  # -2: below any cosine
+    pred = np.divmod(pred, grid_b.resolution[1])
+    truth, hit = judge(chosen, *pred)
+    cells = np.stack([*np.divmod(chosen, grid_a.resolution[1]), *pred], axis=1).tolist()
+    truth = [None] * n if truth is None else map(tuple, truth.tolist())
+    records = tuple(QueryRecord((qr, qc), (pr, pc), t, h)
+                    for (qr, qc, pr, pc), t, h in zip(cells, truth, hit.tolist()))
+    return CorrespondenceReport(int(hit.sum()) / n, tau, n, records)
 
 
 def geometric_correspondence_score(
@@ -134,9 +135,10 @@ def geometric_correspondence_score(
     if eligible.size == 0:
         raise InputError("no query token of A is visible in B")
 
-    def judge(idx, cell, pred):
-        truth = (int(np.floor(v[idx] / p)), int(np.floor(u[idx] / p)))
-        return truth, max(abs(pred[0] - truth[0]), abs(pred[1] - truth[1])) <= tau
+    def judge(idx, pred_rows, pred_cols):
+        truth = np.floor(np.stack([v.take(idx), u.take(idx)], axis=1) / p).astype(np.int64)
+        dist = np.maximum(abs(pred_rows - truth[:, 0]), abs(pred_cols - truth[:, 1]))
+        return truth, dist <= tau
 
     return _match_queries(grid_a, grid_b, eligible, num_queries, seed, tau, judge)
 
@@ -182,7 +184,7 @@ def semantic_correspondence_score(
     if eligible.size == 0:
         raise InputError("no query token's dominant label appears in B")
     return _match_queries(grid_a, grid_b, eligible, num_queries, seed, 0,
-                          lambda idx, cell, pred: (None, int(dom_b[pred]) == int(dom_a[cell])))
+                          lambda idx, rows, cols: (None, dom_b[rows, cols] == dom_a.take(idx)))
 
 
 def lds_score(grid: FeatureGrid, r_local: int = 1, r_far: int = 4) -> float:

@@ -82,6 +82,8 @@ class CameraPose:
         """Same pose at 1/factor resolution (intrinsics and image size divided)."""
         if factor < 1 or self.width % factor or self.height % factor:
             raise InputError(f"resolution {self.width}x{self.height} not divisible by {factor}")
+        if factor == 1:
+            return self
         return CameraPose(
             self.world_to_camera,
             self.fx / factor,

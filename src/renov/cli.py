@@ -55,8 +55,9 @@ def _parse_res(text: str) -> tuple[int, int]:
 
 
 def _parse_refs(text: str) -> tuple[int, ...]:
+    """The views --refs names, each once, in order of first mention."""
     try:
-        refs = tuple(int(t) for t in text.split(",") if t != "")
+        refs = tuple(dict.fromkeys(int(t) for t in text.split(",") if t != ""))
     except ValueError as e:
         raise InputError(f"--refs must be comma-separated integers, got '{text}'") from e
     if not refs:

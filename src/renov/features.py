@@ -78,17 +78,22 @@ def _patchify_stats(img: np.ndarray, p: int) -> np.ndarray:
     h, w = img.shape[:2]
     ht, wt = h // p, w // p
     n_cells = ht * wt * 3
-    patch = (np.arange(h) // p * wt)[:, None] + np.arange(w) // p
-    cell = (patch[..., None] * 3 + np.arange(3)).ravel()
+    # (row, col, channel) -> (patch row * wt + patch col) * 3 + channel
+    cell = np.add.outer(np.arange(h) // p * (wt * 3),
+                        (np.arange(w) // p * 3)[:, None] + np.arange(3)).ravel()
     flat = img.ravel()
     mean = np.bincount(cell, weights=flat, minlength=n_cells) / (p * p)
-    dev = flat - mean[cell]
-    var = np.bincount(cell, weights=dev * dev, minlength=n_cells) / (p * p)
+    dev = flat - mean.take(cell)
+    var = np.bincount(cell, weights=np.square(dev, out=dev), minlength=n_cells) / (p * p)
     gy, gx = np.gradient(img, axis=(0, 1))
     mag = np.hypot(gx, gy)
-    theta = np.arctan2(gy, gx)  # signed orientation in [-pi, pi]
-    bins = np.clip(((theta + np.pi) / (np.pi / 2.0)).astype(np.int64), 0, 3)
-    hist = np.bincount(cell * 4 + bins.ravel(), weights=mag.ravel(), minlength=n_cells * 4) / (p * p)
+    theta = np.arctan2(gy, gx)  # signed orientation in [-pi, pi], binned in place
+    theta += np.pi
+    theta /= np.pi / 2.0
+    bins = theta.astype(np.int64).ravel()
+    np.clip(bins, 0, 3, out=bins)
+    bins += 4 * cell
+    hist = np.bincount(bins, weights=mag.ravel(), minlength=n_cells * 4) / (p * p)
     return np.concatenate([mean.reshape(ht, wt, 3), var.reshape(ht, wt, 3),
                            hist.reshape(ht, wt, 12)], axis=2)
 

@@ -3,7 +3,9 @@
 The rasterizer splats each point into exactly one pixel (nearest-neighbor,
 no footprint): holes are intentional and drive the visibility mask.  Depth
 competition keeps the minimal camera-frame z; exact ties break toward the
-earlier point of the cloud.
+earlier point of the cloud.  The z-buffer takes two scatter-min passes over
+the projected points: the first leaves each pixel's minimal z, the second the
+earliest row whose z equals it, so depth and payload come from one row.
 """
 
 from __future__ import annotations
@@ -186,7 +188,8 @@ def rasterize(cloud: PointCloud, camera: CameraPose, res: tuple[int, int]) -> Wa
     w, h = res
     if w < 1 or h < 1:
         raise InputError(f"rasterize resolution must be positive, got {res}")
-    cam = CameraPose(camera.world_to_camera, camera.fx, camera.fy, camera.cx, camera.cy, w, h)
+    cam = camera if (camera.width, camera.height) == (w, h) else CameraPose(
+        camera.world_to_camera, camera.fx, camera.fy, camera.cx, camera.cy, w, h)
     u, v, z, valid = project_points(cloud.points, cam)
 
     payload = np.zeros((h, w, cloud.channels), dtype=np.float64)
@@ -195,16 +198,14 @@ def rasterize(cloud: PointCloud, camera: CameraPose, res: tuple[int, int]) -> Wa
     if np.any(valid):
         pix = (np.floor(v[valid]).astype(np.int64) * w + np.floor(u[valid]).astype(np.int64))
         zv = z[valid]
-        rows = np.nonzero(valid)[0]
-        # lexicographic (pixel, z); lexsort is stable, so the first row per pixel is the winner
-        order = np.lexsort((zv, pix))
-        pix_sorted = pix[order]
-        first = np.ones(pix_sorted.shape[0], dtype=bool)
-        first[1:] = pix_sorted[1:] != pix_sorted[:-1]
-        win_rows = rows[order[first]]
-        win_pix = pix_sorted[first]
-        depth.reshape(-1)[win_pix] = zv[order[first]]
-        payload.reshape(-1, cloud.channels)[win_pix] = cloud.payload[win_rows]
+        rows = np.flatnonzero(valid)
+        # pass 1: each pixel's minimal z; pass 2: the earliest row at exactly that z
+        np.minimum.at(depth.reshape(-1), pix, zv)
+        nearest = zv == depth.reshape(-1).take(pix)
+        first = np.full(h * w, len(cloud))
+        np.minimum.at(first, pix[nearest], rows[nearest])
+        win_pix = np.flatnonzero(first < len(cloud))
+        payload.reshape(-1, cloud.channels)[win_pix] = cloud.payload.take(first.take(win_pix), axis=0)
         mask.reshape(-1)[win_pix] = False
     return WarpedPlane(payload, depth, mask)
 

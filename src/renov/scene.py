@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,7 +131,48 @@ def _is_real(value) -> bool:
 
 
 @dataclass(frozen=True)
+class QuadTables:
+    """Per-quad arrays render_view reads, row k for scene.quads[k]; built once, read-only."""
+
+    order: tuple[int, ...]  # quad indices in increasing instance_id: the casting order
+    corners: np.ndarray  # (n, 3)
+    edges: np.ndarray  # (n, 2, 3): edge_u, edge_v
+    normals: np.ndarray  # (n, 3): edge_u x edge_v
+    unit_normals: np.ndarray  # (n, 3)
+    ginvs: np.ndarray  # (n, 2, 2): (rel . u, rel . v) -> (a, b)
+    edge_lengths: np.ndarray  # (n, 2): |edge_u|, |edge_v|
+    colors: np.ndarray  # (n + 1, 2, 3): color_a, color_b; the last row is the background
+    ids: np.ndarray  # (n + 1,): instance ids, -1 for the background row
+
+    @classmethod
+    def build(cls, quads: tuple[Quad, ...], background_rgb) -> "QuadTables":
+        corners = np.array([q.corner for q in quads]).reshape(-1, 3)
+        edges = np.array([(q.edge_u, q.edge_v) for q in quads]).reshape(-1, 2, 3)
+        normals = np.cross(edges[:, 0], edges[:, 1])
+        tables = cls(
+            order=tuple(sorted(range(len(quads)), key=lambda k: quads[k].instance_id)),
+            corners=corners,
+            edges=edges,
+            normals=normals,
+            unit_normals=np.array([n / np.linalg.norm(n) for n in normals]).reshape(-1, 3),
+            ginvs=np.linalg.inv(edges @ edges.transpose(0, 2, 1)),
+            edge_lengths=np.array([(np.linalg.norm(q.edge_u), np.linalg.norm(q.edge_v))
+                                   for q in quads]).reshape(-1, 2),
+            colors=np.array([(q.texture.color_a, q.texture.color_b) for q in quads]
+                            + [(background_rgb,) * 2], dtype=np.float64),
+            ids=np.array([q.instance_id for q in quads] + [-1], dtype=np.int64),
+        )
+        for value in vars(tables).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return tables
+
+
+@dataclass(frozen=True)
 class SyntheticScene:
+    """A scene's quads and bounds.  `tables`, the quads' render arrays, is built on first use
+    and then shared read-only by every render_view of this scene."""
+
     quads: tuple[Quad, ...]
     background_rgb: tuple[float, float, float]
     aabb_min: np.ndarray
@@ -141,6 +183,10 @@ class SyntheticScene:
     @property
     def aabb_center(self) -> np.ndarray:
         return (self.aabb_min + self.aabb_max) / 2.0
+
+    @cached_property
+    def tables(self) -> QuadTables:
+        return QuadTables.build(self.quads, self.background_rgb)
 
 
 @dataclass(frozen=True)
@@ -341,8 +387,7 @@ def _screen_boxes(scene: SyntheticScene, camera: CameraPose) -> list[tuple[slice
     rounding, therefore holds every hit pixel.
     """
     h, w = camera.height, camera.width
-    c, eu, ev = (np.array([getattr(q, name) for q in scene.quads]).reshape(-1, 3)
-                 for name in ("corner", "edge_u", "edge_v"))
+    c, eu, ev = scene.tables.corners, scene.tables.edges[:, 0], scene.tables.edges[:, 1]
     # each quad's corners in polygon order, in camera coordinates: (n_quads, 4, 3)
     poly = camera.world_to_cam_points(np.stack([c, c + eu, c + eu + ev, c + ev], axis=1))
     nxt = np.roll(poly, -1, axis=1)  # the other end of each edge
@@ -375,7 +420,8 @@ def _screen_boxes(scene: SyntheticScene, camera: CameraPose) -> list[tuple[slice
 def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
     """Cast one ray per pixel center, keep the nearest hit (ties to smaller id).
 
-    Each quad is ray-cast only on its screen box (_screen_boxes), and its
+    The per-quad arrays come from scene.tables, built once per scene on its first render
+    and read-only after, so no view rebuilds them.  Each quad is ray-cast only on its screen box (_screen_boxes), and its
     surface coordinates are computed only where it would win.  Quads are cast
     in increasing id order, so the tie rule becomes "nearer than the best so
     far", a strict total order: neither the box nor the candidates change an
@@ -395,12 +441,11 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
     mix, light, shading = np.zeros(n_pix), np.ones(n_pix), scene.spec.shading
     # (h, w) views to slice by screen box; pix maps a box pixel to its flat index
     t_grid, pix = best_t.reshape(h, w), np.arange(n_pix).reshape(h, w)
-    edges = np.array([(q.edge_u, q.edge_v) for q in scene.quads]).reshape(-1, 2, 3)
-    normals = np.cross(edges[:, 0], edges[:, 1])
-    ginvs = np.linalg.inv(edges @ edges.transpose(0, 2, 1))  # (rel . u, rel . v) -> (a, b)
+    tables = scene.tables
+    normals, ginvs, lengths = tables.normals, tables.ginvs, tables.edge_lengths
 
     boxes = _screen_boxes(scene, camera)
-    for qi in sorted(range(len(scene.quads)), key=lambda qi: scene.quads[qi].instance_id):
+    for qi in tables.order:
         quad, box, ginv = scene.quads[qi], boxes[qi], ginvs[qi]
         if box is None:
             continue
@@ -422,18 +467,17 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
         hit = np.flatnonzero((a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0))
         idx = idx.take(hit)
         best_t[idx], best_quad[idx] = t.take(hit), qi
-        mix[idx] = _texture_mix(quad.texture, a.take(hit) * np.linalg.norm(quad.edge_u),
-                                b.take(hit) * np.linalg.norm(quad.edge_v))
+        mix[idx] = _texture_mix(quad.texture, a.take(hit) * lengths[qi, 0],
+                                b.take(hit) * lengths[qi, 1])
 
     if shading > 0:  # ray_len has the bits of np.linalg.norm(d_world, axis=1)
         ray_len = np.sqrt((d_world[:, 0] ** 2 + d_world[:, 1] ** 2) + d_world[:, 2] ** 2)
-        for qi, normal in enumerate(normals):
+        for qi, unit_normal in enumerate(tables.unit_normals):
             idx = np.flatnonzero(best_quad == qi)
-            cos_inc = np.abs(d_world.take(idx, axis=0) @ (normal / np.linalg.norm(normal)))
+            cos_inc = np.abs(d_world.take(idx, axis=0) @ unit_normal)
             light[idx] = (1.0 - shading) + shading * (cos_inc / ray_len.take(idx))
     # the trailing row, which best_quad -1 picks, is the background: mix 0 and light 1 keep it
-    colors = np.array([(q.texture.color_a, q.texture.color_b) for q in scene.quads]
-                      + [(scene.background_rgb,) * 2], dtype=np.float64)
+    colors = tables.colors
     covered = best_quad >= 0
     best_t[~covered] = 0.0
     for k in range(3):
@@ -441,8 +485,7 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
         np.multiply(ca + mix * (cb - ca), light, out=rgb[:, k])
         np.add(best_t * d_world[:, k], origin[k], out=coords[:, k])
     coords[~covered] = 0.0
-    ids = np.array([q.instance_id for q in scene.quads] + [-1], dtype=np.int64)
-    ids.take(best_quad, out=labels)
+    tables.ids.take(best_quad, out=labels)
     return RenderedView(
         rgb=rgb.reshape(h, w, 3),
         depth=best_t.reshape(h, w),

@@ -117,6 +117,31 @@ def test_warp_removal_increases_holes(small_bundle, capsys, tmp_path):
     assert h5 >= h0
 
 
+def test_warp_takes_a_repeated_ref_once(small_bundle, capsys, tmp_path, monkeypatch):
+    """--refs 7,7 is --refs 7: the same files, the same cloud, with and without --remove."""
+    points_in = []
+    rasterize = pipeline.rasterize
+
+    def counted(cloud, *args):
+        points_in.append(len(cloud))
+        return rasterize(cloud, *args)
+
+    monkeypatch.setattr(pipeline, "rasterize", counted)
+    for remove in ("0", "0.5"):
+        outs = {}
+        for refs in ("7", "7,7"):
+            out = tmp_path / f"w{remove}_{refs}"
+            code, _, err = run_cli(capsys, "warp", "--scene", str(small_bundle), "--refs", refs,
+                                   "--target", "8", "--payload", "rgb", "--remove", remove,
+                                   "--out", str(out))
+            assert code == 0, err
+            assert rnvt.read_json(out / "manifest.json")["refs"] == [7]
+            outs[refs] = _dir_bytes(out)
+        assert outs["7"] == outs["7,7"]
+        assert points_in[-1] == points_in[-2]
+    assert points_in[0] == 48 * 48  # every pixel of view 7 hits the room shell
+
+
 def test_condition_outputs_layouts(small_bundle, capsys, tmp_path):
     code, out, _ = run_cli(capsys, "condition", "--scene", str(small_bundle), "--refs", "0,2",
                            "--target", "8", "--out", str(tmp_path / "c"))

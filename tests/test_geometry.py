@@ -203,12 +203,21 @@ def test_mask_depth_payload_invariants():
     assert np.all(plane.payload[plane.mask] == 0)
 
 
+def tied_cloud(rng, n) -> PointCloud:
+    """n points, each repeated 2 or 3 times at rows spread through the cloud, every row with
+    its own payload: every pixel a point wins has an exact z tie that only the row order breaks."""
+    base = rng.uniform(-4, 4, (n, 3))
+    rows = rng.permutation(np.repeat(np.arange(n), rng.integers(2, 4, n)))
+    return PointCloud(base[rows], rng.normal(size=(rows.size, 2)))
+
+
 def test_rasterize_matches_bruteforce_oracle():
     rng = np.random.default_rng(42)
-    for trial in range(8):
-        cloud = random_cloud(rng, int(rng.integers(1, 400)))
-        cam = random_camera(rng)
-        res = (int(rng.integers(4, 16)), int(rng.integers(4, 16)))
+    cases = [(random_cloud(rng, int(rng.integers(1, 400))), random_camera(rng),
+              (int(rng.integers(4, 16)), int(rng.integers(4, 16)))) for _ in range(8)]
+    cases += [(tied_cloud(rng, int(rng.integers(20, 150))), random_camera(rng), res)
+              for res in ((8, 8), (32, 32)) for _ in range(3)]
+    for cloud, cam, res in cases:
         plane = rasterize(cloud, cam, res)
         payload, depth, mask = oracle_rasterize(cloud, cam, res)
         np.testing.assert_array_equal(plane.mask, mask)

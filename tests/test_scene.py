@@ -388,6 +388,22 @@ def test_render_matches_full_image_reference_on_suite_scenes(res):
             _assert_same_render(scene, cam)
 
 
+def test_render_tables_are_built_once_per_scene_and_read_only():
+    scene = generate_scene(0, SCENE_SPEC)
+    cams = make_camera_arc(scene, 3, ARC_RADIUS, ARC_FOV_DEG, (32, 32), ARC_SPAN_DEG)
+    render_view(scene, cams[0])
+    tables = scene.tables
+    for cam in cams[1:]:
+        render_view(scene, cam)
+    assert scene.tables is tables
+    arrays = {k: v for k, v in vars(tables).items() if isinstance(v, np.ndarray)}
+    assert len(arrays) == 8 and not any(v.flags.writeable for v in arrays.values())
+    # a scene that has rendered other views renders a view as a fresh scene does
+    again, fresh = render_view(scene, cams[0]), render_view(generate_scene(0, SCENE_SPEC), cams[0])
+    for name in ("rgb", "depth", "labels"):
+        assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+
+
 @pytest.mark.parametrize("spec,span", [
     (SceneSpec(n_quads=12, palette_size=4, shading=0.3), ARC_SPAN_DEG),
     (SceneSpec(n_quads=8, include_room=False, shading=0.5), ARC_SPAN_DEG),

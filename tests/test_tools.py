@@ -25,6 +25,11 @@ def test_cli_digest_hashes_every_file_of_the_cli_flow():
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
 
 
+def test_cli_digest_against_the_same_tree_is_identical():
+    out = run_tool("cli_digest.py", "--seed", "0", "--steps", "2", "--against", str(ROOT))
+    assert out == "digests identical (167 files)\n"
+
+
 def test_layer_time_runs_and_counts_the_source_lines():
     out = run_tool("layer_time.py", "--steps", "1", "--reps", "1")
     # what `wc -l src/renov/*.py` totals: the newlines of every module
