@@ -26,7 +26,7 @@ from .encoding import FourierConfig, build_reference_condition, build_target_con
 from .errors import InputError, NumericalError
 from .features import FeatureFamily, extract_features
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, SCENE_SPEC, ProbeProtocol,
-                       SuiteConfig, available_cpus, condition_grids, eval_scene_probe,
+                       SuiteConfig, condition_grids, eval_scene_probe,
                        feature_warp, local_grids, probe_dataset, reduce_local_grids, reduced_grids,
                        reference_views, rgb_warp, robustness_scene_run, scene_family, unified_grids)
 from .probe import TrainConfig, train_probe
@@ -130,10 +130,9 @@ def cmd_scene_gen(args) -> dict:
     spec = SceneSpec(n_quads=args.quads, palette_size=args.palette, shading=args.shading)
     scene = generate_scene(seed, spec)
     cams = make_camera_arc(scene, args.views, args.radius, args.fov, (w, h), args.span)
-    threads = args.threads if args.threads > 0 else available_cpus()
-    if threads > 1:
+    if args.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             views = list(pool.map(lambda c: render_view(scene, c), cams))
     else:
         views = [render_view(scene, c) for c in cams]
@@ -333,31 +332,40 @@ def cmd_robustness(args) -> dict:
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=["oracle_geom", "appearance", "random", "mixed"],
                    default="mixed")
-    p.add_argument("--sigma", type=float, default=0.0, help="oracle noise scale")
-    p.add_argument("--freqs", type=int, default=4, help="oracle embedding depth")
-    p.add_argument("--channels", type=int, default=24, help="random family width")
+    p.add_argument("--sigma", type=float, default=FeatureFamily.sigma, help="oracle noise scale")
+    p.add_argument("--freqs", type=int, default=FeatureFamily.num_freqs,
+                   help="oracle embedding depth")
+    p.add_argument("--channels", type=int, default=FeatureFamily.channels,
+                   help="random family width")
     p.add_argument("--patch", type=int, default=PATCH)
 
 
 def _add_reducer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c-red", dest="c_red", type=int, default=32, help="fixed reducer width")
-    p.add_argument("--reducer-seed", dest="reducer_seed", type=int, default=77)
+    p.add_argument("--c-red", type=int, default=32, help="fixed reducer width")
+    p.add_argument("--reducer-seed", type=int, default=77)
 
 
 def _add_probe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c-red", dest="c_red", type=int, default=32, help="learned reducer width")
-    p.add_argument("--steps", type=int, default=1500)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=128)
+    p.add_argument("--c-red", type=int, default=TrainConfig.c_red, help="learned reducer width")
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     p.add_argument("--attn", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (and, by inheritance, its subparsers) whose usage errors are InputErrors."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="renov", description=__doc__)
+    ap = _Parser(prog="renov", description=__doc__)
     ap.add_argument("--seed", type=int, default=None,
                     help="global seed (falls back to RENOV_SEED, then 0)")
-    ap.add_argument("--threads", type=int, default=0, help="0 = auto")
+    ap.add_argument("--threads", type=int, default=0, help="scene-gen render threads (0 = 1)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scene-gen", help="generate and render a scene bundle")
@@ -395,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--geo-freqs", dest="geo_freqs", type=int, default=6)
-    p.add_argument("--feat-freqs", dest="feat_freqs", type=int, default=2)
+    p.add_argument("--geo-freqs", type=int, default=FourierConfig.num_freqs)
+    p.add_argument("--feat-freqs", type=int, default=2)
     _add_family_flags(p)
     _add_reducer_flags(p)
     p.set_defaults(func=cmd_condition)
@@ -404,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="correspondence and self-similarity reports")
     p.add_argument("metric", choices=["corr", "semcorr", "lds"])
     p.add_argument("--scene", required=True)
-    p.add_argument("--view-a", dest="view_a", type=int, default=2)
-    p.add_argument("--view-b", dest="view_b", type=int, default=5)
+    p.add_argument("--view-a", type=int, default=2)
+    p.add_argument("--view-b", type=int, default=5)
     p.add_argument("--tau", type=int, default=1)
     p.add_argument("--queries", type=int, default=64)
-    p.add_argument("--r-local", dest="r_local", type=int, default=1)
-    p.add_argument("--r-far", dest="r_far", type=int, default=4)
+    p.add_argument("--r-local", type=int, default=1)
+    p.add_argument("--r-far", type=int, default=4)
     p.add_argument("--out", default=None)
-    p.add_argument("--save-maps", dest="save_maps", type=int, default=0,
+    p.add_argument("--save-maps", type=int, default=0,
                    help="export up to N similarity maps as PGM")
     _add_family_flags(p)
     p.set_defaults(func=cmd_analyze)
@@ -446,8 +454,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         if args.threads < 0:  # a global flag, so checked for every command
             raise InputError(f"--threads must be >= 0, got {args.threads}")
         summary = args.func(args)

@@ -34,6 +34,8 @@ FAMILY_KINDS = ("oracle_geom", "appearance", "random", "mixed")
 # oracle tokens lie in [-1, 1]: noise 1e3 times that buries them, and keeps squared token
 # norms, the attention logits and the probe's float32 inputs far from overflow
 MAX_SIGMA = 1e3
+# the random family's width; 16 views of 128x128 at this width take 134 MB of tokens
+MAX_CHANNELS = 4096
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,9 @@ class FeatureFamily:
             raise InputError(f"unknown feature family '{self.kind}'")
         if not 0 <= self.sigma <= MAX_SIGMA:
             raise InputError(f"sigma must be in [0, {MAX_SIGMA:g}], got {self.sigma}")
-        if self.channels < 1:
-            raise InputError("random channel count must be >= 1")
+        if not 1 <= self.channels <= MAX_CHANNELS:
+            raise InputError(f"random channel count must be in [1, {MAX_CHANNELS}], "
+                             f"got {self.channels}")
         FourierConfig(num_freqs=self.num_freqs)  # checks the oracle embedding depth
 
     def to_dict(self) -> dict:

@@ -171,10 +171,9 @@ def condition_grids(data: SceneData, grids_red: Mapping[int, FeatureGrid]
     return out
 
 
-def warped_image_metrics(data: SceneData, refs: tuple[int, ...], target: int,
-                         remove_frac: float = 0.0, remove_seed: int = 0) -> dict:
+def warped_image_metrics(data: SceneData, refs: tuple[int, ...], target: int) -> dict:
     """Table-style 'warped image' baseline: rasterized RGB with holes left as zeros."""
-    plane = rgb_warp(data, refs, target, remove_frac, remove_seed)
+    plane = rgb_warp(data, refs, target)
     truth = data.views[target].rgb
     hole = plane.mask
     out = {

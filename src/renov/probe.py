@@ -35,15 +35,19 @@ from .geometry import WarpedPlane
 from .metrics import MetricReport, psnr, ssim
 
 
+# the widest learned reducer or hidden layer; at c_in 4096 one such matrix is 134 MB of f64
+MAX_WIDTH = 4096
+
+
 @dataclass
 class TrainConfig:
-    steps: int = 500
+    steps: int = 1500
     learning_rate: float = 1e-3
     batch: int = 4
     seed: int = 0
     attn_enabled: bool = False
     c_red: int = 32
-    hidden: int = 64
+    hidden: int = 128
 
     def __post_init__(self):
         if self.steps < 1:
@@ -52,10 +56,9 @@ class TrainConfig:
             raise InputError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch < 1:
             raise InputError("batch must be >= 1")
-        if self.c_red < 1:
-            raise InputError(f"c_red must be >= 1, got {self.c_red}")
-        if self.hidden < 1:
-            raise InputError(f"hidden must be >= 1, got {self.hidden}")
+        for name in ("c_red", "hidden"):
+            if not 1 <= getattr(self, name) <= MAX_WIDTH:
+                raise InputError(f"{name} must be in [1, {MAX_WIDTH}], got {getattr(self, name)}")
 
 
 ADAM_BETAS = (0.9, 0.999)

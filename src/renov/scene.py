@@ -24,6 +24,11 @@ from .geometry import Pointmap
 WORLD_HALF = 5.0  # scene box is [-WORLD_HALF, WORLD_HALF]^3
 # from farther out than this, an arc camera aimed into the world box sees all of it within 0.4 deg
 MAX_ARC_RADIUS = 1000 * WORLD_HALF
+# a 1024-quad scene renders a 64x64 view in about 0.1 s; a bigger count is a typo, not a scene
+MAX_QUADS = 1024
+# far fewer colors than this keep the palette's pairwise contrast; past it a draw only repeats
+# 200 failed tries, so a palette of 64 takes about 0.1 s and one of 2**31 would never finish
+MAX_PALETTE = 64
 _RAY_EPS = 1e-6
 _BOX_PAD = 2  # px added on each side of a quad's projected bounding box
 
@@ -89,8 +94,9 @@ class SceneSpec:
     shading: float = 0.0
 
     def __post_init__(self):
-        if not is_int(self.n_quads) or self.n_quads < 1:
-            raise InputError(f"n_quads must be an integer >= 1, got {self.n_quads!r}")
+        if not is_int(self.n_quads) or not 1 <= self.n_quads <= MAX_QUADS:
+            raise InputError(f"n_quads must be an integer in [1, {MAX_QUADS}], "
+                             f"got {self.n_quads!r}")
         if not isinstance(self.include_room, bool):
             raise InputError(f"include_room must be true or false, got {self.include_room!r}")
         cr = self.cell_range
@@ -104,9 +110,9 @@ class SceneSpec:
                 raise InputError(f"{name} must be in [0, 1], got {value!r}")
         if not is_int(self.palette_size):
             raise InputError(f"palette_size must be an integer, got {self.palette_size!r}")
-        if self.palette_size < 0 or self.palette_size == 1:
-            raise InputError("palette_size must be 0 or >= 2 (a texture draws two distinct "
-                             f"colors), got {self.palette_size}")
+        if self.palette_size < 0 or self.palette_size == 1 or self.palette_size > MAX_PALETTE:
+            raise InputError(f"palette_size must be 0 or in [2, {MAX_PALETTE}] (a texture draws "
+                             f"two distinct colors), got {self.palette_size}")
 
     def to_dict(self) -> dict:
         return asdict(self)

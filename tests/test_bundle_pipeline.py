@@ -136,7 +136,7 @@ def test_probe_eval_hole_fraction_monotone_in_views(scene_data):
     """Nested reference sets: mean hole fraction shrinks as views are added."""
     from renov.probe import eval_probe, ProbeDecoder, TrainConfig
     grids = unified_grids(scene_data, FeatureFamily("appearance"))
-    dec = ProbeDecoder.init(scene_data.patch, grids[0].channels, TrainConfig(seed=0))
+    dec = ProbeDecoder.init(scene_data.patch, grids[0].channels, TrainConfig(seed=0, hidden=64))
     samples = []
     for refs in ((6,), (6, 5), (6, 5, 7)):
         plane = feature_warp(scene_data, grids, refs, 3)

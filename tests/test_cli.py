@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import shutil
@@ -66,15 +67,71 @@ def test_scene_gen_deterministic(tmp_path, capsys):
         assert a[key] == b[key], f"{key} differs between identical runs"
 
 
-def test_scene_gen_threads_bit_identical(tmp_path, capsys):
-    code1, _, _ = run_cli(capsys, "--seed", "4", "--threads", "1", "scene-gen",
-                          "--out", str(tmp_path / "s1"), "--views", "4", "--res", "24x24")
-    code2, _, _ = run_cli(capsys, "--seed", "4", "--threads", "4", "scene-gen",
-                          "--out", str(tmp_path / "s4"), "--views", "4", "--res", "24x24")
-    assert code1 == code2 == 0
-    a, b = _dir_bytes(tmp_path / "s1"), _dir_bytes(tmp_path / "s4")
-    for key in a:
-        assert a[key] == b[key]
+def test_scene_gen_threads_bit_identical(tmp_path, capsys, monkeypatch):
+    """Every thread count writes the same bundle; 0 (the default) and 1 start no thread pool."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("scene-gen started a thread pool")
+
+    bundles = {}
+    for threads in ("0", "1", "4"):
+        with monkeypatch.context() as m:
+            if threads != "4":
+                m.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+            code, _, err = run_cli(capsys, "--seed", "4", "--threads", threads, "scene-gen",
+                                   "--out", str(tmp_path / threads), "--views", "4",
+                                   "--res", "24x24")
+        assert code == 0, err
+        bundles[threads] = _dir_bytes(tmp_path / threads)
+    assert bundles["0"] == bundles["1"] == bundles["4"]
+
+
+def test_probe_flags_default_to_train_config():
+    ap = cli.build_parser()
+    for command in (["probe", "train", "--ckpt", "ck"], ["robustness"]):
+        args = ap.parse_args([*command, "--scene", "s"])
+        assert cli._probe_cfg(args, TrainConfig.seed) == TrainConfig()
+
+
+def test_family_flags_default_to_feature_family():
+    ap = cli.build_parser()
+    for command in (["features"], ["warp", "--refs", "0", "--target", "1", "--out", "o"],
+                    ["condition", "--refs", "0", "--target", "1", "--out", "o"],
+                    ["analyze", "corr"], ["probe", "eval", "--ckpt", "ck"], ["robustness"]):
+        for kind in ("oracle_geom", "appearance", "random", "mixed"):
+            args = ap.parse_args([*command, "--scene", "s", "--family", kind])
+            assert cli._family_from(args, 6) == FeatureFamily(kind, seed=6)
+    args = ap.parse_args(["condition", "--scene", "s", "--refs", "0", "--target", "1",
+                          "--out", "o"])
+    assert FourierConfig(num_freqs=args.geo_freqs) == FourierConfig()
+
+
+MALFORMED_ARGV = [  # (argv, what the one stderr line names)
+    (["analyze", "corr", "--scene", "{scene}", "--queries", "abc"], "--queries"),
+    (["analyze", "corr"], "--scene"),
+    (["analyze", "corr", "--scene", "{scene}", "--family", "vibes"], "--family"),
+    (["render", "--scene", "{scene}"], "render"),
+    (["analyze", "lds", "--scene", "{scene}", "--no-such-flag", "1"], "--no-such-flag"),
+    (["--seed", "x", "analyze", "lds", "--scene", "{scene}"], "--seed"),
+    ([], "command"),
+]
+
+
+@pytest.mark.parametrize("argv,field", MALFORMED_ARGV,
+                         ids=[field for _, field in MALFORMED_ARGV])
+def test_malformed_arguments_exit_2_with_one_line(small_bundle, capsys, argv, field):
+    code, out, err = run_cli(capsys, *[a.format(scene=small_bundle) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("input error: renov") and field in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["probe", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: renov" in capsys.readouterr().out
 
 
 def test_single_json_summary_line(small_bundle, capsys, tmp_path):
@@ -258,7 +315,7 @@ def test_commands_extract_features_only_for_the_views_they_read(small_bundle, sm
 
     # the library protocols a pool worker runs per scene
     data = bundle.load_scene_bundle(small_bundle, 8)
-    family, cfg = FeatureFamily("mixed", seed=1), TrainConfig(steps=2)
+    family, cfg = FeatureFamily("mixed", seed=1), TrainConfig(steps=2, hidden=64)
     calls.clear()
     pipeline.probe_scene_run(data, family, cfg, pipeline.ProbeProtocol.fixed_target())
     assert len(calls) == 10
@@ -932,13 +989,22 @@ def test_unwritable_output_exits_2_before_any_work(small_bundle, small_ckpt, cap
         assert err.startswith(f"input error: {flag} {tmp_path / path} cannot be a")
 
 
-FLAG_ESCAPES = [  # flag values that once overflowed before exiting: (argv, field named)
+FLAG_ESCAPES = [  # flag values that once escaped the exit-code contract: (argv, field named)
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--radius", "1e300"],
      "radius"),
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--fov", "1e-300"],
      "fov_deg"),
     (["analyze", "corr", "--scene", "{scene}", "--sigma", "1e300"], "sigma"),
     (["analyze", "corr", "--scene", "{scene}", "--freqs", "100000"], "num_freqs"),
+    # found by tests/test_flag_fuzz.py: numpy's ValueError for a dimension past intp, or a
+    # palette or quad loop that would not finish
+    (["analyze", "corr", "--scene", "{scene}", "--family", "random", "--channels", str(2**63)],
+     "channel count"),
+    (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--c-red", str(2**63)], "c_red"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--palette", str(2**31)],
+     "palette_size"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--quads", str(2**31)],
+     "n_quads"),
 ]
 
 

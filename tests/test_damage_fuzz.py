@@ -1,6 +1,7 @@
 """A damaged bundle or checkpoint file makes the CLI exit 0 or 2, never 3 or a traceback.
 
-One 16-view 32x32 bundle and one 3-step checkpoint are saved per module.  Each
+One 16-view 32x32 bundle and one 3-step checkpoint are saved per session (the
+`fuzz_inputs` fixture, shared with the flag fuzzer).  Each
 example damages one of their files (truncate, flip a byte, write NaN or inf,
 write a huge or tiny finite value, swap f32/f64, add or permute a dim, drop or
 retype a JSON field), runs `warp`, `condition`, `analyze corr` and `probe
@@ -11,11 +12,8 @@ view 7 stand for all views: it is a reference of `warp`, `condition` and every
 `probe eval` case, and view a of `analyze corr`.
 """
 
-import contextlib
-import io
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renov import rnvt
-from renov.cli import main
 
 TENSOR_DAMAGES = ("truncate", "flip", "nonfinite", "huge", "swap_float", "add_dim",
                   "permute_dims")
@@ -32,33 +29,13 @@ JSON_DAMAGES = ("truncate", "flip", "drop_field", "retype_field")
 RETYPED = (None, "x", [], {}, True, -7, 0, 2.5, 1e308, math.nan, math.inf, 10**400)
 
 
-def _run(*argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(list(argv))
-
-
-def _checked_run(*argv) -> tuple[int, list[str], list[str]]:
-    """Exit code, stderr lines and the messages of the Python warnings of one command."""
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    return code, err.getvalue().strip().splitlines(), [str(w.message) for w in caught]
-
-
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory):
-    """(bundle, checkpoint, output dir, the files to damage) saved once."""
-    root = tmp_path_factory.mktemp("fuzz")
-    scene, ckpt = root / "scene", root / "ckpt"
-    assert _run("--seed", "3", "--threads", "1", "scene-gen", "--out", str(scene),
-                "--views", "16", "--res", "32x32") == 0
-    assert _run("--seed", "1", "probe", "train", "--scene", str(scene), "--ckpt", str(ckpt),
-                "--family", "mixed", "--steps", "3") == 0
+def saved(fuzz_inputs, tmp_path_factory):
+    """(bundle, checkpoint, output dir, the files to damage)."""
+    scene, ckpt = fuzz_inputs
     files = [scene / "scene.json", *sorted((scene / "views" / "view_007").iterdir()),
              *sorted(ckpt.glob("*.rnvt")), ckpt / "manifest.json"]
-    return scene, ckpt, root / "out", files
+    return scene, ckpt, tmp_path_factory.mktemp("damage_out"), files
 
 
 def _commands(scene: Path, ckpt: Path, out: Path) -> list[list[str]]:
@@ -135,7 +112,7 @@ def _damaged_bytes(path: Path, blob: bytes, kind: str, draw) -> bytes:
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_damaged_file_exits_0_or_2(saved, data):
+def test_damaged_file_exits_0_or_2(saved, checked_run, data):
     scene, ckpt, out, files = saved
     path = data.draw(st.sampled_from(files), label="file")
     damage = data.draw(st.sampled_from(JSON_DAMAGES if path.suffix == ".json"
@@ -144,7 +121,7 @@ def test_damaged_file_exits_0_or_2(saved, data):
     path.write_bytes(_damaged_bytes(path, original, damage, data.draw))
     try:
         for argv in _commands(scene, ckpt, out):
-            code, err, caught = _checked_run(*argv)
+            code, err, caught = checked_run(*argv)
             assert code in (0, 2), (path.name, damage, argv)
             assert not caught, (path.name, damage, argv, caught)
             assert code == 0 or len(err) == 1, (path.name, damage, argv, err)

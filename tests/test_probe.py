@@ -241,7 +241,7 @@ def test_single_sample_overfit():
 def test_zero_learning_rate_flat():
     rng = np.random.default_rng(12)
     data = _toy_dataset(rng)
-    cfg = TrainConfig(steps=20, learning_rate=0.0, batch=1, seed=0)
+    cfg = TrainConfig(steps=20, learning_rate=0.0, batch=1, seed=0, hidden=64)
     before = ProbeDecoder.init(4, 5, cfg).params
     decoder, curve = train_probe(data, cfg)
     for name, val in decoder.params.items():
@@ -255,7 +255,7 @@ def test_zero_learning_rate_flat():
 def test_training_deterministic():
     rng = np.random.default_rng(13)
     data = _toy_dataset(rng)
-    cfg = TrainConfig(steps=30, batch=2, seed=5)
+    cfg = TrainConfig(steps=30, batch=2, seed=5, hidden=64)
     _, c1 = train_probe(data, cfg)
     _, c2 = train_probe(data, cfg)
     assert c1 == c2
@@ -266,7 +266,7 @@ def test_training_divergence_reported():
     data = _toy_dataset(rng)
     # Adam-normalized updates keep losses finite at any sane rate; this one
     # overflows the squared error to inf on the next forward pass
-    cfg = TrainConfig(steps=50, learning_rate=1e200, batch=1, seed=0)
+    cfg = TrainConfig(steps=50, learning_rate=1e200, batch=1, seed=0, hidden=64)
     with pytest.raises(NumericalError, match="step"):
         train_probe(data, cfg)
 

@@ -512,6 +512,7 @@ def test_render_skips_quad_off_screen():
     ("checker_prob", float("nan")), ("checker_prob", 1.5), ("checker_prob", "0.6"),
     ("shading", float("inf")), ("shading", -0.1),
     ("palette_size", 2.5), ("palette_size", "3"),
+    ("n_quads", 1025), ("palette_size", 65),  # past MAX_QUADS and MAX_PALETTE
 ])
 def test_spec_from_dict_checks_instead_of_coercing(field, value):
     doc = dict(SceneSpec().to_dict(), **{field: value})

@@ -36,3 +36,13 @@ def test_layer_time_runs_and_counts_the_source_lines():
     wc_total = sum(f.read_bytes().count(b"\n") for f in (ROOT / "src" / "renov").glob("*.py"))
     assert f", src {wc_total} lines" in out.splitlines()[0]
     assert "step random" in out  # the probe-step section ran to its last family
+
+
+def test_layer_time_against_a_tree_times_both_in_rounds():
+    lines = run_tool("layer_time.py", "--steps", "1", "--reps", "1", "--against", ".").splitlines()
+    assert lines[3] == f"against .: src {lines[0].split(', src ')[1]}"  # the same line count
+    rounds = [line for line in lines if " ms against " in line]
+    assert any(line.startswith("render_view 128x128") for line in rounds)
+    assert rounds[-1].startswith("step random attn on")
+    assert all(re.search(r"ratio +[0-9.]+, faster in [0-9]+/[0-9]+ rounds$", line)
+               for line in rounds)

@@ -37,9 +37,20 @@ process to one CPU for steadier numbers:
 The first lines give the numpy and BLAS versions, the CPUs the process may
 use, the line count of renov's sources (the total of `wc -l src/renov/*.py`)
 and whether the heap policy `import renov` sets is active, then one line per
-layer and one per family: median and range in ms, and the median minor page
-faults per call (per view or per step where the time is), from the
-`ru_minflt` delta of getrusage around each rep.
+layer and one per family and attention setting: median and range in ms, and
+the median minor page faults per call (per view or per step where the time
+is), from the `ru_minflt` delta of getrusage around each rep.
+
+`--against TREE` compares with another checkout (say the parent commit's)
+in the same process, so that drift of the host between two runs cannot pass
+for a change of a layer.  TREE/src's renov is imported next to this one
+(both module sets stay loaded), every layer's inputs are built once with
+each tree's own modules, and the layer is timed in rounds of one rep per
+tree, alternating which tree goes first.  Each line then gives this tree's
+median, TREE's median, their ratio and in how many rounds this tree was
+faster.  TREE must offer the functions the layers call:
+
+    PYTHONPATH=src taskset -c 0 python3 tools/layer_time.py --steps 100 --against ../parent
 """
 
 from __future__ import annotations
@@ -50,20 +61,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
+import itertools  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 import renov  # noqa: E402
-from renov import analysis, bundle, features, metrics, pipeline, scene  # noqa: E402
-from renov.encoding import NormalizationTransform  # noqa: E402
-from renov.features import FeatureFamily  # noqa: E402
-from renov.probe import TrainConfig, train_probe  # noqa: E402
+
+MODULES = ("analysis", "bundle", "encoding", "features", "metrics", "pipeline", "probe", "scene")
 
 FAMILIES = ("mixed", "appearance", "random")
 FEATURE_FAMILIES = ("oracle_geom", "appearance", "random", "mixed")
@@ -81,14 +93,14 @@ def blas_version() -> str:
         return "unknown"
 
 
-def src_lines() -> int:
-    """Newlines in the imported renov package's *.py files, which is what `wc -l` totals."""
+def src_lines(pipeline) -> int:
+    """Newlines in one imported renov package's *.py files, which is what `wc -l` totals."""
     return sum(f.read_bytes().count(b"\n") for f in Path(pipeline.__file__).parent.glob("*.py"))
 
 
 def report(name: str, reps: tuple[list[float], list[float]]) -> None:
     times_ms, faults = reps
-    print(f"{name:<28} {statistics.median(times_ms):8.3f} ms "
+    print(f"{name:<34} {statistics.median(times_ms):8.3f} ms "
           f"(min {min(times_ms):.3f}, max {max(times_ms):.3f}) "
           f"{statistics.median(faults):9.1f} faults")
 
@@ -105,71 +117,114 @@ def timed(fn, reps: int, per: int = 1) -> tuple[list[float], list[float]]:
     return times_ms, faults
 
 
-def layer_times(seed: int) -> None:
+def modules() -> SimpleNamespace:
+    """The renov modules the cases call, from the copy of the package `import renov` finds."""
+    return SimpleNamespace(**{name: importlib.import_module(f"renov.{name}") for name in MODULES})
+
+
+def import_tree(src: Path) -> SimpleNamespace:
+    """The renov modules of another checkout's src, imported next to the ones already loaded."""
+    ours = {k: sys.modules.pop(k) for k in list(sys.modules) if k.split(".")[0] == "renov"}
+    sys.path.insert(0, str(src))
+    try:
+        return modules()
+    finally:
+        sys.path.remove(str(src))
+        for k in [k for k in sys.modules if k.split(".")[0] == "renov"]:
+            del sys.modules[k]  # the other tree's modules stay reachable from the namespace
+        sys.modules.update(ours)
+
+
+def tested_px(rv: SimpleNamespace, seed: int) -> list[float]:
+    """Pixels render_view ray-casts per image pixel, for each view of the 128x128 arc."""
+    scn = rv.scene.generate_scene(seed, rv.pipeline.SCENE_SPEC)
+    cams = rv.scene.make_camera_arc(scn, N_VIEWS, rv.pipeline.ARC_RADIUS, rv.pipeline.ARC_FOV_DEG,
+                                    (128, 128), rv.pipeline.ARC_SPAN_DEG)
+    return [sum((rows.stop - rows.start) * (cols.stop - cols.start)
+                for rows, cols in filter(None, rv.scene._screen_boxes(scn, cam)))
+            / (cam.width * cam.height) for cam in cams]
+
+
+def layer_cases(rv: SimpleNamespace, seed: int):
+    """(name, fn, reps, per) of each layer, its inputs built with the modules in rv."""
+    pipeline, scene, FeatureFamily = rv.pipeline, rv.scene, rv.features.FeatureFamily
     scn = scene.generate_scene(seed, pipeline.SCENE_SPEC)
     views = {}
     for res in (32, 64, 128):
         cams = scene.make_camera_arc(scn, N_VIEWS, pipeline.ARC_RADIUS, pipeline.ARC_FOV_DEG,
                                      (res, res), pipeline.ARC_SPAN_DEG)
         views[res] = [scene.render_view(scn, cam) for cam in cams]
-        report(f"render_view {res}x{res} /view",
-               timed(lambda: [scene.render_view(scn, cam) for cam in cams], LAYER_REPS, N_VIEWS))
-    # cams is the 128x128 arc, the last one rendered above
-    tested = [sum((rows.stop - rows.start) * (cols.stop - cols.start)
-                  for rows, cols in filter(None, scene._screen_boxes(scn, cam)))
-              / (cam.width * cam.height) for cam in cams]
-    print(f"{'render_view tested px 128x128':<28} {statistics.mean(tested):8.3f} x image "
-          f"(min {min(tested):.3f}, max {max(tested):.3f})")
-    transform = NormalizationTransform.from_aabb(scn.aabb_min, scn.aabb_max)
+        yield (f"render_view {res}x{res} /view",
+               lambda cams=cams: [scene.render_view(scn, cam) for cam in cams], LAYER_REPS, N_VIEWS)
+    transform = rv.encoding.NormalizationTransform.from_aabb(scn.aabb_min, scn.aabb_max)
     p = pipeline.PATCH
     data = {res: pipeline.SceneData(seed, N_VIEWS, dict(enumerate(views[res])), transform, p)
             for res in (64, 128)}
     grids, _ = pipeline.reduced_grids(data[64], FeatureFamily("mixed"), 32, 77, WARP_REFS)
-    report("feature_warp 64x64", timed(
-        lambda: pipeline.feature_warp(data[64], grids, WARP_REFS, WARP_TARGET), LAYER_REPS))
-    report("rgb_warp 128x128", timed(
-        lambda: pipeline.rgb_warp(data[128], WARP_REFS, WARP_TARGET), LAYER_REPS))
+    yield ("feature_warp 64x64",
+           lambda: pipeline.feature_warp(data[64], grids, WARP_REFS, WARP_TARGET), LAYER_REPS, 1)
+    yield ("rgb_warp 128x128",
+           lambda: pipeline.rgb_warp(data[128], WARP_REFS, WARP_TARGET), LAYER_REPS, 1)
     for res in (64, 128):
         a, b = views[res][VIEW_A].rgb, views[res][VIEW_B].rgb
-        report(f"ssim {res}x{res}", timed(lambda: metrics.ssim(a, b), LAYER_REPS))
+        yield f"ssim {res}x{res}", lambda a=a, b=b: rv.metrics.ssim(a, b), LAYER_REPS, 1
     va, vb = views[128][VIEW_A], views[128][VIEW_B]
-    report("dominant_labels 128x128",
-           timed(lambda: analysis.dominant_labels(va.labels, p), LAYER_REPS))
+    yield ("dominant_labels 128x128", lambda: rv.analysis.dominant_labels(va.labels, p),
+           LAYER_REPS, 1)
     fam = pipeline.scene_family(FeatureFamily("mixed"), seed)
-    ga = features.extract_features(va, fam, p, transform)
-    gb = features.extract_features(vb, fam, p, transform)
-    report("geometric_score 128x128", timed(
-        lambda: analysis.geometric_correspondence_score(ga, gb, va, vb, 1, 64, seed), LAYER_REPS))
-    report("semantic_score 128x128", timed(
-        lambda: analysis.semantic_correspondence_score(ga, gb, va.labels, vb.labels, 64, seed),
-        LAYER_REPS))
+    ga = rv.features.extract_features(va, fam, p, transform)
+    gb = rv.features.extract_features(vb, fam, p, transform)
+    yield ("geometric_score 128x128",
+           lambda: rv.analysis.geometric_correspondence_score(ga, gb, va, vb, 1, 64, seed),
+           LAYER_REPS, 1)
+    yield ("semantic_score 128x128",
+           lambda: rv.analysis.semantic_correspondence_score(ga, gb, va.labels, vb.labels, 64,
+                                                             seed), LAYER_REPS, 1)
     for kind in FEATURE_FAMILIES:
         fam = pipeline.scene_family(FeatureFamily(kind), seed)
-        report(f"extract_features {kind}", timed(
-            lambda: features.extract_features(va, fam, p, transform), LAYER_REPS))
-    report("_patchify_stats 128x128",
-           timed(lambda: features._patchify_stats(va.rgb, p), LAYER_REPS))
+        yield (f"extract_features {kind}",
+               lambda fam=fam: rv.features.extract_features(va, fam, p, transform), LAYER_REPS, 1)
+    yield ("_patchify_stats 128x128", lambda: rv.features._patchify_stats(va.rgb, p),
+           LAYER_REPS, 1)
     with tempfile.TemporaryDirectory() as tmp:
-        bundle.save_scene_bundle(tmp, scn, views[64], transform)
-        report("load_scene_bundle 16x64x64",
-               timed(lambda: bundle.load_scene_bundle(tmp, p), LAYER_REPS))
-        report("load_scene_bundle 3/16 views",
-               timed(lambda: bundle.load_scene_bundle(tmp, p, (*WARP_REFS, WARP_TARGET)),
-                     LAYER_REPS))
+        rv.bundle.save_scene_bundle(tmp, scn, views[64], transform)
+        yield ("load_scene_bundle 16x64x64", lambda: rv.bundle.load_scene_bundle(tmp, p),
+               LAYER_REPS, 1)
+        yield ("load_scene_bundle 3/16 views",
+               lambda: rv.bundle.load_scene_bundle(tmp, p, (*WARP_REFS, WARP_TARGET)),
+               LAYER_REPS, 1)
 
 
-def step_times(seed: int, steps: int, reps: int) -> None:
+def step_cases(rv: SimpleNamespace, seed: int, steps: int, reps: int):
+    """(name, fn, reps, per) of train_probe per family, attention off and then on."""
+    pipeline = rv.pipeline
     data = pipeline.render_scene_data(seed, pipeline.SuiteConfig())
     proto = pipeline.ProbeProtocol.fixed_target()
     datasets = {kind: pipeline.probe_dataset(
-        data, pipeline.unified_grids(data, FeatureFamily(kind)), proto) for kind in FAMILIES}
+        data, pipeline.unified_grids(data, rv.features.FeatureFamily(kind)), proto)
+        for kind in FAMILIES}
     for attn in (False, True):
-        cfg = TrainConfig(steps=steps, batch=4, hidden=128, c_red=32, attn_enabled=attn)
-        print(f"probe step: {steps} steps x {reps} reps, attention {'on' if attn else 'off'}")
+        cfg = rv.probe.TrainConfig(steps=steps, batch=4, hidden=128, c_red=32, attn_enabled=attn)
         for kind, dataset in datasets.items():
             c_in = dataset[0][0].payload.shape[2]
-            report(f"step {kind} (c_in {c_in})",
-                   timed(lambda: train_probe(dataset, cfg), reps, steps))
+            yield (f"step {kind} attn {'on' if attn else 'off'} (c_in {c_in})",
+                   lambda dataset=dataset, cfg=cfg: rv.probe.train_probe(dataset, cfg),
+                   reps, steps)
+
+
+def compare(ours, theirs) -> None:
+    """Time each pair of cases in rounds, one rep from each tree a round, alternating which
+    tree goes first; print both medians, their ratio and the rounds this tree was faster."""
+    for (name, fn, reps, per), (_, their_fn, _, _) in zip(ours, theirs):
+        mine, other = [], []
+        for r in range(reps):
+            pair = ((fn, mine), (their_fn, other))
+            for f, times in (pair if r % 2 == 0 else pair[::-1]):
+                times.append(timed(f, 1, per)[0][0])
+        m, o = statistics.median(mine), statistics.median(other)
+        wins = sum(a < b for a, b in zip(mine, other))
+        print(f"{name:<34} {m:8.3f} ms against {o:8.3f} ms, ratio {m / o:6.3f}, "
+              f"faster in {wins}/{reps} rounds")
 
 
 def main(argv=None) -> int:
@@ -177,17 +232,38 @@ def main(argv=None) -> int:
     ap.add_argument("--steps", type=int, default=300, help="train steps per probe rep")
     ap.add_argument("--reps", type=int, default=3, help="timed probe reps per family")
     ap.add_argument("--seed", type=int, default=0, help="scene seed")
+    ap.add_argument("--against", type=Path, metavar="TREE",
+                    help="time every layer of TREE/src's renov too, alternating with this one")
     args = ap.parse_args(argv)
     if args.steps < 1 or args.reps < 1:
         ap.error("--steps and --reps must be >= 1")
+    if args.against is not None and not (args.against / "src" / "renov").is_dir():
+        ap.error(f"--against: {args.against} has no src/renov")
 
+    rv = modules()
     print(f"python {sys.version.split()[0]}, numpy {np.__version__}, BLAS {blas_version()}, "
-          f"{pipeline.available_cpus()} CPU(s) usable, 1 BLAS thread, src {src_lines()} lines")
+          f"{rv.pipeline.available_cpus()} CPU(s) usable, 1 BLAS thread, "
+          f"src {src_lines(rv.pipeline)} lines")
     print("heap policy: " + ("freed heap kept mapped (mallopt trim 64 MiB, mmap 32 MiB)"
                              if renov._heap_kept else "not set (no glibc mallopt)"))
-    print(f"scene seed {args.seed}, {LAYER_REPS} reps per layer")
-    layer_times(args.seed)
-    step_times(args.seed, args.steps, args.reps)
+    print(f"scene seed {args.seed}, {LAYER_REPS} reps per layer; "
+          f"probe steps: {args.steps} steps x {args.reps} reps")
+    trees = [rv]
+    if args.against is not None:
+        trees.append(import_tree(args.against.resolve() / "src"))
+        print(f"against {args.against}: src {src_lines(trees[1].pipeline)} lines")
+    for label, tree in zip(("render_view tested px 128x128", "  the same in TREE"), trees):
+        tested = tested_px(tree, args.seed)
+        print(f"{label:<34} {statistics.mean(tested):8.3f} x image "
+              f"(min {min(tested):.3f}, max {max(tested):.3f})")
+    cases = [itertools.chain(layer_cases(tree, args.seed),
+                             step_cases(tree, args.seed, args.steps, args.reps))
+             for tree in trees]
+    if args.against is not None:
+        compare(*cases)
+    else:
+        for name, fn, reps, per in cases[0]:
+            report(name, timed(fn, reps, per))
     return 0
 
 
