@@ -21,6 +21,8 @@ from .geometry import FeatureGrid, project_points, token_anchors
 from .scene import RenderedView
 
 DEPTH_REL_TOL = 0.02
+TAU, NUM_QUERIES = 1, 64  # correspondence defaults: hit radius in tokens, queries scored
+R_LOCAL, R_FAR = 1, 4  # LDS defaults: Chebyshev radii of the local and the distant tokens
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,8 @@ def geometric_correspondence_score(
     grid_b: FeatureGrid,
     view_a: RenderedView,
     view_b: RenderedView,
-    tau: int = 1,
-    num_queries: int = 64,
+    tau: int = TAU,
+    num_queries: int = NUM_QUERIES,
     seed: int = 0,
 ) -> CorrespondenceReport:
     """PCK@tau of feature matching from A into B, gated to visible queries."""
@@ -170,7 +172,7 @@ def semantic_correspondence_score(
     grid_b: FeatureGrid,
     labels_a: np.ndarray,
     labels_b: np.ndarray,
-    num_queries: int = 64,
+    num_queries: int = NUM_QUERIES,
     seed: int = 0,
 ) -> CorrespondenceReport:
     """Label-agreement PCK: a hit is an argmax cell whose dominant label matches the query's."""
@@ -187,7 +189,7 @@ def semantic_correspondence_score(
                           lambda idx, rows, cols: (None, dom_b[rows, cols] == dom_a.take(idx)))
 
 
-def lds_score(grid: FeatureGrid, r_local: int = 1, r_far: int = 4) -> float:
+def lds_score(grid: FeatureGrid, r_local: int = R_LOCAL, r_far: int = R_FAR) -> float:
     """Mean(local cosine) minus mean(distant cosine), averaged over tokens.
 
     Local neighbours sit within Chebyshev distance r_local (self excluded),

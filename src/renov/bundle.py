@@ -33,7 +33,7 @@ from .encoding import MIN_HALF_EXTENT, NormalizationTransform
 from .errors import InputError, NumericalError, is_int
 from .features import ChannelReducer, FeatureFamily
 from .geometry import FeatureGrid, Pointmap
-from .pipeline import SceneData
+from .pipeline import SceneData, check_views
 from .probe import ProbeDecoder, param_shapes
 from .scene import WORLD_HALF, RenderedView, SceneSpec, SyntheticScene
 
@@ -163,7 +163,8 @@ def load_scene_bundle(bundle: Path, patch: int,
 
     scene.json is read and checked whole.  `views` may instead be a function of
     the bundle's n_views that gives them (and may raise InputError for a bad
-    choice) before any view is read; None loads every view.
+    choice) before any view is read; None loads every view.  The views pass
+    pipeline.check_views, the range check render_scene_data runs too.
     """
     path = Path(bundle) / "scene.json"
     doc = rnvt.read_json(path)
@@ -174,11 +175,7 @@ def load_scene_bundle(bundle: Path, patch: int,
     _field(path, doc, "spec", SceneSpec.from_dict)
     transform = _field(path, doc, "normalization", _normalization)
     n_views = _field(path, doc, "n_views", _positive)
-    views = sorted(set(range(n_views) if views is None
-                       else views(n_views) if callable(views) else views))
-    for i in views:
-        if not 0 <= i < n_views:
-            raise InputError(f"view index {i} out of range for {bundle} with {n_views} views")
+    views = check_views(views(n_views) if callable(views) else views, n_views)
     return SceneData(seed, n_views, {i: _load_view(view_dir(bundle, i)) for i in views},
                      transform, patch)
 

@@ -46,10 +46,10 @@ class CameraPose:
             value = getattr(self, name)
             if not is_int(value):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.fx <= 0 or self.fy <= 0:
-            raise InputError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.width <= 0 or self.height <= 0:
             raise InputError(f"resolution must be positive, got {self.width}x{self.height}")
+        if self.fx <= 0 or self.fy <= 0:
+            raise InputError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         r = m[:3, :3]
         if not np.all(np.isfinite(m)):
             raise NumericalError("non-finite camera matrix")

@@ -20,15 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import bundle, rnvt
-from .analysis import (cosine_similarity_map, geometric_correspondence_score, lds_score,
-                       semantic_correspondence_score)
-from .encoding import FourierConfig, build_reference_condition, build_target_condition
+from .analysis import (NUM_QUERIES, R_FAR, R_LOCAL, TAU, cosine_similarity_map,
+                       geometric_correspondence_score, lds_score, semantic_correspondence_score)
+from .encoding import FEAT_FREQS, FourierConfig, build_reference_condition, build_target_condition
 from .errors import InputError, NumericalError
 from .features import FeatureFamily, extract_features
-from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, SCENE_SPEC, ProbeProtocol,
-                       SuiteConfig, condition_grids, eval_scene_probe,
-                       feature_warp, local_grids, probe_dataset, reduce_local_grids, reduced_grids,
-                       reference_views, rgb_warp, robustness_scene_run, scene_family, unified_grids)
+from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, REDUCER_C_RED, REDUCER_SEED,
+                       REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, case_views, check_views,
+                       condition_grids, eval_scene_probe, feature_warp, local_grids, probe_dataset,
+                       reduce_local_grids, reduced_grids, reference_views, rgb_warp,
+                       robustness_scene_run, scene_family, unified_grids)
 from .probe import TrainConfig, train_probe
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
 
@@ -71,25 +72,12 @@ def _family_from(args, seed: int) -> FeatureFamily:
 
 
 def _flag_views(flags: dict[str, tuple[int, ...]]) -> Callable[[int], list[int]]:
-    """load_scene_bundle's `views` for the views flags name: each checked against n_views first."""
-    def views_of(n_views: int) -> list[int]:
-        for flag, views in flags.items():
-            for idx in views:
-                if not 0 <= idx < n_views:
-                    raise InputError(f"{flag} index {idx} out of range for bundle with "
-                                     f"{n_views} views")
-        return [i for views in flags.values() for i in views]
-    return views_of
+    """load_scene_bundle's `views` for the views each label names, checked against n_views first."""
+    return lambda n_views: [i for label, views in flags.items()
+                            for i in check_views(views, n_views, label)]
 
 
-def _protocol_views(proto: ProbeProtocol, cases) -> Callable[[int], tuple[int, ...]]:
-    """load_scene_bundle's `views` for (refs, target, ...) cases: on a bundle that fits proto."""
-    def views_of(n_views: int) -> tuple[int, ...]:
-        if n_views < proto.views_needed:
-            raise InputError(f"--scene bundle has {n_views} views; "
-                             f"the probe protocol needs {proto.views_needed}")
-        return reference_views(cases) + tuple(tgt for _, tgt, *_ in cases)
-    return views_of
+PROTOCOL_VIEW = "probe protocol view"  # the label of a protocol's views in a range error
 
 
 def _out_dir(text: str | None, flag: str) -> Path | None:
@@ -274,8 +262,8 @@ def cmd_probe(args) -> dict:
     proto = ProbeProtocol.fixed_target()
 
     if args.mode == "train":
-        data = bundle.load_scene_bundle(args.scene, args.patch,
-                                        _protocol_views(proto, proto.train_pairs))
+        data = bundle.load_scene_bundle(
+            args.scene, args.patch, _flag_views({PROTOCOL_VIEW: case_views(proto.train_pairs)}))
         cfg = _probe_cfg(args, seed)
         grids = unified_grids(data, family, reference_views(proto.train_pairs))
         decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
@@ -291,7 +279,8 @@ def cmd_probe(args) -> dict:
         c for c in proto.eval_cases if len(c[0]) == args.views)
     if not cases:
         raise InputError(f"--views {args.views} selects no evaluation case")
-    data = bundle.load_scene_bundle(args.scene, args.patch, _protocol_views(proto, cases))
+    data = bundle.load_scene_bundle(args.scene, args.patch,
+                                    _flag_views({PROTOCOL_VIEW: case_views(cases)}))
     manifest, decoder = bundle.load_decoder(Path(args.ckpt))
     if decoder.patch_size != args.patch:
         raise InputError(f"--patch {args.patch} does not match the patch_size "
@@ -317,7 +306,7 @@ def cmd_robustness(args) -> dict:
         _check_remove(frac)
     proto = ProbeProtocol.robustness()
     data = bundle.load_scene_bundle(args.scene, args.patch,
-                                    _protocol_views(proto, proto.train_pairs + proto.eval_cases))
+                                    _flag_views({PROTOCOL_VIEW: case_views(proto.cases)}))
     summary = {"command": "robustness", "family": args.family,
                **robustness_scene_run(data, _family_from(args, seed), _probe_cfg(args, seed),
                                       tuple(args.remove), seed)}
@@ -341,8 +330,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_reducer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c-red", type=int, default=32, help="fixed reducer width")
-    p.add_argument("--reducer-seed", type=int, default=77)
+    p.add_argument("--c-red", type=int, default=REDUCER_C_RED, help="fixed reducer width")
+    p.add_argument("--reducer-seed", type=int, default=REDUCER_SEED)
 
 
 def _add_probe_flags(p: argparse.ArgumentParser) -> None:
@@ -404,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--geo-freqs", type=int, default=FourierConfig.num_freqs)
-    p.add_argument("--feat-freqs", type=int, default=2)
+    p.add_argument("--feat-freqs", type=int, default=FEAT_FREQS)
     _add_family_flags(p)
     _add_reducer_flags(p)
     p.set_defaults(func=cmd_condition)
@@ -414,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--view-a", type=int, default=2)
     p.add_argument("--view-b", type=int, default=5)
-    p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--queries", type=int, default=64)
-    p.add_argument("--r-local", type=int, default=1)
-    p.add_argument("--r-far", type=int, default=4)
+    p.add_argument("--tau", type=int, default=TAU)
+    p.add_argument("--queries", type=int, default=NUM_QUERIES)
+    p.add_argument("--r-local", type=int, default=R_LOCAL)
+    p.add_argument("--r-far", type=int, default=R_FAR)
     p.add_argument("--out", default=None)
     p.add_argument("--save-maps", type=int, default=0,
                    help="export up to N similarity maps as PGM")
@@ -438,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robustness", help="probe quality under point-cloud removal")
     p.add_argument("--scene", required=True)
-    p.add_argument("--remove", type=float, nargs="+", default=[0.3, 0.5])
+    p.add_argument("--remove", type=float, nargs="+", default=list(REMOVE_FRACS))
     p.add_argument("--out", default=None)
     _add_family_flags(p)
     _add_probe_flags(p)

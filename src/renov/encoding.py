@@ -27,6 +27,7 @@ MIN_HALF_EXTENT = 1e-6  # floor on a normalization half-extent, so flat boxes st
 # the top frequency 2^(L-1) pi of L <= 32 keeps the phase of any x in [-1, 1] within 1e-6 rad
 # of exact; deeper octaves are float64 rounding noise, and 2^1024 is not finite at all
 MAX_FREQS = 32
+FEAT_FREQS = 2  # octaves of a condition's feature group (its coordinates take FourierConfig()'s)
 
 
 @dataclass(frozen=True)

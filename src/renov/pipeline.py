@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -40,6 +40,8 @@ ARC_RADIUS = 6.0
 ARC_FOV_DEG = 55.0
 ARC_SPAN_DEG = 60.0
 SCENE_SPEC = SceneSpec(n_quads=6, palette_size=0, shading=0.5)
+REDUCER_C_RED, REDUCER_SEED = 32, 77  # the fixed channel reducer's width and seed
+REMOVE_FRACS = (0.3, 0.5)  # the robustness protocol's evaluation-time removal fractions
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,22 @@ class SceneData:
         object.__setattr__(self, "views", _Views(sorted(self.views.items())))
 
 
-def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
+def check_views(views: Iterable[int] | None, n_views: int, label: str = "view") -> list[int]:
+    """The distinct views (None: all), ascending, each checked to index an arc of n_views views."""
+    views = sorted(set(range(n_views) if views is None else views))
+    for i in views:
+        if not 0 <= i < n_views:
+            raise InputError(f"{label} index {i} out of range for an arc of {n_views} views")
+    return views
+
+
+def render_scene_data(seed: int, cfg: SuiteConfig, views: Iterable[int] | None = None
+                      ) -> SceneData:
+    """The suite scene of `seed` with the views in `views` rendered (default: every view)."""
     scene = generate_scene(seed, SCENE_SPEC)
     cams = make_camera_arc(scene, cfg.n_views, ARC_RADIUS, ARC_FOV_DEG, (cfg.res, cfg.res),
                            ARC_SPAN_DEG)
-    views = {i: render_view(scene, c) for i, c in enumerate(cams)}
+    views = {i: render_view(scene, cams[i]) for i in check_views(views, cfg.n_views)}
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
     return SceneData(seed, cfg.n_views, views, transform, PATCH)
 
@@ -101,7 +114,8 @@ def unified_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] |
     return {i: concat_global_local(g) for i, g in local_grids(data, family, views).items()}
 
 
-def reduce_local_grids(local: Mapping[int, FeatureGrid], c_red: int, reducer_seed: int
+def reduce_local_grids(local: Mapping[int, FeatureGrid], c_red: int = REDUCER_C_RED,
+                       reducer_seed: int = REDUCER_SEED
                        ) -> tuple[dict[int, FeatureGrid], ChannelReducer]:
     """Each local grid unified and reduced to c_red channels, and the reducer.
 
@@ -112,8 +126,8 @@ def reduce_local_grids(local: Mapping[int, FeatureGrid], c_red: int, reducer_see
     return {i: reduce_channels(g, reducer) for i, g in unified.items()}, reducer
 
 
-def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int, reducer_seed: int,
-                  views: Sequence[int] | None = None
+def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int = REDUCER_C_RED,
+                  reducer_seed: int = REDUCER_SEED, views: Sequence[int] | None = None
                   ) -> tuple[dict[int, FeatureGrid], ChannelReducer]:
     """reduce_local_grids over the views in `views` (every loaded view by default)."""
     return reduce_local_grids(local_grids(data, family, views), c_red, reducer_seed)
@@ -226,19 +240,18 @@ class ProbeProtocol:
         return cls(tuple((r, cls.TARGET, f) for r, f in refs_fracs), evals)
 
     @property
-    def views_needed(self) -> int:
-        """Arc length the protocol reads: one past the largest view index of any pair."""
-        pairs = [(refs, tgt) for refs, tgt, _ in self.train_pairs] + list(self.eval_cases)
-        return 1 + max(max(*refs, tgt) for refs, tgt in pairs)
+    def cases(self) -> tuple[tuple, ...]:
+        """Every (refs, target, ...) case the protocol runs: its train pairs, then its eval cases."""
+        return self.train_pairs + self.eval_cases
 
-    @property
-    def views_read(self) -> tuple[int, ...]:
-        """Views whose features the protocol reads: the refs of its train pairs and eval cases."""
-        return reference_views(self.train_pairs + self.eval_cases)
+
+def case_views(cases: Sequence[tuple]) -> tuple[int, ...]:
+    """The views (refs, target, ...) cases open, their refs and targets, ascending and each once."""
+    return tuple(sorted({i for refs, tgt, *_ in cases for i in (*refs, tgt)}))
 
 
 def reference_views(cases: Sequence[tuple]) -> tuple[int, ...]:
-    """The reference views of (refs, target, ...) cases, ascending and each once."""
+    """The refs of (refs, target, ...) cases, ascending and each once: the views featurized."""
     return tuple(sorted({i for refs, *_ in cases for i in refs}))
 
 
@@ -267,7 +280,7 @@ def probe_scene_run(
     proto: ProbeProtocol,
 ):
     """Train a per-scene probe on warped tokens and evaluate its held-out cases."""
-    grids = unified_grids(data, family, proto.views_read)
+    grids = unified_grids(data, family, reference_views(proto.cases))
     decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
     report = eval_scene_probe(decoder, data, grids, proto.eval_cases, 0.0, 0)
     return decoder, curve, report
@@ -328,8 +341,9 @@ def _map_scenes(job, seeds: list[int]) -> list:
 
 def _probe_scene_report(family: FeatureFamily, cfg: TrainConfig, suite: SuiteConfig,
                         seed: int) -> dict:
-    data = render_scene_data(seed, suite)
-    return probe_scene_run(data, family, cfg, ProbeProtocol.fixed_target())[2]
+    proto = ProbeProtocol.fixed_target()
+    data = render_scene_data(seed, suite, case_views(proto.cases))
+    return probe_scene_run(data, family, cfg, proto)[2]
 
 
 def family_suite_psnr(
@@ -359,7 +373,7 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
     remove_seed seeds the evaluation-time thinning; training pairs keep their own seeds.
     """
     proto = ProbeProtocol.robustness()
-    grids = unified_grids(data, family, proto.views_read)
+    grids = unified_grids(data, family, reference_views(proto.cases))
     decoder, _ = train_probe(probe_dataset(data, grids, proto), cfg)
 
     def psnr_at(frac: float) -> float:
@@ -370,7 +384,8 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
 
 def _robustness_scene(family: FeatureFamily, cfg: TrainConfig, suite: SuiteConfig,
                       remove_fracs: tuple[float, ...], seed: int) -> dict:
-    return robustness_scene_run(render_scene_data(seed, suite), family, cfg, remove_fracs, seed)
+    data = render_scene_data(seed, suite, case_views(ProbeProtocol.robustness().cases))
+    return robustness_scene_run(data, family, cfg, remove_fracs, seed)
 
 
 def _removal_summary(baseline: float, psnrs: dict[str, float]) -> dict:
@@ -383,7 +398,7 @@ def robustness_run(
     family: FeatureFamily,
     cfg: TrainConfig,
     suite: SuiteConfig,
-    remove_fracs: tuple[float, ...] = (0.3, 0.5),
+    remove_fracs: tuple[float, ...] = REMOVE_FRACS,
 ) -> dict:
     """Probe PSNR with degraded clouds versus the no-removal baseline, averaged over scenes."""
     per_scene = _map_scenes(partial(_robustness_scene, family, cfg, suite, remove_fracs), seeds)

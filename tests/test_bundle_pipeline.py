@@ -59,6 +59,37 @@ def test_scene_bundle_loads_only_the_views_named(tmp_path, scene_data, monkeypat
         bundle.load_scene_bundle(tmp_path / "b", scene_data.patch, [1, 8])
 
 
+def test_render_scene_data_renders_only_the_views_named(scene_data, suite_cfg):
+    data = pipeline.render_scene_data(scene_data.seed, suite_cfg, (6, 1, 6))
+    assert data.n_views == scene_data.n_views and list(data.views) == [1, 6]
+    for i in (1, 6):
+        got, want = data.views[i], scene_data.views[i]
+        for field in ("rgb", "depth", "labels"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        np.testing.assert_array_equal(got.pointmap.coords, want.pointmap.coords)
+        np.testing.assert_array_equal(got.pointmap.valid, want.pointmap.valid)
+        assert got.camera.to_dict() == want.camera.to_dict()
+    np.testing.assert_array_equal(data.transform.center, scene_data.transform.center)
+    np.testing.assert_array_equal(data.transform.half_extent, scene_data.transform.half_extent)
+    with pytest.raises(KeyError, match=r"view 3 was not loaded \(loaded: \[1, 6\]\)"):
+        data.views[3]
+
+
+@pytest.mark.parametrize("views", [(1, 9, 8), (-1, 2)])
+def test_renderer_and_loader_reject_a_view_off_the_arc_alike(tmp_path, scene_data, suite_cfg,
+                                                              views):
+    scene = generate_scene(scene_data.seed, SCENE_SPEC)
+    bundle.save_scene_bundle(tmp_path / "b", scene, list(scene_data.views.values()),
+                             scene_data.transform)
+    with pytest.raises(InputError) as rendered:
+        pipeline.render_scene_data(scene_data.seed, suite_cfg, views)
+    with pytest.raises(InputError) as loaded:
+        bundle.load_scene_bundle(tmp_path / "b", scene_data.patch, views)
+    first = min(i for i in views if not 0 <= i < 8)  # the first index the arc lacks
+    assert str(rendered.value) == str(loaded.value) == (
+        f"view index {first} out of range for an arc of 8 views")
+
+
 def test_bundle_rejects_foreign_dir(tmp_path):
     from renov import rnvt
     rnvt.write_json(tmp_path / "scene.json", {"format": "something-else"})

@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import inspect
 import json
 import os
 import shutil
@@ -11,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renov import bundle, cli, pipeline, rnvt
+from renov import analysis, bundle, cli, pipeline, rnvt
 from renov.analysis import lds_score
 from renov.cli import main
-from renov.encoding import FourierConfig, build_reference_condition, normalize_coords
+from renov.encoding import FEAT_FREQS, FourierConfig, build_reference_condition, normalize_coords
 from renov.features import FeatureFamily
 from renov.geometry import FeatureGrid, token_anchors
 from renov.probe import TrainConfig
@@ -103,6 +104,36 @@ def test_family_flags_default_to_feature_family():
     args = ap.parse_args(["condition", "--scene", "s", "--refs", "0", "--target", "1",
                           "--out", "o"])
     assert FourierConfig(num_freqs=args.geo_freqs) == FourierConfig()
+
+
+def test_analysis_reducer_condition_and_removal_flags_default_to_the_library():
+    """Each such CLI default is the library constant that is also its function's default."""
+    ap = cli.build_parser()
+
+    def defaults(fn):
+        return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+    analyze = ap.parse_args(["analyze", "corr", "--scene", "s"])
+    geometric = defaults(analysis.geometric_correspondence_score)
+    assert analyze.tau == geometric["tau"] == analysis.TAU
+    assert (analyze.queries == geometric["num_queries"] == analysis.NUM_QUERIES
+            == defaults(analysis.semantic_correspondence_score)["num_queries"])
+    lds = defaults(analysis.lds_score)
+    assert (analyze.r_local, analyze.r_far) == (lds["r_local"], lds["r_far"])
+    assert (lds["r_local"], lds["r_far"]) == (analysis.R_LOCAL, analysis.R_FAR)
+    reducer = (pipeline.REDUCER_C_RED, pipeline.REDUCER_SEED)
+    for fn in (pipeline.reduced_grids, pipeline.reduce_local_grids):
+        assert (defaults(fn)["c_red"], defaults(fn)["reducer_seed"]) == reducer
+    for command in (["features"], ["warp", "--refs", "0", "--target", "1", "--out", "o"],
+                    ["condition", "--refs", "0", "--target", "1", "--out", "o"]):
+        args = ap.parse_args([*command, "--scene", "s"])
+        assert (args.c_red, args.reducer_seed) == reducer
+    args = ap.parse_args(["condition", "--scene", "s", "--refs", "0", "--target", "1",
+                          "--out", "o"])
+    assert args.feat_freqs == FEAT_FREQS
+    args = ap.parse_args(["robustness", "--scene", "s"])
+    assert tuple(args.remove) == pipeline.REMOVE_FRACS == defaults(pipeline.robustness_run)[
+        "remove_fracs"]
 
 
 MALFORMED_ARGV = [  # (argv, what the one stderr line names)
@@ -221,13 +252,13 @@ def test_condition_reference_planes(small_bundle, capsys, tmp_path):
                          "--refs", "5,0,2", "--target", "8", "--out", str(out))
     assert code == 0
     data = bundle.load_scene_bundle(small_bundle, 8)
-    grids, _ = pipeline.reduced_grids(data, FeatureFamily("mixed", seed=3), 32, 77)
+    grids, _ = pipeline.reduced_grids(data, FeatureFamily("mixed", seed=3))
     assert sorted(p.name for p in out.glob("cond_ref_*")) == [
         "cond_ref_000.rnvt", "cond_ref_002.rnvt", "cond_ref_005.rnvt"]
     for r in (5, 0, 2):
         coords, valid = token_anchors(data.views[r].pointmap, 8)
         want = build_reference_condition(normalize_coords(coords, data.transform, valid), grids[r],
-                                         FourierConfig(num_freqs=6), FourierConfig(num_freqs=2))
+                                         FourierConfig(), FourierConfig(num_freqs=FEAT_FREQS))
         assert np.array_equal(rnvt.read_tensor(out / f"cond_ref_{r:03d}.rnvt"), want.channels)
 
 
@@ -326,7 +357,7 @@ def test_commands_extract_features_only_for_the_views_they_read(small_bundle, sm
     # a unified grid depends on its own view only, so reading fewer views changes no grid
     full = pipeline.unified_grids(data, family)
     for proto in (pipeline.ProbeProtocol.fixed_target(), pipeline.ProbeProtocol.robustness()):
-        views = proto.views_read
+        views = pipeline.reference_views(proto.cases)
         grids = pipeline.unified_grids(data, family, views)
         assert list(grids) == list(views)
         for i, grid in grids.items():
@@ -614,6 +645,7 @@ BAD_FLAG_VALUES = [
      "palette_size"),
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--radius", "nan"], "radius"),
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--span", "inf"], "span"),
+    (["scene-gen", "--out", "{out}", "--views", "2", "--res", "0x0"], "resolution"),
     (["analyze", "corr", "--scene", "{scene}", "--tau", "-1"], "tau"),
     (["analyze", "semcorr", "--scene", "{scene}", "--out", "{out}", "--save-maps", "-1"],
      "--save-maps"),

@@ -74,6 +74,7 @@ from types import SimpleNamespace  # noqa: E402
 import numpy as np  # noqa: E402
 
 import renov  # noqa: E402
+from renov.pipeline import REDUCER_C_RED, REDUCER_SEED  # noqa: E402
 
 MODULES = ("analysis", "bundle", "encoding", "features", "metrics", "pipeline", "probe", "scene")
 
@@ -160,7 +161,9 @@ def layer_cases(rv: SimpleNamespace, seed: int):
     p = pipeline.PATCH
     data = {res: pipeline.SceneData(seed, N_VIEWS, dict(enumerate(views[res])), transform, p)
             for res in (64, 128)}
-    grids, _ = pipeline.reduced_grids(data[64], FeatureFamily("mixed"), 32, 77, WARP_REFS)
+    # this tree's reducer settings, passed to either tree: an older one may have no defaults
+    grids, _ = pipeline.reduced_grids(data[64], FeatureFamily("mixed"), REDUCER_C_RED,
+                                      REDUCER_SEED, WARP_REFS)
     yield ("feature_warp 64x64",
            lambda: pipeline.feature_warp(data[64], grids, WARP_REFS, WARP_TARGET), LAYER_REPS, 1)
     yield ("rgb_warp 128x128",
@@ -175,11 +178,11 @@ def layer_cases(rv: SimpleNamespace, seed: int):
     ga = rv.features.extract_features(va, fam, p, transform)
     gb = rv.features.extract_features(vb, fam, p, transform)
     yield ("geometric_score 128x128",
-           lambda: rv.analysis.geometric_correspondence_score(ga, gb, va, vb, 1, 64, seed),
+           lambda: rv.analysis.geometric_correspondence_score(ga, gb, va, vb, seed=seed),
            LAYER_REPS, 1)
     yield ("semantic_score 128x128",
-           lambda: rv.analysis.semantic_correspondence_score(ga, gb, va.labels, vb.labels, 64,
-                                                             seed), LAYER_REPS, 1)
+           lambda: rv.analysis.semantic_correspondence_score(ga, gb, va.labels, vb.labels,
+                                                             seed=seed), LAYER_REPS, 1)
     for kind in FEATURE_FAMILIES:
         fam = pipeline.scene_family(FeatureFamily(kind), seed)
         yield (f"extract_features {kind}",
