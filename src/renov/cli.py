@@ -22,14 +22,14 @@ import numpy as np
 from . import bundle, rnvt
 from .analysis import (NUM_QUERIES, R_FAR, R_LOCAL, TAU, cosine_similarity_map,
                        geometric_correspondence_score, lds_score, semantic_correspondence_score)
-from .encoding import FEAT_FREQS, FourierConfig, build_reference_condition, build_target_condition
+from .encoding import FEAT_FREQS, FourierConfig
 from .errors import InputError, NumericalError
-from .features import FeatureFamily, extract_features
+from .features import FeatureFamily
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, REDUCER_C_RED, REDUCER_SEED,
-                       REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, case_views, check_views,
-                       condition_grids, eval_scene_probe, feature_warp, local_grids, probe_dataset,
+                       REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, case_views,
+                       check_views, eval_scene_probe, feature_warp, local_grids, probe_dataset,
                        reduce_local_grids, reduced_grids, reference_views, rgb_warp,
-                       robustness_scene_run, scene_family, unified_grids)
+                       robustness_scene_run, scene_conditions, unified_grids)
 from .probe import TrainConfig, train_probe
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
 
@@ -133,8 +133,7 @@ def cmd_scene_gen(args) -> dict:
 
 
 def cmd_features(args) -> dict:
-    out = _out_dir(args.out or str(Path(args.scene) / f"features_{args.family}_p{args.patch}"),
-                   "--out")
+    out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
     data = bundle.load_scene_bundle(args.scene, args.patch)  # every view
     family = _family_from(args, seed)
@@ -179,21 +178,14 @@ def cmd_condition(args) -> dict:
     refs = _parse_refs(args.refs)
     data = bundle.load_scene_bundle(args.scene, args.patch,
                                     _flag_views({"--refs": refs, "--target": (args.target,)}))
-    family = _family_from(args, seed)
-    grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
-    geo_cfg = FourierConfig(num_freqs=args.geo_freqs)
-    feat_cfg = FourierConfig(num_freqs=args.feat_freqs)
+    ref_planes, tgt_plane, warped = scene_conditions(
+        data, _family_from(args, seed), refs, args.target, args.c_red, args.reducer_seed,
+        FourierConfig(num_freqs=args.geo_freqs), FourierConfig(num_freqs=args.feat_freqs))
     out.mkdir(parents=True, exist_ok=True)
-
-    aug = condition_grids(data, grids)  # normalized anchor coords first
-    for r in aug:
-        plane = build_reference_condition(aug[r].tokens[..., :3], grids[r], geo_cfg, feat_cfg)
+    for r, plane in ref_planes.items():
         rnvt.write_tensor(out / f"cond_ref_{r:03d}.rnvt", plane.channels)
-        ref_layout = plane.layout
+    ref_layout = plane.layout  # every reference plane has the same layout
     rnvt.write_json(out / "layout_ref.json", ref_layout.to_json())
-
-    warped = feature_warp(data, aug, refs, args.target)
-    tgt_plane = build_target_condition(warped, geo_cfg, feat_cfg)
     rnvt.write_tensor(out / "cond_target.rnvt", tgt_plane.channels)
     rnvt.write_json(out / "layout_target.json", tgt_plane.layout.to_json())
     return {"command": "condition", "out": str(out), "refs": list(refs),
@@ -211,12 +203,11 @@ def cmd_analyze(args) -> dict:
     if args.metric != "lds":  # the only metric of a single view
         flags["--view-b"] = (args.view_b,)
     data = bundle.load_scene_bundle(args.scene, args.patch, _flag_views(flags))
-    family = scene_family(_family_from(args, seed), data.seed)
+    grids = local_grids(data, _family_from(args, seed))  # the loaded views, each once
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    va = data.views[args.view_a]
-    ga = extract_features(va, family, args.patch, data.transform)
+    va, ga = data.views[args.view_a], grids[args.view_a]
     if args.metric == "lds":
         score = lds_score(ga, args.r_local, args.r_far)
         summary = {"command": "analyze", "metric": "lds", "family": args.family,
@@ -226,8 +217,7 @@ def cmd_analyze(args) -> dict:
             rnvt.write_json(out / "lds.json", summary)
         return summary
 
-    vb = data.views[args.view_b]
-    gb = extract_features(vb, family, args.patch, data.transform)
+    vb, gb = data.views[args.view_b], grids[args.view_b]
     if args.metric == "corr":
         rep = geometric_correspondence_score(ga, gb, va, vb, args.tau, args.queries, seed)
     else:
@@ -250,6 +240,12 @@ def cmd_analyze(args) -> dict:
     return summary
 
 
+def _scene_of(data) -> dict:
+    """What binds a checkpoint to its bundle: the scene seed, arc length and resolution."""
+    camera = next(iter(data.views.values())).camera
+    return {"seed": data.seed, "n_views": data.n_views, "res": [camera.width, camera.height]}
+
+
 def _probe_cfg(args, seed: int) -> TrainConfig:
     return TrainConfig(steps=args.steps, learning_rate=args.lr, batch=args.batch,
                        seed=seed, attn_enabled=args.attn, c_red=args.c_red, hidden=args.hidden)
@@ -267,7 +263,8 @@ def cmd_probe(args) -> dict:
         cfg = _probe_cfg(args, seed)
         grids = unified_grids(data, family, reference_views(proto.train_pairs))
         decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
-        bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed})
+        bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed,
+                                                 "scene": _scene_of(data)})
         rnvt.write_text(out / "loss.csv",
                         "step,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(curve)))
         return {"command": "probe", "mode": "train", "ckpt": str(out),
@@ -285,11 +282,13 @@ def cmd_probe(args) -> dict:
     if decoder.patch_size != args.patch:
         raise InputError(f"--patch {args.patch} does not match the patch_size "
                          f"{decoder.patch_size} of --ckpt {args.ckpt}")
-    trained_on = manifest.get("extra", {}).get("family")
-    if trained_on != family.to_dict():
-        raise InputError(f"--ckpt {args.ckpt} was trained on family "
-                         f"{json.dumps(trained_on, sort_keys=True)}, but the family flags give "
-                         f"{json.dumps(family.to_dict(), sort_keys=True)}")
+    extra = manifest.get("extra", {})  # an object: load_decoder checked it
+    for field, given, source in (("family", family.to_dict(), "the family flags give"),
+                                 ("scene", _scene_of(data), f"--scene {args.scene} is")):
+        trained_on, given = (json.dumps(v, sort_keys=True) for v in (extra.get(field), given))
+        if trained_on != given:
+            raise InputError(f"--ckpt {args.ckpt} was trained on {field} {trained_on}, "
+                             f"but {source} {given}")
     grids = unified_grids(data, family, reference_views(cases))
     report = eval_scene_probe(decoder, data, grids, cases, args.remove, seed)
     if out:
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract a feature family over a bundle")
     p.add_argument("--scene", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True)
     _add_family_flags(p)
     _add_reducer_flags(p)
     p.set_defaults(func=cmd_features)

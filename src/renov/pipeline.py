@@ -1,10 +1,10 @@
-"""End-to-end protocols: suite generation, warping, probing, robustness.
+"""End-to-end protocols: suite generation, warping, conditions, probing, robustness.
 
 These helpers wire the library stages into the evaluation protocols used by
 the CLI and the acceptance suite: render an arc of views around a procedural
 scene, extract a feature family, warp tokens (optionally dropping a fraction
-of the cloud), train a per-scene reconstruction probe, and score PSNR/SSIM
-per reference-view count.
+of the cloud), assemble the reference and warped-target conditions, train a
+per-scene reconstruction probe, and score PSNR/SSIM per reference-view count.
 
 Per-scene probes are trained on warps from one half of the arc and evaluated
 on warps from held-out reference views, so families whose features carry no
@@ -25,7 +25,8 @@ from functools import partial
 
 import numpy as np
 
-from .encoding import NormalizationTransform, normalize_coords
+from .encoding import (FEAT_FREQS, ConditionPlane, FourierConfig, NormalizationTransform,
+                       build_reference_condition, build_target_condition, normalize_coords)
 from .errors import InputError
 from .features import ChannelReducer, FeatureFamily, concat_global_local, extract_features, reduce_channels
 from .geometry import (FeatureGrid, WarpedPlane, aggregate_pointmaps, rasterize,
@@ -183,6 +184,25 @@ def condition_grids(data: SceneData, grids_red: Mapping[int, FeatureGrid]
         out[i] = FeatureGrid(np.concatenate([norm, grid.tokens], axis=2), data.patch,
                              avalid & grid.valid)
     return out
+
+
+def scene_conditions(data: SceneData, family: FeatureFamily, refs: tuple[int, ...], target: int,
+                     c_red: int = REDUCER_C_RED, reducer_seed: int = REDUCER_SEED,
+                     geo: FourierConfig = FourierConfig(),
+                     feat: FourierConfig = FourierConfig(FEAT_FREQS)
+                     ) -> tuple[dict[int, ConditionPlane], ConditionPlane, WarpedPlane]:
+    """The conditions of `target`: each ref's plane by arc index, the warped target's, the warp.
+
+    The refs' reduced tokens are anchored at their normalized patch-centre
+    coordinates, z-buffered into the target, and both planes Fourier-embed
+    coordinates with `geo` and features with `feat`.
+    """
+    grids, _ = reduced_grids(data, family, c_red, reducer_seed, refs)
+    anchored = condition_grids(data, grids)  # normalized anchor coords first
+    ref_planes = {r: build_reference_condition(g.tokens[..., :3], grids[r], geo, feat)
+                  for r, g in anchored.items()}
+    warped = feature_warp(data, anchored, refs, target)
+    return ref_planes, build_target_condition(warped, geo, feat), warped
 
 
 def warped_image_metrics(data: SceneData, refs: tuple[int, ...], target: int) -> dict:

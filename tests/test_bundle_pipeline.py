@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from renov import bundle, pipeline, rnvt
+from renov.encoding import (FourierConfig, build_reference_condition, build_target_condition,
+                            normalize_coords)
 from renov.errors import InputError
 from renov.features import FeatureFamily
-from renov.pipeline import (SCENE_SPEC, ProbeProtocol, condition_grids, feature_warp,
-                            reduced_grids, rgb_warp, unified_grids, warped_image_metrics)
+from renov.geometry import token_anchors
+from renov.pipeline import (SCENE_SPEC, ProbeProtocol, SuiteConfig, condition_grids, feature_warp,
+                            reduced_grids, render_scene_data, rgb_warp, unified_grids,
+                            warped_image_metrics)
 from renov.probe import ProbeDecoder, TrainConfig
 from renov.scene import SceneSpec, generate_scene
 
@@ -182,11 +186,34 @@ def test_condition_grids_carry_coords_first(scene_data):
     grids, _ = reduced_grids(scene_data, fam, 16, reducer_seed=0)
     aug = condition_grids(scene_data, grids)
     assert aug[0].channels == 3 + 16
-    from renov.encoding import normalize_coords
-    from renov.geometry import token_anchors
     coords, valid = token_anchors(scene_data.views[0].pointmap, scene_data.patch)
     norm = normalize_coords(coords, scene_data.transform, valid)
     np.testing.assert_array_equal(aug[0].tokens[..., :3], norm)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scene_conditions_match_the_benchmark_route(seed):
+    """scene_conditions gives the conditions analysis_sweep assembles its own way, bit for bit."""
+    data = render_scene_data(seed, SuiteConfig(res=128))
+    family, refs, target = FeatureFamily("mixed", seed=seed), (7, 9), 8
+    ref_planes, tgt_plane, warped = pipeline.scene_conditions(data, family, refs, target)
+
+    # the benchmark's route: every view reduced, anchors normalized per ref, literal settings
+    grids, _ = reduced_grids(data, family, 32, 77)
+    geo, feat = FourierConfig(num_freqs=6), FourierConfig(num_freqs=2)
+    assert list(ref_planes) == list(refs)
+    for r in refs:
+        coords, avalid = token_anchors(data.views[r].pointmap, data.patch)
+        norm = normalize_coords(coords, data.transform, avalid)
+        want = build_reference_condition(norm, grids[r], geo, feat)
+        assert ref_planes[r].layout == want.layout
+        np.testing.assert_array_equal(ref_planes[r].channels, want.channels)
+    want_warp = feature_warp(data, condition_grids(data, grids), refs, target)
+    want = build_target_condition(want_warp, geo, feat)
+    assert tgt_plane.layout == want.layout
+    np.testing.assert_array_equal(tgt_plane.channels, want.channels)
+    np.testing.assert_array_equal(warped.payload, want_warp.payload)
+    assert warped.hole_fraction == want_warp.hole_fraction
 
 
 def test_probe_protocol_shapes():

@@ -95,7 +95,8 @@ def test_probe_flags_default_to_train_config():
 
 def test_family_flags_default_to_feature_family():
     ap = cli.build_parser()
-    for command in (["features"], ["warp", "--refs", "0", "--target", "1", "--out", "o"],
+    for command in (["features", "--out", "o"],
+                    ["warp", "--refs", "0", "--target", "1", "--out", "o"],
                     ["condition", "--refs", "0", "--target", "1", "--out", "o"],
                     ["analyze", "corr"], ["probe", "eval", "--ckpt", "ck"], ["robustness"]):
         for kind in ("oracle_geom", "appearance", "random", "mixed"):
@@ -122,15 +123,19 @@ def test_analysis_reducer_condition_and_removal_flags_default_to_the_library():
     assert (analyze.r_local, analyze.r_far) == (lds["r_local"], lds["r_far"])
     assert (lds["r_local"], lds["r_far"]) == (analysis.R_LOCAL, analysis.R_FAR)
     reducer = (pipeline.REDUCER_C_RED, pipeline.REDUCER_SEED)
-    for fn in (pipeline.reduced_grids, pipeline.reduce_local_grids):
+    for fn in (pipeline.reduced_grids, pipeline.reduce_local_grids, pipeline.scene_conditions):
         assert (defaults(fn)["c_red"], defaults(fn)["reducer_seed"]) == reducer
-    for command in (["features"], ["warp", "--refs", "0", "--target", "1", "--out", "o"],
+    for command in (["features", "--out", "o"],
+                    ["warp", "--refs", "0", "--target", "1", "--out", "o"],
                     ["condition", "--refs", "0", "--target", "1", "--out", "o"]):
         args = ap.parse_args([*command, "--scene", "s"])
         assert (args.c_red, args.reducer_seed) == reducer
     args = ap.parse_args(["condition", "--scene", "s", "--refs", "0", "--target", "1",
                           "--out", "o"])
     assert args.feat_freqs == FEAT_FREQS
+    conditions = defaults(pipeline.scene_conditions)
+    assert conditions["geo"] == FourierConfig(num_freqs=args.geo_freqs)
+    assert conditions["feat"] == FourierConfig(num_freqs=args.feat_freqs)
     args = ap.parse_args(["robustness", "--scene", "s"])
     assert tuple(args.remove) == pipeline.REMOVE_FRACS == defaults(pipeline.robustness_run)[
         "remove_fracs"]
@@ -144,6 +149,7 @@ MALFORMED_ARGV = [  # (argv, what the one stderr line names)
     (["analyze", "lds", "--scene", "{scene}", "--no-such-flag", "1"], "--no-such-flag"),
     (["--seed", "x", "analyze", "lds", "--scene", "{scene}"], "--seed"),
     ([], "command"),
+    (["features", "--scene", "{scene}"], "--out"),
 ]
 
 
@@ -732,6 +738,38 @@ def test_probe_eval_checks_checkpoint_patch(small_bundle, small_ckpt, capsys, mo
     assert code == 2
     assert out == ""
     assert err.startswith("input error:") and "--patch 4" in err and "patch_size 8" in err
+
+
+def test_probe_eval_checks_checkpoint_scene(small_bundle, small_ckpt, capsys, tmp_path):
+    """A checkpoint scores only the scene it was trained on: its seed, arc length and resolution."""
+    evaluate = ["--seed", "1", "probe", "eval", "--ckpt", str(small_ckpt), "--scene"]
+    assert run_cli(capsys, *evaluate, str(small_bundle))[0] == 0
+    trained_on = '{"n_views": 16, "res": [48, 48], "seed": 9}'  # scene-gen --seed 9, 16 views
+    for name, seed, views in (("other_seed", "10", "16"), ("other_arc", "9", "12")):
+        scene = tmp_path / name
+        assert main(["--seed", seed, "scene-gen", "--out", str(scene), "--views", views,
+                     "--res", "48x48"]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, *evaluate, str(scene))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert trained_on in err
+        assert f'{{"n_views": {views}, "res": [48, 48], "seed": {seed}}}' in err
+
+    for name, value in (("no_scene", None), ("bad_scene", "scene 9")):
+        ckpt = tmp_path / name
+        shutil.copytree(small_ckpt, ckpt)
+        manifest = rnvt.read_json(ckpt / "manifest.json")
+        manifest["extra"].pop("scene")
+        if value is not None:
+            manifest["extra"]["scene"] = value
+        rnvt.write_json(ckpt / "manifest.json", manifest)
+        code, out, err = run_cli(capsys, "--seed", "1", "probe", "eval", "--ckpt", str(ckpt),
+                                 "--scene", str(small_bundle))
+        assert code == 2
+        assert out == ""
+        assert f"trained on scene {json.dumps(value)}" in err
 
 
 def test_every_cli_flag_is_read(small_bundle, tmp_path):
