@@ -27,10 +27,10 @@ from .errors import InputError, NumericalError
 from .features import FeatureFamily
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, REDUCER_C_RED, REDUCER_SEED,
                        REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, case_views,
-                       check_views, eval_scene_probe, feature_warp, local_grids, probe_dataset,
-                       reduce_local_grids, reduced_grids, reference_views, rgb_warp,
-                       robustness_scene_run, scene_conditions, unified_grids)
-from .probe import TrainConfig, train_probe
+                       check_views, eval_scene_probe, feature_warp, local_grids,
+                       reduce_local_grids, reduced_grids, rgb_warp, robustness_scene_run,
+                       scene_conditions, train_scene_probe)
+from .probe import TrainConfig
 from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
 
 
@@ -261,8 +261,7 @@ def cmd_probe(args) -> dict:
         data = bundle.load_scene_bundle(
             args.scene, args.patch, _flag_views({PROTOCOL_VIEW: case_views(proto.train_pairs)}))
         cfg = _probe_cfg(args, seed)
-        grids = unified_grids(data, family, reference_views(proto.train_pairs))
-        decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
+        decoder, curve = train_scene_probe(data, family, cfg, proto)
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed,
                                                  "scene": _scene_of(data)})
         rnvt.write_text(out / "loss.csv",
@@ -289,8 +288,7 @@ def cmd_probe(args) -> dict:
         if trained_on != given:
             raise InputError(f"--ckpt {args.ckpt} was trained on {field} {trained_on}, "
                              f"but {source} {given}")
-    grids = unified_grids(data, family, reference_views(cases))
-    report = eval_scene_probe(decoder, data, grids, cases, args.remove, seed)
+    [report] = eval_scene_probe(decoder, data, family, cases, (args.remove,), seed)
     if out:
         rnvt.write_json(out, report)
     return {"command": "probe", "mode": "eval", "family": args.family,

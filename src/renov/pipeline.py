@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import os
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -282,15 +283,27 @@ def probe_dataset(data: SceneData, grids: Mapping[int, FeatureGrid], proto: Prob
             for k, (refs, tgt, frac) in enumerate(proto.train_pairs)]
 
 
-def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, grids: Mapping[int, FeatureGrid],
-                     cases: tuple[tuple[tuple[int, ...], int], ...], remove_frac: float,
-                     remove_seed: int) -> dict:
-    """eval_probe report over (refs, target) cases, each cloud thinned by remove_frac."""
-    samples = []
-    for refs, tgt in cases:
-        plane = feature_warp(data, grids, refs, tgt, remove_frac, remove_seed=remove_seed)
-        samples.append((plane, data.views[tgt].rgb, len(refs)))
-    return eval_probe(decoder, samples)
+def train_scene_probe(data: SceneData, family: FeatureFamily, cfg: TrainConfig,
+                      proto: ProbeProtocol) -> tuple[ProbeDecoder, list[float]]:
+    """A probe trained on the protocol's training warps (only their refs featurized), its losses."""
+    grids = unified_grids(data, family, reference_views(proto.train_pairs))
+    return train_probe(probe_dataset(data, grids, proto), cfg)
+
+
+def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, family: FeatureFamily,
+                     cases: tuple[tuple[tuple[int, ...], int], ...],
+                     remove_fracs: Sequence[float] = (0.0,), remove_seed: int = 0) -> list[dict]:
+    """One eval_probe report over (refs, target) cases per fraction, each cloud thinned by it.
+
+    The refs of the cases are featurized once, for every fraction.
+    """
+    grids = unified_grids(data, family, reference_views(cases))
+    reports = []
+    for frac in remove_fracs:
+        samples = [(feature_warp(data, grids, refs, tgt, frac, remove_seed=remove_seed),
+                    data.views[tgt].rgb, len(refs)) for refs, tgt in cases]
+        reports.append(eval_probe(decoder, samples))
+    return reports
 
 
 def probe_scene_run(
@@ -300,9 +313,8 @@ def probe_scene_run(
     proto: ProbeProtocol,
 ):
     """Train a per-scene probe on warped tokens and evaluate its held-out cases."""
-    grids = unified_grids(data, family, reference_views(proto.cases))
-    decoder, curve = train_probe(probe_dataset(data, grids, proto), cfg)
-    report = eval_scene_probe(decoder, data, grids, proto.eval_cases, 0.0, 0)
+    decoder, curve = train_scene_probe(data, family, cfg, proto)
+    [report] = eval_scene_probe(decoder, data, family, proto.eval_cases)
     return decoder, curve, report
 
 
@@ -313,29 +325,41 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: limit the worker's OpenBLAS to one thread.
+@contextmanager
+def _one_blas_thread():
+    """Limit this process's OpenBLAS to one thread while the block runs, then restore its count.
 
-    A forked worker keeps the parent's BLAS thread count, and with one worker
-    per CPU the extra, spin-waiting BLAS threads oversubscribe the CPUs: on 2
-    CPUs an unpinned 2-process pool trained 4 scenes 2.5-8x slower than the
-    serial loop.  The thread count does not change any result.  The library
-    is found among the mapped files, the way threadpoolctl finds it; where
-    there is no /proc or no OpenBLAS, the worker runs as it is.
+    Forked pool workers inherit the count.  With one worker per CPU, extra
+    spin-waiting BLAS threads oversubscribe the CPUs (on 2 CPUs an unpinned
+    2-process pool trained 4 scenes 2.5-8x slower than the serial loop), and a
+    worker cannot set the count itself: after a fork OpenBLAS has no thread
+    server, and the call starts one that spins for about 0.13 CPU-s.  The count
+    changes no result.  The library is found among the mapped files, the way
+    threadpoolctl finds it; with no /proc or no OpenBLAS nothing changes.
     """
     try:
         with open("/proc/self/maps") as f:
             libs = {line.split(maxsplit=5)[5].strip() for line in f if "openblas" in line}
     except OSError:
-        return
-    names = [f"{prefix}openblas_set_num_threads{suffix}"
-             for prefix in ("", "scipy_") for suffix in ("", "64_", "_64")]
+        libs = set()
+    restore = []
     for path in libs:
         lib = ctypes.CDLL(path)
-        setter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+        api = next((f"{prefix}openblas_%s_num_threads{suffix}" for prefix in ("", "scipy_")
+                    for suffix in ("", "64_", "_64")
+                    if hasattr(lib, f"{prefix}openblas_set_num_threads{suffix}")), None)
+        if api is None:
+            continue
+        get, set_ = getattr(lib, api % "get"), getattr(lib, api % "set")
+        get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+        if (threads := get()) != 1:
+            set_(1)
+            restore.append((set_, threads))
+    try:
+        yield
+    finally:
+        for set_, threads in restore:
+            set_(threads)
 
 
 def _map_scenes(job, seeds: list[int]) -> list:
@@ -352,7 +376,7 @@ def _map_scenes(job, seeds: list[int]) -> list:
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [job(seed) for seed in seeds]
     # fork, not spawn: workers inherit the imported modules instead of re-importing numpy
-    with multiprocessing.get_context("fork").Pool(processes, _one_blas_thread) as pool:
+    with _one_blas_thread(), multiprocessing.get_context("fork").Pool(processes) as pool:
         results = pool.map(job, seeds, chunksize=1)
         pool.close()
         pool.join()
@@ -393,13 +417,10 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
     remove_seed seeds the evaluation-time thinning; training pairs keep their own seeds.
     """
     proto = ProbeProtocol.robustness()
-    grids = unified_grids(data, family, reference_views(proto.cases))
-    decoder, _ = train_probe(probe_dataset(data, grids, proto), cfg)
-
-    def psnr_at(frac: float) -> float:
-        return eval_scene_probe(decoder, data, grids, proto.eval_cases, frac, remove_seed)["mean_psnr"]
-
-    return _removal_summary(psnr_at(0.0), {str(f): psnr_at(f) for f in remove_fracs})
+    decoder, _ = train_scene_probe(data, family, cfg, proto)
+    baseline, *removed = (r["mean_psnr"] for r in eval_scene_probe(
+        decoder, data, family, proto.eval_cases, (0.0, *remove_fracs), remove_seed))
+    return _removal_summary(baseline, {str(f): p for f, p in zip(remove_fracs, removed)})
 
 
 def _robustness_scene(family: FeatureFamily, cfg: TrainConfig, suite: SuiteConfig,

@@ -228,3 +228,20 @@ def test_probe_protocol_shapes():
     rob = ProbeProtocol.robustness()
     fracs = {f for _, _, f in rob.train_pairs}
     assert {0.0, 0.3, 0.5} <= fracs
+
+
+def test_eval_fractions_share_one_feature_extraction(monkeypatch):
+    """Removal fractions in one call give one call's report each, from one featurization."""
+    proto, fracs = ProbeProtocol.robustness(), (0.0, 0.3, 0.5)
+    data = render_scene_data(4, SuiteConfig(res=32), pipeline.case_views(proto.cases))
+    family, cases = FeatureFamily("mixed", seed=4), proto.eval_cases
+    decoder, _ = pipeline.train_scene_probe(data, family, TrainConfig(steps=2, hidden=16, c_red=8),
+                                            proto)
+    calls, extract = [], pipeline.extract_features
+    monkeypatch.setattr(pipeline, "extract_features",
+                        lambda view, *args: calls.append(view) or extract(view, *args))
+    reports = pipeline.eval_scene_probe(decoder, data, family, cases, fracs, 4)
+    assert len(calls) == len(pipeline.reference_views(cases))
+    assert reports == [pipeline.eval_scene_probe(decoder, data, family, cases, (f,), 4)[0]
+                       for f in fracs]
+    assert reports[0] != reports[1] != reports[2]

@@ -10,6 +10,12 @@ warning, and an exit-2 run prints exactly one stderr line.  A command opens only
 the views it reads, and every view it reads is checked alike, so the files of
 view 7 stand for all views: it is a reference of `warp`, `condition` and every
 `probe eval` case, and view a of `analyze corr`.
+
+The exit code is also held to what the damage did, judged by decoding the
+original and the damaged bytes, not by the damage's name: a tensor file that
+no longer decodes, or decodes to another dtype or shape, or to NaN or inf in
+a float tensor, makes every command that reads it exit 2.  Only `probe eval`
+reads the checkpoint, so the other commands exit 0 whatever befalls it.
 """
 
 import json
@@ -22,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renov import rnvt
+from renov.errors import InputError
 
 TENSOR_DAMAGES = ("truncate", "flip", "nonfinite", "huge", "swap_float", "add_dim",
                   "permute_dims")
@@ -38,14 +45,30 @@ def saved(fuzz_inputs, tmp_path_factory):
     return scene, ckpt, tmp_path_factory.mktemp("damage_out"), files
 
 
-def _commands(scene: Path, ckpt: Path, out: Path) -> list[list[str]]:
+def _commands(scene: Path, ckpt: Path, out: Path) -> list[tuple[list[str], bool]]:
+    """Each command's argv and whether it reads the checkpoint."""
     s = str(scene)
     return [
-        ["warp", "--scene", s, "--refs", "7,9", "--target", "8", "--out", str(out / "warp")],
-        ["condition", "--scene", s, "--refs", "7,9", "--target", "8", "--out", str(out / "cond")],
-        ["analyze", "corr", "--scene", s, "--view-a", "7", "--view-b", "8", "--r-far", "2"],
-        ["--seed", "1", "probe", "eval", "--scene", s, "--ckpt", str(ckpt)],
+        (["warp", "--scene", s, "--refs", "7,9", "--target", "8", "--out", str(out / "warp")],
+         False),
+        (["condition", "--scene", s, "--refs", "7,9", "--target", "8", "--out",
+          str(out / "cond")], False),
+        (["analyze", "corr", "--scene", s, "--view-a", "7", "--view-b", "8", "--r-far", "2"],
+         False),
+        (["--seed", "1", "probe", "eval", "--scene", s, "--ckpt", str(ckpt)], True),
     ]
+
+
+def _refused(original: bytes, damaged: bytes) -> bool:
+    """Whether damaged tensor bytes no longer decode, or decode to another dtype or shape than
+    the original, or to NaN or inf in a float tensor: damage every reader must refuse."""
+    before = rnvt.decode_tensor(original)
+    try:
+        after = rnvt.decode_tensor(damaged)
+    except InputError:
+        return True
+    return (after.dtype != before.dtype or after.shape != before.shape
+            or (after.dtype.kind == "f" and not np.isfinite(after).all()))
 
 
 def _key_paths(doc, prefix=()):
@@ -118,11 +141,15 @@ def test_damaged_file_exits_0_or_2(saved, checked_run, data):
     damage = data.draw(st.sampled_from(JSON_DAMAGES if path.suffix == ".json"
                                        else TENSOR_DAMAGES), label="damage")
     original = path.read_bytes()
-    path.write_bytes(_damaged_bytes(path, original, damage, data.draw))
+    damaged = _damaged_bytes(path, original, damage, data.draw)
+    refused = path.suffix == ".rnvt" and _refused(original, damaged)
+    path.write_bytes(damaged)
     try:
-        for argv in _commands(scene, ckpt, out):
+        for argv, reads_ckpt in _commands(scene, ckpt, out):
             code, err, caught = checked_run(*argv)
-            assert code in (0, 2), (path.name, damage, argv)
+            reads = reads_ckpt or path.parent != ckpt
+            expected = (2,) if reads and refused else (0, 2) if reads else (0,)
+            assert code in expected, (path.name, damage, argv, code, err)
             assert not caught, (path.name, damage, argv, caught)
             assert code == 0 or len(err) == 1, (path.name, damage, argv, err)
     finally:

@@ -1,8 +1,12 @@
 """The multi-scene protocols fan scenes out over a fork pool; results must equal the serial loop."""
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,3 +140,58 @@ def test_scene_protocols_render_only_the_views_they_open(monkeypatch, no_pool):
     rendered.clear()
     robustness_run([5, 6], fam, cfg, SUITE, remove_fracs=(0.5,))
     assert len(rendered) == 2 * 13
+
+
+BLAS_THREADS = """
+import ctypes, json, os
+import numpy as np
+from renov import pipeline
+
+os.sched_getaffinity = lambda pid: {0, 1}  # a two-process pool whatever the machine holds
+
+
+def blas_threads():
+    libs = {line.split(maxsplit=5)[5].strip() for line in open("/proc/self/maps")
+            if "openblas" in line}
+    counts = []
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads_64"):
+            if hasattr(lib, name):
+                counts.append(getattr(lib, name)())
+                break
+    return counts
+
+
+def job(seed):
+    a = np.ones((300, 300))
+    a @ a  # a product big enough for a multi-threaded BLAS to start its threads
+    return len(os.listdir("/proc/self/task")), os.getpid()
+
+
+before = blas_threads()
+results = pipeline._map_scenes(job, [0, 1])
+print(json.dumps({"before": before, "after": blas_threads(), "results": results,
+                  "parent": os.getpid()}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_pool_workers_run_one_os_thread():
+    """Workers inherit one BLAS thread from the parent, so none starts a thread server.
+
+    The parent's BLAS is left unpinned by the environment, as in a library
+    call, and its thread count is the same after the pool as before.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert all(pid != out["parent"] for _, pid in out["results"]), "the jobs ran inline"
+    assert [threads for threads, _ in out["results"]] == [1, 1]
+    assert out["after"] == out["before"]
