@@ -11,13 +11,14 @@ A scene bundle is a directory with deterministic, atomically written files:
 
 load_scene_bundle reads scene.json and the views a caller names into the
 pipeline's SceneData in one call, checking every field it parses and every
-view it reads against this layout: the dtype, the shape camera.json gives,
-rgb in [0, 1], depth finite and >= 0, pointmap coordinates and the
-normalization box in [-WORLD_HALF, WORLD_HALF]^3.  A view it does not read
-is not opened.
-Pointmap validity is recovered from depth > 0.  load_decoder checks each
-checkpoint parameter alike: float64, the manifest's shape, finite and in
-float32 range.  A violation is an InputError naming the file.
+view it reads against this layout.  A saved number passes errors.is_int or
+is_real and is never coerced.  A tensor must have its dtype, the shape
+camera.json gives, rgb in [0, 1], depth finite and >= 0, pointmap coordinates
+and the normalization box in [-WORLD_HALF, WORLD_HALF]^3.  A view it does not
+read is not opened.  Pointmap validity is recovered from depth > 0.
+load_decoder checks each checkpoint parameter alike: float64, the manifest's
+shape, finite and in float32 range.  A violation is an InputError naming the
+file.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, is_int
+from .errors import InputError, NumericalError, is_int, is_real, is_reals
 
 ORTHONORMAL_TOL = 1e-6
 # a narrower view has a focal length over 5e4 image widths; as the field of view nears 0,
@@ -40,8 +40,10 @@ class CameraPose:
         if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
             raise InputError("world_to_camera bottom row must be (0,0,0,1)")
         for name in ("fx", "fy", "cx", "cy"):
-            if not np.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_real(value):
+                raise InputError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name in ("width", "height"):
             value = getattr(self, name)
             if not is_int(value):
@@ -107,21 +109,14 @@ class CameraPose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraPose":
+        """Parse to_dict's output; the values are checked instead of coerced."""
         for field in ("extrinsic", "fx", "fy", "cx", "cy", "width", "height"):
             if field not in d:
                 raise InputError(f"camera json missing field '{field}'")
-        ext = np.asarray(d["extrinsic"], dtype=np.float64)
-        if ext.size != 16:
-            raise InputError("camera json field 'extrinsic' must hold 16 numbers")
-        return cls(
-            ext.reshape(4, 4),
-            float(d["fx"]),
-            float(d["fy"]),
-            float(d["cx"]),
-            float(d["cy"]),
-            d["width"],
-            d["height"],
-        )
+        if not is_reals(d["extrinsic"], 16):
+            raise InputError("camera json field 'extrinsic' must hold 16 finite numbers")
+        return cls(np.reshape(d["extrinsic"], (4, 4)), d["fx"], d["fy"], d["cx"], d["cy"],
+                   d["width"], d["height"])
 
 
 def intrinsics_from_fov(fov_deg: float, width: int, height: int) -> tuple[float, float, float, float]:

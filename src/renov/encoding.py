@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_reals
 from .geometry import FeatureGrid, WarpedPlane
 
 log = logging.getLogger(__name__)
@@ -87,7 +87,11 @@ class NormalizationTransform:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationTransform":
-        return cls(np.asarray(d["center"]), np.asarray(d["half_extent"]))
+        """Parse to_dict's output; the values are checked instead of coerced."""
+        for name in ("center", "half_extent"):
+            if not is_reals(d[name], 3):
+                raise InputError(f"{name} must be three finite numbers, got {d[name]!r}")
+        return cls(d["center"], d["half_extent"])
 
 
 def normalize_coords(coords: np.ndarray, t: NormalizationTransform, valid: np.ndarray | None = None) -> np.ndarray:

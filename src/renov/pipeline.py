@@ -77,9 +77,12 @@ class SceneData:
         object.__setattr__(self, "views", _Views(sorted(self.views.items())))
 
 
-def check_views(views: Iterable[int] | None, n_views: int, label: str = "view") -> list[int]:
+def check_views(views: Iterable[int] | None, n_views: int, label: str = "view"
+                ) -> Sequence[int]:
     """The distinct views (None: all), ascending, each checked to index an arc of n_views views."""
-    views = sorted(set(range(n_views) if views is None else views))
+    if views is None:  # all of them: already distinct, ascending and in range, built lazily
+        return range(n_views)
+    views = sorted(set(views))
     for i in views:
         if not 0 <= i < n_views:
             raise InputError(f"{label} index {i} out of range for an arc of {n_views} views")

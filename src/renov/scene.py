@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .camera import CameraPose, look_at
-from .errors import InputError, is_int
+from .errors import InputError, is_int, is_real, is_reals
 from .geometry import Pointmap
 
 WORLD_HALF = 5.0  # scene box is [-WORLD_HALF, WORLD_HALF]^3
@@ -100,13 +100,12 @@ class SceneSpec:
         if not isinstance(self.include_room, bool):
             raise InputError(f"include_room must be true or false, got {self.include_room!r}")
         cr = self.cell_range
-        if not (isinstance(cr, (tuple, list)) and len(cr) == 2 and all(map(_is_real, cr))
-                and 0 < cr[0] <= cr[1]):
+        if not (is_reals(cr, 2) and 0 < cr[0] <= cr[1]):
             raise InputError(f"cell_range must be two finite numbers with 0 < lo <= hi, got {cr!r}")
         object.__setattr__(self, "cell_range", tuple(cr))  # a JSON list becomes a tuple
         for name in ("checker_prob", "shading"):
             value = getattr(self, name)
-            if not _is_real(value) or not 0.0 <= value <= 1.0:
+            if not is_real(value) or not 0.0 <= value <= 1.0:
                 raise InputError(f"{name} must be in [0, 1], got {value!r}")
         if not is_int(self.palette_size):
             raise InputError(f"palette_size must be an integer, got {self.palette_size!r}")
@@ -128,12 +127,6 @@ class SceneSpec:
             palette_size=d["palette_size"],
             shading=d["shading"],
         )
-
-
-def _is_real(value) -> bool:
-    """A finite int or float, bools excluded."""
-    return (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -507,7 +500,7 @@ def make_camera_arc(
     radius: float,
     fov_deg: float,
     res: tuple[int, int],
-    span_deg: float = 60.0,
+    span_deg: float,
 ) -> list[CameraPose]:
     """n cameras on a horizontal arc of the given angular span, all aimed at the scene center."""
     if n < 2:

@@ -80,3 +80,16 @@ def test_json_missing_field_named():
     del d["fx"]
     with pytest.raises(InputError, match="fx"):
         CameraPose.from_dict(d)
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value) for field in ("fx", "fy", "cx", "cy") for value in (True, "55.4", None)
+] + [("extrinsic", "1"), ("extrinsic", True)])
+def test_camera_from_dict_checks_instead_of_coercing(field, value):
+    d = look_at((1, 0, -4.0), (0, 0, 0.0), 55.0, 32, 24).to_dict()
+    if field == "extrinsic":
+        d["extrinsic"][15] = value  # the bottom row's 1.0, which either value would coerce to
+    else:
+        d[field] = value
+    with pytest.raises(InputError, match=f"{field}'? must (be a|hold 16) finite number"):
+        CameraPose.from_dict(d)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -529,6 +530,7 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
     rnvt.write_tensor(u8_b1 / "mlp_b1.rnvt", np.zeros(128, dtype=np.uint8))
     evaluate = ["--seed", "1", "probe", "eval", "--scene", str(small_bundle), "--ckpt"]
     camera_3 = os.path.join(view_3, "camera.json")
+    center = rnvt.read_json(small_bundle / "scene.json")["normalization"]["center"]
     bad_values = [  # (damaged bundle, file its message names)
         (damaged_view("inf_width", "camera.json", lambda d: dict(d, width=float("inf"))), camera_3),
         (damaged_view("frac_width", "camera.json", lambda d: dict(d, width=d["width"] + 0.7)),
@@ -536,11 +538,14 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         (damaged_view("nan_fx", "camera.json", lambda d: dict(d, fx=float("nan"))), camera_3),
         (damaged_view("inf_cx", "camera.json", lambda d: dict(d, cx=float("inf"))), camera_3),
         (damaged_view("huge_fx", "camera.json", lambda d: dict(d, fx=10**400)), camera_3),
+        (damaged_view("true_fx", "camera.json", lambda d: dict(d, fx=True)), camera_3),
         (damaged_normalization("nan_center", "center", [float("nan"), 0.0, 0.0]),
          "scene.json: field 'normalization'"),
         (damaged_normalization("inf_half", "half_extent", [float("inf"), 1.0, 1.0]),
          "scene.json: field 'normalization'"),
         (damaged_normalization("huge_center", "center", [10**400, 0, 0]),
+         "scene.json: field 'normalization'"),
+        (damaged_normalization("word_center", "center", [str(v) for v in center]),
          "scene.json: field 'normalization'"),
         (damaged_spec("word_room", "include_room", "no"), "scene.json: field 'spec'"),
         (damaged_spec("word_cells", "cell_range", "ab"), "scene.json: field 'spec'"),
@@ -625,6 +630,20 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error:") and name in err
+
+
+def test_a_huge_n_views_costs_no_work_per_claimed_view(small_bundle, capsys, tmp_path):
+    """features loads every view; a damaged n_views of 10**18 fails at the first missing view."""
+    scene = tmp_path / "scene"
+    shutil.copytree(small_bundle, scene)
+    rnvt.write_json(scene / "scene.json",
+                    dict(rnvt.read_json(scene / "scene.json"), n_views=10**18))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "features", "--scene", str(scene), "--out",
+                             str(tmp_path / "f"))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and os.path.join("views", "view_016") in err
 
 
 # A flag value the library rejects where it first uses it: (argv with {scene}/{out}, field named)

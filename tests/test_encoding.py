@@ -113,6 +113,15 @@ def test_transform_json_roundtrip():
     np.testing.assert_array_equal(back.half_extent, t.half_extent)
 
 
+@pytest.mark.parametrize("field", ["center", "half_extent"])
+@pytest.mark.parametrize("value", ["0", True])
+def test_transform_from_dict_checks_instead_of_coercing(field, value):
+    d = NormalizationTransform([0.5, -1.0, 2.0], [1.0, 2.0, 3.0]).to_dict()
+    d[field][1] = value
+    with pytest.raises(InputError, match=f"{field} must be three finite numbers"):
+        NormalizationTransform.from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # condition planes
 

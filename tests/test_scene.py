@@ -187,7 +187,7 @@ def test_room_scene_full_coverage():
 def test_arc_needs_two_cameras():
     scene = generate_scene(1, SceneSpec())
     with pytest.raises(InputError):
-        make_camera_arc(scene, 1, 6.0, 55.0, (16, 16))
+        make_camera_arc(scene, 1, 6.0, 55.0, (16, 16), 60.0)
 
 
 def test_arc_middle_camera_axis_through_center():
@@ -513,6 +513,9 @@ def test_render_skips_quad_off_screen():
     ("shading", float("inf")), ("shading", -0.1),
     ("palette_size", 2.5), ("palette_size", "3"),
     ("n_quads", 1025), ("palette_size", 65),  # past MAX_QUADS and MAX_PALETTE
+    # ints past float range
+    pytest.param("checker_prob", 10**400, id="checker_prob-huge_int"),
+    pytest.param("cell_range", [0.3, 10**400], id="cell_range-huge_int"),
 ])
 def test_spec_from_dict_checks_instead_of_coercing(field, value):
     doc = dict(SceneSpec().to_dict(), **{field: value})
