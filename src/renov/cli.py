@@ -197,10 +197,13 @@ def cmd_condition(args) -> dict:
 def cmd_analyze(args) -> dict:
     out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
-    if args.save_maps < 0:
-        raise InputError(f"--save-maps must be >= 0, got {args.save_maps}")
     flags = {"--view-a": (args.view_a,)}
     if args.metric != "lds":  # the only metric of a single view
+        if args.save_maps < 0:
+            raise InputError(f"--save-maps must be >= 0, got {args.save_maps}")
+        if args.save_maps and out is None:
+            raise InputError(f"--save-maps {args.save_maps} writes its maps under --out, "
+                             "but no --out is given")
         flags["--view-b"] = (args.view_b,)
     data = bundle.load_scene_bundle(args.scene, args.patch, _flag_views(flags))
     grids = local_grids(data, _family_from(args, seed))  # the loaded views, each once
@@ -341,10 +344,17 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser (and, by inheritance, its subparsers) whose usage errors are InputErrors."""
+    """A parser (and, by inheritance, its subparsers) whose usage errors are InputErrors; a flag
+    a leaf command does not take is named with that command, as in `renov analyze lds`."""
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,32 +405,43 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reducer_flags(p)
     p.set_defaults(func=cmd_condition)
 
-    p = sub.add_parser("analyze", help="correspondence and self-similarity reports")
-    p.add_argument("metric", choices=["corr", "semcorr", "lds"])
-    p.add_argument("--scene", required=True)
-    p.add_argument("--view-a", type=int, default=2)
-    p.add_argument("--view-b", type=int, default=5)
-    p.add_argument("--tau", type=int, default=TAU)
-    p.add_argument("--queries", type=int, default=NUM_QUERIES)
-    p.add_argument("--r-local", type=int, default=R_LOCAL)
-    p.add_argument("--r-far", type=int, default=R_FAR)
-    p.add_argument("--out", default=None)
-    p.add_argument("--save-maps", type=int, default=0,
-                   help="export up to N similarity maps as PGM")
-    _add_family_flags(p)
-    p.set_defaults(func=cmd_analyze)
+    # one parser per mode, holding exactly the flags the mode reads; flags follow the mode
+    metrics = sub.add_parser("analyze", help="correspondence and self-similarity reports"
+                             ).add_subparsers(dest="metric", required=True)
+    corr = metrics.add_parser("corr", help="geometric correspondence PCK of two views")
+    semcorr = metrics.add_parser("semcorr", help="semantic correspondence PCK of two views")
+    lds = metrics.add_parser("lds", help="local-distant self-similarity of one view")
+    for p in (corr, semcorr, lds):
+        p.add_argument("--scene", required=True)
+        p.add_argument("--view-a", type=int, default=2)
+        p.add_argument("--out", default=None)
+        _add_family_flags(p)
+        p.set_defaults(func=cmd_analyze)
+    for p in (corr, semcorr):
+        p.add_argument("--view-b", type=int, default=5)
+        p.add_argument("--queries", type=int, default=NUM_QUERIES)
+        p.add_argument("--save-maps", type=int, default=0,
+                       help="export up to N similarity maps as PGM under --out")
+    corr.add_argument("--tau", type=int, default=TAU)
+    lds.add_argument("--r-local", type=int, default=R_LOCAL)
+    lds.add_argument("--r-far", type=int, default=R_FAR)
 
-    p = sub.add_parser("probe", help="train or evaluate the reconstruction probe")
-    p.add_argument("mode", choices=["train", "eval"])
-    p.add_argument("--scene", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--views", type=int, default=0, choices=[0, 1, 2, 3],
-                   help="evaluate only this reference-view count (0 = all)")
-    p.add_argument("--remove", type=float, default=0.0)
-    p.add_argument("--out", default=None)
-    _add_family_flags(p)
-    _add_probe_flags(p)
-    p.set_defaults(func=cmd_probe)
+    modes = sub.add_parser("probe", help="train or evaluate the reconstruction probe"
+                           ).add_subparsers(dest="mode", required=True)
+    train = modes.add_parser("train", help="train a probe and save its checkpoint")
+    evaluate = modes.add_parser("eval", help="score a checkpoint on its scene's evaluation cases")
+    for p in (train, evaluate):
+        p.add_argument("--scene", required=True)
+        p.add_argument("--ckpt", required=True)
+        _add_family_flags(p)
+        p.set_defaults(func=cmd_probe)
+    _add_probe_flags(train)
+    evaluate.add_argument("--views", type=int, default=0,
+                          help="evaluate only this reference-view count (0 = all)")
+    evaluate.add_argument("--remove", type=float, default=0.0)
+    evaluate.add_argument("--out", default=None)
+    evaluate.add_argument("--steps", type=int, default=TrainConfig.steps,
+                          help="read by nothing: the checkpoint fixes its training")
 
     p = sub.add_parser("robustness", help="probe quality under point-cloud removal")
     p.add_argument("--scene", required=True)

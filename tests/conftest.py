@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from renov.camera import CameraPose, look_at
-from renov.cli import main
+from renov.cli import build_parser, main
 from renov.pipeline import SceneData, SuiteConfig, render_scene_data
 
 
@@ -57,3 +58,18 @@ def fuzz_inputs(tmp_path_factory):
     assert checked_run("--seed", "1", "probe", "train", "--scene", str(scene), "--ckpt", str(ckpt),
                        "--family", "mixed", "--steps", "3")[0] == 0
     return scene, ckpt
+
+
+def _leaves(parser: argparse.ArgumentParser, words=()) -> dict[str, argparse.ArgumentParser]:
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {" ".join(words): parser}
+    return {name: leaf for action in subparsers for word, sub in action.choices.items()
+            for name, leaf in _leaves(sub, (*words, word)).items()}
+
+
+@pytest.fixture(scope="session")
+def cli_leaves() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each leaf command (a command, or a command and its mode) by its words, such
+    as "features" or "analyze lds": the parsers that hold the flags."""
+    return _leaves(build_parser())

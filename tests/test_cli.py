@@ -121,6 +121,7 @@ def test_analysis_reducer_condition_and_removal_flags_default_to_the_library():
     assert (analyze.queries == geometric["num_queries"] == analysis.NUM_QUERIES
             == defaults(analysis.semantic_correspondence_score)["num_queries"])
     lds = defaults(analysis.lds_score)
+    analyze = ap.parse_args(["analyze", "lds", "--scene", "s"])
     assert (analyze.r_local, analyze.r_far) == (lds["r_local"], lds["r_far"])
     assert (lds["r_local"], lds["r_far"]) == (analysis.R_LOCAL, analysis.R_FAR)
     reducer = (pipeline.REDUCER_C_RED, pipeline.REDUCER_SEED)
@@ -305,12 +306,13 @@ def test_probe_train_eval_cycle(small_bundle, capsys, tmp_path):
 
 def test_cli_probe_and_robustness_match_library(small_bundle, capsys, tmp_path):
     """The CLI runs the library's protocol: equal PSNRs on the same loaded scene."""
-    ck, flags = tmp_path / "ck", ["--scene", str(small_bundle), "--steps", "20", "--attn"]
-    assert run_cli(capsys, "--seed", "5", "probe", "train", "--ckpt", str(ck), *flags)[0] == 0
-    code, out, _ = run_cli(capsys, "--seed", "5", "probe", "eval", "--ckpt", str(ck), *flags)
+    ck, scene, train = tmp_path / "ck", ["--scene", str(small_bundle)], ["--steps", "20", "--attn"]
+    code, _, _ = run_cli(capsys, "--seed", "5", "probe", "train", "--ckpt", str(ck), *scene, *train)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "--seed", "5", "probe", "eval", "--ckpt", str(ck), *scene)
     assert code == 0
     code, _, _ = run_cli(capsys, "--seed", "5", "robustness", "--out", str(tmp_path / "r.json"),
-                         *flags)
+                         *scene, *train)
     assert code == 0
 
     data = bundle.load_scene_bundle(small_bundle, 8)
@@ -436,7 +438,7 @@ flow = [
     g + ["analyze", "semcorr", "--scene", scene],
     g + ["analyze", "lds", "--scene", scene, "--r-far", "2"],  # a 3x3 token grid
     g + ["probe", "train", "--scene", scene, "--ckpt", ckpt, "--attn"] + steps,
-    g + ["probe", "eval", "--scene", scene, "--ckpt", ckpt] + steps,
+    g + ["probe", "eval", "--scene", scene, "--ckpt", ckpt],
     g + ["robustness", "--scene", scene] + steps,
 ]
 codes = [main(argv) for argv in flow]
@@ -678,6 +680,11 @@ BAD_FLAG_VALUES = [
     (["features", "--scene", "{scene}", "--out", "{out}", "--sigma", "inf"], "sigma"),
     (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--lr", "nan"], "learning_rate"),
     (["probe", "train", "--scene", "{scene}", "--ckpt", "{out}", "--lr", "inf"], "learning_rate"),
+    # the evaluation cases own the reference counts --views selects (1, 2 and 3; 0 is all)
+    (["probe", "eval", "--scene", "{scene}", "--ckpt", "{out}", "--views", "4"],
+     "--views 4 selects no evaluation case"),
+    (["probe", "eval", "--scene", "{scene}", "--ckpt", "{out}", "--views", "-1"],
+     "--views -1 selects no evaluation case"),
     (["features", "--scene", "{scene}", "--out", "{out}", "--family", "random", "--freqs", "0"],
      "num_freqs"),
     (["warp", "--scene", "{scene}", "--refs", "0", "--target", "1", "--payload", "features",
@@ -791,8 +798,9 @@ def test_probe_eval_checks_checkpoint_scene(small_bundle, small_ckpt, capsys, tm
         assert f"trained on scene {json.dumps(value)}" in err
 
 
-def test_every_cli_flag_is_read(small_bundle, tmp_path):
-    """Each flag a subcommand accepts is read by some run of that subcommand."""
+def test_every_cli_flag_is_read(small_bundle, small_ckpt, tmp_path, cli_leaves):
+    """Each flag a leaf command (a command, or a command and its mode) accepts is read by its run;
+    `warp` unions its two payloads, and one flag is named unread."""
     reads = set()
 
     class RecordingNamespace(argparse.Namespace):
@@ -808,17 +816,18 @@ def test_every_cli_flag_is_read(small_bundle, tmp_path):
                   "--out", str(d / f"w_{payload}")] for payload in ("rgb", "features")],
         "condition": [["condition", "--scene", s, "--refs", "0", "--target", "1",
                        "--out", str(d / "c")]],
-        "analyze": [["analyze", metric, "--scene", s, "--out", str(d / metric)]
-                    for metric in ("corr", "semcorr", "lds")],
-        "probe": [["probe", mode, "--scene", s, "--ckpt", str(d / "ck"), "--steps", "2"]
-                  for mode in ("train", "eval")],
+        **{f"analyze {metric}": [["analyze", metric, "--scene", s, "--out", str(d / metric)]]
+           for metric in ("corr", "semcorr", "lds")},
+        "probe train": [["probe", "train", "--scene", s, "--ckpt", str(d / "ck"), "--steps", "2"]],
+        "probe eval": [["probe", "eval", "--scene", s, "--ckpt", str(small_ckpt)]],
         "robustness": [["robustness", "--scene", s, "--steps", "2"]],
     }
+    # the checkpoint fixes its training; bench/workloads.py still passes it (ROADMAP item 11)
+    unread = {"probe eval": {"steps"}}
+    assert set(runs) == set(cli_leaves)
     ap = cli.build_parser()
-    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(runs) == set(subparsers.choices)
     global_dests = {a.dest for a in ap._actions if a.option_strings and a.dest != "help"}
-    for command, argvs in runs.items():
+    for leaf, argvs in runs.items():
         read = set()
         for argv in argvs:
             args = ap.parse_args(["--seed", "1", "--threads", "1", *argv],
@@ -826,9 +835,65 @@ def test_every_cli_flag_is_read(small_bundle, tmp_path):
             reads.clear()
             args.func(args)
             read |= reads
-        dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
-        dests |= global_dests - ({"threads"} if command != "scene-gen" else set())
-        assert dests <= read, f"{command} never reads {sorted(dests - read)}"
+        dests = {a.dest for a in cli_leaves[leaf]._actions if a.dest != "help"}
+        dests |= global_dests - ({"threads"} if leaf != "scene-gen" else set())
+        dests -= unread.get(leaf, set())
+        assert dests <= read, f"{leaf} never reads {sorted(dests - read)}"
+
+
+UNTAKEN_FLAGS = [  # (a leaf command, a flag it does not take, with its value): exit 2
+    (["analyze", "corr"], ["--r-local", "1"]),
+    (["analyze", "corr"], ["--r-far", "4"]),
+    (["analyze", "semcorr"], ["--tau", "3"]),
+    (["analyze", "semcorr"], ["--r-local", "1"]),
+    (["analyze", "semcorr"], ["--r-far", "9"]),
+    (["analyze", "lds"], ["--view-b", "5"]),
+    (["analyze", "lds"], ["--tau", "1"]),
+    (["analyze", "lds"], ["--queries", "16"]),
+    (["analyze", "lds"], ["--save-maps", "2"]),
+    (["probe", "train"], ["--views", "1"]),
+    (["probe", "train"], ["--remove", "0.5"]),
+    (["probe", "train"], ["--out", "{out}"]),
+    (["probe", "eval"], ["--c-red", "16"]),
+    (["probe", "eval"], ["--lr", "5"]),
+    (["probe", "eval"], ["--batch", "2"]),
+    (["probe", "eval"], ["--hidden", "64"]),
+    (["probe", "eval"], ["--attn"]),
+]
+
+
+@pytest.mark.parametrize("leaf,flag", UNTAKEN_FLAGS,
+                         ids=[" ".join(leaf + flag[:1]) for leaf, flag in UNTAKEN_FLAGS])
+def test_a_flag_the_mode_does_not_take_exits_2(small_bundle, small_ckpt, capsys, tmp_path,
+                                               monkeypatch, leaf, flag):
+    """A flag the mode would never read is rejected by its parser, naming the flag and the mode."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started work")
+
+    monkeypatch.setattr(bundle, "load_scene_bundle", no_work)
+    out = tmp_path / "out"
+    ckpt = ["--ckpt", str(small_ckpt if leaf[1] == "eval" else out)] if leaf[0] == "probe" else []
+    code, stdout, err = run_cli(capsys, *leaf, "--scene", str(small_bundle), *ckpt,
+                                *[a.format(out=out) for a in flag])
+    assert (code, stdout) == (2, "")
+    assert err.strip().splitlines() == [
+        f"input error: renov {' '.join(leaf)}: unrecognized arguments: "
+        f"{' '.join(flag).format(out=out)}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric", ["corr", "semcorr"])
+def test_save_maps_without_out_exits_2_before_any_read(small_bundle, capsys, monkeypatch, metric):
+    """Maps are written under --out only, so --save-maps N > 0 without it would write none."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("the bundle was read")
+
+    monkeypatch.setattr(bundle, "load_scene_bundle", no_read)
+    code, out, err = run_cli(capsys, "analyze", metric, "--scene", str(small_bundle),
+                             "--save-maps", "4")
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("input error: --save-maps 4") and "--out" in err
 
 
 def test_robustness_checks_remove_before_training(small_bundle, capsys, monkeypatch):

@@ -14,7 +14,11 @@ view 7 stand for all views: it is a reference of `warp`, `condition` and every
 The exit code is also held to what the loaders say of the damaged tree, so the
 fuzzer keeps no copy of their rules: when `load_scene_bundle` (scene.json and
 view 7) or `load_decoder` refuses it, every command that reads the damaged file
-exits 2; when they accept it, such a command exits 0 or 2.  Only `probe eval`
+exits 2; when they accept it, such a command exits 0 or 2.  Two damages are
+refused whatever the loaders say, because neither the bundle format nor the
+checkpoint format allows them: a dtype change (`swap_float`, and `nonfinite` on
+an integer tensor) and NaN or inf in a float tensor (`nonfinite`), so a loader
+that loses its dtype or value check fails the fuzzer.  Only `probe eval`
 reads the checkpoint, so the other commands exit 0 whatever befalls it.
 """
 
@@ -33,6 +37,7 @@ from renov.pipeline import PATCH
 
 TENSOR_DAMAGES = ("truncate", "flip", "nonfinite", "huge", "swap_float", "add_dim",
                   "permute_dims")
+REFUSED = ("nonfinite", "swap_float")  # a dtype change or NaN/inf: no file format allows either
 JSON_DAMAGES = ("truncate", "flip", "drop_field", "retype_field")
 RETYPED = (None, "x", [], {}, True, -7, 0, 2.5, 1e308, math.nan, math.inf, 10**400)
 
@@ -54,8 +59,7 @@ def _commands(scene: Path, ckpt: Path, out: Path) -> list[tuple[list[str], bool]
          False),
         (["condition", "--scene", s, "--refs", "7,9", "--target", "8", "--out",
           str(out / "cond")], False),
-        (["analyze", "corr", "--scene", s, "--view-a", "7", "--view-b", "8", "--r-far", "2"],
-         False),
+        (["analyze", "corr", "--scene", s, "--view-a", "7", "--view-b", "8"], False),
         (["--seed", "1", "probe", "eval", "--scene", s, "--ckpt", str(ckpt)], True),
     ]
 
@@ -145,7 +149,7 @@ def test_damaged_file_exits_0_or_2(saved, checked_run, data):
     damaged = _damaged_bytes(path, original, damage, data.draw)
     path.write_bytes(damaged)
     try:
-        loaded = _loaded(scene, ckpt, path)
+        loaded = damage not in REFUSED and _loaded(scene, ckpt, path)
         for argv, reads_ckpt in _commands(scene, ckpt, out):
             code, err, caught = checked_run(*argv)
             reads = reads_ckpt or path.parent != ckpt

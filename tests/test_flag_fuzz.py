@@ -1,15 +1,17 @@
 """Any value of a numeric flag makes the CLI exit 0, 2, 3 or 4, never a traceback.
 
-Each example draws one command and one of its numeric flags (every `int` or
-`float` argument its parser declares, the global `--seed` and `--threads`
-included, plus `--res`), and a `--family` where the command takes one, and
-runs the command in-process on the fuzzers' saved 32x32 bundle and
-checkpoint (`fuzz_inputs`), with `--steps 2` where it trains.  The value comes from the extremes of the flag's type (0, +-tiny,
-+-huge, nan, inf, 10**400, negatives, and text an int flag cannot parse) or
-from its valid range, 0 to about twice its default.  Run-length flags, whose
-large valid values only run long, draw 0, 1, negatives and the value the
-command runs with otherwise.  No command may emit a Python warning, and an
-exit 2, 3 or 4 prints exactly one stderr line.
+Each example draws one leaf command (a command, or a command and its mode, such
+as `analyze lds`; a test pins the list to the parser's leaves) and one of its
+numeric flags (every `int` or `float` argument the leaf's parser declares, the
+global `--seed` and `--threads` included, plus `--res`), and a `--family` where
+the leaf takes one, and runs the command in-process on the fuzzers' saved 32x32
+bundle and checkpoint (`fuzz_inputs`), with `--steps 2` where it trains.  The
+value comes from the extremes of the flag's type (0, +-tiny, +-huge, nan, inf,
+10**400, negatives, and text an int flag cannot parse) or from its valid range,
+0 to about twice its default.  Run-length flags, whose large valid values only
+run long, draw 0, 1, negatives and the value the command runs with otherwise.
+No command may emit a Python warning, and an exit 2, 3 or 4 prints exactly one
+stderr line.
 """
 
 import argparse
@@ -29,7 +31,7 @@ FLOAT_EXTREMES = ("0", "-0.0", "5e-324", "-5e-324", "1e-300", "-1", "1e18", "-1e
 
 
 def _commands(scene: Path, ckpt: Path, out: Path) -> dict[str, list[str]]:
-    """The argv after the global flags of each fuzzed command; every output lands under out."""
+    """The argv after the global flags of each leaf command; every output lands under out."""
     s = ["--scene", str(scene)]
     return {
         "scene-gen": ["scene-gen", "--out", str(out / "sg")],
@@ -38,6 +40,8 @@ def _commands(scene: Path, ckpt: Path, out: Path) -> dict[str, list[str]]:
                  "--out", str(out / "warp")],
         "condition": ["condition", *s, "--refs", "7,9", "--target", "8", "--out", str(out / "cond")],
         "analyze corr": ["analyze", "corr", *s, "--save-maps", "2", "--out", str(out / "corr")],
+        "analyze semcorr": ["analyze", "semcorr", *s, "--save-maps", "2",
+                            "--out", str(out / "semcorr")],
         "analyze lds": ["analyze", "lds", *s, "--r-far", "2", "--out", str(out / "lds")],
         "probe train": ["probe", "train", *s, "--ckpt", str(out / "ckpt"), "--steps", "2"],
         "probe eval": ["probe", "eval", *s, "--ckpt", str(ckpt), "--out", str(out / "eval.json")],
@@ -50,9 +54,7 @@ def _numeric_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action
             if a.option_strings and (a.type in (int, float) or a.dest == "res")}
 
 
-PARSER = cli.build_parser()
-SUBPARSERS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
-GLOBAL_FLAGS = _numeric_flags(PARSER)
+GLOBAL_FLAGS = _numeric_flags(cli.build_parser())
 
 
 def _value(draw, flag: str, action: argparse.Action, command: list[str]) -> str:
@@ -68,13 +70,19 @@ def _value(draw, flag: str, action: argparse.Action, command: list[str]) -> str:
     return draw(st.sampled_from(FLOAT_EXTREMES) | valid)
 
 
+def test_every_leaf_command_is_fuzzed(cli_leaves):
+    assert set(_commands(Path("scene"), Path("ckpt"), Path("out"))) == set(cli_leaves)
+
+
 @settings(max_examples=250, deadline=None)
 @given(data=st.data())
-def test_numeric_flag_values_exit_cleanly(fuzz_inputs, checked_run, tmp_path_factory, data):
+def test_numeric_flag_values_exit_cleanly(fuzz_inputs, checked_run, cli_leaves, tmp_path_factory,
+                                          data):
     scene, ckpt = fuzz_inputs
     commands = _commands(scene, ckpt, tmp_path_factory.mktemp("flag_out"))
-    command = commands[data.draw(st.sampled_from(sorted(commands)), label="command")]
-    local = _numeric_flags(SUBPARSERS[command[0]])
+    leaf = data.draw(st.sampled_from(sorted(commands)), label="command")
+    command, parser = commands[leaf], cli_leaves[leaf]
+    local = _numeric_flags(parser)
     flag = data.draw(st.sampled_from(sorted(GLOBAL_FLAGS.keys() | local.keys())), label="flag")
     action = GLOBAL_FLAGS.get(flag) or local[flag]
     setting = f"{flag}={_value(data.draw, flag, action, command)}"  # -5e-324 is no flag then
@@ -85,7 +93,7 @@ def test_numeric_flag_values_exit_cleanly(fuzz_inputs, checked_run, tmp_path_fac
         argv[argv.index(flag):argv.index(flag) + 2] = [setting]
     else:
         argv = ["--seed", "1", *command, setting]
-    family = SUBPARSERS[command[0]]._option_string_actions.get("--family")
+    family = parser._option_string_actions.get("--family")
     if family is not None:  # the random family is the only reader of --channels
         argv.append(f"--family={data.draw(st.sampled_from(family.choices), label='family')}")
     code, err, caught = checked_run(*argv)
