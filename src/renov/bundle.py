@@ -193,6 +193,8 @@ def save_feature_set(
 ) -> None:
     """Each view's local, valid and reduced tensors, by arc index; written for inspection only."""
     out = Path(out)
+    # every grid is computed before the first write, so a failing view writes nothing
+    local_grids, reduced_grids = dict(local_grids), dict(reduced_grids)
     out.mkdir(parents=True, exist_ok=True)
     first = next(iter(local_grids))
     manifest = {

@@ -85,8 +85,12 @@ def _out_dir(text: str | None, flag: str) -> Path | None:
     if text is None:
         return None
     path = Path(text)
-    nearest = next(p for p in (path, *path.parents) if p.exists())
-    if not nearest.is_dir():
+    try:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        is_dir = nearest.is_dir()
+    except OSError as e:  # say, a name too long: the OS refuses the path
+        raise InputError(f"{flag} {text} cannot be a directory: {e.strerror}") from e
+    if not is_dir:
         raise InputError(f"{flag} {text} cannot be a directory: {nearest} is a file")
     return path
 
@@ -96,9 +100,13 @@ def _out_file(text: str | None, flag: str) -> Path | None:
     if text is None:
         return None
     path = Path(text)
-    if path.is_dir():
+    try:
+        is_dir, in_dir = path.is_dir(), path.parent.is_dir()
+    except OSError as e:  # say, a name too long: the OS refuses the path
+        raise InputError(f"{flag} {text} cannot be a file: {e.strerror}") from e
+    if is_dir:
         raise InputError(f"{flag} {text} cannot be a file: it is a directory")
-    if not path.parent.is_dir():
+    if not in_dir:
         raise InputError(f"{flag} {text} cannot be a file: {path.parent} is not a directory")
     return path
 
@@ -206,7 +214,8 @@ def cmd_analyze(args) -> dict:
                              "but no --out is given")
         flags["--view-b"] = (args.view_b,)
     data = bundle.load_scene_bundle(args.scene, args.patch, _flag_views(flags))
-    grids = local_grids(data, _family_from(args, seed))  # the loaded views, each once
+    # the loaded views' grids, each once, computed before --out is made
+    grids = dict(local_grids(data, _family_from(args, seed)))
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
@@ -345,12 +354,38 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """A parser (and, by inheritance, its subparsers) whose usage errors are InputErrors; a flag
-    a leaf command does not take is named with that command, as in `renov analyze lds`."""
+    a leaf command does not take is named with that command, as in `renov analyze lds`, and a
+    flag written before the command or mode it belongs after is named as such."""
+
+    modes = None  # the sub-parsers action, in a parser with commands or modes
+    _words = ()  # the words the last parse read
+
+    def add_subparsers(self, **kwargs):
+        self.modes = super().add_subparsers(**kwargs)
+        return self.modes
+
+    def _misplaced_flag(self) -> str | None:
+        """The first word past this parser's own flags and their values, if it is a flag."""
+        own, words = self._option_string_actions, iter(self._words)
+        for word in words:
+            name, eq, _ = word.partition("=")
+            prefixed = {a for s, a in own.items() if s.startswith(name)}  # a unique prefix is one
+            action = own.get(name) or (prefixed.pop() if len(prefixed) == 1 else None)
+            if action is None:
+                return word if word.startswith("--") else None
+            if action.nargs != 0 and not eq:
+                next(words, None)  # its value
+        return None
 
     def error(self, message):
+        if self.modes is not None and (flag := self._misplaced_flag()):
+            noun = "command" if self.modes.dest == "command" else "mode"
+            message = (f"{flag} is written before the {noun}, but flags follow it: "
+                       f"{self.prog} {{{','.join(self.modes.choices)}}} {flag} ...")
         raise InputError(f"{self.prog}: {message}")
 
     def parse_known_args(self, args=None, namespace=None):
+        self._words = sys.argv[1:] if args is None else list(args)
         args, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
@@ -54,16 +54,39 @@ class SuiteConfig:
     n_views: int = 16
 
 
-class _Views(dict):
-    """Views by arc index; reading one that was not loaded is a KeyError naming it."""
+class _OnFirstRead(Mapping):
+    """Values by arc index, fixed keys in order: a key's value is make(key), computed when it is
+    first read and then kept.  Reading a key it does not hold is a KeyError naming the view."""
 
-    def __missing__(self, index):
-        raise KeyError(f"view {index} was not loaded (loaded: {sorted(self)})")
+    def __init__(self, keys: Iterable[int], make: Callable[[int], object]):
+        self._keys = dict.fromkeys(keys)  # each once, in order
+        self._make = make
+        self._values: dict = {}
+
+    def __getitem__(self, index):
+        if index not in self._values:
+            if index not in self._keys:
+                raise KeyError(f"view {index} was not loaded (loaded: {sorted(self._keys)})")
+            self._values[index] = self._make(index)
+        return self._values[index]
+
+    def __contains__(self, index) -> bool:  # without computing the value
+        return index in self._keys
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 @dataclass(frozen=True)
 class SceneData:
-    """A scene on an arc of n_views views, of which `views` holds those loaded, by arc index."""
+    """A scene on an arc of n_views views, of which `views` holds those loaded, by arc index.
+
+    A rendered scene renders each view when it is first read; a mapping of views
+    already at hand is held as it is, in arc order.
+    """
 
     seed: int  # the scene seed: per-scene feature families mix it in
     n_views: int
@@ -74,7 +97,9 @@ class SceneData:
     def __post_init__(self):
         if self.patch < 1:
             raise InputError(f"patch size must be >= 1, got {self.patch}")
-        object.__setattr__(self, "views", _Views(sorted(self.views.items())))
+        if not isinstance(self.views, _OnFirstRead):
+            views = self.views  # already at hand: each read is a lookup
+            object.__setattr__(self, "views", _OnFirstRead(sorted(views), views.__getitem__))
 
 
 def check_views(views: Iterable[int] | None, n_views: int, label: str = "view"
@@ -91,11 +116,14 @@ def check_views(views: Iterable[int] | None, n_views: int, label: str = "view"
 
 def render_scene_data(seed: int, cfg: SuiteConfig, views: Iterable[int] | None = None
                       ) -> SceneData:
-    """The suite scene of `seed` with the views in `views` rendered (default: every view)."""
+    """The suite scene of `seed` holding the views in `views` (default: every view).
+
+    The views are checked now and each is rendered when first read.
+    """
     scene = generate_scene(seed, SCENE_SPEC)
     cams = make_camera_arc(scene, cfg.n_views, ARC_RADIUS, ARC_FOV_DEG, (cfg.res, cfg.res),
                            ARC_SPAN_DEG)
-    views = {i: render_view(scene, cams[i]) for i in check_views(views, cfg.n_views)}
+    views = _OnFirstRead(check_views(views, cfg.n_views), lambda i: render_view(scene, cams[i]))
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
     return SceneData(seed, cfg.n_views, views, transform, PATCH)
 
@@ -106,34 +134,43 @@ def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
 
 
 def local_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
-                ) -> dict[int, FeatureGrid]:
-    """Per-scene t_l by arc index, of each distinct view in `views` (default: every loaded view)."""
+                ) -> Mapping[int, FeatureGrid]:
+    """Per-scene t_l by arc index, of each distinct view in `views` (default: every loaded view).
+
+    Like every grid builder here, it returns a mapping in the order of `views`
+    whose grid of a view is computed when first read and then kept.
+    """
     fam = scene_family(family, data.seed)
-    views = data.views.keys() if views is None else dict.fromkeys(views)
-    return {i: extract_features(data.views[i], fam, data.patch, data.transform) for i in views}
+    return _OnFirstRead(data.views if views is None else views,
+                        lambda i: extract_features(data.views[i], fam, data.patch, data.transform))
+
+
+def _unified(local: Mapping[int, FeatureGrid]) -> Mapping[int, FeatureGrid]:
+    return _OnFirstRead(local, lambda i: concat_global_local(local[i]))
 
 
 def unified_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
-                  ) -> dict[int, FeatureGrid]:
+                  ) -> Mapping[int, FeatureGrid]:
     """T_n of each view in `views` (every loaded view by default): local tokens plus global token."""
-    return {i: concat_global_local(g) for i, g in local_grids(data, family, views).items()}
+    return _unified(local_grids(data, family, views))
 
 
 def reduce_local_grids(local: Mapping[int, FeatureGrid], c_red: int = REDUCER_C_RED,
                        reducer_seed: int = REDUCER_SEED
-                       ) -> tuple[dict[int, FeatureGrid], ChannelReducer]:
+                       ) -> tuple[Mapping[int, FeatureGrid], ChannelReducer]:
     """Each local grid unified and reduced to c_red channels, and the reducer.
 
-    The reducer depends only on the channel count, which every view of a family shares.
+    The reducer depends only on the channel count, which every view of a family
+    shares; it is made from the first view's unified grid, which is computed now.
     """
-    unified = {i: concat_global_local(g) for i, g in local.items()}
-    reducer = ChannelReducer.create(next(iter(unified.values())).channels, c_red, reducer_seed)
-    return {i: reduce_channels(g, reducer) for i, g in unified.items()}, reducer
+    unified = _unified(local)
+    reducer = ChannelReducer.create(unified[next(iter(unified))].channels, c_red, reducer_seed)
+    return _OnFirstRead(unified, lambda i: reduce_channels(unified[i], reducer)), reducer
 
 
 def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int = REDUCER_C_RED,
                   reducer_seed: int = REDUCER_SEED, views: Sequence[int] | None = None
-                  ) -> tuple[dict[int, FeatureGrid], ChannelReducer]:
+                  ) -> tuple[Mapping[int, FeatureGrid], ChannelReducer]:
     """reduce_local_grids over the views in `views` (every loaded view by default)."""
     return reduce_local_grids(local_grids(data, family, views), c_red, reducer_seed)
 
@@ -179,15 +216,15 @@ def rgb_warp(
 
 
 def condition_grids(data: SceneData, grids_red: Mapping[int, FeatureGrid]
-                    ) -> dict[int, FeatureGrid]:
+                    ) -> Mapping[int, FeatureGrid]:
     """Each view's grid with [normalized anchor coords, reduced features] payloads, by arc index."""
-    out = {}
-    for i, grid in grids_red.items():
+    def anchored(i: int) -> FeatureGrid:
         coords, avalid = token_anchors(data.views[i].pointmap, data.patch)
         norm = normalize_coords(coords, data.transform, avalid)
-        out[i] = FeatureGrid(np.concatenate([norm, grid.tokens], axis=2), data.patch,
-                             avalid & grid.valid)
-    return out
+        grid = grids_red[i]
+        return FeatureGrid(np.concatenate([norm, grid.tokens], axis=2), data.patch,
+                           avalid & grid.valid)
+    return _OnFirstRead(grids_red, anchored)
 
 
 def scene_conditions(data: SceneData, family: FeatureFamily, refs: tuple[int, ...], target: int,

@@ -152,6 +152,10 @@ MALFORMED_ARGV = [  # (argv, what the one stderr line names)
     (["--seed", "x", "analyze", "lds", "--scene", "{scene}"], "--seed"),
     ([], "command"),
     (["features", "--scene", "{scene}"], "--out"),
+    # a flag written before the mode or command it belongs after is named as such
+    (["analyze", "--view-a", "3", "lds", "--scene", "{scene}"],
+     "--view-a is written before the mode, but flags follow it"),
+    (["--out", "o", "scene-gen"], "--out is written before the command, but flags follow it"),
 ]
 
 
@@ -1133,14 +1137,32 @@ def test_unwritable_output_exits_2_before_any_work(small_bundle, small_ckpt, cap
     monkeypatch.setattr(cli, "generate_scene", no_work)
     (tmp_path / "file").write_text("x")
     (tmp_path / "dir").mkdir()
-    bad = ["file", os.path.join("file", "sub")] if is_dir else [
-        "dir", os.path.join("file", "x.json"), os.path.join("missing", "x.json")]
+    bad = ["file", os.path.join("file", "sub"), "x" * 300] if is_dir else [
+        "dir", os.path.join("file", "x.json"), os.path.join("missing", "x.json"),
+        "x" * 300 + ".json"]  # a name too long for the OS: its checks raise OSError
     argv = [a.format(scene=small_bundle, ckpt=small_ckpt) for a in argv]
     for path in bad:
         code, out, err = run_cli(capsys, "--seed", "1", *argv, flag, str(tmp_path / path))
         assert code == 2, path
         assert out == "" and len(err.strip().splitlines()) == 1
         assert err.startswith(f"input error: {flag} {tmp_path / path} cannot be a")
+
+
+def test_a_view_that_fails_writes_nothing(small_bundle, capsys, tmp_path):
+    """Views and grids are computed on first read, yet a command computes all it writes before
+    it makes its output directory: a failure in any view leaves no output behind."""
+    scene = tmp_path / "scene"
+    shutil.copytree(small_bundle, scene)
+    depth = scene / "views" / "view_009" / "depth.rnvt"
+    rnvt.write_tensor(depth, np.zeros_like(rnvt.read_tensor(depth)))  # no valid token to pool
+    for argv, message in (
+            (["features", "--scene", str(scene)], "zero valid tokens"),
+            (["analyze", "lds", "--scene", str(scene), "--patch", "7"], "not divisible by patch")):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, ""), argv
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert not out.exists(), argv
 
 
 FLAG_ESCAPES = [  # flag values that once escaped the exit-code contract: (argv, field named)

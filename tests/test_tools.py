@@ -9,9 +9,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_tool(*argv: str) -> str:
-    """stdout of `python tools/<argv>` with src/ first on PYTHONPATH; the tool must exit 0."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def run_tool(*argv: str, **env_vars: str) -> str:
+    """stdout of `python tools/<argv>` with src/ first on PYTHONPATH and env_vars set; the tool
+    must exit 0."""
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / argv[0]), *argv[1:]], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
@@ -28,6 +29,15 @@ def test_cli_digest_hashes_every_file_of_the_cli_flow():
 def test_cli_digest_against_the_same_tree_is_identical():
     out = run_tool("cli_digest.py", "--seed", "0", "--steps", "2", "--against", str(ROOT))
     assert out == "digests identical (167 files)\n"
+
+
+def test_the_blas_thread_count_changes_no_cli_output():
+    """Every file of the CLI flow (64x64, 5 steps; about 1 s a run) is byte-identical whether
+    OpenBLAS runs one thread or two."""
+    one, two = (run_tool("cli_digest.py", "--seed", "0", "--steps", "5", OPENBLAS_NUM_THREADS=n)
+                for n in ("1", "2"))
+    assert len(one.splitlines()) == 167
+    assert one == two
 
 
 def test_layer_time_runs_and_counts_the_source_lines():

@@ -161,9 +161,11 @@ def layer_cases(rv: SimpleNamespace, seed: int):
     p = pipeline.PATCH
     data = {res: pipeline.SceneData(seed, N_VIEWS, dict(enumerate(views[res])), transform, p)
             for res in (64, 128)}
-    # this tree's reducer settings, passed to either tree: an older one may have no defaults
+    # this tree's reducer settings, passed to either tree: an older one may have no defaults.
+    # The grids are read here, where a tree computes them on first read, so no rep extracts.
     grids, _ = pipeline.reduced_grids(data[64], FeatureFamily("mixed"), REDUCER_C_RED,
                                       REDUCER_SEED, WARP_REFS)
+    grids = dict(grids)
     yield ("feature_warp 64x64",
            lambda: pipeline.feature_warp(data[64], grids, WARP_REFS, WARP_TARGET), LAYER_REPS, 1)
     yield ("rgb_warp 128x128",
