@@ -12,6 +12,7 @@ LDS contrasts mean cosine similarity of nearby tokens (Chebyshev distance
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,20 +63,23 @@ def _unit_rows(tokens: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, tokens / np.where(norms > 0, norms, 1.0), 0.0)
 
 
-def _cosine_to_units(query: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Cosine of one query vector against the unit rows _unit_rows made; zero rows score 0."""
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != units.shape[-1]:
-        raise InputError(f"query has {query.shape[0]} channels, grid has {units.shape[-1]}")
-    qn = np.linalg.norm(query)
-    if qn == 0:
+def _query_norms(queries: np.ndarray, units: np.ndarray) -> list[float]:
+    """The norm of each (n, C) float64 query row, checked to have the channels of the unit rows
+    _unit_rows made and to be nonzero.  math.sqrt(q.dot(q)) is np.linalg.norm(q) for a 1-D q."""
+    if queries.shape[1] != units.shape[-1]:
+        raise InputError(f"query has {queries.shape[1]} channels, grid has {units.shape[-1]}")
+    norms = [math.sqrt(q.dot(q)) for q in queries]
+    if 0.0 in norms:
         raise InputError("query vector has zero norm")
-    return units @ (query / qn)
+    return norms
 
 
 def cosine_similarity_map(query: np.ndarray, target: FeatureGrid) -> np.ndarray:
     """Cosine of one query vector against every target token; zero-norm cells score 0."""
-    return _cosine_to_units(query, _unit_rows(target.tokens))
+    query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+    units = _unit_rows(target.tokens)
+    [qn] = _query_norms(query, units)
+    return units @ (query[0] / qn)
 
 
 def _check_queries(grid_a: FeatureGrid, grid_b: FeatureGrid, num_queries: int, tau=0) -> None:
@@ -97,9 +101,12 @@ def _match_queries(grid_a: FeatureGrid, grid_b: FeatureGrid, eligible: np.ndarra
     chosen = rng.choice(eligible, size=n, replace=False)
     units_b = _unit_rows(grid_b.tokens)  # once per score, not per query
     queries = grid_a.tokens.reshape(-1, grid_a.channels).take(chosen, axis=0)
+    sims = np.empty((n, *grid_b.resolution))
     # per query, the (Ht, Wt)-shaped product: a flat (Ht * Wt, C) gemv rounds rows differently
     # unless Wt is a multiple of 4
-    sims = np.array([_cosine_to_units(q, units_b) for q in queries]).reshape(n, -1)
+    for q, qn, out in zip(queries, _query_norms(queries, units_b), sims):
+        np.matmul(units_b, q / qn, out=out)
+    sims = sims.reshape(n, -1)
     pred = np.argmax(np.where(grid_b.valid.reshape(-1), sims, -2.0), axis=1)  # -2: below any cosine
     pred = np.divmod(pred, grid_b.resolution[1])
     truth, hit = judge(chosen, *pred)

@@ -90,7 +90,7 @@ def save_scene_bundle(
     meta: dict | None = None,
 ) -> None:
     bundle = Path(bundle)
-    bundle.mkdir(parents=True, exist_ok=True)
+    rnvt.make_dir(bundle)
     doc = {
         "format": SCENE_FORMAT,
         "version": SCENE_VERSION,
@@ -109,7 +109,7 @@ def save_scene_bundle(
     rnvt.write_json(bundle / "scene.json", doc)
     for i, view in enumerate(views):
         vdir = view_dir(bundle, i)
-        vdir.mkdir(parents=True, exist_ok=True)
+        rnvt.make_dir(vdir)
         rnvt.write_tensor(vdir / "rgb.rnvt", view.rgb.astype(np.float32))
         rnvt.write_tensor(vdir / "depth.rnvt", view.depth.astype(np.float64))
         rnvt.write_tensor(vdir / "pointmap.rnvt", view.pointmap.coords.astype(np.float64))
@@ -195,7 +195,7 @@ def save_feature_set(
     out = Path(out)
     # every grid is computed before the first write, so a failing view writes nothing
     local_grids, reduced_grids = dict(local_grids), dict(reduced_grids)
-    out.mkdir(parents=True, exist_ok=True)
+    rnvt.make_dir(out)
     first = next(iter(local_grids))
     manifest = {
         "family": family.to_dict(),
@@ -217,7 +217,7 @@ def save_feature_set(
 
 def save_decoder(out: Path, decoder: ProbeDecoder, extra: dict | None = None) -> None:
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    rnvt.make_dir(out)
     manifest = {
         "patch_size": decoder.patch_size,
         "c_in": decoder.c_in,

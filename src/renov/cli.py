@@ -146,7 +146,7 @@ def cmd_features(args) -> dict:
     data = bundle.load_scene_bundle(args.scene, args.patch)  # every view
     family = _family_from(args, seed)
     local = local_grids(data, family)  # the per-scene features the probe sees
-    reduced, reducer = reduce_local_grids(local, args.c_red, args.reducer_seed)
+    reduced, reducer = reduce_local_grids(local, family, args.c_red, args.reducer_seed)
     bundle.save_feature_set(out, family, local, reduced, reducer)
     return {"command": "features", "out": str(out), "family": args.family,
             "views": len(local), "c_local": local[0].channels, "c_reduced": args.c_red}
@@ -165,7 +165,7 @@ def cmd_warp(args) -> dict:
         family = _family_from(args, seed)
         grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
         plane = feature_warp(data, grids, refs, args.target, args.remove, seed)
-    out.mkdir(parents=True, exist_ok=True)
+    rnvt.make_dir(out)
     rnvt.write_tensor(out / "payload.rnvt", plane.payload)
     rnvt.write_tensor(out / "depth.rnvt", plane.depth)
     rnvt.write_tensor(out / "mask.rnvt", plane.mask.astype(np.uint8))
@@ -189,7 +189,7 @@ def cmd_condition(args) -> dict:
     ref_planes, tgt_plane, warped = scene_conditions(
         data, _family_from(args, seed), refs, args.target, args.c_red, args.reducer_seed,
         FourierConfig(num_freqs=args.geo_freqs), FourierConfig(num_freqs=args.feat_freqs))
-    out.mkdir(parents=True, exist_ok=True)
+    rnvt.make_dir(out)
     for r, plane in ref_planes.items():
         rnvt.write_tensor(out / f"cond_ref_{r:03d}.rnvt", plane.channels)
     ref_layout = plane.layout  # every reference plane has the same layout
@@ -217,7 +217,7 @@ def cmd_analyze(args) -> dict:
     # the loaded views' grids, each once, computed before --out is made
     grids = dict(local_grids(data, _family_from(args, seed)))
     if out:
-        out.mkdir(parents=True, exist_ok=True)
+        rnvt.make_dir(out)
 
     va, ga = data.views[args.view_a], grids[args.view_a]
     if args.metric == "lds":

@@ -36,6 +36,8 @@ FAMILY_KINDS = ("oracle_geom", "appearance", "random", "mixed")
 MAX_SIGMA = 1e3
 # the random family's width; 16 views of 128x128 at this width take 134 MB of tokens
 MAX_CHANNELS = 4096
+# _patchify_stats per patch: mean and variance of each RGB channel, a 4-bin histogram per channel
+APPEARANCE_CHANNELS = 18
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,19 @@ def extract_features(
     rng = np.random.default_rng(_view_seed(view.camera, family.seed))
     tokens = rng.standard_normal((ht, wt, family.channels))
     return FeatureGrid(tokens, p, np.ones((ht, wt), dtype=bool))
+
+
+def unified_channels(family: FeatureFamily) -> int:
+    """The channels of concat_global_local(extract_features(view, family, ...)), for any view.
+
+    A local token holds 3 * (2F + 1) oracle channels (F = num_freqs), 18
+    appearance channels, `channels` random ones, or the first two stacked for
+    mixed; the unified token doubles that.
+    """
+    oracle = 3 * FourierConfig(num_freqs=family.num_freqs).width_per_channel
+    local = {"oracle_geom": oracle, "appearance": APPEARANCE_CHANNELS,
+             "random": family.channels, "mixed": oracle + APPEARANCE_CHANNELS}[family.kind]
+    return 2 * local
 
 
 def concat_global_local(t_l: FeatureGrid) -> FeatureGrid:

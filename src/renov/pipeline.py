@@ -29,12 +29,14 @@ import numpy as np
 from .encoding import (FEAT_FREQS, ConditionPlane, FourierConfig, NormalizationTransform,
                        build_reference_condition, build_target_condition, normalize_coords)
 from .errors import InputError
-from .features import ChannelReducer, FeatureFamily, concat_global_local, extract_features, reduce_channels
+from .features import (ChannelReducer, FeatureFamily, concat_global_local, extract_features,
+                       reduce_channels, unified_channels)
 from .geometry import (FeatureGrid, WarpedPlane, aggregate_pointmaps, rasterize,
                        subsample_points, token_anchors, token_feature_cloud)
 from .metrics import psnr, ssim
 from .probe import ProbeDecoder, TrainConfig, eval_probe, train_probe
-from .scene import RenderedView, SceneSpec, generate_scene, make_camera_arc, render_view
+from .scene import (RenderedView, SceneSpec, arc_camera, check_camera_arc, generate_scene,
+                    render_view)
 
 
 PATCH = 8  # token patch size, in pixels
@@ -118,12 +120,13 @@ def render_scene_data(seed: int, cfg: SuiteConfig, views: Iterable[int] | None =
                       ) -> SceneData:
     """The suite scene of `seed` holding the views in `views` (default: every view).
 
-    The views are checked now and each is rendered when first read.
+    The arc and the views are checked now; each view, and its camera, is made when first read.
     """
     scene = generate_scene(seed, SCENE_SPEC)
-    cams = make_camera_arc(scene, cfg.n_views, ARC_RADIUS, ARC_FOV_DEG, (cfg.res, cfg.res),
-                           ARC_SPAN_DEG)
-    views = _OnFirstRead(check_views(views, cfg.n_views), lambda i: render_view(scene, cams[i]))
+    check_camera_arc(cfg.n_views, ARC_RADIUS, ARC_SPAN_DEG)
+    arc = (cfg.n_views, ARC_RADIUS, ARC_FOV_DEG, (cfg.res, cfg.res), ARC_SPAN_DEG)
+    views = _OnFirstRead(check_views(views, cfg.n_views),
+                         lambda i: render_view(scene, arc_camera(scene, i, *arc)))
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
     return SceneData(seed, cfg.n_views, views, transform, PATCH)
 
@@ -145,34 +148,31 @@ def local_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | N
                         lambda i: extract_features(data.views[i], fam, data.patch, data.transform))
 
 
-def _unified(local: Mapping[int, FeatureGrid]) -> Mapping[int, FeatureGrid]:
-    return _OnFirstRead(local, lambda i: concat_global_local(local[i]))
-
-
 def unified_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
                   ) -> Mapping[int, FeatureGrid]:
     """T_n of each view in `views` (every loaded view by default): local tokens plus global token."""
-    return _unified(local_grids(data, family, views))
+    local = local_grids(data, family, views)
+    return _OnFirstRead(local, lambda i: concat_global_local(local[i]))
 
 
-def reduce_local_grids(local: Mapping[int, FeatureGrid], c_red: int = REDUCER_C_RED,
-                       reducer_seed: int = REDUCER_SEED
+def reduce_local_grids(local: Mapping[int, FeatureGrid], family: FeatureFamily,
+                       c_red: int = REDUCER_C_RED, reducer_seed: int = REDUCER_SEED
                        ) -> tuple[Mapping[int, FeatureGrid], ChannelReducer]:
-    """Each local grid unified and reduced to c_red channels, and the reducer.
+    """Each of `family`'s local grids unified and reduced to c_red channels, and the reducer.
 
-    The reducer depends only on the channel count, which every view of a family
-    shares; it is made from the first view's unified grid, which is computed now.
+    The reducer depends only on the family's unified channel count, so it is
+    made before any grid is read; no unified grid is kept.
     """
-    unified = _unified(local)
-    reducer = ChannelReducer.create(unified[next(iter(unified))].channels, c_red, reducer_seed)
-    return _OnFirstRead(unified, lambda i: reduce_channels(unified[i], reducer)), reducer
+    reducer = ChannelReducer.create(unified_channels(family), c_red, reducer_seed)
+    reduced = _OnFirstRead(local, lambda i: reduce_channels(concat_global_local(local[i]), reducer))
+    return reduced, reducer
 
 
 def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int = REDUCER_C_RED,
                   reducer_seed: int = REDUCER_SEED, views: Sequence[int] | None = None
                   ) -> tuple[Mapping[int, FeatureGrid], ChannelReducer]:
     """reduce_local_grids over the views in `views` (every loaded view by default)."""
-    return reduce_local_grids(local_grids(data, family, views), c_red, reducer_seed)
+    return reduce_local_grids(local_grids(data, family, views), family, c_red, reducer_seed)
 
 
 def _warp(data: SceneData, refs: tuple[int, ...], target: int, scale: int, remove_frac: float,

@@ -14,11 +14,13 @@ Total length = 12 + 8*ndim + itemsize*prod(dims).  All writers go through a
 temp file of their own + rename so a killed process never leaves a truncated
 file under the final name, and concurrent writers of one path never share a
 temp file.  Readers raise InputError naming the path for a missing,
-unreadable or damaged file.
+unreadable or damaged file; writers, and make_dir, for a path the OS will not
+write (no space left, no permission), after removing their temp file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -42,6 +44,18 @@ _DTYPE_CODES = {
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
+def _refused(path, e: OSError) -> InputError:
+    return InputError(f"cannot write {path}: {e.strerror or e}")
+
+
+def make_dir(path) -> None:
+    """mkdir -p of path; a path the OS refuses is an InputError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _refused(path, e) from e
+
+
 def _atomic_write_bytes(path, blob: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
@@ -51,9 +65,18 @@ def _atomic_write_bytes(path, blob: bytes) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+    except OSError as e:
+        _discard(tmp)
+        raise _refused(path, e) from e
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        _discard(tmp)
         raise
+
+
+def _discard(tmp: Path) -> None:
+    """Remove a temp file; the error that ended its write is the one to report."""
+    with contextlib.suppress(OSError):  # say, a name too long for the OS to make: no file exists
+        tmp.unlink(missing_ok=True)
 
 
 def _read_bytes(path) -> bytes:

@@ -494,6 +494,26 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
     )
 
 
+def check_camera_arc(n: int, radius: float, span_deg: float) -> None:
+    """The checks of make_camera_arc's arc, which arc_camera does not repeat per camera."""
+    if n < 2:
+        raise InputError(f"camera arc needs n >= 2, got {n}")
+    if not 0 < radius <= MAX_ARC_RADIUS:
+        raise InputError(f"camera arc radius must be in (0, {MAX_ARC_RADIUS:g}], got {radius}")
+    if not math.isfinite(span_deg):
+        raise InputError(f"camera arc span_deg must be finite, got {span_deg}")
+
+
+def arc_camera(scene: SyntheticScene, k: int, n: int, radius: float, fov_deg: float,
+               res: tuple[int, int], span_deg: float) -> CameraPose:
+    """Camera k of make_camera_arc(scene, n, radius, fov_deg, res, span_deg), built alone."""
+    center = scene.aabb_center
+    span = math.radians(span_deg)
+    theta = -span / 2 + span * k / (n - 1)
+    eye = center + radius * np.array([math.sin(theta), 0.0, -math.cos(theta)])
+    return look_at(eye, center, fov_deg, *res)
+
+
 def make_camera_arc(
     scene: SyntheticScene,
     n: int,
@@ -503,18 +523,5 @@ def make_camera_arc(
     span_deg: float,
 ) -> list[CameraPose]:
     """n cameras on a horizontal arc of the given angular span, all aimed at the scene center."""
-    if n < 2:
-        raise InputError(f"camera arc needs n >= 2, got {n}")
-    if not 0 < radius <= MAX_ARC_RADIUS:
-        raise InputError(f"camera arc radius must be in (0, {MAX_ARC_RADIUS:g}], got {radius}")
-    if not math.isfinite(span_deg):
-        raise InputError(f"camera arc span_deg must be finite, got {span_deg}")
-    width, height = res
-    center = scene.aabb_center
-    span = math.radians(span_deg)
-    cams = []
-    for k in range(n):
-        theta = -span / 2 + span * k / (n - 1)
-        eye = center + radius * np.array([math.sin(theta), 0.0, -math.cos(theta)])
-        cams.append(look_at(eye, center, fov_deg, width, height))
-    return cams
+    check_camera_arc(n, radius, span_deg)
+    return [arc_camera(scene, k, n, radius, fov_deg, res, span_deg) for k in range(n)]

@@ -212,6 +212,18 @@ def test_scores_match_per_query_cosine_map_reference(scene_data):
             assert rec.hit == (dom_b[rec.predicted_cell] == dom_a[rec.query_cell])
 
 
+def test_predictions_are_the_cosine_map_argmax_of_a_128_mixed_pair():
+    from renov.pipeline import SuiteConfig, local_grids, render_scene_data
+    data = render_scene_data(4, SuiteConfig(res=128), (2, 5))
+    grids = local_grids(data, FeatureFamily("mixed"))
+    (va, ga), (vb, gb) = ((data.views[i], grids[i]) for i in (2, 5))
+    geo = geometric_correspondence_score(ga, gb, va, vb, seed=4)
+    sem = semantic_correspondence_score(ga, gb, va.labels, vb.labels, seed=4)
+    for rep in (geo, sem):
+        assert rep.num_queries == 64
+        assert [r.predicted_cell for r in rep.per_query] == _reference_predictions(ga, gb, rep)
+
+
 def test_scores_check_channels_and_zero_norm_queries(scene_data):
     va, vb = scene_data.views[0], scene_data.views[1]
     fam = FeatureFamily("appearance", seed=0)

@@ -13,7 +13,7 @@ from renov.pipeline import (SCENE_SPEC, ProbeProtocol, SuiteConfig, condition_gr
                             reduced_grids, render_scene_data, rgb_warp, unified_grids,
                             warped_image_metrics)
 from renov.probe import ProbeDecoder, TrainConfig
-from renov.scene import SceneSpec, generate_scene
+from renov.scene import SceneSpec, generate_scene, make_camera_arc
 
 
 def test_scene_bundle_roundtrip(tmp_path, scene_data):
@@ -77,6 +77,15 @@ def test_render_scene_data_renders_only_the_views_named(scene_data, suite_cfg):
     np.testing.assert_array_equal(data.transform.half_extent, scene_data.transform.half_extent)
     with pytest.raises(KeyError, match=r"view 3 was not loaded \(loaded: \[1, 6\]\)"):
         data.views[3]
+
+
+def test_render_scene_data_checks_its_arc_at_the_call():
+    """Each camera is built when its view is first rendered, but the arc is checked at once."""
+    with pytest.raises(InputError) as arc:
+        make_camera_arc(generate_scene(0, SCENE_SPEC), 1, 6.0, 55.0, (16, 16), 60.0)
+    with pytest.raises(InputError) as rendered:
+        render_scene_data(0, SuiteConfig(n_views=1))
+    assert str(rendered.value) == str(arc.value) == "camera arc needs n >= 2, got 1"
 
 
 @pytest.mark.parametrize("views", [(1, 9, 8), (-1, 2)])

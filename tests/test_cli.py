@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import errno
 import inspect
 import json
 import os
@@ -1163,6 +1164,31 @@ def test_a_view_that_fails_writes_nothing(small_bundle, capsys, tmp_path):
         assert (code, stdout) == (2, ""), argv
         assert len(err.strip().splitlines()) == 1 and message in err
         assert not out.exists(), argv
+
+
+def test_a_write_the_os_refuses_exits_2_and_leaves_no_temp_file(small_bundle, small_ckpt, capsys,
+                                                                 tmp_path, monkeypatch):
+    """An OSError while a command writes is one line naming the path and exit 2, as on reading."""
+    warp = ["warp", "--scene", str(small_bundle), "--refs", "7", "--target", "8"]
+    # a file name that passes the --out checks, but whose temp file's name is too long
+    long = tmp_path / ("y" * 240 + ".json")
+    cases = [(warp, tmp_path / "warp", (rnvt.os, "fsync"), "payload.rnvt", errno.ENOSPC),
+             (["scene-gen", "--views", "2", "--res", "16x16"], tmp_path / "scene", (Path, "mkdir"),
+              "", errno.EACCES),
+             (["probe", "eval", "--scene", str(small_bundle), "--ckpt", str(small_ckpt)], long,
+              None, "", errno.ENAMETOOLONG)]
+    for argv, out, refused_call, name, code in cases:
+        def refuse(*args, _code=code, **kwargs):
+            raise OSError(_code, os.strerror(_code))
+
+        with monkeypatch.context() as m:
+            if refused_call:
+                m.setattr(*refused_call, refuse)
+            status, stdout, err = run_cli(capsys, "--seed", "1", *argv, "--out", str(out))
+        assert (status, stdout) == (2, ""), argv
+        path = out / name if name else out
+        assert err.splitlines() == [f"input error: cannot write {path}: {os.strerror(code)}"]
+        assert not list(tmp_path.rglob("*.tmp")), argv
 
 
 FLAG_ESCAPES = [  # flag values that once escaped the exit-code contract: (argv, field named)

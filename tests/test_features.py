@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from renov.errors import InputError
-from renov.features import (ChannelReducer, FeatureFamily, _patchify_stats, concat_global_local,
-                            extract_features, reduce_channels)
+from renov.features import (FAMILY_KINDS, ChannelReducer, FeatureFamily, _patchify_stats,
+                            concat_global_local, extract_features, reduce_channels,
+                            unified_channels)
 from renov.geometry import FeatureGrid
+from renov.pipeline import REDUCER_C_RED, reduced_grids
 
 
 def test_family_extracted_widths(scene_data):
@@ -13,6 +17,18 @@ def test_family_extracted_widths(scene_data):
     assert extract_features(view, FeatureFamily("appearance"), p).channels == 18
     assert extract_features(view, FeatureFamily("random", channels=24), p).channels == 24
     assert extract_features(view, FeatureFamily("mixed", num_freqs=4), p, transform).channels == 45
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_unified_width_and_reducer_follow_from_the_family(scene_data, kind):
+    view, p, transform = scene_data.views[0], scene_data.patch, scene_data.transform
+    for num_freqs, channels in itertools.product((1, 4, 6), (1, 24)):
+        family = FeatureFamily(kind, num_freqs=num_freqs, channels=channels)
+        width = concat_global_local(extract_features(view, family, p, transform)).channels
+        assert unified_channels(family) == width, (num_freqs, channels)
+        c_red = min(REDUCER_C_RED, width)
+        _, reducer = reduced_grids(scene_data, family, c_red, 5)
+        np.testing.assert_array_equal(reducer.matrix, ChannelReducer.create(width, c_red, 5).matrix)
 
 
 def test_unknown_family_rejected():
