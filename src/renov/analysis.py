@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import FeatureGrid, project_points, token_anchors
+from .geometry import FeatureGrid, project_points, token_anchors, view_product
 from .scene import RenderedView
 
 DEPTH_REL_TOL = 0.02
@@ -153,7 +153,12 @@ def geometric_correspondence_score(
 
 
 def dominant_labels(labels: np.ndarray, patch_size: int) -> np.ndarray:
-    """Majority instance label per PxP patch, ties resolved to the smaller id."""
+    """Majority instance label per PxP patch, ties resolved to the smaller id; read-only and
+    computed once per read-only label map (geometry.view_product)."""
+    return view_product(_dominant_labels, labels, patch_size)
+
+
+def _dominant_labels(labels: np.ndarray, patch_size: int) -> np.ndarray:
     h, w = labels.shape
     p = patch_size
     if h % p or w % p:

@@ -36,7 +36,7 @@ from .features import ChannelReducer, FeatureFamily
 from .geometry import FeatureGrid, Pointmap
 from .pipeline import SceneData, check_views
 from .probe import ProbeDecoder, param_shapes
-from .scene import WORLD_HALF, RenderedView, SceneSpec, SyntheticScene
+from .scene import WORLD_HALF, RenderedView, SceneSpec, SyntheticScene, freeze_view
 
 SCENE_FORMAT = "renov-scene"
 SCENE_VERSION = 1
@@ -141,7 +141,7 @@ def _normalization(d) -> NormalizationTransform:
 
 
 def _load_view(vdir: Path) -> RenderedView:
-    """One view's camera and tensors; depth > 0 marks the valid pointmap pixels."""
+    """One view's camera and tensors, read-only; depth > 0 marks the valid pointmap pixels."""
     camera_path = vdir / "camera.json"
     camera = _field(camera_path, rnvt.read_json(camera_path), None, CameraPose.from_dict)
     h, w = camera.height, camera.width
@@ -153,8 +153,9 @@ def _load_view(vdir: Path) -> RenderedView:
     coords = _tensor(vdir / "pointmap.rnvt", np.float64, (h, w, 3), size,
                      lambda a: np.abs(a) <= WORLD_HALF + WORLD_TOL, f"in {WORLD_BOX}")
     labels = _tensor(vdir / "labels.rnvt", np.int64, (h, w), size)
-    return RenderedView(rgb=rgb.astype(np.float64), depth=depth,
-                        pointmap=Pointmap(coords, depth > 0), labels=labels, camera=camera)
+    return freeze_view(RenderedView(rgb=rgb.astype(np.float64), depth=depth,
+                                    pointmap=Pointmap(coords, depth > 0), labels=labels,
+                                    camera=camera))
 
 
 def load_scene_bundle(bundle: Path, patch: int,

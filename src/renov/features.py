@@ -27,7 +27,7 @@ import numpy as np
 from .camera import CameraPose
 from .encoding import FourierConfig, NormalizationTransform, fourier_encode, normalize_coords
 from .errors import InputError
-from .geometry import FeatureGrid, token_anchors
+from .geometry import FeatureGrid, token_anchors, view_product
 from .scene import RenderedView
 
 FAMILY_KINDS = ("oracle_geom", "appearance", "random", "mixed")
@@ -72,7 +72,13 @@ def _view_seed(camera: CameraPose, family_seed: int) -> int:
 
 
 def _patchify_stats(img: np.ndarray, p: int) -> np.ndarray:
-    """Appearance statistics per PxP patch of an HxWx3 image -> (Ht, Wt, 18).
+    """Appearance statistics per PxP patch of an HxWx3 image -> (Ht, Wt, 18), read-only and
+    computed once per read-only image (geometry.view_product)."""
+    return view_product(_appearance_stats, img, p)
+
+
+def _appearance_stats(img: np.ndarray, p: int) -> np.ndarray:
+    """_patchify_stats, computed.
 
     Each moment is one weighted bincount over the flat (patch, channel) index of
     every pixel-channel.  bincount adds a patch's values in row-major image

@@ -6,10 +6,15 @@ competition keeps the minimal camera-frame z; exact ties break toward the
 earlier point of the cloud.  The z-buffer takes two scatter-min passes over
 the projected points: the first leaves each pixel's minimal z, the second the
 earliest row whose z equals it, so depth and payload come from one row.
+
+A view's patch products (token anchors, appearance statistics, dominant
+labels) depend on the view alone.  view_product computes each once per input
+that no write can reach, shares it read-only, and frees it with its input.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,9 +218,14 @@ def rasterize(cloud: PointCloud, camera: CameraPose, res: tuple[int, int]) -> Wa
 def token_anchors(pointmap: Pointmap, patch_size: int) -> tuple[np.ndarray, np.ndarray]:
     """3D anchor per token: the world point of its patch-center pixel.
 
-    Returns (coords (Ht,Wt,3), valid (Ht,Wt)).  The anchor pixel of token
-    (i, j) is (i*P + P//2, j*P + P//2).
+    Returns (coords (Ht,Wt,3), valid (Ht,Wt)), read-only and computed once per
+    read-only pointmap (view_product).  The anchor pixel of token (i, j) is
+    (i*P + P//2, j*P + P//2).
     """
+    return view_product(_token_anchors, pointmap, patch_size)
+
+
+def _token_anchors(pointmap: Pointmap, patch_size: int) -> tuple[np.ndarray, np.ndarray]:
     h, w = pointmap.resolution
     p = patch_size
     if h % p or w % p:
@@ -269,3 +279,53 @@ def subsample_points(cloud: PointCloud, keep_fraction: float, seed: int) -> Poin
     perm = np.random.default_rng(seed).permutation(m)
     sel = np.sort(perm[:k])
     return PointCloud(cloud.points[sel], cloud.payload[sel])
+
+
+# ---------------------------------------------------------------------------
+# per-view products
+
+def freeze(*arrays: np.ndarray) -> None:
+    """Make each array, and every array it is a view of, read-only."""
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            a = a.base
+
+
+def _unchanging(a: np.ndarray) -> bool:
+    """No write can reach a: it and every array it views are read-only, over their own memory
+    or immutable bytes."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None or isinstance(a, bytes)
+
+
+# id(input) -> {(make, patch size): product}; an entry is dropped when its input is freed
+_PRODUCTS: dict[int, dict] = {}
+
+
+def _read_only(product):
+    freeze(*(product if isinstance(product, tuple) else (product,)))
+    return product
+
+
+def view_product(make, source, p: int):
+    """make(source, p), an array or a tuple of arrays, read-only.
+
+    source is a Pointmap or an array.  When no write can reach it (render_view
+    and load_scene_bundle freeze every array of a view), the product is
+    computed once per (make, p), shared by every later call, and dropped when
+    source is freed; otherwise it is computed on every call.
+    """
+    arrays = (source.coords, source.valid) if isinstance(source, Pointmap) else (source,)
+    if not all(map(_unchanging, arrays)):
+        return _read_only(make(source, p))
+    products = _PRODUCTS.get(id(source))
+    if products is None:  # two threads here at once share one dict and drop it twice
+        products = _PRODUCTS.setdefault(id(source), {})
+        weakref.finalize(source, _PRODUCTS.pop, id(source), None)
+    if (make, p) not in products:
+        products[make, p] = _read_only(make(source, p))
+    return products[make, p]

@@ -79,14 +79,18 @@ def _window_mean(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(rows, g.size, axis=0) @ g
 
 
+def check_ssim_size(h: int, w: int) -> None:
+    """An h x w image holds a fully interior SSIM window, or this is an InputError."""
+    if min(h, w) < SSIM_WINDOW:
+        raise InputError(f"image {h}x{w} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+
+
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _check_pair(a, b)
     if a.ndim == 2:
         a = a[..., None]
         b = b[..., None]
-    h, w = a.shape[:2]
-    if min(h, w) < SSIM_WINDOW:
-        raise InputError(f"image {h}x{w} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+    check_ssim_size(*a.shape[:2])
     g = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2

@@ -33,7 +33,7 @@ from .features import (ChannelReducer, FeatureFamily, concat_global_local, extra
                        reduce_channels, unified_channels)
 from .geometry import (FeatureGrid, WarpedPlane, aggregate_pointmaps, rasterize,
                        subsample_points, token_anchors, token_feature_cloud)
-from .metrics import psnr, ssim
+from .metrics import check_ssim_size, psnr, ssim
 from .probe import ProbeDecoder, TrainConfig, eval_probe, train_probe
 from .scene import (RenderedView, SceneSpec, arc_camera, check_camera_arc, generate_scene,
                     render_view)
@@ -455,8 +455,11 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
     """One scene's robustness probe: PSNR at each removal fraction versus no removal.
 
     remove_seed seeds the evaluation-time thinning; training pairs keep their own seeds.
+    A target too small for SSIM fails before training.
     """
     proto = ProbeProtocol.robustness()
+    for _, target in proto.eval_cases:
+        check_ssim_size(*data.views[target].rgb.shape[:2])
     decoder, _ = train_scene_probe(data, family, cfg, proto)
     baseline, *removed = (r["mean_psnr"] for r in eval_scene_probe(
         decoder, data, family, proto.eval_cases, (0.0, *remove_fracs), remove_seed))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .camera import CameraPose, look_at
 from .errors import InputError, is_int, is_real, is_reals
-from .geometry import Pointmap
+from .geometry import Pointmap, freeze
 
 WORLD_HALF = 5.0  # scene box is [-WORLD_HALF, WORLD_HALF]^3
 # from farther out than this, an arc camera aimed into the world box sees all of it within 0.4 deg
@@ -195,6 +195,13 @@ class RenderedView:
     pointmap: Pointmap
     labels: np.ndarray  # HxW instance ids, -1 background
     camera: CameraPose
+
+
+def freeze_view(view: RenderedView) -> RenderedView:
+    """view, with its arrays (and the arrays they view) made read-only, so that its patch
+    products are computed once (geometry.view_product); a write into one is a ValueError."""
+    freeze(view.rgb, view.depth, view.pointmap.coords, view.pointmap.valid, view.labels)
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +431,8 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
     surface coordinates are computed only where it would win.  Quads are cast
     in increasing id order, so the tie rule becomes "nearer than the best so
     far", a strict total order: neither the box nor the candidates change an
-    output bit.  The headlight is evaluated once per pixel, for its final quad.
+    output bit.  The headlight is evaluated once per pixel, for its final quad.  The view's
+    arrays are read-only (freeze_view).
     """
     h, w = camera.height, camera.width
     n_pix = h * w
@@ -485,13 +493,13 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
         np.add(best_t * d_world[:, k], origin[k], out=coords[:, k])
     coords[~covered] = 0.0
     tables.ids.take(best_quad, out=labels)
-    return RenderedView(
+    return freeze_view(RenderedView(
         rgb=rgb.reshape(h, w, 3),
         depth=best_t.reshape(h, w),
         pointmap=Pointmap(coords=coords.reshape(h, w, 3), valid=covered.reshape(h, w)),
         labels=labels.reshape(h, w),
         camera=camera,
-    )
+    ))
 
 
 def check_camera_arc(n: int, radius: float, span_deg: float) -> None:

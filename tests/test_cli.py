@@ -18,6 +18,7 @@ from renov import analysis, bundle, cli, pipeline, rnvt
 from renov.analysis import lds_score
 from renov.cli import main
 from renov.encoding import FEAT_FREQS, FourierConfig, build_reference_condition, normalize_coords
+from renov.errors import InputError
 from renov.features import FeatureFamily
 from renov.geometry import FeatureGrid, token_anchors
 from renov.probe import TrainConfig
@@ -912,6 +913,23 @@ def test_robustness_checks_remove_before_training(small_bundle, capsys, monkeypa
     assert "--remove" in err
 
 
+def test_robustness_checks_the_ssim_size_before_training(tmp_path, capsys, monkeypatch):
+    """A target smaller than the SSIM window fails before any training, in the CLI and in the
+    pool protocol alike."""
+    trained = []
+    monkeypatch.setattr(pipeline, "train_probe", lambda *args: trained.append(args))
+    scene = tmp_path / "s8"
+    assert run_cli(capsys, "scene-gen", "--out", str(scene), "--views", "16",
+                   "--res", "8x8")[0] == 0
+    code, out, err = run_cli(capsys, "robustness", "--scene", str(scene))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["input error: image 8x8 smaller than the 11x11 SSIM window"]
+    with pytest.raises(InputError, match="^image 8x8 smaller than the 11x11 SSIM window$"):
+        pipeline.robustness_run([1], FeatureFamily("mixed"), TrainConfig(),
+                                pipeline.SuiteConfig(res=8))
+    assert trained == []
+
+
 def test_probe_eval_rejects_full_removal(small_bundle, capsys, tmp_path):
     code, _, err = run_cli(capsys, "probe", "eval", "--scene", str(small_bundle),
                            "--ckpt", str(tmp_path / "ck"), "--remove", "1.0")
@@ -1057,6 +1075,16 @@ def _view_scope_commands(scene, ckpt, out):
     }
 
 
+def _writing_leaves(scene, ckpt, out):
+    """Every leaf command that writes, each writing under out."""
+    s = ["--scene", str(scene)]
+    return {"scene-gen": ["scene-gen", "--views", "2", "--res", "16x16",
+                          "--out", str(out / "scene")],
+            "features": ["features", *s, "--out", str(out / "features")],
+            "analyze semcorr": ["analyze", "semcorr", *s, "--out", str(out / "semcorr")],
+            **_view_scope_commands(scene, ckpt, out)}
+
+
 def test_damage_in_an_unread_view_changes_no_output(small_bundle, small_ckpt, capsys, tmp_path):
     """A command opens only the views it reads: every file of view 15 damaged, outputs agree."""
     damaged = tmp_path / "damaged"
@@ -1189,6 +1217,34 @@ def test_a_write_the_os_refuses_exits_2_and_leaves_no_temp_file(small_bundle, sm
         path = out / name if name else out
         assert err.splitlines() == [f"input error: cannot write {path}: {os.strerror(code)}"]
         assert not list(tmp_path.rglob("*.tmp")), argv
+
+    # every leaf that writes, with no space left at its first, a middle and its last file
+    full = os.strerror(errno.ENOSPC)
+    clean, real_fsync = tmp_path / "clean", os.fsync
+    for n, (leaf, argv) in enumerate(_writing_leaves(small_bundle, small_ckpt, clean).items()):
+        written, write = [], rnvt._atomic_write_bytes
+        with monkeypatch.context() as m:
+            m.setattr(rnvt, "_atomic_write_bytes",
+                      lambda path, blob: write(path, blob) or written.append(str(path)))
+            assert run_cli(capsys, "--seed", "1", *argv)[0] == 0, leaf
+        for k in sorted({1, (len(written) + 1) // 2, len(written)}):
+            fsyncs, out = [], tmp_path / f"refused_{n}_{k}"
+            out.mkdir()  # where the leaves that write one file write it
+
+            def fsync(fd, _k=k):
+                fsyncs.append(fd)
+                if len(fsyncs) == _k:
+                    raise OSError(errno.ENOSPC, full)
+                real_fsync(fd)
+
+            with monkeypatch.context() as m:
+                m.setattr(rnvt.os, "fsync", fsync)
+                status, stdout, err = run_cli(
+                    capsys, "--seed", "1", *_writing_leaves(small_bundle, small_ckpt, out)[leaf])
+            path = written[k - 1].replace(str(clean), str(out))
+            assert (status, stdout) == (2, ""), (leaf, k)
+            assert err.splitlines() == [f"input error: cannot write {path}: {full}"], (leaf, k)
+            assert not list(tmp_path.rglob("*.tmp")), (leaf, k)
 
 
 FLAG_ESCAPES = [  # flag values that once escaped the exit-code contract: (argv, field named)

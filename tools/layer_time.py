@@ -25,6 +25,13 @@ Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
                     all 16 views (what `features` does first), and only views
                     7, 8 and 9 (what `warp --refs 7,9 --target 8` does first)
 
+A view keeps its patch products (token anchors, appearance statistics,
+dominant labels) once computed, so timing one view again would time a lookup,
+and `--against` an older tree would set a lookup against a computation.  So
+dominant_labels, geometric_score, semantic_score, extract_features and
+_patchify_stats read a fresh read-only copy of their views in every rep, made
+before the rep's clock starts.
+
 Probe steps: one `SuiteConfig()` scene (64x64, 16 views), the fixed-target
 training set of each family (15 warped planes), `train_probe` with the
 benchmark's probe settings (batch 4, hidden 128, c_red 32) for --steps steps,
@@ -76,7 +83,8 @@ import numpy as np  # noqa: E402
 import renov  # noqa: E402
 from renov.pipeline import REDUCER_C_RED, REDUCER_SEED  # noqa: E402
 
-MODULES = ("analysis", "bundle", "encoding", "features", "metrics", "pipeline", "probe", "scene")
+MODULES = ("analysis", "bundle", "encoding", "features", "geometry", "metrics", "pipeline", "probe",
+           "scene")
 
 FAMILIES = ("mixed", "appearance", "random")
 FEATURE_FAMILIES = ("oracle_geom", "appearance", "random", "mixed")
@@ -106,13 +114,15 @@ def report(name: str, reps: tuple[list[float], list[float]]) -> None:
           f"{statistics.median(faults):9.1f} faults")
 
 
-def timed(fn, reps: int, per: int = 1) -> tuple[list[float], list[float]]:
-    """Wall time in ms and minor page faults of each rep of fn(), both divided by `per`."""
+def timed(fn, reps: int, per: int = 1, fresh=None) -> tuple[list[float], list[float]]:
+    """Wall time in ms and minor page faults of each rep of fn(), both divided by `per`; with
+    `fresh`, each rep times fn(fresh()), fresh() called before the clock starts."""
     times_ms, faults = [], []
     for _ in range(reps):
+        args = () if fresh is None else (fresh(),)
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         times_ms.append(1e3 * (time.perf_counter() - t0) / per)
         faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / per)
     return times_ms, faults
@@ -146,8 +156,24 @@ def tested_px(rv: SimpleNamespace, seed: int) -> list[float]:
             / (cam.width * cam.height) for cam in cams]
 
 
+def read_only_copy(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def fresh_view(rv: SimpleNamespace, view):
+    """A read-only copy of a view, built with the modules in rv: no product of it is kept yet."""
+    pm = view.pointmap
+    return rv.scene.RenderedView(
+        rgb=read_only_copy(view.rgb), depth=read_only_copy(view.depth),
+        pointmap=rv.geometry.Pointmap(read_only_copy(pm.coords), read_only_copy(pm.valid)),
+        labels=read_only_copy(view.labels), camera=view.camera)
+
+
 def layer_cases(rv: SimpleNamespace, seed: int):
-    """(name, fn, reps, per) of each layer, its inputs built with the modules in rv."""
+    """(name, fn, reps, per[, fresh]) of each layer, its inputs built with the modules in rv;
+    a case with `fresh` times fn(fresh()), see timed."""
     pipeline, scene, FeatureFamily = rv.pipeline, rv.scene, rv.features.FeatureFamily
     scn = scene.generate_scene(seed, pipeline.SCENE_SPEC)
     views = {}
@@ -174,23 +200,28 @@ def layer_cases(rv: SimpleNamespace, seed: int):
         a, b = views[res][VIEW_A].rgb, views[res][VIEW_B].rgb
         yield f"ssim {res}x{res}", lambda a=a, b=b: rv.metrics.ssim(a, b), LAYER_REPS, 1
     va, vb = views[128][VIEW_A], views[128][VIEW_B]
-    yield ("dominant_labels 128x128", lambda: rv.analysis.dominant_labels(va.labels, p),
-           LAYER_REPS, 1)
+
+    def pair():
+        return fresh_view(rv, va), fresh_view(rv, vb)
+
+    yield ("dominant_labels 128x128", lambda labels: rv.analysis.dominant_labels(labels, p),
+           LAYER_REPS, 1, lambda: read_only_copy(va.labels))
     fam = pipeline.scene_family(FeatureFamily("mixed"), seed)
     ga = rv.features.extract_features(va, fam, p, transform)
     gb = rv.features.extract_features(vb, fam, p, transform)
     yield ("geometric_score 128x128",
-           lambda: rv.analysis.geometric_correspondence_score(ga, gb, va, vb, seed=seed),
-           LAYER_REPS, 1)
+           lambda ab: rv.analysis.geometric_correspondence_score(ga, gb, *ab, seed=seed),
+           LAYER_REPS, 1, pair)
     yield ("semantic_score 128x128",
-           lambda: rv.analysis.semantic_correspondence_score(ga, gb, va.labels, vb.labels,
-                                                             seed=seed), LAYER_REPS, 1)
+           lambda ab: rv.analysis.semantic_correspondence_score(ga, gb, ab[0].labels, ab[1].labels,
+                                                                seed=seed), LAYER_REPS, 1, pair)
     for kind in FEATURE_FAMILIES:
         fam = pipeline.scene_family(FeatureFamily(kind), seed)
         yield (f"extract_features {kind}",
-               lambda fam=fam: rv.features.extract_features(va, fam, p, transform), LAYER_REPS, 1)
-    yield ("_patchify_stats 128x128", lambda: rv.features._patchify_stats(va.rgb, p),
-           LAYER_REPS, 1)
+               lambda view, fam=fam: rv.features.extract_features(view, fam, p, transform),
+               LAYER_REPS, 1, lambda: fresh_view(rv, va))
+    yield ("_patchify_stats 128x128", lambda rgb: rv.features._patchify_stats(rgb, p),
+           LAYER_REPS, 1, lambda: read_only_copy(va.rgb))
     with tempfile.TemporaryDirectory() as tmp:
         rv.bundle.save_scene_bundle(tmp, scn, views[64], transform)
         yield ("load_scene_bundle 16x64x64", lambda: rv.bundle.load_scene_bundle(tmp, p),
@@ -220,12 +251,12 @@ def step_cases(rv: SimpleNamespace, seed: int, steps: int, reps: int):
 def compare(ours, theirs) -> None:
     """Time each pair of cases in rounds, one rep from each tree a round, alternating which
     tree goes first; print both medians, their ratio and the rounds this tree was faster."""
-    for (name, fn, reps, per), (_, their_fn, _, _) in zip(ours, theirs):
+    for (name, fn, reps, per, *fresh), (_, their_fn, _, _, *their_fresh) in zip(ours, theirs):
         mine, other = [], []
         for r in range(reps):
-            pair = ((fn, mine), (their_fn, other))
-            for f, times in (pair if r % 2 == 0 else pair[::-1]):
-                times.append(timed(f, 1, per)[0][0])
+            pair = ((fn, fresh, mine), (their_fn, their_fresh, other))
+            for f, f_fresh, times in (pair if r % 2 == 0 else pair[::-1]):
+                times.append(timed(f, 1, per, *f_fresh)[0][0])
         m, o = statistics.median(mine), statistics.median(other)
         wins = sum(a < b for a, b in zip(mine, other))
         print(f"{name:<34} {m:8.3f} ms against {o:8.3f} ms, ratio {m / o:6.3f}, "
@@ -267,8 +298,8 @@ def main(argv=None) -> int:
     if args.against is not None:
         compare(*cases)
     else:
-        for name, fn, reps, per in cases[0]:
-            report(name, timed(fn, reps, per))
+        for name, fn, reps, per, *fresh in cases[0]:
+            report(name, timed(fn, reps, per, *fresh))
     return 0
 
 
