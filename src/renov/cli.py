@@ -27,7 +27,7 @@ from .errors import InputError, NumericalError
 from .features import FeatureFamily
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, REDUCER_C_RED, REDUCER_SEED,
                        REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, case_views,
-                       check_views, eval_scene_probe, feature_warp, local_grids,
+                       check_remove, check_views, eval_scene_probe, feature_warp, local_grids,
                        reduce_local_grids, reduced_grids, rgb_warp, robustness_scene_run,
                        scene_conditions, train_scene_probe)
 from .probe import TrainConfig
@@ -111,11 +111,6 @@ def _out_file(text: str | None, flag: str) -> Path | None:
     return path
 
 
-def _check_remove(frac: float) -> None:
-    if not 0.0 <= frac < 1.0:
-        raise InputError(f"--remove must be in [0, 1), got {frac}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -156,14 +151,14 @@ def cmd_warp(args) -> dict:
     out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
     refs = _parse_refs(args.refs)
-    _check_remove(args.remove)
+    check_remove(args.remove, "--remove")
     data = bundle.load_scene_bundle(args.scene, args.patch,
                                     _flag_views({"--refs": refs, "--target": (args.target,)}))
     if args.payload == "rgb":
         plane = rgb_warp(data, refs, args.target, args.remove, seed)
     else:
         family = _family_from(args, seed)
-        grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed, refs)
+        grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed)
         plane = feature_warp(data, grids, refs, args.target, args.remove, seed)
     rnvt.make_dir(out)
     rnvt.write_tensor(out / "payload.rnvt", plane.payload)
@@ -282,7 +277,7 @@ def cmd_probe(args) -> dict:
                 "family": args.family, "steps": cfg.steps,
                 "n_params": decoder.n_params, "final_loss": curve[-1]}
 
-    _check_remove(args.remove)
+    check_remove(args.remove, "--remove")
     cases = proto.eval_cases if args.views == 0 else tuple(
         c for c in proto.eval_cases if len(c[0]) == args.views)
     if not cases:
@@ -312,7 +307,7 @@ def cmd_robustness(args) -> dict:
     out = _out_file(args.out, "--out")
     seed = _seed_from(args)
     for frac in args.remove:
-        _check_remove(frac)
+        check_remove(frac, "--remove")
     proto = ProbeProtocol.robustness()
     data = bundle.load_scene_bundle(args.scene, args.patch,
                                     _flag_views({PROTOCOL_VIEW: case_views(proto.cases)}))

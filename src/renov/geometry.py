@@ -236,31 +236,26 @@ def _token_anchors(pointmap: Pointmap, patch_size: int) -> tuple[np.ndarray, np.
 
 
 def token_feature_cloud(grids: list[FeatureGrid], pointmaps: list[Pointmap]) -> PointCloud:
-    """Cloud of token features anchored at patch-center 3D points.
+    """Cloud of token features anchored at patch-center 3D points: aggregate_pointmaps over
+    each view's token anchors, so points follow view order then row-major token order.
 
-    Tokens with invalid anchors (or invalid features) are skipped.  Points are
-    ordered view-by-view then row-major, matching aggregate_pointmaps.
+    Tokens with invalid anchors (or invalid features) are skipped.
     """
     if len(grids) != len(pointmaps):
         raise InputError("grids and pointmaps lists differ in length")
     if not grids:
         raise InputError("need at least one source view")
     p = grids[0].patch_size
-    channels = grids[0].channels
-    pts, pays = [], []
+    anchors = []
     for grid, pm in zip(grids, pointmaps):
         if grid.patch_size != p:
             raise InputError("all grids must share one patch size")
-        if grid.channels != channels:
-            raise InputError("all grids must share one channel count")
         hp, wp = pm.resolution
         if (hp // p, wp // p) != grid.resolution:
             raise InputError(f"grid {grid.resolution} inconsistent with pointmap {pm.resolution} at P={p}")
         coords, avalid = token_anchors(pm, p)
-        avalid = avalid & grid.valid
-        pts.append(coords[avalid])
-        pays.append(grid.tokens[avalid])
-    return PointCloud(np.concatenate(pts), np.concatenate(pays))
+        anchors.append(Pointmap(coords, avalid & grid.valid))
+    return aggregate_pointmaps(anchors, [grid.tokens for grid in grids])
 
 
 def subsample_points(cloud: PointCloud, keep_fraction: float, seed: int) -> PointCloud:

@@ -136,22 +136,20 @@ def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
     return replace(family, seed=(family.seed * 1000003 + scene_seed) % (2**63))
 
 
-def local_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
-                ) -> Mapping[int, FeatureGrid]:
-    """Per-scene t_l by arc index, of each distinct view in `views` (default: every loaded view).
+def local_grids(data: SceneData, family: FeatureFamily) -> Mapping[int, FeatureGrid]:
+    """Per-scene t_l of each loaded view, by arc index.
 
-    Like every grid builder here, it returns a mapping in the order of `views`
+    Like every grid builder here, it returns a mapping over the scene's views
     whose grid of a view is computed when first read and then kept.
     """
     fam = scene_family(family, data.seed)
-    return _OnFirstRead(data.views if views is None else views,
+    return _OnFirstRead(data.views,
                         lambda i: extract_features(data.views[i], fam, data.patch, data.transform))
 
 
-def unified_grids(data: SceneData, family: FeatureFamily, views: Sequence[int] | None = None
-                  ) -> Mapping[int, FeatureGrid]:
-    """T_n of each view in `views` (every loaded view by default): local tokens plus global token."""
-    local = local_grids(data, family, views)
+def unified_grids(data: SceneData, family: FeatureFamily) -> Mapping[int, FeatureGrid]:
+    """T_n of each loaded view: local tokens plus global token."""
+    local = local_grids(data, family)
     return _OnFirstRead(local, lambda i: concat_global_local(local[i]))
 
 
@@ -169,10 +167,16 @@ def reduce_local_grids(local: Mapping[int, FeatureGrid], family: FeatureFamily,
 
 
 def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int = REDUCER_C_RED,
-                  reducer_seed: int = REDUCER_SEED, views: Sequence[int] | None = None
+                  reducer_seed: int = REDUCER_SEED
                   ) -> tuple[Mapping[int, FeatureGrid], ChannelReducer]:
-    """reduce_local_grids over the views in `views` (every loaded view by default)."""
-    return reduce_local_grids(local_grids(data, family, views), family, c_red, reducer_seed)
+    """reduce_local_grids over the loaded views."""
+    return reduce_local_grids(local_grids(data, family), family, c_red, reducer_seed)
+
+
+def check_remove(frac: float, label: str = "remove_frac") -> None:
+    """A removal fraction drops part of a cloud and keeps the rest: 0 <= frac < 1."""
+    if not 0.0 <= frac < 1.0:
+        raise InputError(f"{label} must be in [0, 1), got {frac}")
 
 
 def _warp(data: SceneData, refs: tuple[int, ...], target: int, scale: int, remove_frac: float,
@@ -181,6 +185,7 @@ def _warp(data: SceneData, refs: tuple[int, ...], target: int, scale: int, remov
 
     remove_frac drops that fraction of the cloud (seeded, nested) before rasterization.
     """
+    check_remove(remove_frac)
     if not refs:
         raise InputError("need at least one reference view")
     cloud = cloud_of([data.views[i].pointmap for i in refs])
@@ -238,10 +243,10 @@ def scene_conditions(data: SceneData, family: FeatureFamily, refs: tuple[int, ..
     coordinates, z-buffered into the target, and both planes Fourier-embed
     coordinates with `geo` and features with `feat`.
     """
-    grids, _ = reduced_grids(data, family, c_red, reducer_seed, refs)
+    grids, _ = reduced_grids(data, family, c_red, reducer_seed)
     anchored = condition_grids(data, grids)  # normalized anchor coords first
-    ref_planes = {r: build_reference_condition(g.tokens[..., :3], grids[r], geo, feat)
-                  for r, g in anchored.items()}
+    ref_planes = {r: build_reference_condition(anchored[r].tokens[..., :3], grids[r], geo, feat)
+                  for r in dict.fromkeys(refs)}
     warped = feature_warp(data, anchored, refs, target)
     return ref_planes, build_target_condition(warped, geo, feat), warped
 
@@ -311,11 +316,6 @@ def case_views(cases: Sequence[tuple]) -> tuple[int, ...]:
     return tuple(sorted({i for refs, tgt, *_ in cases for i in (*refs, tgt)}))
 
 
-def reference_views(cases: Sequence[tuple]) -> tuple[int, ...]:
-    """The refs of (refs, target, ...) cases, ascending and each once: the views featurized."""
-    return tuple(sorted({i for refs, *_ in cases for i in refs}))
-
-
 def probe_dataset(data: SceneData, grids: Mapping[int, FeatureGrid], proto: ProbeProtocol
                   ) -> list[tuple[WarpedPlane, np.ndarray]]:
     """The protocol's training warps, each pair thinned with its own seed, with their targets."""
@@ -325,9 +325,13 @@ def probe_dataset(data: SceneData, grids: Mapping[int, FeatureGrid], proto: Prob
 
 def train_scene_probe(data: SceneData, family: FeatureFamily, cfg: TrainConfig,
                       proto: ProbeProtocol) -> tuple[ProbeDecoder, list[float]]:
-    """A probe trained on the protocol's training warps (only their refs featurized), its losses."""
-    grids = unified_grids(data, family, reference_views(proto.train_pairs))
-    return train_probe(probe_dataset(data, grids, proto), cfg)
+    """A probe trained on the protocol's training warps (only their refs featurized), its losses.
+
+    A target of the protocol's evaluation too small for SSIM fails before training.
+    """
+    for target in dict.fromkeys(tgt for _, tgt in proto.eval_cases):
+        check_ssim_size(*data.views[target].rgb.shape[:2])
+    return train_probe(probe_dataset(data, unified_grids(data, family), proto), cfg)
 
 
 def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, family: FeatureFamily,
@@ -337,7 +341,7 @@ def eval_scene_probe(decoder: ProbeDecoder, data: SceneData, family: FeatureFami
 
     The refs of the cases are featurized once, for every fraction.
     """
-    grids = unified_grids(data, family, reference_views(cases))
+    grids = unified_grids(data, family)
     reports = []
     for frac in remove_fracs:
         samples = [(feature_warp(data, grids, refs, tgt, frac, remove_seed=remove_seed),
@@ -455,11 +459,11 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
     """One scene's robustness probe: PSNR at each removal fraction versus no removal.
 
     remove_seed seeds the evaluation-time thinning; training pairs keep their own seeds.
-    A target too small for SSIM fails before training.
+    A fraction out of range fails before training.
     """
+    for frac in remove_fracs:
+        check_remove(frac)
     proto = ProbeProtocol.robustness()
-    for _, target in proto.eval_cases:
-        check_ssim_size(*data.views[target].rgb.shape[:2])
     decoder, _ = train_scene_probe(data, family, cfg, proto)
     baseline, *removed = (r["mean_psnr"] for r in eval_scene_probe(
         decoder, data, family, proto.eval_cases, (0.0, *remove_fracs), remove_seed))

@@ -372,8 +372,8 @@ def test_commands_extract_features_only_for_the_views_they_read(small_bundle, sm
     # a unified grid depends on its own view only, so reading fewer views changes no grid
     full = pipeline.unified_grids(data, family)
     for proto in (pipeline.ProbeProtocol.fixed_target(), pipeline.ProbeProtocol.robustness()):
-        views = pipeline.reference_views(proto.cases)
-        grids = pipeline.unified_grids(data, family, views)
+        views = pipeline.case_views(proto.cases)
+        grids = pipeline.unified_grids(bundle.load_scene_bundle(small_bundle, 8, views), family)
         assert list(grids) == list(views)
         for i, grid in grids.items():
             np.testing.assert_array_equal(grid.tokens, full[i].tokens)
@@ -914,19 +914,39 @@ def test_robustness_checks_remove_before_training(small_bundle, capsys, monkeypa
 
 
 def test_robustness_checks_the_ssim_size_before_training(tmp_path, capsys, monkeypatch):
-    """A target smaller than the SSIM window fails before any training, in the CLI and in the
-    pool protocol alike."""
+    """A target smaller than the SSIM window fails before any training, in every probe protocol:
+    `robustness` and `probe train` in the CLI (no checkpoint written), and both pool protocols."""
     trained = []
     monkeypatch.setattr(pipeline, "train_probe", lambda *args: trained.append(args))
-    scene = tmp_path / "s8"
+    scene, ckpt = tmp_path / "s8", tmp_path / "ck"
     assert run_cli(capsys, "scene-gen", "--out", str(scene), "--views", "16",
                    "--res", "8x8")[0] == 0
-    code, out, err = run_cli(capsys, "robustness", "--scene", str(scene))
-    assert (code, out) == (2, "")
-    assert err.splitlines() == ["input error: image 8x8 smaller than the 11x11 SSIM window"]
-    with pytest.raises(InputError, match="^image 8x8 smaller than the 11x11 SSIM window$"):
-        pipeline.robustness_run([1], FeatureFamily("mixed"), TrainConfig(),
-                                pipeline.SuiteConfig(res=8))
+    for argv in (["robustness", "--scene", str(scene)],
+                 ["probe", "train", "--scene", str(scene), "--ckpt", str(ckpt)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines() == ["input error: image 8x8 smaller than the 11x11 SSIM window"]
+    assert not ckpt.exists()
+    for protocol in (pipeline.robustness_run, pipeline.family_suite_psnr):
+        with pytest.raises(InputError, match="^image 8x8 smaller than the 11x11 SSIM window$"):
+            protocol([1], FeatureFamily("mixed"), TrainConfig(), pipeline.SuiteConfig(res=8))
+    assert trained == []
+
+
+def test_a_removal_fraction_is_checked_before_any_work(scene_data, monkeypatch):
+    """The library takes a removal fraction in [0, 1), the rule of the CLI's --remove: a warp
+    names remove_frac, and the robustness protocol refuses a fraction before it trains."""
+    grids = pipeline.unified_grids(scene_data, FeatureFamily("appearance"))
+    for frac in (-0.5, 1.0):
+        with pytest.raises(InputError, match=rf"^remove_frac must be in \[0, 1\), got {frac}$"):
+            pipeline.rgb_warp(scene_data, (0, 2), 4, frac)
+        with pytest.raises(InputError, match=rf"^remove_frac must be in \[0, 1\), got {frac}$"):
+            pipeline.feature_warp(scene_data, grids, (0, 2), 4, frac)
+    trained = []
+    monkeypatch.setattr(pipeline, "train_probe", lambda *args: trained.append(args))
+    with pytest.raises(InputError, match=r"^remove_frac must be in \[0, 1\), got 1.5$"):
+        pipeline.robustness_run([5], FeatureFamily("mixed"), TrainConfig(),
+                                pipeline.SuiteConfig(res=32), remove_fracs=(1.5,))
     assert trained == []
 
 

@@ -1,10 +1,18 @@
 """The scripts under tools/ run end to end against the package in src/."""
 
+import dataclasses
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from renov.cli import build_parser
+from renov.encoding import FourierConfig
+from renov.features import FeatureFamily
+from renov.pipeline import SuiteConfig
+from renov.probe import TrainConfig
+from renov.scene import SceneSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,11 +48,21 @@ def test_the_blas_thread_count_changes_no_cli_output():
     assert one == two
 
 
-def test_layer_time_runs_and_counts_the_source_lines():
+def test_layer_time_runs_and_counts_the_source_lines(cli_leaves):
     out = run_tool("layer_time.py", "--steps", "1", "--reps", "1")
     # what `wc -l src/renov/*.py` totals: the newlines of every module
     wc_total = sum(f.read_bytes().count(b"\n") for f in (ROOT / "src" / "renov").glob("*.py"))
-    assert f", src {wc_total} lines" in out.splitlines()[0]
+    # the settable values next to it: the flags of each leaf and the global ones, each without
+    # -h/--help (one action), and the config fields
+    def flags(parser):
+        return len(set(parser._option_string_actions.values())) - 1
+
+    leaf_flags = sum(map(flags, cli_leaves.values()))
+    fields = sum(len(dataclasses.fields(c)) for c in (SuiteConfig, TrainConfig, FeatureFamily,
+                                                      FourierConfig, SceneSpec))
+    assert out.splitlines()[0].endswith(
+        f", src {wc_total} lines, {leaf_flags} flags over {len(cli_leaves)} leaves, "
+        f"{flags(build_parser())} global flags, {fields} config fields")
     assert "step random" in out  # the probe-step section ran to its last family
 
 

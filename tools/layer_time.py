@@ -42,11 +42,14 @@ process to one CPU for steadier numbers:
     PYTHONPATH=src taskset -c 0 python3 tools/layer_time.py --steps 300 --reps 3
 
 The first lines give the numpy and BLAS versions, the CPUs the process may
-use, the line count of renov's sources (the total of `wc -l src/renov/*.py`)
-and whether the heap policy `import renov` sets is active, then one line per
-layer and one per family and attention setting: median and range in ms, and
-the median minor page faults per call (per view or per step where the time
-is), from the `ru_minflt` delta of getrusage around each rep.
+use, the line count of renov's sources (the total of `wc -l src/renov/*.py`),
+its settable values (the flags over the CLI's leaf commands without -h, the
+global flags, and the fields of SuiteConfig, TrainConfig, FeatureFamily,
+FourierConfig and SceneSpec) and whether the heap policy `import renov` sets
+is active, then one line per layer and one per family and attention
+setting: median and range in ms, and the median minor page faults per call
+(per view or per step where the time is), from the `ru_minflt` delta of
+getrusage around each rep.
 
 `--against TREE` compares with another checkout (say the parent commit's)
 in the same process, so that drift of the host between two runs cannot pass
@@ -68,6 +71,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import importlib  # noqa: E402
 import itertools  # noqa: E402
 import resource  # noqa: E402
@@ -83,8 +87,8 @@ import numpy as np  # noqa: E402
 import renov  # noqa: E402
 from renov.pipeline import REDUCER_C_RED, REDUCER_SEED  # noqa: E402
 
-MODULES = ("analysis", "bundle", "encoding", "features", "geometry", "metrics", "pipeline", "probe",
-           "scene")
+MODULES = ("analysis", "bundle", "cli", "encoding", "features", "geometry", "metrics", "pipeline",
+           "probe", "scene")
 
 FAMILIES = ("mixed", "appearance", "random")
 FEATURE_FAMILIES = ("oracle_geom", "appearance", "random", "mixed")
@@ -105,6 +109,29 @@ def blas_version() -> str:
 def src_lines(pipeline) -> int:
     """Newlines in one imported renov package's *.py files, which is what `wc -l` totals."""
     return sum(f.read_bytes().count(b"\n") for f in Path(pipeline.__file__).parent.glob("*.py"))
+
+
+def flags(parser: argparse.ArgumentParser) -> int:
+    """The options a parser takes itself, without -h."""
+    return sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
+               for a in parser._actions)
+
+
+def leaves(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
+    """The parsers of a parser's leaf commands (a command, or a command and its mode)."""
+    subs = [sub for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            for sub in a.choices.values()]
+    return [leaf for sub in subs for leaf in leaves(sub)] if subs else [parser]
+
+
+def settable_values(rv: SimpleNamespace) -> str:
+    """The flags of the CLI's leaves and its global flags, and the fields of the config classes."""
+    parser = rv.cli.build_parser()
+    tree = leaves(parser)
+    configs = (rv.pipeline.SuiteConfig, rv.probe.TrainConfig, rv.features.FeatureFamily,
+               rv.encoding.FourierConfig, rv.scene.SceneSpec)
+    return (f"{sum(map(flags, tree))} flags over {len(tree)} leaves, {flags(parser)} global flags, "
+            f"{sum(len(dataclasses.fields(c)) for c in configs)} config fields")
 
 
 def report(name: str, reps: tuple[list[float], list[float]]) -> None:
@@ -189,9 +216,8 @@ def layer_cases(rv: SimpleNamespace, seed: int):
             for res in (64, 128)}
     # this tree's reducer settings, passed to either tree: an older one may have no defaults.
     # The grids are read here, where a tree computes them on first read, so no rep extracts.
-    grids, _ = pipeline.reduced_grids(data[64], FeatureFamily("mixed"), REDUCER_C_RED,
-                                      REDUCER_SEED, WARP_REFS)
-    grids = dict(grids)
+    grids, _ = pipeline.reduced_grids(data[64], FeatureFamily("mixed"), REDUCER_C_RED, REDUCER_SEED)
+    grids = {i: grids[i] for i in WARP_REFS}
     yield ("feature_warp 64x64",
            lambda: pipeline.feature_warp(data[64], grids, WARP_REFS, WARP_TARGET), LAYER_REPS, 1)
     yield ("rgb_warp 128x128",
@@ -279,7 +305,7 @@ def main(argv=None) -> int:
     rv = modules()
     print(f"python {sys.version.split()[0]}, numpy {np.__version__}, BLAS {blas_version()}, "
           f"{rv.pipeline.available_cpus()} CPU(s) usable, 1 BLAS thread, "
-          f"src {src_lines(rv.pipeline)} lines")
+          f"src {src_lines(rv.pipeline)} lines, {settable_values(rv)}")
     print("heap policy: " + ("freed heap kept mapped (mallopt trim 64 MiB, mmap 32 MiB)"
                              if renov._heap_kept else "not set (no glibc mallopt)"))
     print(f"scene seed {args.seed}, {LAYER_REPS} reps per layer; "
@@ -287,7 +313,8 @@ def main(argv=None) -> int:
     trees = [rv]
     if args.against is not None:
         trees.append(import_tree(args.against.resolve() / "src"))
-        print(f"against {args.against}: src {src_lines(trees[1].pipeline)} lines")
+        print(f"against {args.against}: src {src_lines(trees[1].pipeline)} lines, "
+              f"{settable_values(trees[1])}")
     for label, tree in zip(("render_view tested px 128x128", "  the same in TREE"), trees):
         tested = tested_px(tree, args.seed)
         print(f"{label:<34} {statistics.mean(tested):8.3f} x image "
