@@ -9,13 +9,14 @@ A scene bundle is a directory with deterministic, atomically written files:
     views/view_NNN/labels.rnvt    i64 HxW instance ids (-1 = background)
     views/view_NNN/camera.json
 
-load_scene_bundle reads scene.json and the views a caller names into the
-pipeline's SceneData in one call, checking every field it parses and every
-view it reads against this layout.  A saved number passes errors.is_int or
-is_real and is never coerced.  A tensor must have its dtype, the shape
-camera.json gives, rgb in [0, 1], depth finite and >= 0, pointmap coordinates
-and the normalization box in [-WORLD_HALF, WORLD_HALF]^3.  A view it does not
-read is not opened.  Pointmap validity is recovered from depth > 0.
+load_scene_bundle reads and checks scene.json whole and returns the
+pipeline's SceneData over the bundle's whole arc (n_views at most
+scene.MAX_VIEWS).  Each view's files are read and checked against this layout
+when the view is first read, so a view no caller reads is never opened.  A
+saved number passes errors.is_int or is_real and is never coerced.  A tensor
+must have its dtype, the shape camera.json gives, rgb in [0, 1], depth finite
+and >= 0, pointmap coordinates and the normalization box in
+[-WORLD_HALF, WORLD_HALF]^3.  Pointmap validity is recovered from depth > 0.
 load_decoder checks each checkpoint parameter alike: float64, the manifest's
 shape, finite and in float32 range.  A violation is an InputError naming the
 file.
@@ -23,7 +24,7 @@ file.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,9 @@ from .encoding import MIN_HALF_EXTENT, NormalizationTransform
 from .errors import InputError, NumericalError, is_int
 from .features import ChannelReducer, FeatureFamily
 from .geometry import FeatureGrid, Pointmap
-from .pipeline import SceneData, check_views
+from .pipeline import SceneData
 from .probe import ProbeDecoder, param_shapes
-from .scene import WORLD_HALF, RenderedView, SceneSpec, SyntheticScene, freeze_view
+from .scene import MAX_VIEWS, WORLD_HALF, RenderedView, SceneSpec, SyntheticScene, freeze_view
 
 SCENE_FORMAT = "renov-scene"
 SCENE_VERSION = 1
@@ -54,6 +55,12 @@ def _int(value) -> int:
 def _positive(value) -> int:
     if _int(value) < 1:
         raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _n_views(value) -> int:
+    if _positive(value) > MAX_VIEWS:
+        raise ValueError(f"expected at most {MAX_VIEWS} views, got {value}")
     return value
 
 
@@ -158,15 +165,11 @@ def _load_view(vdir: Path) -> RenderedView:
                                     camera=camera))
 
 
-def load_scene_bundle(bundle: Path, patch: int,
-                      views: Iterable[int] | Callable[[int], Iterable[int]] | None = None
-                      ) -> SceneData:
-    """The bundle as the SceneData of the given patch size, holding only the views in `views`.
+def load_scene_bundle(bundle: Path, patch: int) -> SceneData:
+    """The bundle as the SceneData of the given patch size.
 
-    scene.json is read and checked whole.  `views` may instead be a function of
-    the bundle's n_views that gives them (and may raise InputError for a bad
-    choice) before any view is read; None loads every view.  The views pass
-    pipeline.check_views, the range check render_scene_data runs too.
+    scene.json is read and checked whole now; each view is read and checked by
+    _load_view when it is first read.
     """
     path = Path(bundle) / "scene.json"
     doc = rnvt.read_json(path)
@@ -176,10 +179,8 @@ def load_scene_bundle(bundle: Path, patch: int,
     seed = _field(path, doc, "seed", _int)
     _field(path, doc, "spec", SceneSpec.from_dict)
     transform = _field(path, doc, "normalization", _normalization)
-    n_views = _field(path, doc, "n_views", _positive)
-    views = check_views(views(n_views) if callable(views) else views, n_views)
-    return SceneData(seed, n_views, {i: _load_view(view_dir(bundle, i)) for i in views},
-                     transform, patch)
+    n_views = _field(path, doc, "n_views", _n_views)
+    return SceneData(seed, n_views, lambda i: _load_view(view_dir(bundle, i)), transform, patch)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +25,8 @@ from .encoding import FEAT_FREQS, FourierConfig
 from .errors import InputError, NumericalError
 from .features import FeatureFamily
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, REDUCER_C_RED, REDUCER_SEED,
-                       REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, case_views,
-                       check_remove, check_views, eval_scene_probe, feature_warp, local_grids,
+                       REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, check_remove,
+                       check_views, eval_scene_probe, feature_warp, local_grids,
                        reduce_local_grids, reduced_grids, rgb_warp, robustness_scene_run,
                        scene_conditions, train_scene_probe)
 from .probe import TrainConfig
@@ -69,15 +68,6 @@ def _parse_refs(text: str) -> tuple[int, ...]:
 def _family_from(args, seed: int) -> FeatureFamily:
     return FeatureFamily(args.family, sigma=args.sigma, num_freqs=args.freqs,
                          channels=args.channels, seed=seed)
-
-
-def _flag_views(flags: dict[str, tuple[int, ...]]) -> Callable[[int], list[int]]:
-    """load_scene_bundle's `views` for the views each label names, checked against n_views first."""
-    return lambda n_views: [i for label, views in flags.items()
-                            for i in check_views(views, n_views, label)]
-
-
-PROTOCOL_VIEW = "probe protocol view"  # the label of a protocol's views in a range error
 
 
 def _out_dir(text: str | None, flag: str) -> Path | None:
@@ -152,8 +142,9 @@ def cmd_warp(args) -> dict:
     seed = _seed_from(args)
     refs = _parse_refs(args.refs)
     check_remove(args.remove, "--remove")
-    data = bundle.load_scene_bundle(args.scene, args.patch,
-                                    _flag_views({"--refs": refs, "--target": (args.target,)}))
+    data = bundle.load_scene_bundle(args.scene, args.patch)
+    check_views(refs, data.n_views, "--refs")
+    check_views((args.target,), data.n_views, "--target")
     if args.payload == "rgb":
         plane = rgb_warp(data, refs, args.target, args.remove, seed)
     else:
@@ -179,8 +170,9 @@ def cmd_condition(args) -> dict:
     out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
     refs = _parse_refs(args.refs)
-    data = bundle.load_scene_bundle(args.scene, args.patch,
-                                    _flag_views({"--refs": refs, "--target": (args.target,)}))
+    data = bundle.load_scene_bundle(args.scene, args.patch)
+    check_views(refs, data.n_views, "--refs")
+    check_views((args.target,), data.n_views, "--target")
     ref_planes, tgt_plane, warped = scene_conditions(
         data, _family_from(args, seed), refs, args.target, args.c_red, args.reducer_seed,
         FourierConfig(num_freqs=args.geo_freqs), FourierConfig(num_freqs=args.feat_freqs))
@@ -200,17 +192,20 @@ def cmd_condition(args) -> dict:
 def cmd_analyze(args) -> dict:
     out = _out_dir(args.out, "--out")
     seed = _seed_from(args)
-    flags = {"--view-a": (args.view_a,)}
+    flags = {"--view-a": args.view_a}
     if args.metric != "lds":  # the only metric of a single view
         if args.save_maps < 0:
             raise InputError(f"--save-maps must be >= 0, got {args.save_maps}")
         if args.save_maps and out is None:
             raise InputError(f"--save-maps {args.save_maps} writes its maps under --out, "
                              "but no --out is given")
-        flags["--view-b"] = (args.view_b,)
-    data = bundle.load_scene_bundle(args.scene, args.patch, _flag_views(flags))
-    # the loaded views' grids, each once, computed before --out is made
-    grids = dict(local_grids(data, _family_from(args, seed)))
+        flags["--view-b"] = args.view_b
+    data = bundle.load_scene_bundle(args.scene, args.patch)
+    for flag, i in flags.items():
+        check_views((i,), data.n_views, flag)
+    # the grids of the views the flags name, each once, computed before --out is made
+    local = local_grids(data, _family_from(args, seed))
+    grids = {i: local[i] for i in flags.values()}
     if out:
         rnvt.make_dir(out)
 
@@ -249,7 +244,7 @@ def cmd_analyze(args) -> dict:
 
 def _scene_of(data) -> dict:
     """What binds a checkpoint to its bundle: the scene seed, arc length and resolution."""
-    camera = next(iter(data.views.values())).camera
+    camera = data.views[ProbeProtocol.TARGET].camera  # a view every probe protocol reads
     return {"seed": data.seed, "n_views": data.n_views, "res": [camera.width, camera.height]}
 
 
@@ -265,8 +260,7 @@ def cmd_probe(args) -> dict:
     proto = ProbeProtocol.fixed_target()
 
     if args.mode == "train":
-        data = bundle.load_scene_bundle(
-            args.scene, args.patch, _flag_views({PROTOCOL_VIEW: case_views(proto.train_pairs)}))
+        data = bundle.load_scene_bundle(args.scene, args.patch)
         cfg = _probe_cfg(args, seed)
         decoder, curve = train_scene_probe(data, family, cfg, proto)
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed,
@@ -282,16 +276,16 @@ def cmd_probe(args) -> dict:
         c for c in proto.eval_cases if len(c[0]) == args.views)
     if not cases:
         raise InputError(f"--views {args.views} selects no evaluation case")
-    data = bundle.load_scene_bundle(args.scene, args.patch,
-                                    _flag_views({PROTOCOL_VIEW: case_views(cases)}))
+    data = bundle.load_scene_bundle(args.scene, args.patch)
     manifest, decoder = bundle.load_decoder(Path(args.ckpt))
     if decoder.patch_size != args.patch:
         raise InputError(f"--patch {args.patch} does not match the patch_size "
                          f"{decoder.patch_size} of --ckpt {args.ckpt}")
     extra = manifest.get("extra", {})  # an object: load_decoder checked it
-    for field, given, source in (("family", family.to_dict(), "the family flags give"),
-                                 ("scene", _scene_of(data), f"--scene {args.scene} is")):
-        trained_on, given = (json.dumps(v, sort_keys=True) for v in (extra.get(field), given))
+    # the family first: the scene's binding reads a view
+    for field, given, source in (("family", family.to_dict, "the family flags give"),
+                                 ("scene", lambda: _scene_of(data), f"--scene {args.scene} is")):
+        trained_on, given = (json.dumps(v, sort_keys=True) for v in (extra.get(field), given()))
         if trained_on != given:
             raise InputError(f"--ckpt {args.ckpt} was trained on {field} {trained_on}, "
                              f"but {source} {given}")
@@ -308,9 +302,7 @@ def cmd_robustness(args) -> dict:
     seed = _seed_from(args)
     for frac in args.remove:
         check_remove(frac, "--remove")
-    proto = ProbeProtocol.robustness()
-    data = bundle.load_scene_bundle(args.scene, args.patch,
-                                    _flag_views({PROTOCOL_VIEW: case_views(proto.cases)}))
+    data = bundle.load_scene_bundle(args.scene, args.patch)
     summary = {"command": "robustness", "family": args.family,
                **robustness_scene_run(data, _family_from(args, seed), _probe_cfg(args, seed),
                                       tuple(args.remove), seed)}

@@ -58,7 +58,7 @@ class SuiteConfig:
 
 class _OnFirstRead(Mapping):
     """Values by arc index, fixed keys in order: a key's value is make(key), computed when it is
-    first read and then kept.  Reading a key it does not hold is a KeyError naming the view."""
+    first read and then kept.  Reading a key it does not hold is an InputError naming the view."""
 
     def __init__(self, keys: Iterable[int], make: Callable[[int], object]):
         self._keys = dict.fromkeys(keys)  # each once, in order
@@ -68,7 +68,8 @@ class _OnFirstRead(Mapping):
     def __getitem__(self, index):
         if index not in self._values:
             if index not in self._keys:
-                raise KeyError(f"view {index} was not loaded (loaded: {sorted(self._keys)})")
+                raise InputError(f"view index {index} out of range for an arc of "
+                                 f"{len(self._keys)} views")
             self._values[index] = self._make(index)
         return self._values[index]
 
@@ -84,51 +85,43 @@ class _OnFirstRead(Mapping):
 
 @dataclass(frozen=True)
 class SceneData:
-    """A scene on an arc of n_views views, of which `views` holds those loaded, by arc index.
+    """A scene on an arc of n_views views, whose `views` maps each arc index to its view.
 
-    A rendered scene renders each view when it is first read; a mapping of views
-    already at hand is held as it is, in arc order.
+    `views` is given as a function that makes view i (a mapping of views already
+    at hand is read through its __getitem__); each view is made when first read.
     """
 
     seed: int  # the scene seed: per-scene feature families mix it in
     n_views: int
-    views: Mapping[int, RenderedView]
+    views: Callable[[int], RenderedView] | Mapping[int, RenderedView]  # held as a mapping
     transform: NormalizationTransform
     patch: int
 
     def __post_init__(self):
         if self.patch < 1:
             raise InputError(f"patch size must be >= 1, got {self.patch}")
-        if not isinstance(self.views, _OnFirstRead):
-            views = self.views  # already at hand: each read is a lookup
-            object.__setattr__(self, "views", _OnFirstRead(sorted(views), views.__getitem__))
+        make = self.views.__getitem__ if isinstance(self.views, Mapping) else self.views
+        object.__setattr__(self, "views", _OnFirstRead(range(self.n_views), make))
 
 
-def check_views(views: Iterable[int] | None, n_views: int, label: str = "view"
-                ) -> Sequence[int]:
-    """The distinct views (None: all), ascending, each checked to index an arc of n_views views."""
-    if views is None:  # all of them: already distinct, ascending and in range, built lazily
-        return range(n_views)
-    views = sorted(set(views))
-    for i in views:
+def check_views(views: Iterable[int], n_views: int, label: str) -> None:
+    """Each index in `views` lies on an arc of n_views views; the lowest that does not is named."""
+    for i in sorted(set(views)):
         if not 0 <= i < n_views:
             raise InputError(f"{label} index {i} out of range for an arc of {n_views} views")
-    return views
 
 
-def render_scene_data(seed: int, cfg: SuiteConfig, views: Iterable[int] | None = None
-                      ) -> SceneData:
-    """The suite scene of `seed` holding the views in `views` (default: every view).
+def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
+    """The suite scene of `seed` on its arc of cfg.n_views views.
 
-    The arc and the views are checked now; each view, and its camera, is made when first read.
+    The arc is checked now; each view, and its camera, is made when first read.
     """
     scene = generate_scene(seed, SCENE_SPEC)
     check_camera_arc(cfg.n_views, ARC_RADIUS, ARC_SPAN_DEG)
     arc = (cfg.n_views, ARC_RADIUS, ARC_FOV_DEG, (cfg.res, cfg.res), ARC_SPAN_DEG)
-    views = _OnFirstRead(check_views(views, cfg.n_views),
-                         lambda i: render_view(scene, arc_camera(scene, i, *arc)))
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
-    return SceneData(seed, cfg.n_views, views, transform, PATCH)
+    return SceneData(seed, cfg.n_views, lambda i: render_view(scene, arc_camera(scene, i, *arc)),
+                     transform, PATCH)
 
 
 def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
@@ -137,7 +130,7 @@ def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:
 
 
 def local_grids(data: SceneData, family: FeatureFamily) -> Mapping[int, FeatureGrid]:
-    """Per-scene t_l of each loaded view, by arc index.
+    """Per-scene t_l of each view, by arc index.
 
     Like every grid builder here, it returns a mapping over the scene's views
     whose grid of a view is computed when first read and then kept.
@@ -148,7 +141,7 @@ def local_grids(data: SceneData, family: FeatureFamily) -> Mapping[int, FeatureG
 
 
 def unified_grids(data: SceneData, family: FeatureFamily) -> Mapping[int, FeatureGrid]:
-    """T_n of each loaded view: local tokens plus global token."""
+    """T_n of each view: local tokens plus global token."""
     local = local_grids(data, family)
     return _OnFirstRead(local, lambda i: concat_global_local(local[i]))
 
@@ -169,7 +162,7 @@ def reduce_local_grids(local: Mapping[int, FeatureGrid], family: FeatureFamily,
 def reduced_grids(data: SceneData, family: FeatureFamily, c_red: int = REDUCER_C_RED,
                   reducer_seed: int = REDUCER_SEED
                   ) -> tuple[Mapping[int, FeatureGrid], ChannelReducer]:
-    """reduce_local_grids over the loaded views."""
+    """reduce_local_grids over the scene's views."""
     return reduce_local_grids(local_grids(data, family), family, c_red, reducer_seed)
 
 
@@ -305,16 +298,6 @@ class ProbeProtocol:
         evals = (((3, 7, 9, 11, 13), cls.TARGET),)
         return cls(tuple((r, cls.TARGET, f) for r, f in refs_fracs), evals)
 
-    @property
-    def cases(self) -> tuple[tuple, ...]:
-        """Every (refs, target, ...) case the protocol runs: its train pairs, then its eval cases."""
-        return self.train_pairs + self.eval_cases
-
-
-def case_views(cases: Sequence[tuple]) -> tuple[int, ...]:
-    """The views (refs, target, ...) cases open, their refs and targets, ascending and each once."""
-    return tuple(sorted({i for refs, tgt, *_ in cases for i in (*refs, tgt)}))
-
 
 def probe_dataset(data: SceneData, grids: Mapping[int, FeatureGrid], proto: ProbeProtocol
                   ) -> list[tuple[WarpedPlane, np.ndarray]]:
@@ -429,9 +412,8 @@ def _map_scenes(job, seeds: list[int]) -> list:
 
 def _probe_scene_report(family: FeatureFamily, cfg: TrainConfig, suite: SuiteConfig,
                         seed: int) -> dict:
-    proto = ProbeProtocol.fixed_target()
-    data = render_scene_data(seed, suite, case_views(proto.cases))
-    return probe_scene_run(data, family, cfg, proto)[2]
+    return probe_scene_run(render_scene_data(seed, suite), family, cfg,
+                           ProbeProtocol.fixed_target())[2]
 
 
 def family_suite_psnr(
@@ -472,8 +454,7 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
 
 def _robustness_scene(family: FeatureFamily, cfg: TrainConfig, suite: SuiteConfig,
                       remove_fracs: tuple[float, ...], seed: int) -> dict:
-    data = render_scene_data(seed, suite, case_views(ProbeProtocol.robustness().cases))
-    return robustness_scene_run(data, family, cfg, remove_fracs, seed)
+    return robustness_scene_run(render_scene_data(seed, suite), family, cfg, remove_fracs, seed)
 
 
 def _removal_summary(baseline: float, psnrs: dict[str, float]) -> dict:

@@ -216,7 +216,7 @@ def test_criterion_7_correspondence_sanity():
     random_fam = FeatureFamily("random", seed=13)
     oracle_pck, random_pck, chances = [], [], []
     for seed in range(100, 110):
-        data = render_scene_data(seed, SUITE, (2, 5))
+        data = render_scene_data(seed, SUITE)
         va, vb = data.views[2], data.views[5]
         g_o_a = extract_features(va, oracle_fam, data.patch, data.transform)
         g_o_b = extract_features(vb, oracle_fam, data.patch, data.transform)

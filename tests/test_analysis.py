@@ -214,7 +214,7 @@ def test_scores_match_per_query_cosine_map_reference(scene_data):
 
 def test_predictions_are_the_cosine_map_argmax_of_a_128_mixed_pair():
     from renov.pipeline import SuiteConfig, local_grids, render_scene_data
-    data = render_scene_data(4, SuiteConfig(res=128), (2, 5))
+    data = render_scene_data(4, SuiteConfig(res=128))
     grids = local_grids(data, FeatureFamily("mixed"))
     (va, ga), (vb, gb) = ((data.views[i], grids[i]) for i in (2, 5))
     geo = geometric_correspondence_score(ga, gb, va, vb, seed=4)

@@ -13,7 +13,7 @@ from renov.pipeline import (SCENE_SPEC, ProbeProtocol, SuiteConfig, condition_gr
                             reduced_grids, render_scene_data, rgb_warp, unified_grids,
                             warped_image_metrics)
 from renov.probe import ProbeDecoder, TrainConfig
-from renov.scene import SceneSpec, generate_scene, make_camera_arc
+from renov.scene import MAX_VIEWS, SceneSpec, generate_scene, make_camera_arc
 
 
 def test_scene_bundle_roundtrip(tmp_path, scene_data):
@@ -37,7 +37,7 @@ def test_scene_bundle_roundtrip(tmp_path, scene_data):
     assert SceneSpec.from_dict(doc["spec"]) == SCENE_SPEC
 
 
-def test_scene_bundle_loads_only_the_views_named(tmp_path, scene_data, monkeypatch):
+def test_scene_bundle_reads_only_the_views_read(tmp_path, scene_data, monkeypatch):
     scene = generate_scene(scene_data.seed, SCENE_SPEC)
     bundle.save_scene_bundle(tmp_path / "b", scene, list(scene_data.views.values()),
                              scene_data.transform)
@@ -48,24 +48,28 @@ def test_scene_bundle_loads_only_the_views_named(tmp_path, scene_data, monkeypat
         return read_tensor(path)
 
     monkeypatch.setattr(rnvt, "read_tensor", recorded)
-    shown = []
-    data = bundle.load_scene_bundle(tmp_path / "b", scene_data.patch,
-                                    lambda n: shown.append(n) or (5, 2, 5))
-    assert shown == [scene_data.n_views]  # the callable sees n_views before any view is read
-    assert data.n_views == scene_data.n_views and list(data.views) == [2, 5]
+    data = bundle.load_scene_bundle(tmp_path / "b", scene_data.patch)
+    assert read == []  # scene.json only
+    assert data.n_views == scene_data.n_views and list(data.views) == list(range(8))
+    for i in (5, 2, 5):
+        data.views[i]
     assert sorted(set(read)) == ["view_002", "view_005"] and len(read) == 8
     np.testing.assert_array_equal(data.views[5].depth, scene_data.views[5].depth)
-    with pytest.raises(KeyError, match="view 3 was not loaded"):
-        data.views[3]
     assert pipeline.local_grids(data, FeatureFamily("appearance"))[5].tokens.shape == (8, 8, 18)
-    assert list(pipeline.local_grids(data, FeatureFamily("appearance"))) == [2, 5]  # those loaded
-    with pytest.raises(InputError, match="view index 8 out of range"):
-        bundle.load_scene_bundle(tmp_path / "b", scene_data.patch, [1, 8])
+    assert len(read) == 8
+    with pytest.raises(InputError, match="^view index 8 out of range for an arc of 8 views$"):
+        data.views[8]
 
 
-def test_render_scene_data_renders_only_the_views_named(scene_data, suite_cfg):
-    data = pipeline.render_scene_data(scene_data.seed, suite_cfg, (6, 1, 6))
-    assert data.n_views == scene_data.n_views and list(data.views) == [1, 6]
+def test_render_scene_data_renders_only_the_views_read(scene_data, suite_cfg, monkeypatch):
+    rendered, render_view = [], pipeline.render_view
+    monkeypatch.setattr(pipeline, "render_view",
+                        lambda scene, cam: rendered.append(1) or render_view(scene, cam))
+    data = pipeline.render_scene_data(scene_data.seed, suite_cfg)
+    assert data.n_views == scene_data.n_views and list(data.views) == list(range(8))
+    for i in (6, 1, 6):
+        data.views[i]
+    assert len(rendered) == 2
     for i in (1, 6):
         got, want = data.views[i], scene_data.views[i]
         for field in ("rgb", "depth", "labels"):
@@ -73,10 +77,9 @@ def test_render_scene_data_renders_only_the_views_named(scene_data, suite_cfg):
         np.testing.assert_array_equal(got.pointmap.coords, want.pointmap.coords)
         np.testing.assert_array_equal(got.pointmap.valid, want.pointmap.valid)
         assert got.camera.to_dict() == want.camera.to_dict()
+    assert len(rendered) == 2
     np.testing.assert_array_equal(data.transform.center, scene_data.transform.center)
     np.testing.assert_array_equal(data.transform.half_extent, scene_data.transform.half_extent)
-    with pytest.raises(KeyError, match=r"view 3 was not loaded \(loaded: \[1, 6\]\)"):
-        data.views[3]
 
 
 def test_render_scene_data_checks_its_arc_at_the_call():
@@ -88,17 +91,37 @@ def test_render_scene_data_checks_its_arc_at_the_call():
     assert str(rendered.value) == str(arc.value) == "camera arc needs n >= 2, got 1"
 
 
+def test_an_arc_is_at_most_max_views_long(tmp_path, scene_data, monkeypatch):
+    """An arc past MAX_VIEWS fails at the call, before a camera is built or a view rendered."""
+    def no_work(*args):
+        raise AssertionError("work started on an arc past MAX_VIEWS")
+
+    monkeypatch.setattr(pipeline, "arc_camera", no_work)
+    monkeypatch.setattr(pipeline, "render_view", no_work)
+    with pytest.raises(InputError, match=f"camera arc needs n <= {MAX_VIEWS}, got {MAX_VIEWS + 1}"):
+        render_scene_data(0, SuiteConfig(n_views=MAX_VIEWS + 1))
+    assert render_scene_data(0, SuiteConfig(n_views=MAX_VIEWS)).n_views == MAX_VIEWS
+
+    scene = generate_scene(scene_data.seed, SCENE_SPEC)
+    bundle.save_scene_bundle(tmp_path / "b", scene, [scene_data.views[0], scene_data.views[1]],
+                             scene_data.transform)
+    doc = rnvt.read_json(tmp_path / "b" / "scene.json")
+    rnvt.write_json(tmp_path / "b" / "scene.json", dict(doc, n_views=MAX_VIEWS + 1))
+    with pytest.raises(InputError, match="scene.json: field 'n_views'"):
+        bundle.load_scene_bundle(tmp_path / "b", scene_data.patch)
+
+
 @pytest.mark.parametrize("views", [(1, 9, 8), (-1, 2)])
 def test_renderer_and_loader_reject_a_view_off_the_arc_alike(tmp_path, scene_data, suite_cfg,
                                                               views):
     scene = generate_scene(scene_data.seed, SCENE_SPEC)
     bundle.save_scene_bundle(tmp_path / "b", scene, list(scene_data.views.values()),
                              scene_data.transform)
-    with pytest.raises(InputError) as rendered:
-        pipeline.render_scene_data(scene_data.seed, suite_cfg, views)
-    with pytest.raises(InputError) as loaded:
-        bundle.load_scene_bundle(tmp_path / "b", scene_data.patch, views)
     first = min(i for i in views if not 0 <= i < 8)  # the first index the arc lacks
+    with pytest.raises(InputError) as rendered:
+        pipeline.render_scene_data(scene_data.seed, suite_cfg).views[first]
+    with pytest.raises(InputError) as loaded:
+        bundle.load_scene_bundle(tmp_path / "b", scene_data.patch).views[first]
     assert str(rendered.value) == str(loaded.value) == (
         f"view index {first} out of range for an arc of 8 views")
 
@@ -242,7 +265,7 @@ def test_probe_protocol_shapes():
 def test_eval_fractions_share_one_feature_extraction(monkeypatch):
     """Removal fractions in one call give one call's report each, from one featurization."""
     proto, fracs = ProbeProtocol.robustness(), (0.0, 0.3, 0.5)
-    data = render_scene_data(4, SuiteConfig(res=32), pipeline.case_views(proto.cases))
+    data = render_scene_data(4, SuiteConfig(res=32))
     family, cases = FeatureFamily("mixed", seed=4), proto.eval_cases
     decoder, _ = pipeline.train_scene_probe(data, family, TrainConfig(steps=2, hidden=16, c_red=8),
                                             proto)

@@ -22,7 +22,7 @@ from renov.errors import InputError
 from renov.features import FeatureFamily
 from renov.geometry import FeatureGrid, token_anchors
 from renov.probe import TrainConfig
-from renov.scene import SceneSpec
+from renov.scene import MAX_VIEWS, SceneSpec
 
 
 def run_cli(capsys, *argv):
@@ -371,13 +371,12 @@ def test_commands_extract_features_only_for_the_views_they_read(small_bundle, sm
 
     # a unified grid depends on its own view only, so reading fewer views changes no grid
     full = pipeline.unified_grids(data, family)
-    for proto in (pipeline.ProbeProtocol.fixed_target(), pipeline.ProbeProtocol.robustness()):
-        views = pipeline.case_views(proto.cases)
-        grids = pipeline.unified_grids(bundle.load_scene_bundle(small_bundle, 8, views), family)
-        assert list(grids) == list(views)
-        for i, grid in grids.items():
-            np.testing.assert_array_equal(grid.tokens, full[i].tokens)
-            np.testing.assert_array_equal(grid.valid, full[i].valid)
+    for views in ((0, 2, 4, 6, 7, 8, 9, 10, 11, 12, 14),  # a fixed-target probe's views
+                  (0, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14)):  # a robustness probe's
+        grids = pipeline.unified_grids(bundle.load_scene_bundle(small_bundle, 8), family)
+        for i in views:
+            np.testing.assert_array_equal(grids[i].tokens, full[i].tokens)
+            np.testing.assert_array_equal(grids[i].valid, full[i].valid)
 
 
 def test_features_and_analyze_use_per_scene_features(small_bundle, capsys, tmp_path):
@@ -641,7 +640,7 @@ def test_damaged_inputs_exit_2(small_bundle, small_ckpt, capsys, tmp_path):
 
 
 def test_a_huge_n_views_costs_no_work_per_claimed_view(small_bundle, capsys, tmp_path):
-    """features loads every view; a damaged n_views of 10**18 fails at the first missing view."""
+    """A damaged n_views of 10**18 fails in scene.json, before any view is read."""
     scene = tmp_path / "scene"
     shutil.copytree(small_bundle, scene)
     rnvt.write_json(scene / "scene.json",
@@ -651,7 +650,7 @@ def test_a_huge_n_views_costs_no_work_per_claimed_view(small_bundle, capsys, tmp
                              str(tmp_path / "f"))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert len(err.strip().splitlines()) == 1 and os.path.join("views", "view_016") in err
+    assert len(err.strip().splitlines()) == 1 and "scene.json: field 'n_views'" in err
 
 
 # A flag value the library rejects where it first uses it: (argv with {scene}/{out}, field named)
@@ -679,6 +678,8 @@ BAD_FLAG_VALUES = [
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--radius", "nan"], "radius"),
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "16x16", "--span", "inf"], "span"),
     (["scene-gen", "--out", "{out}", "--views", "2", "--res", "0x0"], "resolution"),
+    (["scene-gen", "--out", "{out}", "--views", str(MAX_VIEWS + 1), "--res", "16x16"],
+     f"camera arc needs n <= {MAX_VIEWS}"),
     (["analyze", "corr", "--scene", "{scene}", "--tau", "-1"], "tau"),
     (["analyze", "semcorr", "--scene", "{scene}", "--out", "{out}", "--save-maps", "-1"],
      "--save-maps"),
@@ -758,6 +759,18 @@ def test_probe_eval_checks_checkpoint_family(small_bundle, small_ckpt, capsys):
     assert code == 2
     assert out == ""
     assert '"sigma": 0.0' in err and '"sigma": 0.7' in err
+
+
+def test_probe_eval_refuses_another_family_before_reading_a_view(small_bundle, small_ckpt,
+                                                                 capsys, monkeypatch):
+    read, read_tensor = [], rnvt.read_tensor
+    monkeypatch.setattr(rnvt, "read_tensor", lambda path: read.append(path) or read_tensor(path))
+    code, out, err = run_cli(capsys, "--seed", "1", "probe", "eval", "--scene", str(small_bundle),
+                             "--ckpt", str(small_ckpt), "--family", "random")
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "trained on family" in err
+    params = len(rnvt.read_json(small_ckpt / "manifest.json")["params"])
+    assert len(read) == params and all(Path(p).parent == small_ckpt for p in read)
 
 
 def test_probe_eval_checks_checkpoint_patch(small_bundle, small_ckpt, capsys, monkeypatch):
@@ -1206,6 +1219,8 @@ def test_a_view_that_fails_writes_nothing(small_bundle, capsys, tmp_path):
     rnvt.write_tensor(depth, np.zeros_like(rnvt.read_tensor(depth)))  # no valid token to pool
     for argv, message in (
             (["features", "--scene", str(scene)], "zero valid tokens"),
+            # view 9 is an evaluation reference, read only after training
+            (["robustness", "--scene", str(scene), "--steps", "2"], "zero valid tokens"),
             (["analyze", "lds", "--scene", str(scene), "--patch", "7"], "not divisible by patch")):
         out = tmp_path / "out"
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))

@@ -70,7 +70,7 @@ def _loaded(scene: Path, ckpt: Path, path: Path) -> bool:
         if path.parent == ckpt:
             bundle.load_decoder(ckpt)
         else:
-            bundle.load_scene_bundle(scene, PATCH, (7,))
+            bundle.load_scene_bundle(scene, PATCH).views[7]
     except InputError:
         return False
     return True

@@ -110,24 +110,6 @@ def test_one_seed_runs_inline(two_cpus, no_pool):
     assert np.isfinite(res["removal"]["0.5"]["psnr"])
 
 
-@pytest.mark.parametrize("seed", [0, 987654])
-def test_scene_protocols_report_the_same_on_the_views_they_open(seed):
-    """A scene holding only a protocol's refs and targets gives the full scene's reports."""
-    fam, full = FeatureFamily("mixed"), render_scene_data(seed, SUITE)
-
-    def opened(proto, n):
-        views = pipeline.case_views(proto.cases)
-        data = render_scene_data(seed, SUITE, views)
-        assert len(views) == n and list(data.views) == list(views)
-        return data
-
-    proto = ProbeProtocol.fixed_target()
-    assert (probe_scene_run(opened(proto, 11), fam, CFG, proto)[2]
-            == probe_scene_run(full, fam, CFG, proto)[2])
-    assert (robustness_scene_run(opened(ProbeProtocol.robustness(), 13), fam, CFG, (0.3, 0.5), seed)
-            == robustness_scene_run(full, fam, CFG, (0.3, 0.5), seed))
-
-
 def test_scene_protocols_render_only_the_views_they_open(monkeypatch, no_pool):
     """Work count: a fixed-target scene renders its 11 views of 16, a robustness scene its 13."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
