@@ -18,12 +18,13 @@ must have its dtype, the shape camera.json gives, rgb in [0, 1], depth finite
 and >= 0, pointmap coordinates and the normalization box in
 [-WORLD_HALF, WORLD_HALF]^3.  Pointmap validity is recovered from depth > 0.
 load_decoder checks each checkpoint parameter alike: float64, the manifest's
-shape, finite and in float32 range.  A violation is an InputError naming the
-file.
+shape, finite and in float32 range, and trained_family the family a
+checkpoint's manifest records.  A violation is an InputError naming the file.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from . import rnvt
 from .camera import CameraPose
 from .encoding import MIN_HALF_EXTENT, NormalizationTransform
 from .errors import InputError, NumericalError, is_int
-from .features import ChannelReducer, FeatureFamily
+from .features import ChannelReducer, FeatureFamily, unified_channels
 from .geometry import FeatureGrid, Pointmap
 from .pipeline import SceneData
 from .probe import ProbeDecoder, param_shapes
@@ -46,27 +47,12 @@ WORLD_BOX = f"[-{WORLD_HALF}, {WORLD_HALF}]^3"
 PARAM_MAX = float(np.finfo(np.float32).max)  # train_probe trains and saves float32 values
 
 
-def _int(value) -> int:
+def _int(value, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """value, if it is an integer in [lo, hi]: checked, never coerced."""
     if not is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _positive(value) -> int:
-    if _int(value) < 1:
-        raise ValueError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _n_views(value) -> int:
-    if _positive(value) > MAX_VIEWS:
-        raise ValueError(f"expected at most {MAX_VIEWS} views, got {value}")
-    return value
-
-
-def _scene_version(value) -> int:
-    if _int(value) != SCENE_VERSION:
-        raise ValueError(f"expected {SCENE_VERSION}, got {value}")
+    if not lo <= value <= hi:
+        raise ValueError(f"expected an integer in [{lo}, {hi}], got {value}")
     return value
 
 
@@ -175,11 +161,11 @@ def load_scene_bundle(bundle: Path, patch: int) -> SceneData:
     doc = rnvt.read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SCENE_FORMAT:
         raise InputError(f"{bundle} is not a scene bundle (field 'format')")
-    _field(path, doc, "version", _scene_version)
+    _field(path, doc, "version", lambda v: _int(v, SCENE_VERSION, SCENE_VERSION))
     seed = _field(path, doc, "seed", _int)
     _field(path, doc, "spec", SceneSpec.from_dict)
     transform = _field(path, doc, "normalization", _normalization)
-    n_views = _field(path, doc, "n_views", _n_views)
+    n_views = _field(path, doc, "n_views", lambda v: _int(v, 1, MAX_VIEWS))
     return SceneData(seed, n_views, lambda i: _load_view(view_dir(bundle, i)), transform, patch)
 
 
@@ -240,7 +226,7 @@ def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:
     """The checkpoint's manifest and decoder; each parameter is f64 of the manifest's shape."""
     mpath = Path(path) / "manifest.json"
     manifest = rnvt.read_json(mpath)
-    dims = {name: _field(mpath, manifest, name, _positive)
+    dims = {name: _field(mpath, manifest, name, lambda v: _int(v, 1))
             for name in ("patch_size", "c_in", "c_red", "hidden")}
     attn = _field(mpath, manifest, "attn_enabled", _bool)
     if not isinstance(manifest.get("extra", {}), dict):
@@ -250,3 +236,13 @@ def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:
                             "finite and in float32 range")
               for name, shape in param_shapes(**dims, attn_enabled=attn).items()}
     return manifest, ProbeDecoder(**dims, attn_enabled=attn, params=params)
+
+
+def trained_family(path: Path, manifest: dict) -> FeatureFamily:
+    """The family load_decoder's manifest records in extra.family, checked against its c_in."""
+    mpath = Path(path) / "manifest.json"
+    family = _field(mpath, manifest.get("extra", {}), "family", FeatureFamily.from_dict)
+    if unified_channels(family) != manifest["c_in"]:
+        raise InputError(f"{mpath}: field 'family' gives {unified_channels(family)} channels, "
+                         f"but c_in is {manifest['c_in']}")
+    return family

@@ -256,10 +256,10 @@ def _probe_cfg(args, seed: int) -> TrainConfig:
 def cmd_probe(args) -> dict:
     out = _out_dir(args.ckpt, "--ckpt") if args.mode == "train" else _out_file(args.out, "--out")
     seed = _seed_from(args)
-    family = _family_from(args, seed)
     proto = ProbeProtocol.fixed_target()
 
     if args.mode == "train":
+        family = _family_from(args, seed)
         data = bundle.load_scene_bundle(args.scene, args.patch)
         cfg = _probe_cfg(args, seed)
         decoder, curve = train_scene_probe(data, family, cfg, proto)
@@ -276,23 +276,18 @@ def cmd_probe(args) -> dict:
         c for c in proto.eval_cases if len(c[0]) == args.views)
     if not cases:
         raise InputError(f"--views {args.views} selects no evaluation case")
-    data = bundle.load_scene_bundle(args.scene, args.patch)
     manifest, decoder = bundle.load_decoder(Path(args.ckpt))
-    if decoder.patch_size != args.patch:
-        raise InputError(f"--patch {args.patch} does not match the patch_size "
-                         f"{decoder.patch_size} of --ckpt {args.ckpt}")
-    extra = manifest.get("extra", {})  # an object: load_decoder checked it
-    # the family first: the scene's binding reads a view
-    for field, given, source in (("family", family.to_dict, "the family flags give"),
-                                 ("scene", lambda: _scene_of(data), f"--scene {args.scene} is")):
-        trained_on, given = (json.dumps(v, sort_keys=True) for v in (extra.get(field), given()))
-        if trained_on != given:
-            raise InputError(f"--ckpt {args.ckpt} was trained on {field} {trained_on}, "
-                             f"but {source} {given}")
+    family = bundle.trained_family(Path(args.ckpt), manifest)  # before any view is read
+    data = bundle.load_scene_bundle(args.scene, decoder.patch_size)
+    trained_on, given = (json.dumps(v, sort_keys=True)
+                         for v in (manifest.get("extra", {}).get("scene"), _scene_of(data)))
+    if trained_on != given:
+        raise InputError(f"--ckpt {args.ckpt} was trained on scene {trained_on}, "
+                         f"but --scene {args.scene} is {given}")
     [report] = eval_scene_probe(decoder, data, family, cases, (args.remove,), seed)
     if out:
         rnvt.write_json(out, report)
-    return {"command": "probe", "mode": "eval", "family": args.family,
+    return {"command": "probe", "mode": "eval", "family": family.kind,
             "mean_psnr": report["mean_psnr"],
             "by_view_count": {k: v["mean_psnr"] for k, v in report["by_view_count"].items()}}
 
@@ -455,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (train, evaluate):
         p.add_argument("--scene", required=True)
         p.add_argument("--ckpt", required=True)
-        _add_family_flags(p)
         p.set_defaults(func=cmd_probe)
+    _add_family_flags(train)
     _add_probe_flags(train)
     evaluate.add_argument("--views", type=int, default=0,
                           help="evaluate only this reference-view count (0 = all)")

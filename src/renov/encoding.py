@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, is_reals
+from .errors import InputError, is_int, is_reals
 from .geometry import FeatureGrid, WarpedPlane
 
 log = logging.getLogger(__name__)
@@ -35,8 +35,9 @@ class FourierConfig:
     num_freqs: int = 6
 
     def __post_init__(self):
-        if not 1 <= self.num_freqs <= MAX_FREQS:
-            raise InputError(f"num_freqs must be in [1, {MAX_FREQS}], got {self.num_freqs}")
+        if not (is_int(self.num_freqs) and 1 <= self.num_freqs <= MAX_FREQS):
+            raise InputError(f"num_freqs must be an integer in [1, {MAX_FREQS}], "
+                             f"got {self.num_freqs!r}")
 
     @property
     def width_per_channel(self) -> int:

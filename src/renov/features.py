@@ -26,7 +26,7 @@ import numpy as np
 
 from .camera import CameraPose
 from .encoding import FourierConfig, NormalizationTransform, fourier_encode, normalize_coords
-from .errors import InputError
+from .errors import InputError, is_int, is_real
 from .geometry import FeatureGrid, token_anchors, view_product
 from .scene import RenderedView
 
@@ -50,17 +50,24 @@ class FeatureFamily:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise InputError(f"unknown feature family '{self.kind}'")
-        if not 0 <= self.sigma <= MAX_SIGMA:
-            raise InputError(f"sigma must be in [0, {MAX_SIGMA:g}], got {self.sigma}")
-        if not 1 <= self.channels <= MAX_CHANNELS:
-            raise InputError(f"random channel count must be in [1, {MAX_CHANNELS}], "
-                             f"got {self.channels}")
+            raise InputError(f"kind must be one of {', '.join(FAMILY_KINDS)}, got {self.kind!r}")
+        if not (is_real(self.sigma) and 0 <= self.sigma <= MAX_SIGMA):
+            raise InputError(f"sigma must be in [0, {MAX_SIGMA:g}], got {self.sigma!r}")
+        if not (is_int(self.channels) and 1 <= self.channels <= MAX_CHANNELS):
+            raise InputError(f"channels, the random channel count, must be an integer in "
+                             f"[1, {MAX_CHANNELS}], got {self.channels!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise InputError(f"seed must be an integer >= 0, got {self.seed!r}")
         FourierConfig(num_freqs=self.num_freqs)  # checks the oracle embedding depth
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "sigma": self.sigma, "num_freqs": self.num_freqs,
                 "channels": self.channels, "seed": self.seed}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FeatureFamily":
+        """Parse to_dict's output; __post_init__ checks the values instead of coercing them."""
+        return cls(d["kind"], d["sigma"], d["num_freqs"], d["channels"], d["seed"])
 
 
 def _view_seed(camera: CameraPose, family_seed: int) -> int:

@@ -441,15 +441,16 @@ def robustness_scene_run(data: SceneData, family: FeatureFamily, cfg: TrainConfi
     """One scene's robustness probe: PSNR at each removal fraction versus no removal.
 
     remove_seed seeds the evaluation-time thinning; training pairs keep their own seeds.
-    A fraction out of range fails before training.
+    Each fraction is run once, and one out of range fails before training.
     """
-    for frac in remove_fracs:
+    fracs = {str(f): f for f in remove_fracs}  # each once, keyed as the report names it
+    for frac in fracs.values():
         check_remove(frac)
     proto = ProbeProtocol.robustness()
     decoder, _ = train_scene_probe(data, family, cfg, proto)
     baseline, *removed = (r["mean_psnr"] for r in eval_scene_probe(
-        decoder, data, family, proto.eval_cases, (0.0, *remove_fracs), remove_seed))
-    return _removal_summary(baseline, {str(f): p for f, p in zip(remove_fracs, removed)})
+        decoder, data, family, proto.eval_cases, (0.0, *fracs.values()), remove_seed))
+    return _removal_summary(baseline, dict(zip(fracs, removed)))
 
 
 def _robustness_scene(family: FeatureFamily, cfg: TrainConfig, suite: SuiteConfig,

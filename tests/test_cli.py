@@ -101,7 +101,7 @@ def test_family_flags_default_to_feature_family():
     for command in (["features", "--out", "o"],
                     ["warp", "--refs", "0", "--target", "1", "--out", "o"],
                     ["condition", "--refs", "0", "--target", "1", "--out", "o"],
-                    ["analyze", "corr"], ["probe", "eval", "--ckpt", "ck"], ["robustness"]):
+                    ["analyze", "corr"], ["probe", "train", "--ckpt", "ck"], ["robustness"]):
         for kind in ("oracle_geom", "appearance", "random", "mixed"):
             args = ap.parse_args([*command, "--scene", "s", "--family", kind])
             assert cli._family_from(args, 6) == FeatureFamily(kind, seed=6)
@@ -303,8 +303,7 @@ def test_probe_train_eval_cycle(small_bundle, capsys, tmp_path):
     train_summary = json.loads(out.strip())
     assert np.isfinite(train_summary["final_loss"])
     code, out, _ = run_cli(capsys, "--seed", "1", "probe", "eval", "--scene", str(small_bundle),
-                           "--ckpt", str(ck), "--family", "appearance",
-                           "--out", str(tmp_path / "eval.json"))
+                           "--ckpt", str(ck), "--out", str(tmp_path / "eval.json"))
     assert code == 0
     report = rnvt.read_json(tmp_path / "eval.json")
     assert set(report["by_view_count"]) == {"1", "2", "3"}
@@ -751,38 +750,71 @@ def test_bad_global_values_exit_2(small_bundle, capsys, tmp_path, monkeypatch, e
     assert not out.exists()
 
 
-def test_probe_eval_checks_checkpoint_family(small_bundle, small_ckpt, capsys):
-    evaluate = ["--seed", "1", "probe", "eval", "--scene", str(small_bundle),
-                "--ckpt", str(small_ckpt), "--family", "mixed"]
-    assert run_cli(capsys, *evaluate)[0] == 0
-    code, out, err = run_cli(capsys, *evaluate, "--sigma", "0.7")
-    assert code == 2
-    assert out == ""
-    assert '"sigma": 0.0' in err and '"sigma": 0.7' in err
+def test_probe_eval_takes_family_and_patch_from_the_checkpoint(small_bundle, capsys, tmp_path):
+    """An eval passes no family flags: it scores the checkpoint with the family and patch it was
+    trained with, as the library's eval of that decoder does."""
+    ck, scene = tmp_path / "ck", ["--scene", str(small_bundle)]
+    assert run_cli(capsys, "--seed", "1", "probe", "train", *scene, "--ckpt", str(ck),
+                   "--family", "appearance", "--patch", "4", "--steps", "2")[0] == 0
+    code, out, _ = run_cli(capsys, "--seed", "1", "probe", "eval", *scene, "--ckpt", str(ck),
+                           "--out", str(tmp_path / "eval.json"))
+    assert code == 0 and json.loads(out)["family"] == "appearance"
+    _, decoder = bundle.load_decoder(ck)
+    assert decoder.patch_size == 4
+    [report] = pipeline.eval_scene_probe(
+        decoder, bundle.load_scene_bundle(small_bundle, 4), FeatureFamily("appearance", seed=1),
+        pipeline.ProbeProtocol.fixed_target().eval_cases, (0.0,), 1)
+    assert rnvt.read_json(tmp_path / "eval.json") == json.loads(json.dumps(report))
 
 
-def test_probe_eval_refuses_another_family_before_reading_a_view(small_bundle, small_ckpt,
-                                                                 capsys, monkeypatch):
+DAMAGED_FAMILIES = {  # id: (fields set in extra.family, or None to drop it; what the line names)
+    "missing": (None, "KeyError: 'family'"),
+    "string sigma": ({"sigma": "0.0"}, "sigma"),
+    "unknown kind": ({"kind": "vibes"}, "kind"),
+    "float num_freqs": ({"num_freqs": 4.0}, "num_freqs"),
+    "another width": ({"kind": "appearance"}, "gives 36 channels, but c_in is 90"),
+}
+
+
+@pytest.mark.parametrize("damage,named", DAMAGED_FAMILIES.values(), ids=DAMAGED_FAMILIES)
+def test_probe_eval_refuses_a_damaged_family_before_reading_a_view(
+        small_bundle, small_ckpt, capsys, tmp_path, monkeypatch, damage, named):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(small_ckpt, ckpt)
+    manifest = rnvt.read_json(ckpt / "manifest.json")
+    family = manifest["extra"].pop("family")
+    if damage is not None:
+        manifest["extra"]["family"] = dict(family, **damage)
+    rnvt.write_json(ckpt / "manifest.json", manifest)
     read, read_tensor = [], rnvt.read_tensor
     monkeypatch.setattr(rnvt, "read_tensor", lambda path: read.append(path) or read_tensor(path))
     code, out, err = run_cli(capsys, "--seed", "1", "probe", "eval", "--scene", str(small_bundle),
-                             "--ckpt", str(small_ckpt), "--family", "random")
+                             "--ckpt", str(ckpt))
     assert (code, out) == (2, "")
-    assert len(err.strip().splitlines()) == 1 and "trained on family" in err
-    params = len(rnvt.read_json(small_ckpt / "manifest.json")["params"])
-    assert len(read) == params and all(Path(p).parent == small_ckpt for p in read)
+    assert len(err.strip().splitlines()) == 1
+    assert f"{ckpt / 'manifest.json'}: field 'family'" in err and named in err
+    assert len(read) == len(manifest["params"]) and all(Path(p).parent == ckpt for p in read)
 
 
-def test_probe_eval_checks_checkpoint_patch(small_bundle, small_ckpt, capsys, monkeypatch):
-    def no_decoding(*args):
-        raise AssertionError("the decoder ran")
-
-    monkeypatch.setattr(cli, "eval_scene_probe", no_decoding)
-    code, out, err = run_cli(capsys, "--seed", "1", "probe", "eval", "--scene", str(small_bundle),
-                             "--ckpt", str(small_ckpt), "--patch", "4")  # trained at --patch 8
-    assert code == 2
-    assert out == ""
-    assert err.startswith("input error:") and "--patch 4" in err and "patch_size 8" in err
+def test_probe_eval_seeds_only_the_thinning(small_bundle, small_ckpt, capsys, tmp_path):
+    """--seed seeds the evaluation's removal and nothing else: a checkpoint trained at --seed 1
+    scores at --seed 2 with its own family, thinned with seed 2."""
+    scene, ckpt = ["--scene", str(small_bundle)], ["--ckpt", str(small_ckpt)]
+    reports = {}
+    for seed in ("1", "2"):
+        out = tmp_path / f"eval_{seed}.json"
+        code, _, err = run_cli(capsys, "--seed", seed, "probe", "eval", *scene, *ckpt,
+                               "--remove", "0.3", "--out", str(out))
+        assert code == 0, err
+        reports[seed] = rnvt.read_json(out)
+    manifest, decoder = bundle.load_decoder(small_ckpt)
+    family = FeatureFamily.from_dict(manifest["extra"]["family"])
+    assert family == FeatureFamily("mixed", seed=1)
+    [report] = pipeline.eval_scene_probe(
+        decoder, bundle.load_scene_bundle(small_bundle, 8), family,
+        pipeline.ProbeProtocol.fixed_target().eval_cases, (0.3,), 2)
+    assert reports["2"] == json.loads(json.dumps(report))
+    assert reports["2"]["mean_psnr"] != reports["1"]["mean_psnr"]
 
 
 def test_probe_eval_checks_checkpoint_scene(small_bundle, small_ckpt, capsys, tmp_path):
@@ -878,6 +910,12 @@ UNTAKEN_FLAGS = [  # (a leaf command, a flag it does not take, with its value): 
     (["probe", "eval"], ["--batch", "2"]),
     (["probe", "eval"], ["--hidden", "64"]),
     (["probe", "eval"], ["--attn"]),
+    # the checkpoint fixes the family and patch of its evaluation
+    (["probe", "eval"], ["--family", "mixed"]),
+    (["probe", "eval"], ["--sigma", "0.5"]),
+    (["probe", "eval"], ["--freqs", "4"]),
+    (["probe", "eval"], ["--channels", "24"]),
+    (["probe", "eval"], ["--patch", "8"]),
 ]
 
 
@@ -924,6 +962,22 @@ def test_robustness_checks_remove_before_training(small_bundle, capsys, monkeypa
                            "--remove", "0.3", "1.5", "--steps", "5")
     assert code == 2
     assert "--remove" in err
+
+
+def test_robustness_takes_each_fraction_once(small_bundle, capsys, monkeypatch):
+    """A fraction named twice, in any spelling, is evaluated and reported once."""
+    calls, eval_probe = [], pipeline.eval_probe
+    monkeypatch.setattr(pipeline, "eval_probe", lambda *a: calls.append(a) or eval_probe(*a))
+    outputs = []
+    for remove in (["0.5"], ["0.5", "0.5"], ["0.5", "0.50", "5e-1"]):
+        calls.clear()
+        code, out, err = run_cli(capsys, "--seed", "1", "robustness", "--scene", str(small_bundle),
+                                 "--steps", "2", "--remove", *remove)
+        assert code == 0, err
+        assert len(calls) == 2, remove  # no removal, then 0.5
+        outputs.append(out)
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert list(json.loads(outputs[0])["removal"]) == ["0.5"]
 
 
 def test_robustness_checks_the_ssim_size_before_training(tmp_path, capsys, monkeypatch):

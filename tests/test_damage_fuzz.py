@@ -13,8 +13,9 @@ view 7 stand for all views: it is a reference of `warp`, `condition` and every
 
 The exit code is also held to what the loaders say of the damaged tree, so the
 fuzzer keeps no copy of their rules: when `load_scene_bundle` (scene.json and
-view 7) or `load_decoder` refuses it, every command that reads the damaged file
-exits 2; when they accept it, such a command exits 0 or 2.  Two damages are
+view 7) or `load_decoder` (with `trained_family`, the checkpoint's family)
+refuses it, every command that reads the damaged file exits 2; when they
+accept it, such a command exits 0 or 2.  Two damages are
 refused whatever the loaders say, because neither the bundle format nor the
 checkpoint format allows them: a dtype change (`swap_float`, and `nonfinite` on
 an integer tensor) and NaN or inf in a float tensor (`nonfinite`), so a loader
@@ -68,7 +69,7 @@ def _loaded(scene: Path, ckpt: Path, path: Path) -> bool:
     """Whether the loader of the tree that holds path accepts it: the oracle for exit 0."""
     try:
         if path.parent == ckpt:
-            bundle.load_decoder(ckpt)
+            bundle.trained_family(ckpt, bundle.load_decoder(ckpt)[0])
         else:
             bundle.load_scene_bundle(scene, PATCH).views[7]
     except InputError:

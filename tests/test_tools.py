@@ -60,15 +60,20 @@ def test_layer_time_runs_and_counts_the_source_lines(cli_leaves):
     leaf_flags = sum(map(flags, cli_leaves.values()))
     fields = sum(len(dataclasses.fields(c)) for c in (SuiteConfig, TrainConfig, FeatureFamily,
                                                       FourierConfig, SceneSpec))
-    assert out.splitlines()[0].endswith(
+    lines = out.splitlines()
+    assert lines[0].endswith(
         f", src {wc_total} lines, {leaf_flags} flags over {len(cli_leaves)} leaves, "
         f"{flags(build_parser())} global flags, {fields} config fields")
+    # then each leaf's count, so a change of the total shows which leaf changed
+    assert lines[1] == "flags per leaf: " + ", ".join(
+        f"{leaf} {flags(parser)}" for leaf, parser in cli_leaves.items())
     assert "step random" in out  # the probe-step section ran to its last family
 
 
 def test_layer_time_against_a_tree_times_both_in_rounds():
     lines = run_tool("layer_time.py", "--steps", "1", "--reps", "1", "--against", ".").splitlines()
-    assert lines[3] == f"against .: src {lines[0].split(', src ')[1]}"  # the same line count
+    assert lines[4] == f"against .: src {lines[0].split(', src ')[1]}"  # the same line count
+    assert lines[5] == lines[1].replace("flags per leaf:", "flags per leaf against .:")
     rounds = [line for line in lines if " ms against " in line]
     assert any(line.startswith("render_view 128x128") for line in rounds)
     assert rounds[-1].startswith("step random attn on")

@@ -48,8 +48,9 @@ The first lines give the numpy and BLAS versions, the CPUs the process may
 use, the line count of renov's sources (the total of `wc -l src/renov/*.py`),
 its settable values (the flags over the CLI's leaf commands without -h, the
 global flags, and the fields of SuiteConfig, TrainConfig, FeatureFamily,
-FourierConfig and SceneSpec) and whether the heap policy `import renov` sets
-is active, then one line per layer and one per family and attention
+FourierConfig and SceneSpec), then each leaf command's flag count on a line
+of its own, and whether the heap policy `import renov` sets is active, then
+one line per layer and one per family and attention
 setting: median and range in ms, and the median minor page faults per call
 (per view or per step where the time is), from the `ru_minflt` delta of
 getrusage around each rep.
@@ -61,7 +62,9 @@ for a change of a layer.  TREE/src's renov is imported next to this one
 each tree's own modules, and the layer is timed in rounds of one rep per
 tree, alternating which tree goes first.  Each line then gives this tree's
 median, TREE's median, their ratio and in how many rounds this tree was
-faster.  TREE must offer the functions the layers call:
+faster.  The header gives TREE's counts too, and its flags-per-leaf line
+shows a leaf whose count differs as `<leaf> <TREE's count> -> <this
+tree's>`.  TREE must offer the functions the layers call:
 
     PYTHONPATH=src taskset -c 0 python3 tools/layer_time.py --steps 100 --against ../parent
 """
@@ -120,21 +123,34 @@ def flags(parser: argparse.ArgumentParser) -> int:
                for a in parser._actions)
 
 
-def leaves(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
-    """The parsers of a parser's leaf commands (a command, or a command and its mode)."""
-    subs = [sub for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            for sub in a.choices.values()]
-    return [leaf for sub in subs for leaf in leaves(sub)] if subs else [parser]
+def leaves(parser: argparse.ArgumentParser, words=()) -> dict[str, argparse.ArgumentParser]:
+    """The parsers of a parser's leaf commands (a command, or a command and its mode), by their
+    words, such as "analyze lds"."""
+    subs = [(word, sub) for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            for word, sub in a.choices.items()]
+    if not subs:
+        return {" ".join(words): parser}
+    return {name: leaf for word, sub in subs for name, leaf in leaves(sub, (*words, word)).items()}
 
 
 def settable_values(rv: SimpleNamespace) -> str:
     """The flags of the CLI's leaves and its global flags, and the fields of the config classes."""
     parser = rv.cli.build_parser()
-    tree = leaves(parser)
+    tree = leaves(parser).values()
     configs = (rv.pipeline.SuiteConfig, rv.probe.TrainConfig, rv.features.FeatureFamily,
                rv.encoding.FourierConfig, rv.scene.SceneSpec)
     return (f"{sum(map(flags, tree))} flags over {len(tree)} leaves, {flags(parser)} global flags, "
             f"{sum(len(dataclasses.fields(c)) for c in configs)} config fields")
+
+
+def leaf_flags(rv: SimpleNamespace, other: SimpleNamespace | None = None) -> str:
+    """Each leaf's flag count, as in `warp 13`; against another tree, a count that differs reads
+    `warp 14 -> 13` (that tree's, then this one's; `-` where a tree lacks the leaf)."""
+    ours, theirs = ({name: flags(leaf) for name, leaf in leaves(tree.cli.build_parser()).items()}
+                    for tree in (rv, other or rv))
+    return ", ".join(f"{name} {ours[name]}" if ours.get(name) == theirs.get(name)
+                     else f"{name} {theirs.get(name, '-')} -> {ours.get(name, '-')}"
+                     for name in {**ours, **theirs})
 
 
 def report(name: str, reps: tuple[list[float], list[float]]) -> None:
@@ -312,6 +328,7 @@ def main(argv=None) -> int:
     print(f"python {sys.version.split()[0]}, numpy {np.__version__}, BLAS {blas_version()}, "
           f"{rv.pipeline.available_cpus()} CPU(s) usable, 1 BLAS thread, "
           f"src {src_lines(rv.pipeline)} lines, {settable_values(rv)}")
+    print(f"flags per leaf: {leaf_flags(rv)}")
     print("heap policy: " + ("freed heap kept mapped (mallopt trim 64 MiB, mmap 32 MiB)"
                              if renov._heap_kept else "not set (no glibc mallopt)"))
     print(f"scene seed {args.seed}, {LAYER_REPS} reps per layer; "
@@ -321,6 +338,7 @@ def main(argv=None) -> int:
         trees.append(import_tree(args.against.resolve() / "src"))
         print(f"against {args.against}: src {src_lines(trees[1].pipeline)} lines, "
               f"{settable_values(trees[1])}")
+        print(f"flags per leaf against {args.against}: {leaf_flags(rv, trees[1])}")
     for label, tree in zip(("render_view tested px 128x128", "  the same in TREE"), trees):
         tested = tested_px(tree, args.seed)
         print(f"{label:<34} {statistics.mean(tested):8.3f} x image "
