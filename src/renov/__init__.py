@@ -52,6 +52,6 @@ from .metrics import MetricReport, psnr, ssim
 from .probe import (ProbeDecoder, TrainConfig, eval_probe, patchify, pixel_hole_mask,
                     probe_backward, probe_forward, train_probe, unpatchify)
 from .scene import (Quad, RenderedView, SceneSpec, SyntheticScene, TextureSpec, generate_scene,
-                    make_camera_arc, render_view)
+                    render_view)
 
 __version__ = "0.1.0"

@@ -75,14 +75,12 @@ def view_dir(bundle: Path, index: int) -> Path:
     return Path(bundle) / "views" / f"view_{index:03d}"
 
 
-def save_scene_bundle(
-    bundle: Path,
-    scene: SyntheticScene,
-    views: list[RenderedView],
-    transform: NormalizationTransform,
-    meta: dict | None = None,
-) -> None:
+def save_scene_bundle(bundle: Path, scene: SyntheticScene, data: SceneData,
+                      meta: dict | None = None) -> None:
+    """`data`, the SceneData of `scene`, as a bundle of its n_views views."""
     bundle = Path(bundle)
+    # every view is made before the first write, so a failing view writes nothing
+    views = list(data.views.values())
     rnvt.make_dir(bundle)
     doc = {
         "format": SCENE_FORMAT,
@@ -93,9 +91,9 @@ def save_scene_bundle(
             "min": [float(v) for v in scene.aabb_min],
             "max": [float(v) for v in scene.aabb_max],
         },
-        "normalization": transform.to_dict(),
+        "normalization": data.transform.to_dict(),
         "background_rgb": [float(v) for v in scene.background_rgb],
-        "n_views": len(views),
+        "n_views": data.n_views,
     }
     if meta:
         doc["meta"] = meta

@@ -25,12 +25,12 @@ from .encoding import FEAT_FREQS, FourierConfig
 from .errors import InputError, NumericalError
 from .features import FeatureFamily
 from .pipeline import (ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, PATCH, REDUCER_C_RED, REDUCER_SEED,
-                       REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, check_remove,
-                       check_views, eval_scene_probe, feature_warp, local_grids,
+                       REMOVE_FRACS, SCENE_SPEC, ProbeProtocol, SuiteConfig, arc_scene_data,
+                       check_remove, check_views, eval_scene_probe, feature_warp, local_grids,
                        reduce_local_grids, reduced_grids, rgb_warp, robustness_scene_run,
                        scene_conditions, train_scene_probe)
 from .probe import TrainConfig
-from .scene import SceneSpec, generate_scene, make_camera_arc, render_view
+from .scene import SceneSpec, generate_scene
 
 
 def _seed_from(args) -> int:
@@ -110,19 +110,15 @@ def cmd_scene_gen(args) -> dict:
     w, h = _parse_res(args.res)
     spec = SceneSpec(n_quads=args.quads, palette_size=args.palette, shading=args.shading)
     scene = generate_scene(seed, spec)
-    cams = make_camera_arc(scene, args.views, args.radius, args.fov, (w, h), args.span)
-    if args.threads > 1:
+    data = arc_scene_data(scene, args.views, args.radius, args.fov, (w, h), args.span)
+    if args.threads > 1:  # the pool only makes the views, which the writer then reads
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            views = list(pool.map(lambda c: render_view(scene, c), cams))
-    else:
-        views = [render_view(scene, c) for c in cams]
-    from .encoding import NormalizationTransform
-    transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
+            list(pool.map(data.views.__getitem__, data.views))
     meta = {"radius": args.radius, "fov_deg": args.fov, "span_deg": args.span, "res": [w, h]}
-    bundle.save_scene_bundle(out, scene, views, transform, meta)
+    bundle.save_scene_bundle(out, scene, data, meta)
     return {"command": "scene-gen", "out": str(args.out), "seed": seed,
-            "views": len(views), "res": [w, h], "quads": len(scene.quads)}
+            "views": data.n_views, "res": [w, h], "quads": len(scene.quads)}
 
 
 def cmd_features(args) -> dict:
@@ -335,12 +331,16 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser (and, by inheritance, its subparsers) whose usage errors are InputErrors; a flag
-    a leaf command does not take is named with that command, as in `renov analyze lds`, and a
-    flag written before the command or mode it belongs after is named as such."""
+    """A parser (and, by inheritance, its subparsers) that takes each flag by its full name only
+    and whose usage errors are InputErrors; a flag a leaf command does not take is named with
+    that command, as in `renov analyze lds`, and a flag written before the command or mode it
+    belongs after is named as such."""
 
     modes = None  # the sub-parsers action, in a parser with commands or modes
     _words = ()  # the words the last parse read
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs, allow_abbrev=False)
 
     def add_subparsers(self, **kwargs):
         self.modes = super().add_subparsers(**kwargs)
@@ -351,8 +351,7 @@ class _Parser(argparse.ArgumentParser):
         own, words = self._option_string_actions, iter(self._words)
         for word in words:
             name, eq, _ = word.partition("=")
-            prefixed = {a for s, a in own.items() if s.startswith(name)}  # a unique prefix is one
-            action = own.get(name) or (prefixed.pop() if len(prefixed) == 1 else None)
+            action = own.get(name)
             if action is None:
                 return word if word.startswith("--") else None
             if action.nargs != 0 and not eq:

@@ -35,8 +35,8 @@ from .geometry import (FeatureGrid, WarpedPlane, aggregate_pointmaps, rasterize,
                        subsample_points, token_anchors, token_feature_cloud)
 from .metrics import check_ssim_size, psnr, ssim
 from .probe import ProbeDecoder, TrainConfig, eval_probe, train_probe
-from .scene import (RenderedView, SceneSpec, arc_camera, check_camera_arc, generate_scene,
-                    render_view)
+from .scene import (RenderedView, SceneSpec, SyntheticScene, arc_camera, check_camera_arc,
+                    generate_scene, render_view)
 
 
 PATCH = 8  # token patch size, in pixels
@@ -87,21 +87,19 @@ class _OnFirstRead(Mapping):
 class SceneData:
     """A scene on an arc of n_views views, whose `views` maps each arc index to its view.
 
-    `views` is given as a function that makes view i (a mapping of views already
-    at hand is read through its __getitem__); each view is made when first read.
+    `views` is given as a function that makes view i; each view is made when first read.
     """
 
     seed: int  # the scene seed: per-scene feature families mix it in
     n_views: int
-    views: Callable[[int], RenderedView] | Mapping[int, RenderedView]  # held as a mapping
+    views: Callable[[int], RenderedView]  # held as a mapping
     transform: NormalizationTransform
     patch: int
 
     def __post_init__(self):
         if self.patch < 1:
             raise InputError(f"patch size must be >= 1, got {self.patch}")
-        make = self.views.__getitem__ if isinstance(self.views, Mapping) else self.views
-        object.__setattr__(self, "views", _OnFirstRead(range(self.n_views), make))
+        object.__setattr__(self, "views", _OnFirstRead(range(self.n_views), self.views))
 
 
 def check_views(views: Iterable[int], n_views: int, label: str) -> None:
@@ -111,17 +109,23 @@ def check_views(views: Iterable[int], n_views: int, label: str) -> None:
             raise InputError(f"{label} index {i} out of range for an arc of {n_views} views")
 
 
-def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
-    """The suite scene of `seed` on its arc of cfg.n_views views.
+def arc_scene_data(scene: SyntheticScene, n_views: int, radius: float, fov_deg: float,
+                   res: tuple[int, int], span_deg: float) -> SceneData:
+    """`scene` on a horizontal arc of n_views views over span_deg, aimed at its center.
 
     The arc is checked now; each view, and its camera, is made when first read.
     """
-    scene = generate_scene(seed, SCENE_SPEC)
-    check_camera_arc(cfg.n_views, ARC_RADIUS, ARC_SPAN_DEG)
-    arc = (cfg.n_views, ARC_RADIUS, ARC_FOV_DEG, (cfg.res, cfg.res), ARC_SPAN_DEG)
+    check_camera_arc(n_views, radius, span_deg)
+    arc = (n_views, radius, fov_deg, res, span_deg)
     transform = NormalizationTransform.from_aabb(scene.aabb_min, scene.aabb_max)
-    return SceneData(seed, cfg.n_views, lambda i: render_view(scene, arc_camera(scene, i, *arc)),
-                     transform, PATCH)
+    return SceneData(scene.seed, n_views,
+                     lambda i: render_view(scene, arc_camera(scene, i, *arc)), transform, PATCH)
+
+
+def render_scene_data(seed: int, cfg: SuiteConfig) -> SceneData:
+    """The suite scene of `seed` on its arc of cfg.n_views views (see arc_scene_data)."""
+    return arc_scene_data(generate_scene(seed, SCENE_SPEC), cfg.n_views, ARC_RADIUS, ARC_FOV_DEG,
+                          (cfg.res, cfg.res), ARC_SPAN_DEG)
 
 
 def scene_family(family: FeatureFamily, scene_seed: int) -> FeatureFamily:

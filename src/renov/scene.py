@@ -507,7 +507,7 @@ def render_view(scene: SyntheticScene, camera: CameraPose) -> RenderedView:
 
 
 def check_camera_arc(n: int, radius: float, span_deg: float) -> None:
-    """The checks of make_camera_arc's arc, which arc_camera does not repeat per camera."""
+    """The checks of an arc of n cameras at `radius` over span_deg, which arc_camera skips."""
     if n < 2:
         raise InputError(f"camera arc needs n >= 2, got {n}")
     if n > MAX_VIEWS:
@@ -520,22 +520,11 @@ def check_camera_arc(n: int, radius: float, span_deg: float) -> None:
 
 def arc_camera(scene: SyntheticScene, k: int, n: int, radius: float, fov_deg: float,
                res: tuple[int, int], span_deg: float) -> CameraPose:
-    """Camera k of make_camera_arc(scene, n, radius, fov_deg, res, span_deg), built alone."""
+    """Camera k of n on a horizontal arc of span_deg at `radius`, aimed at the scene center;
+    check_camera_arc(n, radius, span_deg) checks the arc once for all its cameras."""
     center = scene.aabb_center
     span = math.radians(span_deg)
     theta = -span / 2 + span * k / (n - 1)
     eye = center + radius * np.array([math.sin(theta), 0.0, -math.cos(theta)])
     return look_at(eye, center, fov_deg, *res)
 
-
-def make_camera_arc(
-    scene: SyntheticScene,
-    n: int,
-    radius: float,
-    fov_deg: float,
-    res: tuple[int, int],
-    span_deg: float,
-) -> list[CameraPose]:
-    """n cameras on a horizontal arc of the given angular span, all aimed at the scene center."""
-    check_camera_arc(n, radius, span_deg)
-    return [arc_camera(scene, k, n, radius, fov_deg, res, span_deg) for k in range(n)]

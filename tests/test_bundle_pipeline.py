@@ -13,25 +13,33 @@ from renov.pipeline import (SCENE_SPEC, ProbeProtocol, SuiteConfig, condition_gr
                             reduced_grids, render_scene_data, rgb_warp, unified_grids,
                             warped_image_metrics)
 from renov.probe import ProbeDecoder, TrainConfig
-from renov.scene import MAX_VIEWS, SceneSpec, generate_scene, make_camera_arc
+from renov.scene import MAX_VIEWS, SceneSpec, check_camera_arc, generate_scene
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_scene_bundle_roundtrip(tmp_path, scene_data):
+    """A rendered SceneData saved and loaded gives back every view bit for bit, but its rgb,
+    which is stored as float32."""
     scene = generate_scene(scene_data.seed, SCENE_SPEC)
-    bundle.save_scene_bundle(tmp_path / "b", scene, list(scene_data.views.values()),
-                             scene_data.transform)
+    bundle.save_scene_bundle(tmp_path / "b", scene, scene_data)
     data = bundle.load_scene_bundle(tmp_path / "b", scene_data.patch)
     doc, views = rnvt.read_json(tmp_path / "b" / "scene.json"), data.views
     assert data.seed == doc["seed"] == scene_data.seed
     assert data.patch == scene_data.patch
     assert data.n_views == scene_data.n_views == len(views) == len(scene_data.views)
-    v0, r0 = views[0], scene_data.views[0]
-    np.testing.assert_allclose(v0.rgb, r0.rgb, atol=1e-7)  # rgb stored f32
-    np.testing.assert_array_equal(v0.depth, r0.depth)
-    np.testing.assert_array_equal(v0.pointmap.coords, r0.pointmap.coords)
-    np.testing.assert_array_equal(v0.pointmap.valid, r0.pointmap.valid)
-    np.testing.assert_array_equal(v0.labels, r0.labels)
-    np.testing.assert_array_equal(v0.camera.world_to_camera, r0.camera.world_to_camera)
+    for i, rendered in scene_data.views.items():
+        got = views[i]
+        assert _same_bits(got.rgb, rendered.rgb.astype(np.float32).astype(np.float64)), i
+        for name in ("depth", "labels"):
+            assert _same_bits(getattr(got, name), getattr(rendered, name)), (i, name)
+        assert _same_bits(got.pointmap.coords, rendered.pointmap.coords), i
+        assert _same_bits(got.pointmap.valid, rendered.pointmap.valid), i
+        assert _same_bits(got.camera.world_to_camera, rendered.camera.world_to_camera), i
+        assert got.camera.to_dict() == rendered.camera.to_dict(), i
     tr = data.transform
     np.testing.assert_array_equal(tr.center, scene_data.transform.center)
     assert SceneSpec.from_dict(doc["spec"]) == SCENE_SPEC
@@ -39,8 +47,7 @@ def test_scene_bundle_roundtrip(tmp_path, scene_data):
 
 def test_scene_bundle_reads_only_the_views_read(tmp_path, scene_data, monkeypatch):
     scene = generate_scene(scene_data.seed, SCENE_SPEC)
-    bundle.save_scene_bundle(tmp_path / "b", scene, list(scene_data.views.values()),
-                             scene_data.transform)
+    bundle.save_scene_bundle(tmp_path / "b", scene, scene_data)
     read, read_tensor = [], rnvt.read_tensor
 
     def recorded(path):
@@ -85,7 +92,7 @@ def test_render_scene_data_renders_only_the_views_read(scene_data, suite_cfg, mo
 def test_render_scene_data_checks_its_arc_at_the_call():
     """Each camera is built when its view is first rendered, but the arc is checked at once."""
     with pytest.raises(InputError) as arc:
-        make_camera_arc(generate_scene(0, SCENE_SPEC), 1, 6.0, 55.0, (16, 16), 60.0)
+        check_camera_arc(1, 6.0, 60.0)
     with pytest.raises(InputError) as rendered:
         render_scene_data(0, SuiteConfig(n_views=1))
     assert str(rendered.value) == str(arc.value) == "camera arc needs n >= 2, got 1"
@@ -93,6 +100,13 @@ def test_render_scene_data_checks_its_arc_at_the_call():
 
 def test_an_arc_is_at_most_max_views_long(tmp_path, scene_data, monkeypatch):
     """An arc past MAX_VIEWS fails at the call, before a camera is built or a view rendered."""
+    scene = generate_scene(scene_data.seed, SCENE_SPEC)
+    bundle.save_scene_bundle(tmp_path / "b", scene, scene_data)
+    doc = rnvt.read_json(tmp_path / "b" / "scene.json")
+    rnvt.write_json(tmp_path / "b" / "scene.json", dict(doc, n_views=MAX_VIEWS + 1))
+    with pytest.raises(InputError, match="scene.json: field 'n_views'"):
+        bundle.load_scene_bundle(tmp_path / "b", scene_data.patch)
+
     def no_work(*args):
         raise AssertionError("work started on an arc past MAX_VIEWS")
 
@@ -102,21 +116,12 @@ def test_an_arc_is_at_most_max_views_long(tmp_path, scene_data, monkeypatch):
         render_scene_data(0, SuiteConfig(n_views=MAX_VIEWS + 1))
     assert render_scene_data(0, SuiteConfig(n_views=MAX_VIEWS)).n_views == MAX_VIEWS
 
-    scene = generate_scene(scene_data.seed, SCENE_SPEC)
-    bundle.save_scene_bundle(tmp_path / "b", scene, [scene_data.views[0], scene_data.views[1]],
-                             scene_data.transform)
-    doc = rnvt.read_json(tmp_path / "b" / "scene.json")
-    rnvt.write_json(tmp_path / "b" / "scene.json", dict(doc, n_views=MAX_VIEWS + 1))
-    with pytest.raises(InputError, match="scene.json: field 'n_views'"):
-        bundle.load_scene_bundle(tmp_path / "b", scene_data.patch)
-
 
 @pytest.mark.parametrize("views", [(1, 9, 8), (-1, 2)])
 def test_renderer_and_loader_reject_a_view_off_the_arc_alike(tmp_path, scene_data, suite_cfg,
                                                               views):
     scene = generate_scene(scene_data.seed, SCENE_SPEC)
-    bundle.save_scene_bundle(tmp_path / "b", scene, list(scene_data.views.values()),
-                             scene_data.transform)
+    bundle.save_scene_bundle(tmp_path / "b", scene, scene_data)
     first = min(i for i in views if not 0 <= i < 8)  # the first index the arc lacks
     with pytest.raises(InputError) as rendered:
         pipeline.render_scene_data(scene_data.seed, suite_cfg).views[first]

@@ -72,19 +72,24 @@ def test_scene_gen_deterministic(tmp_path, capsys):
 
 
 def test_scene_gen_threads_bit_identical(tmp_path, capsys, monkeypatch):
-    """Every thread count writes the same bundle; 0 (the default) and 1 start no thread pool."""
+    """Every thread count writes the same bundle and renders each view once; 0 (the default)
+    and 1 start no thread pool."""
     def no_pool(*args, **kwargs):
         raise AssertionError("scene-gen started a thread pool")
 
-    bundles = {}
+    bundles, render_view = {}, pipeline.render_view
     for threads in ("0", "1", "4"):
+        cameras = []  # list.append is atomic, so pool threads may share it
         with monkeypatch.context() as m:
             if threads != "4":
                 m.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+            m.setattr(pipeline, "render_view",
+                      lambda scene, cam: cameras.append(cam.to_dict()) or render_view(scene, cam))
             code, _, err = run_cli(capsys, "--seed", "4", "--threads", threads, "scene-gen",
                                    "--out", str(tmp_path / threads), "--views", "4",
                                    "--res", "24x24")
         assert code == 0, err
+        assert len(cameras) == 4 and all(cameras.count(c) == 1 for c in cameras), threads
         bundles[threads] = _dir_bytes(tmp_path / threads)
     assert bundles["0"] == bundles["1"] == bundles["4"]
 
@@ -158,6 +163,10 @@ MALFORMED_ARGV = [  # (argv, what the one stderr line names)
     (["analyze", "--view-a", "3", "lds", "--scene", "{scene}"],
      "--view-a is written before the mode, but flags follow it"),
     (["--out", "o", "scene-gen"], "--out is written before the command, but flags follow it"),
+    # a flag answers only to its full name, not to a prefix of it
+    (["analyze", "lds", "--scene", "{scene}", "--view", "3"], "unrecognized arguments: --view 3"),
+    (["--se", "1", "analyze", "lds", "--scene", "{scene}"],
+     "--se is written before the command"),
 ]
 
 
@@ -1092,7 +1101,7 @@ def test_exit_code_4_on_memory_error(tmp_path, capsys, monkeypatch, error):
     def render_view(scene, cam):
         raise error
 
-    monkeypatch.setattr(cli, "render_view", render_view)
+    monkeypatch.setattr(pipeline, "render_view", render_view)
     code, out, err = run_cli(capsys, "--threads", "1", "scene-gen", "--out",
                              str(tmp_path / "big"), "--views", "3", "--res", "16x16")
     assert code == 4

@@ -11,7 +11,7 @@ from renov.geometry import Pointmap
 from renov.pipeline import ARC_FOV_DEG, ARC_RADIUS, ARC_SPAN_DEG, SCENE_SPEC
 from renov.scene import (_RAY_EPS, Quad, RenderedView, SceneSpec, SyntheticScene, TextureSpec,
                          _lattice_hash01, _screen_boxes, _value_noise, generate_scene,
-                         make_camera_arc, render_view, texture_rgb)
+                         arc_camera, check_camera_arc, render_view, texture_rgb)
 
 
 def _scene_digest(scene):
@@ -144,7 +144,7 @@ def test_coplanar_overlap_goes_to_the_smaller_id():
 
 def test_quad_order_does_not_change_output():
     scene = generate_scene(5, SceneSpec(n_quads=6))
-    cam = make_camera_arc(scene, 3, 6.0, 55.0, (32, 32), 40.0)[1]
+    cam = arc_camera(scene, 1, 3, 6.0, 55.0, (32, 32), 40.0)
     view_a = render_view(scene, cam)
     shuffled = type(scene)(
         quads=tuple(reversed(scene.quads)), background_rgb=scene.background_rgb,
@@ -159,7 +159,7 @@ def test_identity_warp_property():
     """Reprojecting each valid pointmap entry lands at its own pixel center."""
     from renov.geometry import project_points
     scene = generate_scene(9, SceneSpec())
-    cam = make_camera_arc(scene, 3, 6.0, 55.0, (48, 48), 60.0)[0]
+    cam = arc_camera(scene, 0, 3, 6.0, 55.0, (48, 48), 60.0)
     view = render_view(scene, cam)
     sel = view.pointmap.valid.reshape(-1)
     u, v, z, ok = project_points(view.pointmap.coords.reshape(-1, 3)[sel], cam)
@@ -171,7 +171,7 @@ def test_identity_warp_property():
 
 def test_depth_consistency():
     scene = generate_scene(9, SceneSpec())
-    cam = make_camera_arc(scene, 3, 6.0, 55.0, (32, 32), 60.0)[2]
+    cam = arc_camera(scene, 2, 3, 6.0, 55.0, (32, 32), 60.0)
     view = render_view(scene, cam)
     sel = view.pointmap.valid
     cam_pts = view.pointmap.coords[sel] @ cam.rotation.T + cam.translation
@@ -180,33 +180,33 @@ def test_depth_consistency():
 
 def test_room_scene_full_coverage():
     scene = generate_scene(4, SceneSpec())
-    for cam in make_camera_arc(scene, 5, 6.0, 55.0, (32, 32), 90.0):
+    for k in range(5):
+        cam = arc_camera(scene, k, 5, 6.0, 55.0, (32, 32), 90.0)
         assert render_view(scene, cam).pointmap.valid.all()
 
 
 def test_arc_needs_two_cameras():
-    scene = generate_scene(1, SceneSpec())
-    with pytest.raises(InputError):
-        make_camera_arc(scene, 1, 6.0, 55.0, (16, 16), 60.0)
+    with pytest.raises(InputError, match="camera arc needs n >= 2, got 1"):
+        check_camera_arc(1, 6.0, 60.0)
 
 
 def test_arc_middle_camera_axis_through_center():
     scene = generate_scene(1, SceneSpec())
-    cams = make_camera_arc(scene, 3, 6.0, 55.0, (16, 16), 50.0)
-    center_cam = cams[1].world_to_cam_points(scene.aabb_center)
+    cam = arc_camera(scene, 1, 3, 6.0, 55.0, (16, 16), 50.0)
+    center_cam = cam.world_to_cam_points(scene.aabb_center)
     np.testing.assert_allclose(center_cam[:2], 0.0, atol=1e-6)
 
 
 def test_arc_orthonormal_rotations():
     scene = generate_scene(1, SceneSpec())
-    for cam in make_camera_arc(scene, 4, 5.0, 60.0, (16, 16), 80.0):
-        r = cam.rotation
+    for k in range(4):
+        r = arc_camera(scene, k, 4, 5.0, 60.0, (16, 16), 80.0).rotation
         assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-6
 
 
 def test_arc_zero_span_degenerate():
     scene = generate_scene(1, SceneSpec())
-    cams = make_camera_arc(scene, 2, 6.0, 55.0, (16, 16), span_deg=0.0)
+    cams = [arc_camera(scene, k, 2, 6.0, 55.0, (16, 16), span_deg=0.0) for k in range(2)]
     np.testing.assert_array_equal(cams[0].world_to_camera, cams[1].world_to_camera)
 
 
@@ -286,7 +286,7 @@ def test_palette_scenes_share_colors():
 def test_headlight_shading_darkens_oblique():
     flat = generate_scene(6, SceneSpec(shading=0.0))
     shaded = generate_scene(6, SceneSpec(shading=0.6))
-    cam = make_camera_arc(flat, 3, 6.0, 55.0, (32, 32), 60.0)[0]
+    cam = arc_camera(flat, 0, 3, 6.0, 55.0, (32, 32), 60.0)
     v_flat = render_view(flat, cam)
     v_shaded = render_view(shaded, cam)
     sel = v_flat.pointmap.valid & (v_flat.rgb.sum(axis=2) > 0.05)
@@ -383,14 +383,15 @@ def _assert_same_render(scene, cam):
 def test_render_matches_full_image_reference_on_suite_scenes(res):
     for seed in (0, 1):
         scene = generate_scene(seed, SCENE_SPEC)
-        cams = make_camera_arc(scene, 4, ARC_RADIUS, ARC_FOV_DEG, (res, res), ARC_SPAN_DEG)
-        for cam in cams[:: 3 if res == 128 else 1]:
-            _assert_same_render(scene, cam)
+        for k in range(0, 4, 3 if res == 128 else 1):
+            _assert_same_render(scene, arc_camera(scene, k, 4, ARC_RADIUS, ARC_FOV_DEG, (res, res),
+                                                  ARC_SPAN_DEG))
 
 
 def test_render_tables_are_built_once_per_scene_and_read_only():
     scene = generate_scene(0, SCENE_SPEC)
-    cams = make_camera_arc(scene, 3, ARC_RADIUS, ARC_FOV_DEG, (32, 32), ARC_SPAN_DEG)
+    cams = [arc_camera(scene, k, 3, ARC_RADIUS, ARC_FOV_DEG, (32, 32), ARC_SPAN_DEG)
+            for k in range(3)]
     render_view(scene, cams[0])
     tables = scene.tables
     for cam in cams[1:]:
@@ -413,16 +414,17 @@ def test_render_tables_are_built_once_per_scene_and_read_only():
 def test_render_matches_reference_on_varied_scenes(spec, span):
     for seed in (5, 6):
         scene = generate_scene(seed, spec)
-        for cam in make_camera_arc(scene, 3, ARC_RADIUS, ARC_FOV_DEG, (40, 32), span):
-            _assert_same_render(scene, cam)
+        for k in range(3):
+            _assert_same_render(scene, arc_camera(scene, k, 3, ARC_RADIUS, ARC_FOV_DEG, (40, 32),
+                                                  span))
 
 
 @pytest.mark.parametrize("shading", [0.0, 0.5])
 def test_render_matches_reference_non_square_and_shading(shading):
     for seed in (2, 3):
         scene = generate_scene(seed, SceneSpec(shading=shading))
-        for cam in make_camera_arc(scene, 3, 6.0, 55.0, (48, 32), 70.0):
-            _assert_same_render(scene, cam)
+        for k in range(3):
+            _assert_same_render(scene, arc_camera(scene, k, 3, 6.0, 55.0, (48, 32), 70.0))
 
 
 def test_render_matches_reference_from_inside_the_room():
@@ -542,6 +544,5 @@ def test_spec_dict_roundtrip():
 @pytest.mark.parametrize("radius,span", [(float("nan"), 60.0), (float("inf"), 60.0), (0.0, 60.0),
                                          (6.0, float("inf")), (6.0, float("nan"))])
 def test_arc_rejects_non_finite_radius_and_span(radius, span):
-    scene = generate_scene(1, SceneSpec())
     with pytest.raises(InputError, match="radius" if span == 60.0 else "span"):
-        make_camera_arc(scene, 3, radius, 55.0, (16, 16), span)
+        check_camera_arc(3, radius, span)

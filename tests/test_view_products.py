@@ -28,8 +28,7 @@ def rendered():
 
 def test_rendered_and_loaded_views_refuse_writes(rendered, tmp_path):
     views = [rendered.views[i] for i in range(4)]
-    bundle.save_scene_bundle(tmp_path / "scene", generate_scene(4, pipeline.SCENE_SPEC), views,
-                             rendered.transform)
+    bundle.save_scene_bundle(tmp_path / "scene", generate_scene(4, pipeline.SCENE_SPEC), rendered)
     loaded = bundle.load_scene_bundle(tmp_path / "scene", P).views[1]
     for view in (views[1], loaded):
         for array in (view.rgb, view.depth, view.labels, view.pointmap.coords,

@@ -21,7 +21,8 @@ Layers, each timed LAYER_REPS (9) times on the benchmark's suite scene (seed
     extract_features one 128x128 view, per family
     _patchify_stats the appearance statistics of one 128x128 view
     load_scene_bundle
-                    loading a saved 16-view 64x64 bundle into a SceneData and
+                    loading a 16-view 64x64 bundle (saved by this tree's
+                    writer for either tree) into a SceneData and
                     reading views of it: all 16 (what `features` reads), and
                     7, 8 and 9 (what `warp --refs 7,9 --target 8` reads).  A
                     tree whose loader reads every view when it loads (any tree
@@ -91,6 +92,7 @@ from types import SimpleNamespace  # noqa: E402
 import numpy as np  # noqa: E402
 
 import renov  # noqa: E402
+from renov.bundle import save_scene_bundle  # noqa: E402
 from renov.pipeline import REDUCER_C_RED, REDUCER_SEED  # noqa: E402
 
 MODULES = ("analysis", "bundle", "cli", "encoding", "features", "geometry", "metrics", "pipeline",
@@ -192,11 +194,17 @@ def import_tree(src: Path) -> SimpleNamespace:
         sys.modules.update(ours)
 
 
+def arc_cameras(rv: SimpleNamespace, scn, res: int) -> list:
+    """The N_VIEWS cameras of the suite arc at res x res, built with the modules in rv."""
+    pipeline = rv.pipeline
+    return [rv.scene.arc_camera(scn, k, N_VIEWS, pipeline.ARC_RADIUS, pipeline.ARC_FOV_DEG,
+                                (res, res), pipeline.ARC_SPAN_DEG) for k in range(N_VIEWS)]
+
+
 def tested_px(rv: SimpleNamespace, seed: int) -> list[float]:
     """Pixels render_view ray-casts per image pixel, for each view of the 128x128 arc."""
     scn = rv.scene.generate_scene(seed, rv.pipeline.SCENE_SPEC)
-    cams = rv.scene.make_camera_arc(scn, N_VIEWS, rv.pipeline.ARC_RADIUS, rv.pipeline.ARC_FOV_DEG,
-                                    (128, 128), rv.pipeline.ARC_SPAN_DEG)
+    cams = arc_cameras(rv, scn, 128)
     return [sum((rows.stop - rows.start) * (cols.stop - cols.start)
                 for rows, cols in filter(None, rv.scene._screen_boxes(scn, cam)))
             / (cam.width * cam.height) for cam in cams]
@@ -224,14 +232,13 @@ def layer_cases(rv: SimpleNamespace, seed: int):
     scn = scene.generate_scene(seed, pipeline.SCENE_SPEC)
     views = {}
     for res in (32, 64, 128):
-        cams = scene.make_camera_arc(scn, N_VIEWS, pipeline.ARC_RADIUS, pipeline.ARC_FOV_DEG,
-                                     (res, res), pipeline.ARC_SPAN_DEG)
+        cams = arc_cameras(rv, scn, res)
         views[res] = [scene.render_view(scn, cam) for cam in cams]
         yield (f"render_view {res}x{res} /view",
                lambda cams=cams: [scene.render_view(scn, cam) for cam in cams], LAYER_REPS, N_VIEWS)
     transform = rv.encoding.NormalizationTransform.from_aabb(scn.aabb_min, scn.aabb_max)
     p = pipeline.PATCH
-    data = {res: pipeline.SceneData(seed, N_VIEWS, dict(enumerate(views[res])), transform, p)
+    data = {res: pipeline.SceneData(seed, N_VIEWS, views[res].__getitem__, transform, p)
             for res in (64, 128)}
     # this tree's reducer settings, passed to either tree: an older one may have no defaults.
     # The grids are read here, where a tree computes them on first read, so no rep extracts.
@@ -268,7 +275,7 @@ def layer_cases(rv: SimpleNamespace, seed: int):
     yield ("_patchify_stats 128x128", lambda rgb: rv.features._patchify_stats(rgb, p),
            LAYER_REPS, 1, lambda: read_only_copy(va.rgb))
     with tempfile.TemporaryDirectory() as tmp:
-        rv.bundle.save_scene_bundle(tmp, scn, views[64], transform)
+        save_scene_bundle(tmp, scn, data[64])  # this tree's writer: only the loader is timed
 
         def load_and_read(indices):
             views = rv.bundle.load_scene_bundle(tmp, p).views
