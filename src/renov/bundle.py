@@ -1,6 +1,7 @@
 """On-disk layout: scene bundles, feature sets, probe checkpoints.
 
-A scene bundle is a directory with deterministic, atomically written files:
+Each save_* function hands its files to rnvt.write_dir, which replaces the
+output directory whole.  A scene bundle is a directory of deterministic files:
 
     scene.json                    spec, seed, aabb, normalization transform
     views/view_NNN/rgb.rnvt       f32 HxWx3 in [0,1]
@@ -25,7 +26,8 @@ checkpoint's manifest records.  A violation is an InputError naming the file.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -78,10 +80,6 @@ def view_dir(bundle: Path, index: int) -> Path:
 def save_scene_bundle(bundle: Path, scene: SyntheticScene, data: SceneData,
                       meta: dict | None = None) -> None:
     """`data`, the SceneData of `scene`, as a bundle of its n_views views."""
-    bundle = Path(bundle)
-    # every view is made before the first write, so a failing view writes nothing
-    views = list(data.views.values())
-    rnvt.make_dir(bundle)
     doc = {
         "format": SCENE_FORMAT,
         "version": SCENE_VERSION,
@@ -97,15 +95,17 @@ def save_scene_bundle(bundle: Path, scene: SyntheticScene, data: SceneData,
     }
     if meta:
         doc["meta"] = meta
-    rnvt.write_json(bundle / "scene.json", doc)
-    for i, view in enumerate(views):
-        vdir = view_dir(bundle, i)
-        rnvt.make_dir(vdir)
-        rnvt.write_tensor(vdir / "rgb.rnvt", view.rgb.astype(np.float32))
-        rnvt.write_tensor(vdir / "depth.rnvt", view.depth.astype(np.float64))
-        rnvt.write_tensor(vdir / "pointmap.rnvt", view.pointmap.coords.astype(np.float64))
-        rnvt.write_tensor(vdir / "labels.rnvt", view.labels.astype(np.int64))
-        rnvt.write_json(vdir / "camera.json", view.camera.to_dict())
+
+    def files():  # one file's array at a time
+        yield "scene.json", doc
+        for i, view in data.views.items():
+            vdir = view_dir(Path(), i)
+            yield vdir / "rgb.rnvt", view.rgb.astype(np.float32)
+            yield vdir / "depth.rnvt", view.depth.astype(np.float64)
+            yield vdir / "pointmap.rnvt", view.pointmap.coords.astype(np.float64)
+            yield vdir / "labels.rnvt", view.labels.astype(np.int64)
+            yield vdir / "camera.json", view.camera.to_dict()
+    rnvt.write_dir(bundle, files())
 
 
 def _tensor(path: Path, dtype, shape: tuple, source: str, ok=None, rule: str = "") -> np.ndarray:
@@ -178,10 +178,6 @@ def save_feature_set(
     reducer: ChannelReducer,
 ) -> None:
     """Each view's local, valid and reduced tensors, by arc index; written for inspection only."""
-    out = Path(out)
-    # every grid is computed before the first write, so a failing view writes nothing
-    local_grids, reduced_grids = dict(local_grids), dict(reduced_grids)
-    rnvt.make_dir(out)
     first = next(iter(local_grids))
     manifest = {
         "family": family.to_dict(),
@@ -191,19 +187,22 @@ def save_feature_set(
         "c_reduced": reduced_grids[first].channels,
         "reducer_seed": reducer.seed,
     }
-    rnvt.write_json(out / "manifest.json", manifest)
-    for i, local in local_grids.items():
-        rnvt.write_tensor(out / f"local_{i:03d}.rnvt", local.tokens.astype(np.float64))
-        rnvt.write_tensor(out / f"valid_{i:03d}.rnvt", local.valid.astype(np.uint8))
-        rnvt.write_tensor(out / f"reduced_{i:03d}.rnvt", reduced_grids[i].tokens.astype(np.float64))
+
+    def files():  # one file's array at a time
+        yield "manifest.json", manifest
+        for i, local in local_grids.items():
+            yield f"local_{i:03d}.rnvt", local.tokens.astype(np.float64)
+            yield f"valid_{i:03d}.rnvt", local.valid.astype(np.uint8)
+            yield f"reduced_{i:03d}.rnvt", reduced_grids[i].tokens.astype(np.float64)
+    rnvt.write_dir(out, files())
 
 
 # ---------------------------------------------------------------------------
 # probe checkpoints
 
-def save_decoder(out: Path, decoder: ProbeDecoder, extra: dict | None = None) -> None:
-    out = Path(out)
-    rnvt.make_dir(out)
+def save_decoder(out: Path, decoder: ProbeDecoder, extra: dict | None = None,
+                 files: Iterable[tuple[str, object]] = ()) -> None:
+    """The checkpoint: its manifest, a tensor per parameter, and `files` (say, a loss curve)."""
     manifest = {
         "patch_size": decoder.patch_size,
         "c_in": decoder.c_in,
@@ -215,9 +214,9 @@ def save_decoder(out: Path, decoder: ProbeDecoder, extra: dict | None = None) ->
     }
     if extra:
         manifest["extra"] = extra
-    rnvt.write_json(out / "manifest.json", manifest)
-    for name in decoder.param_names:
-        rnvt.write_tensor(out / f"{name}.rnvt", decoder.params[name].astype(np.float64))
+    params = ((f"{name}.rnvt", decoder.params[name].astype(np.float64))
+              for name in decoder.param_names)
+    rnvt.write_dir(out, chain([("manifest.json", manifest)], params, files))
 
 
 def load_decoder(path: Path) -> tuple[dict, ProbeDecoder]:

@@ -5,7 +5,10 @@ success, 2 on malformed input (the message names the offending field), 3 on
 numerical failure, 4 when the process runs out of memory; each of these
 failures prints one line to stderr, not a traceback.  All outputs are
 deterministic given flags and seeds; the seed flag falls back to the
-RENOV_SEED environment variable.
+RENOV_SEED environment variable.  A command that writes a directory hands its
+files to rnvt.write_dir (through bundle.save_* or itself), which replaces the
+directory whole; so _out_dir takes only a new or empty directory or one that
+holds the command's index file, and never one renov did not write.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -70,18 +74,26 @@ def _family_from(args, seed: int) -> FeatureFamily:
                          channels=args.channels, seed=seed)
 
 
-def _out_dir(text: str | None, flag: str) -> Path | None:
-    """The directory a command writes, checked before any work: no file is on its way."""
+def _out_dir(text: str | None, flag: str, index: str) -> Path | None:
+    """The directory a command replaces whole, checked before any work: no file is on its way,
+    and it is new, empty, or holds `index` as the command's own output does."""
     if text is None:
         return None
     path = Path(text)
     try:
         nearest = next(p for p in (path, *path.parents) if p.exists())
         is_dir = nearest.is_dir()
+        foreign = nearest == path and is_dir and any(path.iterdir()) and not (path / index).exists()
     except OSError as e:  # say, a name too long: the OS refuses the path
         raise InputError(f"{flag} {text} cannot be a directory: {e.strerror}") from e
     if not is_dir:
         raise InputError(f"{flag} {text} cannot be a directory: {nearest} is a file")
+    if foreign:
+        raise InputError(f"{flag} {text} holds files renov did not write (no {index}), "
+                         f"and renov replaces {flag} whole")
+    if path.is_symlink() or path.name in ("", ".."):
+        raise InputError(f"{flag} {text} cannot be replaced whole: name the directory itself, "
+                         "not a link, '.' or '..'")
     return path
 
 
@@ -105,7 +117,7 @@ def _out_file(text: str | None, flag: str) -> Path | None:
 # commands
 
 def cmd_scene_gen(args) -> dict:
-    out = _out_dir(args.out, "--out")
+    out = _out_dir(args.out, "--out", "scene.json")
     seed = _seed_from(args)
     w, h = _parse_res(args.res)
     spec = SceneSpec(n_quads=args.quads, palette_size=args.palette, shading=args.shading)
@@ -122,7 +134,7 @@ def cmd_scene_gen(args) -> dict:
 
 
 def cmd_features(args) -> dict:
-    out = _out_dir(args.out, "--out")
+    out = _out_dir(args.out, "--out", "manifest.json")
     seed = _seed_from(args)
     data = bundle.load_scene_bundle(args.scene, args.patch)  # every view
     family = _family_from(args, seed)
@@ -134,7 +146,7 @@ def cmd_features(args) -> dict:
 
 
 def cmd_warp(args) -> dict:
-    out = _out_dir(args.out, "--out")
+    out = _out_dir(args.out, "--out", "manifest.json")
     seed = _seed_from(args)
     refs = _parse_refs(args.refs)
     check_remove(args.remove, "--remove")
@@ -147,23 +159,20 @@ def cmd_warp(args) -> dict:
         family = _family_from(args, seed)
         grids, _ = reduced_grids(data, family, args.c_red, args.reducer_seed)
         plane = feature_warp(data, grids, refs, args.target, args.remove, seed)
-    rnvt.make_dir(out)
-    rnvt.write_tensor(out / "payload.rnvt", plane.payload)
-    rnvt.write_tensor(out / "depth.rnvt", plane.depth)
-    rnvt.write_tensor(out / "mask.rnvt", plane.mask.astype(np.uint8))
+    files = [("payload.rnvt", plane.payload), ("depth.rnvt", plane.depth),
+             ("mask.rnvt", plane.mask.astype(np.uint8)), ("manifest.json", {
+                 "payload": args.payload, "refs": list(refs), "target": args.target,
+                 "remove": args.remove, "seed": seed, "hole_fraction": plane.hole_fraction})]
     if args.payload == "rgb":
-        rnvt.write_ppm(out / "payload.ppm", np.clip(plane.payload, 0, 1))
-    rnvt.write_json(out / "manifest.json", {
-        "payload": args.payload, "refs": list(refs), "target": args.target,
-        "remove": args.remove, "seed": seed, "hole_fraction": plane.hole_fraction,
-    })
+        files.append(("payload.ppm", np.clip(plane.payload, 0, 1)))
+    rnvt.write_dir(out, files)
     return {"command": "warp", "out": str(out), "payload": args.payload,
             "refs": list(refs), "target": args.target, "remove": args.remove,
             "hole_fraction": plane.hole_fraction}
 
 
 def cmd_condition(args) -> dict:
-    out = _out_dir(args.out, "--out")
+    out = _out_dir(args.out, "--out", "layout_target.json")
     seed = _seed_from(args)
     refs = _parse_refs(args.refs)
     data = bundle.load_scene_bundle(args.scene, args.patch)
@@ -172,13 +181,11 @@ def cmd_condition(args) -> dict:
     ref_planes, tgt_plane, warped = scene_conditions(
         data, _family_from(args, seed), refs, args.target, args.c_red, args.reducer_seed,
         FourierConfig(num_freqs=args.geo_freqs), FourierConfig(num_freqs=args.feat_freqs))
-    rnvt.make_dir(out)
-    for r, plane in ref_planes.items():
-        rnvt.write_tensor(out / f"cond_ref_{r:03d}.rnvt", plane.channels)
-    ref_layout = plane.layout  # every reference plane has the same layout
-    rnvt.write_json(out / "layout_ref.json", ref_layout.to_json())
-    rnvt.write_tensor(out / "cond_target.rnvt", tgt_plane.channels)
-    rnvt.write_json(out / "layout_target.json", tgt_plane.layout.to_json())
+    ref_layout = ref_planes[refs[0]].layout  # every reference plane has the same layout
+    rnvt.write_dir(out, [*((f"cond_ref_{r:03d}.rnvt", p.channels) for r, p in ref_planes.items()),
+                         ("layout_ref.json", ref_layout.to_json()),
+                         ("cond_target.rnvt", tgt_plane.channels),
+                         ("layout_target.json", tgt_plane.layout.to_json())])
     return {"command": "condition", "out": str(out), "refs": list(refs),
             "target": args.target, "c_ref": ref_layout.total_channels,
             "c_target": tgt_plane.layout.total_channels,
@@ -186,7 +193,7 @@ def cmd_condition(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    out = _out_dir(args.out, "--out")
+    out = _out_dir(args.out, "--out", f"{args.metric}.json")
     seed = _seed_from(args)
     flags = {"--view-a": args.view_a}
     if args.metric != "lds":  # the only metric of a single view
@@ -199,11 +206,7 @@ def cmd_analyze(args) -> dict:
     data = bundle.load_scene_bundle(args.scene, args.patch)
     for flag, i in flags.items():
         check_views((i,), data.n_views, flag)
-    # the grids of the views the flags name, each once, computed before --out is made
-    local = local_grids(data, _family_from(args, seed))
-    grids = {i: local[i] for i in flags.values()}
-    if out:
-        rnvt.make_dir(out)
+    grids = local_grids(data, _family_from(args, seed))
 
     va, ga = data.views[args.view_a], grids[args.view_a]
     if args.metric == "lds":
@@ -212,7 +215,7 @@ def cmd_analyze(args) -> dict:
                    "view": args.view_a, "r_local": args.r_local, "r_far": args.r_far,
                    "score": score}
         if out:
-            rnvt.write_json(out / "lds.json", summary)
+            rnvt.write_dir(out, [("lds.json", summary)])
         return summary
 
     vb, gb = data.views[args.view_b], grids[args.view_b]
@@ -224,17 +227,15 @@ def cmd_analyze(args) -> dict:
                "view_a": args.view_a, "view_b": args.view_b,
                "pck": rep.pck_at_tau, "tau": rep.tau_tokens, "num_queries": rep.num_queries}
     if out:
-        rnvt.write_json(out / f"{args.metric}.json", rep.to_dict())
         lines = ["query_i,query_j,pred_i,pred_j,truth_i,truth_j,hit\n"]
         for r in rep.per_query:
             truth = r.truth_cell if r.truth_cell is not None else ("", "")
             lines.append(f"{r.query_cell[0]},{r.query_cell[1]},{r.predicted_cell[0]},"
                          f"{r.predicted_cell[1]},{truth[0]},{truth[1]},{int(r.hit)}\n")
-        rnvt.write_text(out / f"{args.metric}.csv", "".join(lines))
-        if args.save_maps:
-            for k, rec in enumerate(rep.per_query[:args.save_maps]):
-                sim = cosine_similarity_map(ga.tokens[rec.query_cell], gb)
-                rnvt.write_pgm(out / f"simmap_{k:03d}.pgm", (sim + 1.0) / 2.0)
+        maps = ((f"simmap_{k:03d}.pgm", (cosine_similarity_map(ga.tokens[r.query_cell], gb) + 1.0) / 2.0)
+                for k, r in enumerate(rep.per_query[:args.save_maps]))
+        rnvt.write_dir(out, chain([(f"{args.metric}.json", rep.to_dict()),
+                                   (f"{args.metric}.csv", "".join(lines))], maps))
     return summary
 
 
@@ -250,7 +251,8 @@ def _probe_cfg(args, seed: int) -> TrainConfig:
 
 
 def cmd_probe(args) -> dict:
-    out = _out_dir(args.ckpt, "--ckpt") if args.mode == "train" else _out_file(args.out, "--out")
+    out = (_out_dir(args.ckpt, "--ckpt", "manifest.json") if args.mode == "train"
+           else _out_file(args.out, "--out"))
     seed = _seed_from(args)
     proto = ProbeProtocol.fixed_target()
 
@@ -259,10 +261,10 @@ def cmd_probe(args) -> dict:
         data = bundle.load_scene_bundle(args.scene, args.patch)
         cfg = _probe_cfg(args, seed)
         decoder, curve = train_scene_probe(data, family, cfg, proto)
+        loss = "step,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(curve))
         bundle.save_decoder(out, decoder, extra={"family": family.to_dict(), "seed": seed,
-                                                 "scene": _scene_of(data)})
-        rnvt.write_text(out / "loss.csv",
-                        "step,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(curve)))
+                                                 "scene": _scene_of(data)},
+                            files=[("loss.csv", loss)])
         return {"command": "probe", "mode": "train", "ckpt": str(out),
                 "family": args.family, "steps": cfg.steps,
                 "n_params": decoder.n_params, "final_loss": curve[-1]}
@@ -333,8 +335,9 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
 class _Parser(argparse.ArgumentParser):
     """A parser (and, by inheritance, its subparsers) that takes each flag by its full name only
     and whose usage errors are InputErrors; a flag a leaf command does not take is named with
-    that command, as in `renov analyze lds`, and a flag written before the command or mode it
-    belongs after is named as such."""
+    that command, as in `renov analyze lds`, a flag written before the command or mode it
+    belongs after is named as such, and one written there that no command takes as
+    unrecognized."""
 
     modes = None  # the sub-parsers action, in a parser with commands or modes
     _words = ()  # the words the last parse read
@@ -345,6 +348,11 @@ class _Parser(argparse.ArgumentParser):
     def add_subparsers(self, **kwargs):
         self.modes = super().add_subparsers(**kwargs)
         return self.modes
+
+    def _takes(self, flag: str) -> bool:
+        """Whether this parser, or a command or mode under it, takes flag."""
+        subs = self.modes.choices.values() if self.modes else ()
+        return flag in self._option_string_actions or any(p._takes(flag) for p in subs)
 
     def _misplaced_flag(self) -> str | None:
         """The first word past this parser's own flags and their values, if it is a flag."""
@@ -362,7 +370,9 @@ class _Parser(argparse.ArgumentParser):
         if self.modes is not None and (flag := self._misplaced_flag()):
             noun = "command" if self.modes.dest == "command" else "mode"
             message = (f"{flag} is written before the {noun}, but flags follow it: "
-                       f"{self.prog} {{{','.join(self.modes.choices)}}} {flag} ...")
+                       f"{self.prog} {{{','.join(self.modes.choices)}}} {flag} ..."
+                       if self._takes(flag.partition("=")[0]) else
+                       f"unrecognized arguments: {flag}")
         raise InputError(f"{self.prog}: {message}")
 
     def parse_known_args(self, args=None, namespace=None):

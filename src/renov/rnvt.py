@@ -13,17 +13,22 @@ Layout (little-endian throughout):
 Total length = 12 + 8*ndim + itemsize*prod(dims).  All writers go through a
 temp file of their own + rename so a killed process never leaves a truncated
 file under the final name, and concurrent writers of one path never share a
-temp file.  Readers raise InputError naming the path for a missing,
-unreadable or damaged file; writers, and make_dir, for a path the OS will not
-write (no space left, no permission), after removing their temp file.
+temp file, and write_dir puts a set of files in a temp directory of its own
+and renames that over the output directory (a reader that opens a set's files
+one by one while it is replaced can read some of each).  Readers raise
+InputError naming the path for a missing, unreadable or damaged file; writers
+for a path the OS will not write (no space left, no permission), after
+removing their temp file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
+import shutil
 import struct
 import uuid
 from pathlib import Path
@@ -48,14 +53,6 @@ def _refused(path, e: OSError) -> InputError:
     return InputError(f"cannot write {path}: {e.strerror or e}")
 
 
-def make_dir(path) -> None:
-    """mkdir -p of path; a path the OS refuses is an InputError naming it."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise _refused(path, e) from e
-
-
 def _atomic_write_bytes(path, blob: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
@@ -66,17 +63,10 @@ def _atomic_write_bytes(path, blob: bytes) -> None:
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except OSError as e:
-        _discard(tmp)
         raise _refused(path, e) from e
-    except BaseException:
-        _discard(tmp)
-        raise
-
-
-def _discard(tmp: Path) -> None:
-    """Remove a temp file; the error that ended its write is the one to report."""
-    with contextlib.suppress(OSError):  # say, a name too long for the OS to make: no file exists
-        tmp.unlink(missing_ok=True)
+    finally:  # gone once renamed; say, a name too long for the OS to make was never made
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _read_bytes(path) -> bytes:
@@ -179,3 +169,39 @@ def write_pgm(path, image: np.ndarray) -> None:
     if img.ndim != 2:
         raise InputError(f"PGM wants HxW, got {img.shape}")
     _write_netpbm(path, b"P5", img)
+
+
+def write_dir(out, files) -> None:
+    """Replace directory `out` whole by the `(name, value)` pairs of `files`; a name's suffix
+    picks its writer.  They go into a sibling `<out>.<uuid>.tmp/`, renamed over `out` at the
+    end, and an old `out` is renamed aside first and removed after; any failure before that
+    removes the temp directory and leaves the old `out` as it was."""
+    out = Path(out)
+    tmp = out.with_name(f"{out.name}.{uuid.uuid4().hex}.tmp")
+    writers = {".rnvt": write_tensor, ".json": write_json, ".csv": write_text,
+               ".ppm": write_ppm, ".pgm": write_pgm}  # looked up per call, as tracers patch them
+    try:
+        tmp.mkdir(parents=True)
+        for name, value in files:
+            path = tmp / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                writers[path.suffix](path, value)
+            except InputError as e:  # name a file the OS refused where a reader will look for it
+                raise _refused(out / name, e.__cause__) if isinstance(e.__cause__, OSError) else e
+        old = tmp.with_suffix(".old")  # where an old out is set aside until the new one is in
+        while True:
+            try:
+                os.rename(tmp, out)
+                break
+            except OSError as e:
+                if e.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                    raise
+            shutil.rmtree(old, ignore_errors=True)  # one an earlier try set aside
+            with contextlib.suppress(FileNotFoundError):  # a concurrent writer moved it first
+                os.rename(out, old)
+        shutil.rmtree(old, ignore_errors=True)
+    except OSError as e:
+        raise _refused(out, e) from e
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)

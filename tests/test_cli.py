@@ -4,6 +4,7 @@ import errno
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,9 @@ def run_cli(capsys, *argv):
 
 
 def _dir_bytes(root):
+    """Each file's bytes by its path under root; a file root's bytes by its name."""
+    if Path(root).is_file():
+        return {Path(root).name: Path(root).read_bytes()}
     blobs = {}
     for base, _, files in os.walk(root):
         for f in files:
@@ -165,8 +169,9 @@ MALFORMED_ARGV = [  # (argv, what the one stderr line names)
     (["--out", "o", "scene-gen"], "--out is written before the command, but flags follow it"),
     # a flag answers only to its full name, not to a prefix of it
     (["analyze", "lds", "--scene", "{scene}", "--view", "3"], "unrecognized arguments: --view 3"),
-    (["--se", "1", "analyze", "lds", "--scene", "{scene}"],
-     "--se is written before the command"),
+    # a flag written before the command that no command takes is unrecognized, not misplaced
+    (["--se", "1", "analyze", "lds", "--scene", "{scene}"], "unrecognized arguments: --se"),
+    (["--bogus", "1", "scene-gen", "--out", "x"], "unrecognized arguments: --bogus"),
 ]
 
 
@@ -360,8 +365,9 @@ def test_commands_extract_features_only_for_the_views_they_read(small_bundle, sm
     assert count("features", *scene, *out) == 16
     assert count("warp", *scene, *out, "--refs", "0,2", "--target", "8",
                  "--payload", "features") == 2
-    assert count("condition", *scene, *out, "--refs", "0,2", "--target", "8") == 2
-    assert count("condition", *scene, *out, "--refs", "2,2", "--target", "8") == 1
+    cond = ["--out", str(tmp_path / "cond")]  # a warp's output is not a condition's to replace
+    assert count("condition", *scene, *cond, "--refs", "0,2", "--target", "8") == 2
+    assert count("condition", *scene, *cond, "--refs", "2,2", "--target", "8") == 1
     assert count("probe", "train", *scene, "--ckpt", str(tmp_path / "ck"), "--steps", "2") == 7
     assert count("probe", "eval", *scene, "--ckpt", str(small_ckpt)) == 3
     assert count("probe", "eval", *scene, "--ckpt", str(small_ckpt), "--views", "2") == 2
@@ -1223,7 +1229,8 @@ def test_commands_read_the_tensors_of_the_views_they_read(small_bundle, small_ck
         (["features", *scene, "--out", str(out)], 16, 0),
         (["warp", *scene, "--refs", "7,9", "--target", "8", "--out", str(out)], 3, 0),
         (["warp", *scene, "--refs", "8", "--target", "8", "--out", str(out)], 1, 0),
-        (["condition", *scene, "--refs", "0,2", "--target", "8", "--out", str(out)], 3, 0),
+        (["condition", *scene, "--refs", "0,2", "--target", "8", "--out", str(tmp_path / "c")],
+         3, 0),
         (["analyze", "corr", *scene], 2, 0),
         (["analyze", "semcorr", *scene, "--view-a", "4", "--view-b", "4"], 1, 0),
         (["analyze", "lds", *scene], 1, 0),
@@ -1316,7 +1323,8 @@ def test_a_write_the_os_refuses_exits_2_and_leaves_no_temp_file(small_bundle, sm
         assert err.splitlines() == [f"input error: cannot write {path}: {os.strerror(code)}"]
         assert not list(tmp_path.rglob("*.tmp")), argv
 
-    # every leaf that writes, with no space left at its first, a middle and its last file
+    # every leaf that writes, rewriting an earlier output with no space left at its first, a
+    # middle and its last file: the earlier output reads back byte for byte
     full = os.strerror(errno.ENOSPC)
     clean, real_fsync = tmp_path / "clean", os.fsync
     for n, (leaf, argv) in enumerate(_writing_leaves(small_bundle, small_ckpt, clean).items()):
@@ -1325,9 +1333,18 @@ def test_a_write_the_os_refuses_exits_2_and_leaves_no_temp_file(small_bundle, sm
             m.setattr(rnvt, "_atomic_write_bytes",
                       lambda path, blob: write(path, blob) or written.append(str(path)))
             assert run_cli(capsys, "--seed", "1", *argv)[0] == 0, leaf
+        written = [re.sub(r"\.[0-9a-f]{32}\.tmp", "", path) for path in written]  # as readers see
         for k in sorted({1, (len(written) + 1) // 2, len(written)}):
             fsyncs, out = [], tmp_path / f"refused_{n}_{k}"
             out.mkdir()  # where the leaves that write one file write it
+            argv = _writing_leaves(small_bundle, small_ckpt, out)[leaf]
+            # the earlier output, by another seed or, where the seed changes no byte, a flag
+            earlier = {"condition": ["--geo-freqs", "4"], "analyze lds": ["--r-far", "5"],
+                       "probe eval": ["--views", "1"]}
+            assert run_cli(capsys, "--seed", "2", *argv, *earlier.get(leaf, []))[0] == 0, leaf
+            before = _dir_bytes(out)
+            output = Path(argv[argv.index("--out" if "--out" in argv else "--ckpt") + 1])
+            assert _dir_bytes(output) != _dir_bytes(clean / output.relative_to(out)), leaf
 
             def fsync(fd, _k=k):
                 fsyncs.append(fd)
@@ -1337,12 +1354,86 @@ def test_a_write_the_os_refuses_exits_2_and_leaves_no_temp_file(small_bundle, sm
 
             with monkeypatch.context() as m:
                 m.setattr(rnvt.os, "fsync", fsync)
-                status, stdout, err = run_cli(
-                    capsys, "--seed", "1", *_writing_leaves(small_bundle, small_ckpt, out)[leaf])
+                status, stdout, err = run_cli(capsys, "--seed", "1", *argv)
             path = written[k - 1].replace(str(clean), str(out))
             assert (status, stdout) == (2, ""), (leaf, k)
             assert err.splitlines() == [f"input error: cannot write {path}: {full}"], (leaf, k)
-            assert not list(tmp_path.rglob("*.tmp")), (leaf, k)
+            assert _dir_bytes(out) == before, (leaf, k)
+            assert not [*tmp_path.rglob("*.tmp"), *tmp_path.rglob("*.old")], (leaf, k)
+
+
+def test_an_interrupted_probe_train_leaves_the_earlier_checkpoint(small_bundle, capsys, tmp_path,
+                                                                   monkeypatch):
+    """Ctrl-C at a middle parameter tensor of a retraining: the old checkpoint stays whole."""
+    ckpt = tmp_path / "ckpt"
+    train = ["probe", "train", "--scene", str(small_bundle), "--ckpt", str(ckpt)]
+    assert run_cli(capsys, "--seed", "1", *train, "--steps", "3")[0] == 0
+    before = _dir_bytes(ckpt)
+    tensors, write_tensor = [], rnvt.write_tensor
+
+    def interrupted(path, arr):
+        tensors.append(path)
+        if len(tensors) == 3:
+            raise KeyboardInterrupt
+        write_tensor(path, arr)
+
+    monkeypatch.setattr(rnvt, "write_tensor", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--seed", "1", *train, "--steps", "40"])
+    assert len(tensors) == 3 < len(before) - 2  # a middle tensor: two files are not tensors
+    assert _dir_bytes(ckpt) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+
+def test_a_rewrite_replaces_the_whole_output(small_bundle, capsys, tmp_path):
+    """A second run leaves exactly its own files: fewer maps, fewer views."""
+    corr = ["analyze", "corr", "--scene", str(small_bundle), "--out", str(tmp_path / "corr")]
+    for maps in (4, 2):
+        assert run_cli(capsys, *corr, "--save-maps", str(maps))[0] == 0
+    assert sorted(p.name for p in (tmp_path / "corr").iterdir()) == [
+        "corr.csv", "corr.json", "simmap_000.pgm", "simmap_001.pgm"]
+    scene = ["scene-gen", "--res", "16x16", "--out", str(tmp_path / "scene")]
+    for views in (16, 4):
+        assert run_cli(capsys, *scene, "--views", str(views))[0] == 0
+    assert len(list((tmp_path / "scene" / "views").iterdir())) == 4
+    assert bundle.load_scene_bundle(tmp_path / "scene", 8).n_views == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corr", "scene"]
+
+
+def test_a_directory_renov_did_not_write_is_refused(small_bundle, capsys, tmp_path, monkeypatch):
+    """--out is replaced whole, so a non-empty one must hold the leaf's index file: a user's
+    directory, a bundle given as a feature set's --out, or a link, exit 2 and lose nothing."""
+    user = tmp_path / "user"
+    (user / "notes").mkdir(parents=True)
+    (user / "notes" / "a.txt").write_text("mine")
+    (tmp_path / "link").symlink_to(user)
+    kept = _dir_bytes(tmp_path)
+    monkeypatch.chdir(user)
+    s = ["--scene", str(small_bundle)]
+    for argv, flag in [(["analyze", "lds", *s, "--out", "."], "--out ."),
+                       (["features", *s, "--out", str(small_bundle)], f"--out {small_bundle}"),
+                       (["warp", *s, "--refs", "7", "--target", "8",
+                         "--out", str(tmp_path / "link")], f"--out {tmp_path / 'link'}"),
+                       (["probe", "train", *s, "--ckpt", str(user)], f"--ckpt {user}"),
+                       (["analyze", "corr", *s, "--out", str(user / "notes")], "--out")]:
+        bundle_bytes = _dir_bytes(small_bundle)
+        status, stdout, err = run_cli(capsys, "--seed", "1", *argv)
+        assert (status, stdout) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith(f"input error: {flag}"), err
+        assert _dir_bytes(tmp_path) == kept and _dir_bytes(small_bundle) == bundle_bytes, argv
+        assert (tmp_path / "link").resolve() == user
+    # nor is a link to an empty directory, or '.' naming one
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "link").unlink()
+    (tmp_path / "link").symlink_to(tmp_path / "empty")
+    monkeypatch.chdir(tmp_path / "empty")
+    for out in (tmp_path / "link", "."):
+        assert run_cli(capsys, "analyze", "lds", *s, "--out", str(out))[0] == 2
+        assert not list((tmp_path / "empty").iterdir())
+    # an empty directory is taken, and so is the command's own earlier output
+    for _ in range(2):
+        assert run_cli(capsys, "analyze", "lds", *s, "--out", str(tmp_path / "empty"))[0] == 0
+    assert [p.name for p in (tmp_path / "empty").iterdir()] == ["lds.json"]
 
 
 FLAG_ESCAPES = [  # flag values that once escaped the exit-code contract: (argv, field named)

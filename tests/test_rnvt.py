@@ -195,6 +195,68 @@ def test_two_writer_processes_never_leave_a_torn_tensor(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def _write_dir_until(out, files, stop, done):
+    while not stop.is_set():
+        rnvt.write_dir(out, files)
+        done.value += 1
+
+
+def _read_set(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_dir_writer_processes_each_end_on_a_whole_set(tmp_path):
+    """Three processes (more than a small box's cores) replace one directory by different sets:
+    the last swap's set is left whole, with no file of another and no temp or old directory
+    beside it."""
+    ctx = multiprocessing.get_context("fork")
+    out = tmp_path / "out"
+    sets = [[("a.json", {"writer": 0}), ("sub/x.rnvt", np.arange(5.0)), ("m.csv", "0\n")],
+            [("b.json", {"writer": 1}), ("sub/y.rnvt", np.ones((2, 3), np.uint8)),
+             ("img.pgm", np.zeros((2, 2)))],
+            [("c/d/e.json", None)]]
+    expected = []
+    for k, files in enumerate(sets):
+        rnvt.write_dir(tmp_path / f"alone_{k}", files)
+        expected.append(_read_set(tmp_path / f"alone_{k}"))
+    stop, counts = ctx.Event(), [ctx.Value("i", 0) for _ in sets]
+    writers = [ctx.Process(target=_write_dir_until, args=(out, files, stop, n))
+               for files, n in zip(sets, counts)]
+    for p in writers:
+        p.start()
+    try:
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and min(n.value for n in counts) < 50:
+            time.sleep(0.01)
+    finally:
+        stop.set()
+        for p in writers:
+            p.join(timeout=10)
+    assert not any(p.is_alive() for p in writers)
+    assert [p.exitcode for p in writers] == [0] * len(sets)
+    assert min(n.value for n in counts) >= 50
+    assert _read_set(out) in expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alone_0", "alone_1", "alone_2", "out"]
+
+
+def test_a_failed_dir_write_leaves_the_old_set(tmp_path):
+    """A value that fails while the entries are made, or that no writer takes, writes nothing."""
+    out = tmp_path / "out"
+    rnvt.write_dir(out, [("a.json", [1]), ("v/t.rnvt", np.zeros(3))])
+    before = _read_set(out)
+
+    def failing():
+        yield "b.json", [2]
+        raise InputError("view 3 is damaged")
+
+    for files, match in [(failing(), "view 3"), ([("c.rnvt", np.zeros(2, np.int16))], "dtype"),
+                         ([("i.ppm", np.zeros((2, 2)))], "HxWx3")]:
+        with pytest.raises(InputError, match=match):
+            rnvt.write_dir(out, files)
+        assert _read_set(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_readers_name_the_damaged_file(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
